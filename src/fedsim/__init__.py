@@ -46,7 +46,7 @@ from .network import (
     param_distance,
     representations,
 )
-from .optim import LRSchedule, OptState, lr_at, sgd_step
+from .optim import LRSchedule, OptState, sgd_step
 from .params import ParamMask, ParamVector
 from .partition import (
     ClientSplit,

@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run the federation; writes checkpoint and round CSV")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="threads for per-round client updates")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint in --out")
     p.add_argument(
         "--stop-after", type=int, default=None,
@@ -82,12 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "partition":
             run_partition(_load_config(args))
         elif args.command == "train":
-            run_train(
-                _load_config(args),
-                jobs=args.jobs,
-                resume=args.resume,
-                stop_after=args.stop_after,
-            )
+            run_train(_load_config(args), resume=args.resume, stop_after=args.stop_after)
         elif args.command == "eval":
             run_eval(_load_config(args), checkpoint_dir=args.checkpoint)
         elif args.command == "sweep":

@@ -2,8 +2,7 @@
 masked weighted aggregation, optional server-side update.
 
 Every random draw comes from a stream keyed by (seed, tag, round, client),
-so results do not depend on execution order and client updates may run
-concurrently.
+so results do not depend on the order in which clients run.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +25,8 @@ log = logging.getLogger("fedsim")
 
 # spawn-key tags for domain-separated RNG streams
 _SAMPLING, _CLIENT, _POOL, _SERVER, _EVAL = range(5)
+
+LG_LR = 0.001  # constant learning rate of the LG-FedAvg second phase
 
 
 class FederationError(RuntimeError):
@@ -63,7 +63,6 @@ class FLConfig:
     server_share: float = 0.0  # p, fraction of client data the server holds
     server_update_part: str = "full"  # full | body
     perfedavg_alpha: float = 0.01  # inner step size, held constant
-    lg_lr: float = 0.001  # learning rate of the LG-FedAvg second phase
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -95,7 +94,6 @@ class RoundLog:
     mean_loss: float
     lr: float
     wall_time: float
-    eval_metrics: dict | None = None
 
 
 @dataclass
@@ -151,8 +149,34 @@ def sample_clients(n_clients: int, fraction: float, rng: np.random.Generator) ->
 # --- local training ---------------------------------------------------------
 
 
-def _train_epochs(
-    client_ds: LabeledDataset,
+def _joint_step(net: Network, ds: LabeledDataset, batch: np.ndarray):
+    """Step rule of plain SGD: (loss, grads) of the minibatch ``batch``."""
+    _, cache = forward(net, ds.samples[batch])
+    return backward(net, cache, ds.labels[batch])
+
+
+def _perfedavg_step(alpha: float):
+    """First-order Per-FedAvg step rule: an inner SGD step of rate ``alpha``
+    on the batch's first half (support), then the loss and gradient on the
+    second half (query) at the adapted point."""
+    a32 = FLOAT(alpha)
+
+    def step(net: Network, ds: LabeledDataset, batch: np.ndarray):
+        if len(batch) < 2:
+            raise FederationError(
+                "meta step needs a batch of at least 2 to split into support/query"
+            )
+        half = len(batch) // 2
+        _, g_sup = _joint_step(net, ds, batch[:half])
+        adapted = net.params.copy()
+        adapted.data -= a32 * g_sup.data
+        return _joint_step(net.with_params(adapted), ds, batch[half:])
+
+    return step
+
+
+def train_epochs(
+    ds: LabeledDataset,
     params: ParamVector,
     template: Network,
     part: str,
@@ -163,13 +187,19 @@ def _train_epochs(
     rng: np.random.Generator,
     prox: tuple[float, ParamVector] | None = None,
     update_offset: int = 0,
+    step=_joint_step,
+    on_epoch=None,
 ) -> list[float]:
-    """Joint minibatch SGD over `epochs`, updating `part` in place.
+    """Minibatch momentum SGD over `epochs`, updating `part` of `params` in
+    place: the one training loop behind every local, server-side,
+    fine-tuning and centralized update.
 
-    ``lr_fn`` maps the within-round update counter to a learning rate.
-    Returns per-step losses.
+    ``lr_fn`` maps the update counter (starting at ``update_offset``) to a
+    learning rate; ``step`` maps (net, ds, batch indices) to (loss, grads);
+    ``on_epoch`` is called after each epoch. Momentum starts at zero and
+    carries across the epochs of one call. Returns per-step losses.
     """
-    n = len(client_ds)
+    n = len(ds)
     net = template.with_params(params)
     mask = template.mask_for(part)
     opt = OptState.for_params(params, momentum)
@@ -178,17 +208,37 @@ def _train_epochs(
     for _ in range(epochs):
         order = rng.permutation(n)
         for t in range(iterations_per_epoch(n, batch_size)):
-            batch = order[t * batch_size : (t + 1) * batch_size]
-            x = client_ds.samples[batch]
-            y = client_ds.labels[batch]
-            _, cache = forward(net, x)
-            loss, grads = backward(net, cache, y)
+            loss, grads = step(net, ds, order[t * batch_size : (t + 1) * batch_size])
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at local update {u}")
             sgd_step(params, grads, opt, lr_fn(u), mask, prox)
             losses.append(float(loss))
             u += 1
+        if on_epoch is not None:
+            on_epoch()
     return losses
+
+
+def train_head_then_body(
+    ds: LabeledDataset,
+    params: ParamVector,
+    template: Network,
+    epochs: int,
+    batch_size: int,
+    momentum: float,
+    lr_fn,
+    rng: np.random.Generator,
+) -> list[float]:
+    """The head for `epochs` epochs, then the body for one more epoch that
+    reuses the final head epoch's schedule positions."""
+    losses = train_epochs(
+        ds, params, template, "head", epochs, batch_size, momentum, lr_fn, rng
+    )
+    body_offset = (epochs - 1) * iterations_per_epoch(len(ds), batch_size)
+    return losses + train_epochs(
+        ds, params, template, "body", 1, batch_size, momentum, lr_fn, rng,
+        update_offset=body_offset,
+    )
 
 
 def local_update(
@@ -209,75 +259,27 @@ def local_update(
     Momentum buffers are created fresh here: optimizer state is never
     communicated between rounds.
     """
-    n = len(client_ds)
-    if n == 0:
+    if len(client_ds) == 0:
         raise FederationError("client has no training data")
     if local_epochs == 0:
         return theta_start.copy(), float("nan")
     params = theta_start.copy()
-
-    if alg.local_rule in ("joint", "proximal", "ditto"):
-        prox = (mu, theta_start) if alg.local_rule == "proximal" else None
-        losses = _train_epochs(
-            client_ds, params, template, alg.update_part, local_epochs,
-            batch_size, momentum, lr_fn, rng, prox,
-        )
-    elif alg.local_rule == "sequential_head_then_body":
-        losses = _train_epochs(
-            client_ds, params, template, "head", local_epochs,
-            batch_size, momentum, lr_fn, rng,
-        )
-        # one body epoch, reusing the final epoch's schedule positions
-        body_offset = (local_epochs - 1) * iterations_per_epoch(n, batch_size)
-        losses += _train_epochs(
-            client_ds, params, template, "body", 1,
-            batch_size, momentum, lr_fn, rng, update_offset=body_offset,
-        )
-    elif alg.local_rule == "perfedavg_fo":
-        losses = _perfedavg_epochs(
-            client_ds, params, template, alg.update_part, local_epochs,
-            batch_size, momentum, lr_fn, rng, perfedavg_alpha,
+    args = (batch_size, momentum, lr_fn, rng)
+    if alg.local_rule == "sequential_head_then_body":
+        losses = train_head_then_body(client_ds, params, template, local_epochs, *args)
+    elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
+        losses = train_epochs(
+            client_ds, params, template, alg.update_part, local_epochs, *args,
+            prox=(mu, theta_start) if alg.local_rule == "proximal" else None,
+            step=(
+                _perfedavg_step(perfedavg_alpha)
+                if alg.local_rule == "perfedavg_fo"
+                else _joint_step
+            ),
         )
     else:
         raise FederationError(f"unknown local rule {alg.local_rule!r}")
     return params, float(np.mean(losses)) if losses else float("nan")
-
-
-def _perfedavg_epochs(
-    client_ds, params, template, part, epochs, batch_size, momentum, lr_fn, rng, alpha
-) -> list[float]:
-    """First-order meta steps: inner SGD on the support half, outer
-    momentum SGD on the query half evaluated at the adapted point."""
-    n = len(client_ds)
-    net = template.with_params(params)
-    mask = template.mask_for(part)
-    opt = OptState.for_params(params, momentum)
-    a32 = FLOAT(alpha)
-    losses: list[float] = []
-    u = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for t in range(iterations_per_epoch(n, batch_size)):
-            batch = order[t * batch_size : (t + 1) * batch_size]
-            if len(batch) < 2:
-                raise FederationError(
-                    "meta step needs a batch of at least 2 to split into support/query"
-                )
-            half = len(batch) // 2
-            sup, qry = batch[:half], batch[half:]
-            _, cache = forward(net, client_ds.samples[sup])
-            _, g_sup = backward(net, cache, client_ds.labels[sup])
-            adapted = params.copy()
-            adapted.data -= a32 * g_sup.data
-            net_adapted = template.with_params(adapted)
-            _, cache = forward(net_adapted, client_ds.samples[qry])
-            loss, g_qry = backward(net_adapted, cache, client_ds.labels[qry])
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at meta update {u}")
-            sgd_step(params, g_qry, opt, lr_fn(u), mask)
-            losses.append(float(loss))
-            u += 1
-    return losses
 
 
 def perfedavg_fo_update(
@@ -318,7 +320,7 @@ def ditto_update(
     params = theta_personal.copy()
     if local_epochs == 0:
         return params
-    _train_epochs(
+    train_epochs(
         client_ds, params, template, "full", local_epochs,
         batch_size, momentum, lr_fn, rng, prox=(lam, theta_global),
     )
@@ -384,7 +386,7 @@ def server_side_update(
     if len(pool_ds) == 0:
         raise FederationError("server pool is empty")
     params = theta.copy()
-    _train_epochs(
+    train_epochs(
         pool_ds, params, template, part, 1, batch_size, momentum,
         lambda _u: lr, rng,
     )
@@ -440,12 +442,11 @@ def run_federation(
     data: FederatedData,
     template: Network,
     state: FederationState | None = None,
-    jobs: int = 1,
     until_round: int | None = None,
 ) -> tuple[FederationState, list[RoundLog]]:
     """Execute rounds state.round+1 .. end of plan (or ``until_round``).
-    Deterministic per seed; client updates within a round may run on
-    ``jobs`` threads without changing any bit of the result."""
+    Deterministic per seed; clients run one after another, in ascending id
+    order, though no bit of the result depends on that order."""
     alg = get_algorithm(cfg.algorithm)
     if len(data.splits) != cfg.clients:
         raise FederationError(
@@ -471,8 +472,6 @@ def run_federation(
             sampled = sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, _SAMPLING, k))
         else:
             sampled = list(range(cfg.clients))
-        for cid in sampled:  # warm the subset cache before any threads start
-            data.client_train(cid)
 
         def run_client(cid: int):
             try:
@@ -489,7 +488,7 @@ def run_federation(
                 if lr_mode == "schedule":
                     lr_fn = lambda u: sched.lr_at(offset + u)
                 else:
-                    lr_fn = lambda u: cfg.lg_lr
+                    lr_fn = lambda u: LG_LR
                 rng = stream(cfg.seed, _CLIENT, k, cid)
                 theta_out, loss = local_update(
                     client_ds, theta_start, template, round_alg,
@@ -512,12 +511,7 @@ def run_federation(
             except FederationError as e:
                 raise FederationError(f"round {k}, client {cid}: {e}") from e
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_client, sampled))
-        else:
-            results = [run_client(cid) for cid in sampled]
-        results.sort(key=lambda r: r[0])
+        results = [run_client(cid) for cid in sampled]  # ascending ids
 
         losses = [loss for *_, loss in results if not math.isnan(loss)]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -546,7 +540,7 @@ def run_federation(
             )
 
         state.round = k
-        lr_logged = cfg.lg_lr if lr_mode == "constant" else _round_end_lr(cfg, k)
+        lr_logged = LG_LR if lr_mode == "constant" else _round_end_lr(cfg, k)
         logs.append(
             RoundLog(k, tuple(sampled), mean_loss, lr_logged, time.perf_counter() - t0)
         )

@@ -16,10 +16,10 @@ from .engine import (
     assemble_client_params,
     eval_stream,
     iterations_per_epoch,
-    _train_epochs,
+    train_epochs,
+    train_head_then_body,
 )
-from .network import Network, backward, forward, representations, segment_cosines
-from .optim import OptState, sgd_step
+from .network import Network, forward, representations, segment_cosines
 from .params import ParamVector
 
 
@@ -102,26 +102,18 @@ def fine_tune(
     """Personalization epochs on the client's train data, updating ``part``.
 
     ``rule='sequential_head_then_body'`` trains the head for the full
-    epoch count and then the body for one more epoch. Momentum buffers
-    start fresh. finetune_epochs=0 returns the input unchanged.
+    epoch count and then the body for one more epoch, as local training
+    does. Momentum buffers start fresh. finetune_epochs=0 returns the input
+    unchanged.
     """
     params = client_params.copy()
     if finetune_epochs == 0:
         return params
+    args = (batch_size, momentum, lambda _u: lr, rng)
     if rule == "sequential_head_then_body":
-        _train_epochs(
-            client_ds, params, template, "head", finetune_epochs,
-            batch_size, momentum, lambda _u: lr, rng,
-        )
-        _train_epochs(
-            client_ds, params, template, "body", 1,
-            batch_size, momentum, lambda _u: lr, rng,
-        )
+        train_head_then_body(client_ds, params, template, finetune_epochs, *args)
     else:
-        _train_epochs(
-            client_ds, params, template, part, finetune_epochs,
-            batch_size, momentum, lambda _u: lr, rng,
-        )
+        train_epochs(client_ds, params, template, part, finetune_epochs, *args)
     return params
 
 
@@ -302,24 +294,16 @@ def centralized_train(
     momentum: float = 0.9,
 ) -> list[float]:
     """Plain pooled training updating only ``part``; step-decay schedule
-    over the whole run; returns test accuracy after each epoch."""
+    over the whole run; returns test accuracy after each epoch. Momentum is
+    carried across epochs: one long run, not a federation."""
     params = net.params.copy()
     working = net.with_params(params)
     ipe = iterations_per_epoch(len(train_ds), batch_size)
     sched = LRSchedule(base_lr, max(epochs * ipe, 1))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
-    curve = []
-    # momentum is carried across epochs here: one long run, not a federation
-    opt = OptState.for_params(params, momentum)
-    mask = net.mask_for(part)
-    u = 0
-    for _ in range(epochs):
-        order = rng.permutation(len(train_ds))
-        for t in range(ipe):
-            batch = order[t * batch_size : (t + 1) * batch_size]
-            _, cache = forward(working, train_ds.samples[batch])
-            _, grads = backward(working, cache, train_ds.labels[batch])
-            sgd_step(params, grads, opt, sched.lr_at(u), mask)
-            u += 1
-        curve.append(accuracy(working, test_ds))
+    curve: list[float] = []
+    train_epochs(
+        train_ds, params, net, part, epochs, batch_size, momentum, sched.lr_at, rng,
+        on_epoch=lambda: curve.append(accuracy(working, test_ds)),
+    )
     return curve

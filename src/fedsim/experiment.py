@@ -36,7 +36,7 @@ from .evaluation import (
 from .layers import ShapeError, conv2d, dense, flatten, infer_shapes, maxpool2d, relu
 from .network import InitScheme, Network, init_network
 from .params import ParamVector
-from .partition import PartitionSpec, partition, save_splits, split_client_test
+from .partition import PartitionError, PartitionSpec, partition, save_splits, split_client_test
 
 log = logging.getLogger("fedsim")
 
@@ -158,19 +158,13 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        fed = self.raw["federation"]
-        try:
-            get_algorithm(fed["algorithm"])
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        if not 0 < fed["fraction"] <= 1:
-            raise ConfigError("federation.fraction must be in (0, 1]")
+        """Federation and partition checks live in FLConfig and
+        PartitionSpec; their errors surface here as ConfigError."""
+        self.fl_config()
+        self.partition_spec()
         ds = self.raw["dataset"]
         if ds["kind"] not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-        part = self.raw["partition"]
-        if part["mode"] not in ("shard", "dirichlet", "iid"):
-            raise ConfigError(f"unknown partition mode {part['mode']!r}")
         net = self.raw["network"]
         if net["kind"] not in ("mlp", "conv2"):
             raise ConfigError(f"unknown network kind {net['kind']!r}")
@@ -179,16 +173,15 @@ class ExperimentConfig:
             raise ConfigError("eval.part must be body, head, or full")
         if any(t < 0 for t in ev["finetune_epochs"]):
             raise ConfigError("eval.finetune_epochs must be non-negative")
-        if ev["in_out"] and part["test_mode"] != "global":
+        if ev["in_out"] and self.raw["partition"]["test_mode"] != "global":
             raise ConfigError("eval.in_out needs partition.test_mode = 'global'")
 
     # hash covers everything that determines the trained model and splits;
-    # eval settings are recorded in reports instead.
-    def config_hash(self) -> str:
-        payload = {
-            k: self.raw[k]
-            for k in ("seed", "dataset", "network", "partition", "federation")
-        }
+    # eval settings are recorded in reports instead. ``with_eval`` adds them,
+    # for keys that must change whenever any result would.
+    def config_hash(self, with_eval: bool = False) -> str:
+        keys = ("seed", "dataset", "network", "partition", "federation")
+        payload = {k: self.raw[k] for k in keys + (("eval",) if with_eval else ())}
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -212,6 +205,19 @@ class ExperimentConfig:
                 seed=self.seed,
             )
         except ValueError as e:
+            raise ConfigError(str(e)) from e
+
+    def partition_spec(self) -> PartitionSpec:
+        p = self.raw["partition"]
+        try:
+            return PartitionSpec(
+                mode=p["mode"],
+                clients=self.raw["federation"]["clients"],
+                shards_per_client=p["shards_per_client"],
+                beta=p["beta"],
+                seed=self.seed,
+            )
+        except PartitionError as e:
             raise ConfigError(str(e)) from e
 
     def eval_lr(self) -> float:
@@ -250,16 +256,8 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def build_splits(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset):
-    p = cfg["partition"]
-    spec = PartitionSpec(
-        mode=p["mode"],
-        clients=cfg["federation"]["clients"],
-        shards_per_client=p.get("shards_per_client", 0),
-        beta=p.get("beta", 0.0),
-        seed=cfg.seed,
-    )
-    splits = partition(train, spec)
-    return split_client_test(train, test, splits, p["test_mode"], seed=cfg.seed)
+    splits = partition(train, cfg.partition_spec())
+    return split_client_test(train, test, splits, cfg["partition"]["test_mode"], seed=cfg.seed)
 
 
 def build_network(cfg: ExperimentConfig, sample_shape: tuple[int, ...], classes: int) -> Network:
@@ -385,7 +383,6 @@ def load_checkpoint(out_dir: Path, template: Network) -> tuple[FederationState, 
 
 def run_train(
     cfg: ExperimentConfig,
-    jobs: int = 1,
     resume: bool = False,
     stop_after: int | None = None,
 ) -> FederationState:
@@ -400,7 +397,7 @@ def run_train(
         append = True
         log.info("resuming from round %d", state.round)
     state, logs = run_federation(
-        fl_cfg, data, template, state=state, jobs=jobs, until_round=stop_after
+        fl_cfg, data, template, state=state, until_round=stop_after
     )
     write_round_csv(out / "rounds.csv", logs, cfg.config_hash(), append=append)
     save_checkpoint(out, state, cfg)

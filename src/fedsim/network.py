@@ -116,10 +116,12 @@ def _segment_bounds(layers: tuple[LayerSpec, ...]) -> tuple[tuple[int, ...], tup
 def validate_layers(layers: tuple[LayerSpec, ...]) -> None:
     if not layers or layers[-1].kind != "dense":
         raise ShapeError("network must end in exactly one dense layer (the head)")
-    # static chain check: dense->dense fans and conv channel chaining
+    # static chain check: known kinds, dense->dense fans and conv channel chaining
     prev_dense_out = None
     prev_conv_out = None
     for spec in layers:
+        if spec.kind not in _LAYER_OPS:
+            raise ShapeError(f"unknown layer kind {spec.kind!r}")
         if spec.kind == "dense":
             if prev_dense_out is not None and spec.fan_in != prev_dense_out:
                 raise ShapeError(
@@ -200,62 +202,79 @@ def init_network(layers, scheme: InitScheme) -> Network:
 # --- forward / backward ----------------------------------------------------
 
 
+def _dense_forward(net: Network, i: int, x):
+    spec = net.layers[i]
+    if x.ndim != 2 or x.shape[1] != spec.fan_in:
+        raise ShapeError(f"layer {i}: dense expects (N, {spec.fan_in}), got {x.shape}")
+    return dense_forward(x, *net.layer_params(i))
+
+
+def _conv2d_forward(net: Network, i: int, x):
+    spec = net.layers[i]
+    if x.ndim != 4 or x.shape[1] != spec.in_channels:
+        raise ShapeError(
+            f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), got {x.shape}"
+        )
+    return conv2d_forward(x, *net.layer_params(i), spec.padding)
+
+
+# kind -> (forward(net, i, x) -> (out, cache),
+#          backward(net, i, gout, cache) -> (gin, weight grad, bias grad)).
+# The adapters name the kernels as module globals, looked up at call time.
+_LAYER_OPS = {
+    "dense": (
+        _dense_forward,
+        lambda net, i, g, c: dense_backward(g, c, net.layer_params(i)[0], net.layers[i].has_bias),
+    ),
+    "conv2d": (
+        _conv2d_forward,
+        lambda net, i, g, c: conv2d_backward(
+            g, c, net.layer_params(i)[0], net.layers[i].padding, net.layers[i].has_bias
+        ),
+    ),
+    "relu": (
+        lambda net, i, x: relu_forward(x),
+        lambda net, i, g, c: (relu_backward(g, c), None, None),
+    ),
+    "maxpool2d": (
+        lambda net, i, x: maxpool2d_forward(x, net.layers[i].window),
+        lambda net, i, g, c: (maxpool2d_backward(g, c), None, None),
+    ),
+    "flatten": (
+        lambda net, i, x: flatten_forward(x),
+        lambda net, i, g, c: (flatten_backward(g, c), None, None),
+    ),
+}
+
+
+def _run_layers(net: Network, batch, stop: int, caches: list | None):
+    """Apply layers [0, stop) in the params' dtype, appending each layer's
+    cache to ``caches`` unless it is None."""
+    x = np.asarray(batch)
+    if x.dtype != net.params.data.dtype:
+        x = x.astype(net.params.data.dtype)
+    for i, spec in enumerate(net.layers[:stop]):
+        x, cache = _LAYER_OPS[spec.kind][0](net, i, x)
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
 def forward(net: Network, batch: np.ndarray):
     """Run the network on a batch; returns (logits, cache).
 
     The cache holds per-layer records sufficient for backward, plus the
-    input to the head (the representation used for template evaluation).
+    logits.
     """
-    x = np.asarray(batch)
-    if x.dtype != net.params.data.dtype:
-        x = x.astype(net.params.data.dtype)
-    caches = []
-    for i, spec in enumerate(net.layers):
-        if spec.kind == "dense":
-            if x.ndim != 2 or x.shape[1] != spec.fan_in:
-                raise ShapeError(
-                    f"layer {i}: dense expects (N, {spec.fan_in}), got {x.shape}"
-                )
-            w, b = net.layer_params(i)
-            x, cache = dense_forward(x, w, b)
-        elif spec.kind == "conv2d":
-            if x.ndim != 4 or x.shape[1] != spec.in_channels:
-                raise ShapeError(
-                    f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), got {x.shape}"
-                )
-            w, b = net.layer_params(i)
-            x, cache = conv2d_forward(x, w, b, spec.padding)
-        elif spec.kind == "relu":
-            x, cache = relu_forward(x)
-        elif spec.kind == "maxpool2d":
-            x, cache = maxpool2d_forward(x, spec.window)
-        elif spec.kind == "flatten":
-            x, cache = flatten_forward(x)
-        else:
-            raise ShapeError(f"unknown layer kind {spec.kind!r}")
-        caches.append(cache)
+    caches: list = []
+    x = _run_layers(net, batch, len(net.layers), caches)
     return x, (caches, x)
 
 
 def representations(net: Network, batch: np.ndarray) -> np.ndarray:
-    """Inputs to the head: the post-flatten, pre-head activations."""
-    x = np.asarray(batch)
-    if x.dtype != net.params.data.dtype:
-        x = x.astype(net.params.data.dtype)
-    for i, spec in enumerate(net.layers[: net.head_index]):
-        if spec.kind == "dense":
-            w, b = net.layer_params(i)
-            x, _ = dense_forward(x, w, b)
-        elif spec.kind == "conv2d":
-            w, b = net.layer_params(i)
-            x, _ = conv2d_forward(x, w, b, spec.padding)
-        elif spec.kind == "relu":
-            x, _ = relu_forward(x)
-        elif spec.kind == "maxpool2d":
-            x, _ = maxpool2d_forward(x, spec.window)
-        elif spec.kind == "flatten":
-            x, _ = flatten_forward(x)
-    return x
+    """Inputs to the head: the post-flatten, pre-head activations. Layer
+    caches are dropped as the pass goes."""
+    return _run_layers(net, batch, net.head_index, None)
 
 
 def backward(net: Network, cache, labels):
@@ -269,22 +288,9 @@ def backward(net: Network, cache, labels):
 
     grads = net.params.zeros_like()
     for i in range(len(net.layers) - 1, -1, -1):
-        spec = net.layers[i]
-        cache = caches[i]
-        if spec.kind == "dense":
-            w, _ = net.layer_params(i)
-            gout, gw, gb = dense_backward(gout, cache, w, spec.has_bias)
+        gout, gw, gb = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i])
+        if gw is not None:
             _store_grad(grads, net, i, gw, gb)
-        elif spec.kind == "conv2d":
-            w, _ = net.layer_params(i)
-            gout, gw, gb = conv2d_backward(gout, cache, w, spec.padding, spec.has_bias)
-            _store_grad(grads, net, i, gw, gb)
-        elif spec.kind == "relu":
-            gout = relu_backward(gout, cache)
-        elif spec.kind == "maxpool2d":
-            gout = maxpool2d_backward(gout, cache)
-        elif spec.kind == "flatten":
-            gout = flatten_backward(gout, cache)
     return loss, grads
 
 

@@ -35,10 +35,6 @@ class LRSchedule:
         return self.base_lr * self.decay_factor**2
 
 
-def lr_at(sched: LRSchedule, update_index: int) -> float:
-    return sched.lr_at(update_index)
-
-
 @dataclass
 class OptState:
     """Momentum buffers, zeroed on creation, one slot per parameter."""

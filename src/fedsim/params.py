@@ -126,6 +126,3 @@ class ParamMask:
 
     def selected(self) -> tuple[int, ...]:
         return tuple(i for i, inc in enumerate(self.include) if inc)
-
-    def inverted(self) -> "ParamMask":
-        return ParamMask(tuple(not inc for inc in self.include))

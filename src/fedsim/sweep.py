@@ -80,8 +80,9 @@ def expand_cells(sweep: dict) -> list[ExperimentConfig]:
                 _set_dotted(raw, axis, value)
             raw["seed"] = seed
             cfg = ExperimentConfig.from_dict(raw)
-            cfg = cfg.with_overrides(out=str(out_root / "cells" / cfg.config_hash()))
-            cells.append(cfg)
+            # eval settings are part of the key: an eval-only change is a new cell
+            cell_dir = out_root / "cells" / cfg.config_hash(with_eval=True)
+            cells.append(cfg.with_overrides(out=str(cell_dir)))
     budgets = {
         c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells
     }
@@ -112,7 +113,7 @@ def _cell_summary(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_cell(raw_config: dict, jobs: int = 1) -> dict:
+def run_cell(raw_config: dict) -> dict:
     """Train + evaluate one cell; returns (and persists) its result record.
     Top-level so process pools can pick it up."""
     cfg = ExperimentConfig(raw_config)
@@ -122,7 +123,7 @@ def run_cell(raw_config: dict, jobs: int = 1) -> dict:
             return json.loads(result_path.read_text())
         except json.JSONDecodeError:
             log.warning("cell %s: corrupt result, rerunning", cfg.config_hash())
-    run_train(cfg, jobs=1)
+    run_train(cfg)
     reports = run_eval(cfg)
     record = _cell_summary(cfg)
     record["initial_mean"] = reports["initial"].mean

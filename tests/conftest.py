@@ -57,3 +57,40 @@ def make_federated_data(
 @pytest.fixture
 def small_fed_data():
     return make_federated_data()
+
+
+def replay_clients_descending(cfg, data, template):
+    """Reference for run_federation: each round's sampled clients are replayed
+    one at a time through local_update in descending id order, then
+    aggregated in ascending order. Covers single-phase federated algorithms
+    without Ditto or a server pool."""
+    from fedsim.engine import assemble_client_params, client_schedule, init_state, stream
+
+    alg = fs.get_algorithm(cfg.algorithm)
+    assert alg.federated and not alg.two_phase_lg and alg.local_rule != "ditto"
+    assert cfg.server_share == 0
+    state = init_state(template)
+    for k in range(1, cfg.rounds + 1):
+        sampled = fs.sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, 0, k))
+        updates = {}
+        for cid in sorted(sampled, reverse=True):
+            ds = data.client_train(cid)
+            sched = client_schedule(cfg, len(ds))
+            offset = (k - 1) * cfg.local_epochs * -(-len(ds) // cfg.batch_size)
+            theta, _ = fs.local_update(
+                ds, assemble_client_params(state, template, alg, cid), template, alg,
+                cfg.local_epochs, cfg.batch_size, cfg.momentum,
+                lambda u: sched.lr_at(offset + u), stream(cfg.seed, 1, k, cid),
+                mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
+            )
+            updates[cid] = (theta, len(ds))
+        state.global_params = fs.aggregate(
+            [updates[cid] for cid in sorted(updates)],
+            state.global_params,
+            template.mask_for(alg.aggregate_part),
+        )
+        if alg.persistent_part is not None:
+            for cid, (theta, _) in updates.items():
+                state.client_params[cid] = theta
+        state.round = k
+    return state

@@ -221,13 +221,13 @@ def test_seed_override_changes_hash(tmp_path):
     assert a.config_hash() == ExperimentConfig.load(cfg_path).config_hash()
 
 
-def test_jobs_do_not_change_checkpoint(tmp_path):
-    cfg_path, out = tiny_config(tmp_path, name="jobs1")
-    main(["train", "--config", str(cfg_path), "--jobs", "1"])
-    one = (out / "checkpoint.pv").read_bytes()
-    cfg_path2, out2 = tiny_config(tmp_path, name="jobs2")
-    main(["train", "--config", str(cfg_path2), "--jobs", "3"])
-    assert (out2 / "checkpoint.pv").read_bytes().split(b"FSPV")[-1] == one.split(b"FSPV")[-1]
+def test_train_has_no_jobs_flag(tmp_path):
+    # client updates run serially; only sweep cells run in worker processes
+    cfg_path, out = tiny_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def make_idx_dataset(tmp_path, n_train=240, n_test=80, side=8, classes=4):
@@ -357,6 +357,27 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     shutil.rmtree(out)
     assert main(["sweep", "--config", str(sweep_path), "--jobs", "2"]) == 0
     assert (out / "results.csv").read_bytes() == serial
+
+
+def read_results(out):
+    lines = (out / "results.csv").read_text().strip().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[2:]]
+
+
+def test_sweep_eval_settings_key_the_cells(tmp_path):
+    # an eval-only axis gets one cell per value, not the first value's row twice
+    sweep_path, out = sweep_config(tmp_path, grid={"eval.part": ["head", "full"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    rows = read_results(out)
+    assert sorted(r["part"] for r in rows) == ["full", "head"]
+    assert len(list(out.glob("cells/*/result.json"))) == 2
+    # a rerun with changed eval settings must not serve the cached rows
+    sweep = json.loads(sweep_path.read_text())
+    sweep["base"]["eval"]["finetune_epochs"] = [2]
+    sweep_path.write_text(json.dumps(sweep))
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert sorted(r["tau_f"] for r in read_results(out)) == ["2", "2"]
 
 
 def test_sweep_corrupt_cell_rerun(tmp_path):

@@ -16,7 +16,7 @@ from fedsim.engine import (
     total_rounds,
 )
 from fedsim.params import ParamMask, ParamVector
-from tests.conftest import make_federated_data
+from tests.conftest import make_federated_data, replay_clients_descending
 
 
 def vec(values, bounds=None):
@@ -267,12 +267,19 @@ def test_run_federation_deterministic(small_fed_data):
     assert [l.mean_loss for l in logs1] == [l.mean_loss for l in logs2]
 
 
-def test_run_federation_jobs_bit_identical(small_fed_data):
+@pytest.mark.parametrize("alg", ["fedavg", "fedper", "fedrep", "fedprox", "perfedavg"])
+def test_run_federation_matches_descending_client_replay(small_fed_data, alg):
     net = small_net(seed=3)
-    cfg = fs.FLConfig(clients=4, fraction=1.0, local_epochs=1, rounds=4, batch_size=10, seed=13)
-    s1, _ = fs.run_federation(cfg, small_fed_data, net, jobs=1)
-    s2, _ = fs.run_federation(cfg, small_fed_data, net, jobs=3)
-    assert s1.global_params.data.tobytes() == s2.global_params.data.tobytes()
+    cfg = fs.FLConfig(
+        clients=4, fraction=0.5, local_epochs=2, rounds=4, batch_size=10,
+        algorithm=alg, mu=0.05, seed=13,
+    )
+    state, _ = fs.run_federation(cfg, small_fed_data, net)
+    ref = replay_clients_descending(cfg, small_fed_data, net)
+    assert state.global_params.data.tobytes() == ref.global_params.data.tobytes()
+    assert sorted(state.client_params) == sorted(ref.client_params)
+    for cid, params in ref.client_params.items():
+        assert state.client_params[cid].data.tobytes() == params.data.tobytes()
 
 
 def test_fedbabu_head_frozen_over_rounds(small_fed_data):
