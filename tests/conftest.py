@@ -64,7 +64,13 @@ def replay_clients_descending(cfg, data, template):
     one at a time through local_update in descending id order, then
     aggregated in ascending order. Covers single-phase federated algorithms
     without Ditto or a server pool."""
-    from fedsim.engine import assemble_client_params, client_schedule, init_state, stream
+    from fedsim.engine import (
+        assemble_client_params,
+        client_schedule,
+        init_state,
+        iterations_per_epoch,
+        stream,
+    )
 
     alg = fs.get_algorithm(cfg.algorithm)
     assert alg.federated and not alg.two_phase_lg and alg.local_rule != "ditto"
@@ -76,7 +82,7 @@ def replay_clients_descending(cfg, data, template):
         for cid in sorted(sampled, reverse=True):
             ds = data.client_train(cid)
             sched = client_schedule(cfg, len(ds))
-            offset = (k - 1) * cfg.local_epochs * -(-len(ds) // cfg.batch_size)
+            offset = (k - 1) * cfg.local_epochs * iterations_per_epoch(len(ds), cfg.batch_size)
             theta, _ = fs.local_update(
                 ds, assemble_client_params(state, template, alg, cid), template, alg,
                 cfg.local_epochs, cfg.batch_size, cfg.momentum,
