@@ -256,8 +256,20 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def build_splits(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset):
-    splits = partition(train, cfg.partition_spec())
-    return split_client_test(train, test, splits, cfg["partition"]["test_mode"], seed=cfg.seed)
+    """Client splits; a partition the data cannot satisfy, or one that leaves
+    a client without training data, is a ConfigError."""
+    try:
+        splits = partition(train, cfg.partition_spec())
+        splits = split_client_test(train, test, splits, cfg["partition"]["test_mode"], seed=cfg.seed)
+    except PartitionError as e:
+        raise ConfigError(str(e)) from e
+    empty = [s.client_id for s in splits if len(s.train_indices) == 0]
+    if empty:
+        raise ConfigError(
+            f"partition leaves {len(empty)} of {len(splits)} clients without "
+            f"training data: clients {empty}"
+        )
+    return splits
 
 
 def build_network(cfg: ExperimentConfig, sample_shape: tuple[int, ...], classes: int) -> Network:

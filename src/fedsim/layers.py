@@ -150,9 +150,10 @@ def dense_forward(x, w, b):
     return out, x
 
 
-def dense_backward(gout, cache, w, has_bias):
+def dense_backward(gout, cache, w, has_bias, need_gx=True):
+    """(input grad, or None unless ``need_gx``; weight grad; bias grad)."""
     x = cache
-    gx = gout @ w
+    gx = gout @ w if need_gx else None
     gw = gout.T @ x
     gb = gout.sum(axis=0) if has_bias else None
     return gx, gw, gb
@@ -198,12 +199,15 @@ def conv2d_forward(x, w, b, padding):
     return np.ascontiguousarray(out), (cols, x.shape, (n, ho, wo))
 
 
-def conv2d_backward(gout, cache, w, padding, has_bias):
+def conv2d_backward(gout, cache, w, padding, has_bias, need_gx=True):
+    """(input grad, or None unless ``need_gx``; weight grad; bias grad)."""
     cols, padded_shape, (n, ho, wo) = cache
     cout, cin, k, _ = w.shape
     gmat = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
     gw = (gmat.T @ cols).reshape(w.shape)
     gb = gmat.sum(axis=0) if has_bias else None
+    if not need_gx:
+        return None, gw, gb
     gcols = gmat @ w.reshape(cout, -1)
     gcols = gcols.reshape(n, ho, wo, cin, k, k)
     gx_padded = np.zeros(padded_shape, dtype=gout.dtype)
@@ -220,25 +224,45 @@ def conv2d_backward(gout, cache, w, padding, has_bias):
 
 
 def maxpool2d_forward(x, window):
+    """Max over each ``window``-square tile, stride ``window``.
+
+    A tie goes to the first maximum in row-major window order, as argmax
+    picks it. The cache holds one boolean mask per in-window offset, stacked
+    as (window**2, N, C, Ho, Wo), marking where that offset won.
+    """
     n, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"maxpool2d window {window} does not divide ({h}, {w})")
-    ho, wo = h // window, w // window
-    tiles = x.reshape(n, c, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
-    tiles = tiles.reshape(n, c, ho, wo, window * window)
-    arg = tiles.argmax(axis=-1)
-    out = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), (arg, x.shape, window)
+    # one contiguous copy per in-window offset, so the strided reads happen once
+    tiles = np.empty((window * window, n, c, h // window, w // window), dtype=x.dtype)
+    for k in range(window * window):
+        i, j = divmod(k, window)
+        tiles[k] = x[:, :, i::window, j::window]
+    top = tiles[0].copy()
+    for t in tiles[1:]:
+        np.maximum(top, t, out=top)
+    masks = tiles == top
+    seen = masks[0].copy()
+    for m in masks[1:]:
+        np.greater(m, seen, out=m)  # m and not seen
+        seen |= m
+    # np.maximum may settle a -0.0/+0.0 tie either way, so the output takes
+    # the bits of the first maximum itself
+    bits = tiles.view(f"u{x.itemsize}")
+    bits *= masks
+    out = np.bitwise_or.reduce(bits, axis=0).view(x.dtype)
+    return out, (masks, x.shape, window)
 
 
 def maxpool2d_backward(gout, cache):
-    arg, in_shape, window = cache
-    n, c, h, w = in_shape
-    ho, wo = h // window, w // window
-    gtiles = np.zeros((n, c, ho, wo, window * window), dtype=gout.dtype)
-    np.put_along_axis(gtiles, arg[..., None], gout[..., None], axis=-1)
-    gx = gtiles.reshape(n, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(gx.reshape(in_shape))
+    """Routes each output gradient to the input its window's max came from;
+    other inputs get gout * 0, which is -0.0 where gout is negative."""
+    masks, in_shape, window = cache
+    gx = np.empty(in_shape, dtype=gout.dtype)
+    for k, m in enumerate(masks):
+        i, j = divmod(k, window)
+        np.multiply(gout, m, out=gx[:, :, i::window, j::window])
+    return gx
 
 
 def softmax_cross_entropy(logits, labels):

@@ -60,6 +60,20 @@ class Network:
     head_index: int
     # indices into `layers` of the parameterized layers, in segment order
     param_layers: tuple[int, ...] = field(default=())
+    # layer index -> (weight view, bias view or None, weight slice, bias
+    # slice); the slices address the layer's segment of any ParamVector
+    # segmented like `params`
+    _bound: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._bound = {}
+        for seg_idx, i in enumerate(self.param_layers):
+            spec = self.layers[i]
+            start, end = self.params.bounds[seg_idx]
+            mid = start + int(np.prod(spec.weight_shape()))
+            w = self.params.data[start:mid].reshape(spec.weight_shape())
+            b = self.params.data[mid:end] if spec.has_bias else None
+            self._bound[i] = (w, b, slice(start, mid), slice(mid, end))
 
     @property
     def head_segment(self) -> int:
@@ -72,13 +86,7 @@ class Network:
 
     def layer_params(self, layer_index: int):
         """(weights view reshaped, bias view or None) of a parameterized layer."""
-        seg_idx = self.param_layers.index(layer_index)
-        spec = self.layers[layer_index]
-        seg = self.params.segment(seg_idx)
-        wlen = int(np.prod(spec.weight_shape()))
-        w = seg[:wlen].reshape(spec.weight_shape())
-        b = seg[wlen:] if spec.has_bias else None
-        return w, b
+        return self._bound[layer_index][:2]
 
     def head_weights(self) -> np.ndarray:
         w, _ = self.layer_params(self.head_index)
@@ -221,15 +229,19 @@ def _conv2d_forward(net: Network, i: int, x):
 # kind -> (forward(net, i, x) -> (out, cache),
 #          backward(net, i, gout, cache) -> (gin, weight grad, bias grad)).
 # The adapters name the kernels as module globals, looked up at call time.
+# Layer 0's input gradient would be discarded, so it is not computed.
 _LAYER_OPS = {
     "dense": (
         _dense_forward,
-        lambda net, i, g, c: dense_backward(g, c, net.layer_params(i)[0], net.layers[i].has_bias),
+        lambda net, i, g, c: dense_backward(
+            g, c, net.layer_params(i)[0], net.layers[i].has_bias, need_gx=i > 0
+        ),
     ),
     "conv2d": (
         _conv2d_forward,
         lambda net, i, g, c: conv2d_backward(
-            g, c, net.layer_params(i)[0], net.layers[i].padding, net.layers[i].has_bias
+            g, c, net.layer_params(i)[0], net.layers[i].padding, net.layers[i].has_bias,
+            need_gx=i > 0,
         ),
     ),
     "relu": (
@@ -286,21 +298,16 @@ def backward(net: Network, cache, labels):
     caches, logits = cache
     loss, gout = softmax_cross_entropy(logits, labels)
 
-    grads = net.params.zeros_like()
+    # every segment is overwritten below, since each layer is visited
+    grads = ParamVector(np.empty_like(net.params.data), net.params.bounds)
     for i in range(len(net.layers) - 1, -1, -1):
         gout, gw, gb = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i])
         if gw is not None:
-            _store_grad(grads, net, i, gw, gb)
+            _, _, wslice, bslice = net._bound[i]
+            grads.data[wslice] = gw.reshape(-1)
+            if gb is not None:
+                grads.data[bslice] = gb
     return loss, grads
-
-
-def _store_grad(grads: ParamVector, net: Network, layer_index: int, gw, gb) -> None:
-    seg_idx = net.param_layers.index(layer_index)
-    seg = grads.segment(seg_idx)
-    wlen = gw.size
-    seg[:wlen] = gw.ravel()
-    if gb is not None:
-        seg[wlen:] = gb
 
 
 # --- diagnostics ------------------------------------------------------------

@@ -74,12 +74,21 @@ def sgd_step(
             raise ValueError("proximal coefficient must be non-negative")
         params.require_same_segmentation(anchor)
         mu32 = FLOAT(mu)
+    # masked-in segments merged into contiguous ranges; the update is
+    # elementwise, so the bits equal those of a loop over segments
+    runs: list[list[int]] = []
     for i in mask.selected():
-        p = params.segment(i)
-        g = grads.segment(i)
+        start, end = params.bounds[i]
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = end
+        else:
+            runs.append([start, end])
+    for start, end in runs:
+        p = params.data[start:end]
+        g = grads.data[start:end]
         if mu32 is not None:
-            g = g + mu32 * (p - prox[1].segment(i))
-        buf = opt.buffers.segment(i)
+            g = g + mu32 * (p - prox[1].data[start:end])
+        buf = opt.buffers.data[start:end]
         buf *= m32
         buf += g
         p -= lr32 * buf

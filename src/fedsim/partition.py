@@ -53,6 +53,10 @@ class PartitionSpec:
             raise PartitionError(f"unknown partition mode {self.mode!r}")
         if self.clients < 1:
             raise PartitionError("need at least one client")
+        if self.mode == "shard" and self.shards_per_client < 1:
+            raise PartitionError("shards_per_client must be >= 1")
+        if self.mode == "dirichlet" and not self.beta > 0:
+            raise PartitionError("beta must be positive")
 
 
 def shard_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
@@ -64,8 +68,6 @@ def shard_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit
     if spec.mode != "shard":
         raise PartitionError("spec.mode must be 'shard'")
     n_shards = spec.clients * spec.shards_per_client
-    if spec.shards_per_client < 1:
-        raise PartitionError("shards_per_client must be >= 1")
     if n_shards > len(ds):
         raise PartitionError(f"{n_shards} shards demanded from {len(ds)} samples")
     shard_size = len(ds) // n_shards
@@ -102,8 +104,6 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientS
     via largest-remainder rounding. Lower beta, larger heterogeneity."""
     if spec.mode != "dirichlet":
         raise PartitionError("spec.mode must be 'dirichlet'")
-    if spec.beta <= 0:
-        raise PartitionError("beta must be positive")
     rng = np.random.default_rng(spec.seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(spec.clients)]
     for c in range(ds.num_classes):

@@ -234,8 +234,8 @@ def make_idx_dataset(tmp_path, n_train=240, n_test=80, side=8, classes=4):
     """Synthesize a small IDX image/label pair with class-dependent patterns."""
     import struct
 
-    def write_pair(stem, n):
-        rng = np.random.default_rng(hash(stem) % 2**32)
+    def write_pair(stem, n, seed):
+        rng = np.random.default_rng(seed)
         labels = (np.arange(n) % classes).astype(np.uint8)
         images = rng.integers(0, 60, size=(n, side, side), dtype=np.uint8)
         for i, lab in enumerate(labels):  # bright class-specific quadrant
@@ -247,7 +247,7 @@ def make_idx_dataset(tmp_path, n_train=240, n_test=80, side=8, classes=4):
         lp.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
         return str(ip), str(lp)
 
-    return write_pair("train", n_train), write_pair("test", n_test)
+    return write_pair("train", n_train, 1), write_pair("test", n_test, 2)
 
 
 def test_conv_net_on_idx_dataset_end_to_end(tmp_path):
@@ -281,6 +281,39 @@ def test_dirichlet_federation_end_to_end(tmp_path):
     assert main(["eval", "--config", str(cfg_path)]) == 0
     rows = (out / "eval" / "initial.csv").read_text().splitlines()[2:]
     assert len(rows) == 4
+
+
+def test_zero_shards_per_client_exits_2(tmp_path, capsys):
+    cfg_path, out = tiny_config(tmp_path, **{"partition.shards_per_client": 0})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "shards_per_client" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonpositive_dirichlet_beta_exits_2(tmp_path, capsys):
+    cfg_path, _ = tiny_config(
+        tmp_path, **{"partition.mode": "dirichlet", "partition.beta": 0.0}
+    )
+    assert main(["partition", "--config", str(cfg_path)]) == 2
+    assert "beta" in capsys.readouterr().err
+
+
+def test_partition_with_empty_clients_exits_2_naming_them(tmp_path, capsys):
+    # beta 0.05 over 40 clients leaves some of them without a single sample
+    cfg_path, out = tiny_config(
+        tmp_path,
+        **{
+            "partition.mode": "dirichlet",
+            "partition.beta": 0.05,
+            "partition.test_mode": "global",
+            "federation.clients": 40,
+        },
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "without training data" in err
+    assert "clients [0, 2, 4" in err
+    assert not (out / "checkpoint.pv").exists()
 
 
 def test_in_out_reports_with_global_test_mode(tmp_path):

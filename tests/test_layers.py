@@ -8,7 +8,9 @@ from fedsim.layers import (
     ShapeError,
     conv2d_forward,
     dense_forward,
+    maxpool2d_backward,
     maxpool2d_forward,
+    relu_forward,
     softmax_cross_entropy,
 )
 
@@ -64,6 +66,27 @@ def loop_maxpool(x, window):
     return out
 
 
+def argmax_maxpool_forward(x, window):
+    """Tile transpose + argmax kernel: the first maximum of each window in
+    row-major order wins."""
+    n, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    tiles = x.reshape(n, c, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
+    tiles = tiles.reshape(n, c, ho, wo, window * window)
+    arg = tiles.argmax(axis=-1)
+    out = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
+    return np.ascontiguousarray(out), arg
+
+
+def argmax_maxpool_backward(gout, arg, in_shape, window):
+    n, c, h, w = in_shape
+    ho, wo = h // window, w // window
+    gtiles = np.zeros((n, c, ho, wo, window * window), dtype=gout.dtype)
+    np.put_along_axis(gtiles, arg[..., None], gout[..., None], axis=-1)
+    gx = gtiles.reshape(n, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
+    return np.ascontiguousarray(gx.reshape(in_shape))
+
+
 def test_dense_matches_loop_oracle(rng):
     x = rng.normal(size=(5, 7)).astype(np.float32)
     w = rng.normal(size=(4, 7)).astype(np.float32)
@@ -85,6 +108,49 @@ def test_maxpool_matches_loop_oracle(rng):
     x = rng.normal(size=(2, 3, 6, 4)).astype(np.float32)
     out, _ = maxpool2d_forward(x, 2)
     np.testing.assert_allclose(out, loop_maxpool(x, 2), rtol=0, atol=0)
+
+
+def tie_heavy_pool_inputs(rng, window):
+    """Post-ReLU activations (negatives become -0.0) with whole samples of
+    exact +0.0, all-equal windows, windows mixing -0.0 and +0.0, and small
+    integers that tie often."""
+    side = 4 * window
+    x = rng.normal(size=(6, 3, side, side)).astype(np.float32)
+    x[1] = 0.0
+    x[2] = 1.5
+    x[3, :, ::2] = 0.0
+    x[4] = np.round(x[4])
+    x, _ = relu_forward(x)
+    x[5] = -np.abs(x[5]) - 1.0  # all-negative windows
+    return x
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_matches_argmax_kernel_bit_for_bit(rng, window):
+    x = tie_heavy_pool_inputs(rng, window)
+    assert np.any(np.signbit(x) & (x == 0)) and np.any(~np.signbit(x) & (x == 0))
+    out, cache = maxpool2d_forward(x, window)
+    ref_out, arg = argmax_maxpool_forward(x, window)
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    assert out.tobytes() == ref_out.tobytes()
+
+    gout = rng.normal(size=out.shape).astype(np.float32)
+    gout[0, 0] = 0.0
+    gout[0, 1] = -0.0
+    gx = maxpool2d_backward(gout, cache)
+    ref_gx = argmax_maxpool_backward(gout, arg, x.shape, window)
+    assert gx.dtype == ref_gx.dtype and gx.shape == ref_gx.shape
+    # equal as numbers; where no gradient goes, a negative gout may leave -0.0
+    assert np.array_equal(gx, ref_gx)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_routes_each_window_to_exactly_one_input(rng, window):
+    x = tie_heavy_pool_inputs(rng, window)
+    out, cache = maxpool2d_forward(x, window)
+    gx = maxpool2d_backward(np.ones_like(out), cache)
+    per_window = gx.reshape(6, 3, 4, window, 4, window).sum(axis=(3, 5))
+    np.testing.assert_array_equal(per_window, np.ones_like(out))
 
 
 def test_network_forward_matches_composed_loop_oracle():

@@ -96,6 +96,35 @@ def test_mask_isolation_property(include, steps):
             assert params.segment(i).tobytes() == snapshots[i]
 
 
+@given(st.lists(st.booleans(), min_size=1, max_size=6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_masked_step_matches_per_segment_reference(include, with_prox):
+    # the step updates contiguous runs of segments at once; a loop over the
+    # masked-in segments must give the same bits
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 5, size=len(include))
+    ends = np.cumsum(sizes)
+    bounds = tuple((int(e - n), int(e)) for n, e in zip(sizes, ends))
+    params = ParamVector(rng.normal(size=int(ends[-1])).astype(np.float32), bounds)
+    anchor = ParamVector(rng.normal(size=int(ends[-1])).astype(np.float32), bounds)
+    prox = (0.3, anchor) if with_prox else None
+    ref = params.copy()
+    opt, ref_buf = OptState.for_params(params), ref.zeros_like()
+    lr, m, mu = np.float32(0.1), np.float32(0.9), np.float32(0.3)
+    for _ in range(3):
+        grads = ParamVector(rng.normal(size=int(ends[-1])).astype(np.float32), bounds)
+        sgd_step(params, grads, opt, 0.1, ParamMask(tuple(include)), prox)
+        for i in (i for i, inc in enumerate(include) if inc):
+            p, g, buf = ref.segment(i), grads.segment(i), ref_buf.segment(i)
+            if with_prox:
+                g = g + mu * (p - anchor.segment(i))
+            buf *= m
+            buf += g
+            p -= lr * buf
+    assert params.data.tobytes() == ref.data.tobytes()
+    assert opt.buffers.data.tobytes() == ref_buf.data.tobytes()
+
+
 def test_prox_mu_zero_equals_no_prox():
     rng = np.random.default_rng(3)
     base = rng.normal(size=8).astype(np.float32)
