@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,14 +89,18 @@ def synthetic_gaussian(
 def _read_maybe_gz(path: Path) -> bytes:
     data = Path(path).read_bytes()
     if data[:2] == b"\x1f\x8b":
-        return gzip.decompress(data)
+        try:
+            return gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as e:
+            raise DatasetError(f"{path}: bad gzip data: {e}") from e
     return data
 
 
 def load_idx(path_images, path_labels) -> LabeledDataset:
     """Load an IDX ubyte image/label file pair (MNIST-style, .gz accepted).
 
-    Pixels come out scaled to [0, 1] with shape (N, 1, rows, cols).
+    Pixels come out scaled to [0, 1] with shape (N, 1, rows, cols). A file
+    that cannot be read raises OSError; malformed content, DatasetError.
     """
     img_blob = _read_maybe_gz(Path(path_images))
     lab_blob = _read_maybe_gz(Path(path_labels))
@@ -118,7 +123,8 @@ def load_idx(path_images, path_labels) -> LabeledDataset:
         raise DatasetError(f"{path_labels}: truncated file")
     if n_labels != n_images:
         raise DatasetError(
-            f"count mismatch: {n_images} images vs {n_labels} labels"
+            f"{path_images}, {path_labels}: count mismatch: "
+            f"{n_images} images vs {n_labels} labels"
         )
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n_images * rows * cols, offset=16)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import get_algorithm
-from .datasets import LabeledDataset, load_idx, synthetic_gaussian
+from .datasets import DatasetError, LabeledDataset, load_idx, synthetic_gaussian
 from .engine import (
     FederatedData,
     FederationState,
@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .layers import ShapeError, conv2d, dense, flatten, infer_shapes, maxpool2d, relu
 from .network import InitScheme, Network, init_network
-from .params import ParamVector
+from .params import BlobError, ParamVector
 from .partition import PartitionError, PartitionSpec, partition, save_splits, split_client_test
 
 log = logging.getLogger("fedsim")
@@ -248,8 +248,11 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     paths = [ds.get(k) for k in ("train_images", "train_labels", "test_images", "test_labels")]
     if any(p is None for p in paths):
         raise ConfigError("idx dataset needs train_images/train_labels/test_images/test_labels")
-    train = load_idx(paths[0], paths[1])
-    test = load_idx(paths[2], paths[3])
+    try:
+        train = load_idx(paths[0], paths[1])
+        test = load_idx(paths[2], paths[3])
+    except (DatasetError, OSError) as e:  # both messages name the file
+        raise ConfigError(f"cannot load idx dataset: {e}") from e
     classes = max(train.num_classes, test.num_classes)
     train.num_classes = test.num_classes = classes
     return train, test
@@ -372,21 +375,31 @@ def save_checkpoint(out_dir: Path, state: FederationState, cfg: ExperimentConfig
     (out_dir / "checkpoint.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
+def _load_params(path: Path, template: Network) -> ParamVector:
+    """A parameter blob in the template's segmentation. A file that is
+    missing, short, garbage or of another topology is a ConfigError naming it."""
+    try:
+        params = ParamVector.from_blob(path.read_bytes())
+    except (OSError, BlobError) as e:
+        raise ConfigError(f"cannot load {path}: {e}") from e
+    if params.bounds != template.params.bounds:
+        raise ConfigError(f"{path}: topology does not match the configured network")
+    return params
+
+
 def load_checkpoint(out_dir: Path, template: Network) -> tuple[FederationState, dict]:
     sidecar_path = out_dir / "checkpoint.json"
     if not sidecar_path.exists():
         raise ConfigError(f"no checkpoint at {out_dir}")
-    sidecar = json.loads(sidecar_path.read_text())
-    global_params = ParamVector.from_blob((out_dir / "checkpoint.pv").read_bytes())
-    if global_params.bounds != template.params.bounds:
-        raise ConfigError("checkpoint topology does not match the configured network")
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot load {sidecar_path}: {e}") from e
     state = init_state(template)
-    state.global_params = global_params
+    state.global_params = _load_params(out_dir / "checkpoint.pv", template)
     state.round = sidecar["round"]
     for cid in sidecar.get("persistent_clients", []):
-        state.client_params[cid] = ParamVector.from_blob(
-            (out_dir / f"client_{cid:04d}.pv").read_bytes()
-        )
+        state.client_params[cid] = _load_params(out_dir / f"client_{cid:04d}.pv", template)
     return state, sidecar
 
 
@@ -465,10 +478,16 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     reports["initial"] = initial_accuracy(models, template, data)
     write_eval_report(out, "initial", reports["initial"], chash)
     for tf in ev["finetune_epochs"]:
-        rep = personalized_accuracy(
-            models, template, data, ev["part"], tf, lr, cfg.seed,
-            fl_cfg.batch_size, fl_cfg.momentum, rule,
-        )
+        if tf == 0:  # no fine-tuning: the initial accuracies, reported for ``part``
+            initial = reports["initial"]
+            rep = EvalReport.from_accuracies(
+                initial.client_ids, initial.accuracies.copy(), 0, ev["part"]
+            )
+        else:
+            rep = personalized_accuracy(
+                models, template, data, ev["part"], tf, lr, cfg.seed,
+                fl_cfg.batch_size, fl_cfg.momentum, rule,
+            )
         key = f"personalized_tf{tf}"
         reports[key] = rep
         write_eval_report(out, key, rep, chash)

@@ -9,6 +9,8 @@ import numpy as np
 from .layers import (
     LayerSpec,
     ShapeError,
+    channels_first,
+    channels_last,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
@@ -210,18 +212,26 @@ def init_network(layers, scheme: InitScheme) -> Network:
 # --- forward / backward ----------------------------------------------------
 
 
+def _batch_shape(x) -> tuple[int, ...]:
+    """Shape of a channels-last activation in the caller's axis order."""
+    return channels_first(x).shape if x.ndim > 2 else x.shape
+
+
 def _dense_forward(net: Network, i: int, x):
     spec = net.layers[i]
     if x.ndim != 2 or x.shape[1] != spec.fan_in:
-        raise ShapeError(f"layer {i}: dense expects (N, {spec.fan_in}), got {x.shape}")
+        raise ShapeError(
+            f"layer {i}: dense expects (N, {spec.fan_in}), got {_batch_shape(x)}"
+        )
     return dense_forward(x, *net.layer_params(i))
 
 
 def _conv2d_forward(net: Network, i: int, x):
     spec = net.layers[i]
-    if x.ndim != 4 or x.shape[1] != spec.in_channels:
+    if x.ndim != 4 or x.shape[3] != spec.in_channels:
         raise ShapeError(
-            f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), got {x.shape}"
+            f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), "
+            f"got {_batch_shape(x)}"
         )
     return conv2d_forward(x, *net.layer_params(i), spec.padding)
 
@@ -261,10 +271,13 @@ _LAYER_OPS = {
 
 def _run_layers(net: Network, batch, stop: int, caches: list | None):
     """Apply layers [0, stop) in the params' dtype, appending each layer's
-    cache to ``caches`` unless it is None."""
+    cache to ``caches`` unless it is None. A batch with more than two axes
+    enters the layers channels-last."""
     x = np.asarray(batch)
     if x.dtype != net.params.data.dtype:
         x = x.astype(net.params.data.dtype)
+    if x.ndim > 2:
+        x = channels_last(x)
     for i, spec in enumerate(net.layers[:stop]):
         x, cache = _LAYER_OPS[spec.kind][0](net, i, x)
         if caches is not None:

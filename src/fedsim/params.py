@@ -16,6 +16,11 @@ class SegmentationError(ValueError):
     """Two parameter vectors (or a vector and a mask) disagree on layout."""
 
 
+class BlobError(ValueError):
+    """Bytes that are not one whole parameter blob: short, garbage, or with
+    bytes left over. ``ParamVector.from_blob`` raises only this."""
+
+
 @dataclass
 class ParamVector:
     """All trainable scalars of one network, flattened.
@@ -77,16 +82,21 @@ class ParamVector:
 
     @classmethod
     def from_blob(cls, blob: bytes) -> "ParamVector":
-        if blob[:4] != _MAGIC:
-            raise ValueError("not a parameter blob (bad magic)")
+        """Parse ``to_blob`` output; raises BlobError for anything else."""
+        if len(blob) < 8 or blob[:4] != _MAGIC:
+            raise BlobError("not a parameter blob (bad magic or short header)")
         (n_seg,) = struct.unpack_from("<I", blob, 4)
-        offset = 8
-        lengths = struct.unpack_from(f"<{n_seg}I", blob, offset) if n_seg else ()
-        offset += 4 * n_seg
+        offset = 8 + 4 * n_seg
+        if len(blob) < offset:
+            raise BlobError(f"truncated parameter blob: {n_seg} segments announced")
+        lengths = struct.unpack_from(f"<{n_seg}I", blob, 8)
         total = sum(lengths)
+        if len(blob) != offset + 4 * total:
+            raise BlobError(
+                f"parameter blob holds {len(blob) - offset} payload bytes, "
+                f"its header announces {4 * total}"
+            )
         data = np.frombuffer(blob, dtype="<f4", count=total, offset=offset)
-        if data.shape[0] != total:
-            raise ValueError("truncated parameter blob")
         bounds = []
         start = 0
         for length in lengths:

@@ -165,6 +165,33 @@ def test_eval_reports_per_finetune_epoch(tmp_path):
     assert summary["config_hash"] == cfg.config_hash()
 
 
+def test_eval_tf0_reuses_initial_accuracies(tmp_path, monkeypatch):
+    import fedsim.evaluation as evaluation
+    from fedsim.experiment import run_eval
+
+    cfg_path, out = tiny_config(
+        tmp_path, **{"eval": {"finetune_epochs": [0], "part": "body"}}
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    calls = []
+    forward = evaluation.forward
+
+    def counting_forward(net, batch):
+        calls.append(len(batch))
+        return forward(net, batch)
+
+    monkeypatch.setattr(evaluation, "forward", counting_forward)
+    run_eval(ExperimentConfig.load(cfg_path))
+    assert len(calls) == 4  # one initial pass per client, none for tau_f = 0
+    rows = {
+        stem: (out / "eval" / f"{stem}.csv").read_text().splitlines()[2:]
+        for stem in ("initial", "personalized_tf0")
+    }
+    assert rows["initial"] == rows["personalized_tf0"]
+    summary = json.loads((out / "eval" / "personalized_tf0.json").read_text())
+    assert summary["part"] == "body" and summary["finetune_epochs"] == 0
+
+
 def test_eval_topology_mismatch_exits_2(tmp_path):
     cfg_path, out = tiny_config(tmp_path)
     main(["train", "--config", str(cfg_path)])
@@ -179,6 +206,31 @@ def test_eval_topology_mismatch_exits_2(tmp_path):
 def test_missing_checkpoint_exits_2(tmp_path):
     cfg_path, _ = tiny_config(tmp_path, name="nockpt")
     assert main(["eval", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("damage", ["half", "five_bytes", "trailing_byte"])
+def test_damaged_checkpoint_exits_2_naming_the_file(tmp_path, capsys, damage):
+    cfg_path, out = tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    blob_path = out / "checkpoint.pv"
+    blob = blob_path.read_bytes()
+    blob_path.write_bytes(
+        {"half": blob[: len(blob) // 2], "five_bytes": blob[:5], "trailing_byte": blob + b"\x00"}[damage]
+    )
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert "checkpoint.pv" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg_path), "--resume"]) == 2
+
+
+def test_missing_client_file_exits_2_naming_it(tmp_path, capsys):
+    cfg_path, out = tiny_config(tmp_path, **{"federation.algorithm": "fedper"})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    client_file = sorted(out.glob("client_*.pv"))[0]
+    client_file.unlink()
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert client_file.name in capsys.readouterr().err
 
 
 def test_nan_loss_exits_3(tmp_path):
@@ -265,6 +317,35 @@ def test_conv_net_on_idx_dataset_end_to_end(tmp_path):
     assert main(["eval", "--config", str(cfg_path)]) == 0
     summary = json.loads((out / "eval" / "initial.json").read_text())
     assert 0.0 <= summary["mean"] <= 1.0
+
+
+def idx_config(tmp_path, name, train_images=None):
+    """A tiny conv2 config on a fresh IDX dataset; returns (config, out, train images)."""
+    (ti, tl), (vi, vl) = make_idx_dataset(tmp_path)
+    ti = train_images or ti
+    cfg_path, out = tiny_config(
+        tmp_path, name=name,
+        **{
+            "dataset": {"kind": "idx", "train_images": ti, "train_labels": tl,
+                        "test_images": vi, "test_labels": vl},
+            "network": {"kind": "conv2", "channels": [4], "kernel": 3, "padding": 1, "pool": 2},
+        },
+    )
+    return cfg_path, out, Path(ti)
+
+
+def test_missing_idx_file_exits_2_naming_it(tmp_path, capsys):
+    cfg_path, out, _ = idx_config(tmp_path, "missing_idx", str(tmp_path / "nowhere-images.idx"))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "nowhere-images.idx" in capsys.readouterr().err
+    assert not (out / "checkpoint.pv").exists()
+
+
+def test_truncated_idx_header_exits_2_naming_it(tmp_path, capsys):
+    cfg_path, _, train_images = idx_config(tmp_path, "short_idx")
+    train_images.write_bytes(train_images.read_bytes()[:10])
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "train-images.idx: truncated header" in capsys.readouterr().err
 
 
 def test_dirichlet_federation_end_to_end(tmp_path):

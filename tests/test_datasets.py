@@ -107,6 +107,13 @@ def test_load_idx_truncated(tmp_path):
         fs.load_idx(ip, lp)
 
 
+def test_load_idx_truncated_gzip_names_file(tmp_path):
+    ip, lp, _ = idx_pair(tmp_path, gz=True)
+    ip.write_bytes(ip.read_bytes()[:-10])
+    with pytest.raises(DatasetError, match="images.idx.gz: bad gzip data"):
+        fs.load_idx(ip, lp)
+
+
 def test_dataset_validates_label_range():
     with pytest.raises(DatasetError):
         fs.LabeledDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 5]), 3)

@@ -1,4 +1,8 @@
-"""Forward-path checks against naive per-element loop oracles."""
+"""Forward-path checks against naive per-element loop oracles.
+
+The oracles and the argmax reference kernel work on (N, C, H, W) arrays;
+the kernels hold activations channels-last, so the tests transpose at the
+kernel boundary with ``nhwc`` and ``nchw``."""
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 import fedsim as fs
 from fedsim.layers import (
     ShapeError,
+    conv2d_backward,
     conv2d_forward,
     dense_forward,
     maxpool2d_backward,
@@ -13,6 +18,14 @@ from fedsim.layers import (
     relu_forward,
     softmax_cross_entropy,
 )
+
+
+def nhwc(x):
+    return x.transpose(0, 2, 3, 1)
+
+
+def nchw(x):
+    return x.transpose(0, 3, 1, 2)
 
 
 # --- loop oracles (independent of the vectorized implementations) ----------
@@ -100,14 +113,14 @@ def test_conv2d_matches_loop_oracle(rng, padding):
     x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
     w = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out, _ = conv2d_forward(x, w, b, padding)
-    np.testing.assert_allclose(out, loop_conv2d(x, w, b, padding), rtol=1e-4, atol=1e-5)
+    out, _ = conv2d_forward(nhwc(x), w, b, padding)
+    np.testing.assert_allclose(nchw(out), loop_conv2d(x, w, b, padding), rtol=1e-4, atol=1e-5)
 
 
 def test_maxpool_matches_loop_oracle(rng):
     x = rng.normal(size=(2, 3, 6, 4)).astype(np.float32)
-    out, _ = maxpool2d_forward(x, 2)
-    np.testing.assert_allclose(out, loop_maxpool(x, 2), rtol=0, atol=0)
+    out, _ = maxpool2d_forward(nhwc(x), 2)
+    np.testing.assert_allclose(nchw(out), loop_maxpool(x, 2), rtol=0, atol=0)
 
 
 def tie_heavy_pool_inputs(rng, window):
@@ -129,7 +142,8 @@ def tie_heavy_pool_inputs(rng, window):
 def test_maxpool_matches_argmax_kernel_bit_for_bit(rng, window):
     x = tie_heavy_pool_inputs(rng, window)
     assert np.any(np.signbit(x) & (x == 0)) and np.any(~np.signbit(x) & (x == 0))
-    out, cache = maxpool2d_forward(x, window)
+    out, cache = maxpool2d_forward(nhwc(x), window)
+    out = nchw(out)
     ref_out, arg = argmax_maxpool_forward(x, window)
     assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
     assert out.tobytes() == ref_out.tobytes()
@@ -137,7 +151,7 @@ def test_maxpool_matches_argmax_kernel_bit_for_bit(rng, window):
     gout = rng.normal(size=out.shape).astype(np.float32)
     gout[0, 0] = 0.0
     gout[0, 1] = -0.0
-    gx = maxpool2d_backward(gout, cache)
+    gx = nchw(maxpool2d_backward(nhwc(gout), cache))
     ref_gx = argmax_maxpool_backward(gout, arg, x.shape, window)
     assert gx.dtype == ref_gx.dtype and gx.shape == ref_gx.shape
     # equal as numbers; where no gradient goes, a negative gout may leave -0.0
@@ -147,10 +161,10 @@ def test_maxpool_matches_argmax_kernel_bit_for_bit(rng, window):
 @pytest.mark.parametrize("window", [2, 3])
 def test_maxpool_routes_each_window_to_exactly_one_input(rng, window):
     x = tie_heavy_pool_inputs(rng, window)
-    out, cache = maxpool2d_forward(x, window)
-    gx = maxpool2d_backward(np.ones_like(out), cache)
+    out, cache = maxpool2d_forward(nhwc(x), window)
+    gx = nchw(maxpool2d_backward(np.ones_like(out), cache))
     per_window = gx.reshape(6, 3, 4, window, 4, window).sum(axis=(3, 5))
-    np.testing.assert_array_equal(per_window, np.ones_like(out))
+    np.testing.assert_array_equal(per_window, np.ones_like(nchw(out)))
 
 
 def test_network_forward_matches_composed_loop_oracle():
@@ -170,6 +184,60 @@ def test_network_forward_matches_composed_loop_oracle():
     ref = ref.reshape(4, -1)
     ref = loop_dense(ref, w1, b1)
     np.testing.assert_allclose(logits, ref, rtol=1e-4, atol=1e-5)
+
+
+def test_conv_representations_equal_composed_loop_oracle_exactly():
+    # integer-valued inputs, weights and biases keep every sum exact in any
+    # order, so the channels-last kernels must match the NCHW oracle exactly
+    # and flatten must emit features in (C, H, W) order; zeros compare by
+    # value, since relu leaves -0.0 where its input was negative
+    layers = [
+        fs.conv2d(2, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2),
+        fs.conv2d(3, 4, 3, padding=1), fs.relu(), fs.maxpool2d(2),
+        fs.flatten(), fs.dense(4 * 2 * 3, 5),
+    ]
+    net = fs.init_network(layers, fs.InitScheme("he_uniform", 3))
+    rng = np.random.default_rng(8)
+    net.params.data[:] = rng.integers(-3, 4, size=net.params.total_len)
+    x = rng.integers(-4, 5, size=(5, 2, 8, 12)).astype(np.float32)
+
+    ref = x
+    for conv_index in (0, 3):
+        w, b = net.layer_params(conv_index)
+        ref = loop_conv2d(ref, w, b, 1)
+        ref = loop_maxpool(ref * (ref > 0), 2)
+    ref = ref.reshape(5, -1)
+
+    rep = fs.representations(net, x)
+    assert rep.dtype == np.float32 and rep.shape == ref.shape
+    np.testing.assert_array_equal(rep, ref)
+    logits, _ = fs.forward(net, x)
+    np.testing.assert_array_equal(logits, loop_dense(ref, *net.layer_params(7)))
+
+
+def test_conv_shape_error_names_the_callers_batch_shape():
+    net = fs.init_network(
+        [fs.conv2d(1, 2, 3), fs.relu(), fs.flatten(), fs.dense(2 * 4, 3)],
+        fs.InitScheme("he_uniform", 0),
+    )
+    with pytest.raises(ShapeError, match=r"expects \(N, 1, H, W\), got \(2, 3, 6, 5\)"):
+        fs.forward(net, np.ones((2, 3, 6, 5), dtype=np.float32))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 105, 39199])
+@pytest.mark.parametrize("cols", [1, 8, 16])
+def test_conv_bias_grad_equals_row_sum_bytes(rows, cols):
+    # conv2d_backward sums with einsum("ij->j"), which adds rows in order as
+    # sum(axis=0) does for two or more columns; one column takes sum itself
+    rng = np.random.default_rng(rows * cols)
+    gmat = rng.normal(size=(rows, cols)).astype(np.float32)
+    if cols > 1:
+        assert np.einsum("ij->j", gmat).tobytes() == gmat.sum(axis=0).tobytes()
+    x = rng.normal(size=(1, 1, rows, 2)).astype(np.float32)
+    w = rng.normal(size=(cols, 2, 1, 1)).astype(np.float32)
+    _, cache = conv2d_forward(x, w, None, 0)
+    _, _, gb = conv2d_backward(gmat.reshape(1, 1, rows, cols), cache, w, 0, True)
+    assert gb.tobytes() == gmat.sum(axis=0).tobytes()
 
 
 def test_zero_weight_network_gives_zero_logits():
@@ -203,7 +271,7 @@ def test_logits_shape_and_finiteness(mlp_net, rng):
 
 def test_maxpool_indivisible_raises(rng):
     with pytest.raises(ShapeError):
-        maxpool2d_forward(rng.normal(size=(1, 1, 5, 4)).astype(np.float32), 2)
+        maxpool2d_forward(nhwc(rng.normal(size=(1, 1, 5, 4)).astype(np.float32)), 2)
 
 
 def test_softmax_cross_entropy_rejects_bad_labels(rng):

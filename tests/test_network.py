@@ -5,7 +5,7 @@ import pytest
 
 import fedsim as fs
 from fedsim.layers import ShapeError
-from fedsim.params import ParamVector
+from fedsim.params import BlobError, ParamVector
 
 
 def head_only(d, c, scheme, seed):
@@ -164,10 +164,37 @@ def test_blob_round_trip_property():
 
 
 def test_blob_rejects_garbage(mlp_net):
-    with pytest.raises(ValueError):
-        ParamVector.from_blob(b"nope" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        ParamVector.from_blob(mlp_net.params.to_blob()[:-5])
+    blob = mlp_net.params.to_blob()
+    for bad in (b"nope" + b"\x00" * 32, blob[:-5], blob[: len(blob) // 2], blob[:5], blob + b"\x00"):
+        with pytest.raises(BlobError):
+            ParamVector.from_blob(bad)
+
+
+def test_blob_fuzz_raises_only_blob_error(mlp_net):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    blob = mlp_net.params.to_blob()
+    garbage = st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda tail: b"FSPV" + tail),
+        st.integers(0, len(blob)).map(lambda n: blob[:n]),
+        st.binary(min_size=1, max_size=8).map(lambda tail: blob + tail),
+        st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)).map(
+            lambda f: blob[: f[0]] + bytes([f[1]]) + blob[f[0] + 1 :]
+        ),
+    )
+
+    @given(garbage)
+    @settings(max_examples=300, deadline=None)
+    def parse(data):
+        try:
+            back = ParamVector.from_blob(data)
+        except BlobError:
+            return
+        assert back.to_blob() == data
+
+    parse()
 
 
 def test_body_head_masks_partition(mlp_net):
