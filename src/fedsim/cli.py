@@ -1,7 +1,8 @@
 """Command-line front end: partition | train | eval | sweep.
 
-Exit codes: 0 ok, 2 invalid config, 3 numeric failure. FEDSIM_LOG sets
-verbosity (debug/info/warning).
+Exit codes: 0 ok, 2 invalid config (or a client that cannot be
+evaluated), 3 numeric failure. FEDSIM_LOG sets verbosity
+(debug/info/warning).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .engine import NumericError
+from .evaluation import EvalError
 from .experiment import ConfigError, ExperimentConfig, run_eval, run_partition, run_train
 from .sweep import load_sweep, run_sweep
 
@@ -92,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EvalError as e:
+        print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

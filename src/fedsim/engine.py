@@ -16,6 +16,7 @@ import numpy as np
 
 from .algorithms import AlgorithmSpec, get_algorithm
 from .datasets import LabeledDataset
+from .layers import infer_shapes
 from .network import Network, backward, forward
 from .optim import LRSchedule, OptState, sgd_step
 from .params import FLOAT, ParamVector
@@ -34,7 +35,12 @@ class FederationError(RuntimeError):
 
 
 class NumericError(FederationError):
-    """Loss or parameters stopped being finite."""
+    """Loss or parameters stopped being finite. ``member`` is the row, in
+    its lockstep group's stack, of the client it happened to."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -123,6 +129,13 @@ class FederatedData:
             self._train_cache[client_id] = self.train.subset(split.train_indices)
         return self._train_cache[client_id]
 
+    def group_train(self, client_ids: tuple[int, ...]) -> LabeledDataset:
+        """The train sets of a lockstep group, one after another."""
+        if len(client_ids) == 1:
+            return self.client_train(client_ids[0])
+        every = [self.splits[cid].train_indices for cid in client_ids]
+        return self.train.subset(np.concatenate(every))
+
     def client_test(self, client_id: int) -> LabeledDataset:
         return self.test.subset(self.splits[client_id].test_indices)
 
@@ -148,29 +161,59 @@ def sample_clients(n_clients: int, fraction: float, rng: np.random.Generator) ->
 
 # --- local training ---------------------------------------------------------
 
+# Activation bytes one lockstep step may hold: about the L2 cache of one
+# core (2 MiB on the 2-core Xeon the engine was tuned on). Stacking pays
+# where a step is mostly per-call overhead; past this size a stacked step
+# spills its activations out of the cache, and peak memory would grow with
+# the group. A client that alone exceeds it trains as a group of one.
+GROUP_BYTES = 2 << 20
+
+
+def client_groups(
+    data: FederatedData, client_ids, template: Network, batch_size: int
+) -> list[tuple[int, ...]]:
+    """Lockstep groups of ``client_ids``: clients of one train-set size, in
+    ascending id order, as many as fit in GROUP_BYTES; groups come in the
+    order of their first id. A client's step is counted from the shapes:
+    every layer's output plus each conv's im2col column matrix."""
+    shapes = infer_shapes(template.layers, data.train.sample_shape)
+    per_sample = sum(math.prod(s) for s in shapes)
+    for spec, out in zip(template.layers, shapes):
+        if spec.kind == "conv2d":
+            per_sample += math.prod(out[1:]) * spec.in_channels * spec.kernel**2
+    cap = max(1, GROUP_BYTES // (FLOAT().itemsize * batch_size * per_sample))
+    by_size: dict[int, list[int]] = {}
+    for cid in sorted(client_ids):
+        by_size.setdefault(len(data.splits[cid].train_indices), []).append(cid)
+    return sorted(
+        tuple(ids[i : i + cap]) for ids in by_size.values() for i in range(0, len(ids), cap)
+    )
+
 
 def _joint_step(net: Network, ds: LabeledDataset, batch: np.ndarray):
-    """Step rule of plain SGD: (loss, grads) of the minibatch ``batch``."""
-    _, cache = forward(net, ds.samples[batch])
-    return backward(net, cache, ds.labels[batch])
+    """Step rule of plain SGD: (losses, grads) of the minibatch ``batch``,
+    (M, b) sample indices, one row per client of the stack."""
+    idx = batch.reshape(-1)
+    _, cache = forward(net, ds.samples[idx])
+    return backward(net, cache, ds.labels[idx])
 
 
 def _perfedavg_step(alpha: float):
     """First-order Per-FedAvg step rule: an inner SGD step of rate ``alpha``
-    on the batch's first half (support), then the loss and gradient on the
-    second half (query) at the adapted point."""
+    on each client's first half of the batch (support), then the loss and
+    gradient on its second half (query) at the adapted point."""
     a32 = FLOAT(alpha)
 
     def step(net: Network, ds: LabeledDataset, batch: np.ndarray):
-        if len(batch) < 2:
+        if batch.shape[1] < 2:
             raise FederationError(
                 "meta step needs a batch of at least 2 to split into support/query"
             )
-        half = len(batch) // 2
-        _, g_sup = _joint_step(net, ds, batch[:half])
+        half = batch.shape[1] // 2
+        _, g_sup = _joint_step(net, ds, batch[:, :half])
         adapted = net.params.copy()
         adapted.data -= a32 * g_sup.data
-        return _joint_step(net.with_params(adapted), ds, batch[half:])
+        return _joint_step(net.with_params(adapted), ds, batch[:, half:])
 
     return step
 
@@ -184,38 +227,59 @@ def train_epochs(
     batch_size: int,
     momentum: float,
     lr_fn,
-    rng: np.random.Generator,
+    rng,
     prox: tuple[float, ParamVector] | None = None,
     update_offset: int = 0,
     step=_joint_step,
     on_epoch=None,
-) -> list[float]:
+) -> list[list[float]]:
     """Minibatch momentum SGD over `epochs`, updating `part` of `params` in
     place: the one training loop behind every local, server-side,
     fine-tuning and centralized update.
 
+    ``params`` is an (M, P) stack of a lockstep group, M clients of one
+    train-set size whose train sets ``ds`` holds one after another, with
+    ``rng`` a list of M generators. A single vector with one generator is a
+    group of one. Each step runs one forward, one backward and one
+    ``sgd_step`` for the whole group. Each client draws its batches from its
+    own generator and has its own momentum buffer, prox anchor (a row of
+    ``prox[1]``) and losses, so its bits do not depend on its group.
+
     ``lr_fn`` maps the update counter (starting at ``update_offset``) to a
-    learning rate; ``step`` maps (net, ds, batch indices) to (loss, grads);
-    ``on_epoch`` is called after each epoch. Momentum starts at zero and
-    carries across the epochs of one call. Returns per-step losses.
+    learning rate; the group shares it, since a client's schedule depends
+    only on its train-set size. ``step`` maps (net, ds, (M, b) batch
+    indices) to (losses, grads); ``on_epoch`` is called with the optimizer
+    state after each epoch. Momentum starts at zero and carries across the
+    epochs of one call. Returns each client's per-step losses.
     """
-    n = len(ds)
-    net = template.with_params(params)
+    stack = params.as_stack()
+    rngs = list(rng) if params.data.ndim == 2 else [rng]
+    m = len(rngs)
+    if stack.data.shape[0] != m or len(ds) % m:
+        raise ValueError(f"{len(ds)} samples and {m} generators do not fit {m} clients")
+    n = len(ds) // m
+    net = template.with_params(stack)
     mask = template.mask_for(part)
-    opt = OptState.for_params(params, momentum)
-    losses: list[float] = []
+    opt = OptState.for_params(stack, momentum)
+    if prox is not None:
+        prox = (prox[0], prox[1].as_stack())
+    losses: list[list[float]] = [[] for _ in range(m)]
+    first = (np.arange(m) * n)[:, None]  # each client's first row in ds
     u = update_offset
     for _ in range(epochs):
-        order = rng.permutation(n)
+        orders = np.array([r.permutation(n) for r in rngs]) + first
         for t in range(iterations_per_epoch(n, batch_size)):
-            loss, grads = step(net, ds, order[t * batch_size : (t + 1) * batch_size])
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at local update {u}")
-            sgd_step(params, grads, opt, lr_fn(u), mask, prox)
-            losses.append(float(loss))
+            loss, grads = step(net, ds, orders[:, t * batch_size : (t + 1) * batch_size])
+            values = loss.tolist()
+            if not all(map(math.isfinite, values)):
+                member = next(i for i, v in enumerate(values) if not math.isfinite(v))
+                raise NumericError(f"non-finite loss at local update {u}", member)
+            sgd_step(stack, grads, opt, lr_fn(u), mask, prox)
+            for client_losses, value in zip(losses, values):
+                client_losses.append(value)
             u += 1
         if on_epoch is not None:
-            on_epoch()
+            on_epoch(opt)
     return losses
 
 
@@ -227,18 +291,20 @@ def train_head_then_body(
     batch_size: int,
     momentum: float,
     lr_fn,
-    rng: np.random.Generator,
-) -> list[float]:
+    rng,
+) -> list[list[float]]:
     """The head for `epochs` epochs, then the body for one more epoch that
     reuses the final head epoch's schedule positions."""
     losses = train_epochs(
         ds, params, template, "head", epochs, batch_size, momentum, lr_fn, rng
     )
-    body_offset = (epochs - 1) * iterations_per_epoch(len(ds), batch_size)
-    return losses + train_epochs(
+    n = len(ds) // params.as_stack().data.shape[0]
+    body_offset = (epochs - 1) * iterations_per_epoch(n, batch_size)
+    body = train_epochs(
         ds, params, template, "body", 1, batch_size, momentum, lr_fn, rng,
         update_offset=body_offset,
     )
+    return [head + tail for head, tail in zip(losses, body)]
 
 
 def local_update(
@@ -250,22 +316,24 @@ def local_update(
     batch_size: int,
     momentum: float,
     lr_fn,
-    rng: np.random.Generator,
+    rng,
     mu: float = 0.0,
     perfedavg_alpha: float = 0.01,
-) -> tuple[ParamVector, float]:
+) -> tuple[ParamVector, float | list[float]]:
     """One client's local pass; returns (final params, mean minibatch loss).
+    Given a lockstep group (see ``train_epochs``: an (M, P) stack and M
+    generators), it returns the group's stack and one mean loss per client.
 
     Momentum buffers are created fresh here: optimizer state is never
     communicated between rounds.
     """
     if len(client_ds) == 0:
         raise FederationError("client has no training data")
-    if local_epochs == 0:
-        return theta_start.copy(), float("nan")
     params = theta_start.copy()
     args = (batch_size, momentum, lr_fn, rng)
-    if alg.local_rule == "sequential_head_then_body":
+    if local_epochs == 0:
+        losses = [[] for _ in params.as_stack().data]
+    elif alg.local_rule == "sequential_head_then_body":
         losses = train_head_then_body(client_ds, params, template, local_epochs, *args)
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
         losses = train_epochs(
@@ -279,7 +347,8 @@ def local_update(
         )
     else:
         raise FederationError(f"unknown local rule {alg.local_rule!r}")
-    return params, float(np.mean(losses)) if losses else float("nan")
+    means = [float(np.mean(client)) if client else float("nan") for client in losses]
+    return params, means if params.data.ndim == 2 else means[0]
 
 
 def perfedavg_fo_update(
@@ -309,12 +378,13 @@ def ditto_update(
     lam: float,
     local_epochs: int,
     lr_fn,
-    rng: np.random.Generator,
+    rng,
     template: Network,
     batch_size: int = 50,
     momentum: float = 0.9,
 ) -> ParamVector:
-    """Personal-model step: local loss plus (lam/2)||theta - theta_global||^2."""
+    """Personal-model step: local loss plus (lam/2)||theta - theta_global||^2.
+    Runs a lockstep group as ``train_epochs`` does."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     params = theta_personal.copy()
@@ -445,8 +515,9 @@ def run_federation(
     until_round: int | None = None,
 ) -> tuple[FederationState, list[RoundLog]]:
     """Execute rounds state.round+1 .. end of plan (or ``until_round``).
-    Deterministic per seed; clients run one after another, in ascending id
-    order, though no bit of the result depends on that order."""
+    Deterministic per seed. Each round's sampled clients train in lockstep
+    groups (``client_groups``), one group after another; no bit of the
+    result depends on how clients are grouped or in which order they run."""
     alg = get_algorithm(cfg.algorithm)
     if len(data.splits) != cfg.clients:
         raise FederationError(
@@ -473,45 +544,57 @@ def run_federation(
         else:
             sampled = list(range(cfg.clients))
 
-        def run_client(cid: int):
+        def run_group(ids: tuple[int, ...]):
+            """Train a lockstep group; one (cid, theta, personal, n, loss) per client."""
             try:
-                client_ds = data.client_train(cid)
+                group_ds = data.group_train(ids)
+                n = len(group_ds) // len(ids)
                 if round_alg.local_rule == "ditto":
                     # the global track is plain FedAvg: broadcast the global
                     # model; the personal model only enters ditto_update
-                    theta_start = state.global_params.copy()
+                    starts = ParamVector.stack([state.global_params] * len(ids))
                 else:
-                    theta_start = assemble_client_params(state, template, round_alg, cid)
-                sched = client_schedule(cfg, len(client_ds))
-                ipe = iterations_per_epoch(len(client_ds), cfg.batch_size)
-                offset = (min(k, cfg.rounds) - 1) * cfg.local_epochs * ipe
+                    starts = ParamVector.stack(
+                        [assemble_client_params(state, template, round_alg, cid) for cid in ids]
+                    )
+                sched = client_schedule(cfg, n)
+                offset = (min(k, cfg.rounds) - 1) * cfg.local_epochs * iterations_per_epoch(
+                    n, cfg.batch_size
+                )
                 if lr_mode == "schedule":
                     lr_fn = lambda u: sched.lr_at(offset + u)
                 else:
                     lr_fn = lambda u: LG_LR
-                rng = stream(cfg.seed, _CLIENT, k, cid)
-                theta_out, loss = local_update(
-                    client_ds, theta_start, template, round_alg,
+                rngs = [stream(cfg.seed, _CLIENT, k, cid) for cid in ids]
+                thetas, losses = local_update(
+                    group_ds, starts, template, round_alg,
                     cfg.local_epochs, cfg.batch_size, cfg.momentum,
-                    lr_fn, rng, mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
+                    lr_fn, rngs, mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
                 )
-                personal = None
+                personals = [None] * len(ids)
                 if round_alg.local_rule == "ditto":
-                    personal = ditto_update(
-                        client_ds,
-                        state.global_params,
-                        state.client_params.get(cid, state.initial_params),
+                    personals = ditto_update(
+                        group_ds,
+                        starts,
+                        ParamVector.stack(
+                            [state.client_params.get(cid, state.initial_params) for cid in ids]
+                        ),
                         cfg.lam, cfg.local_epochs, lr_fn,
-                        stream(cfg.seed, _CLIENT, k, cid, 1),
+                        [stream(cfg.seed, _CLIENT, k, cid, 1) for cid in ids],
                         template, cfg.batch_size, cfg.momentum,
-                    )
-                return cid, theta_out, personal, len(client_ds), loss
+                    ).rows()
+                return list(zip(ids, thetas.rows(), personals, [n] * len(ids), losses))
             except NumericError as e:
-                raise NumericError(f"round {k}, client {cid}: {e}") from e
+                raise NumericError(f"round {k}, client {ids[e.member]}: {e}") from e
             except FederationError as e:
-                raise FederationError(f"round {k}, client {cid}: {e}") from e
+                # anything else holds for the whole group, which shares a size
+                raise FederationError(f"round {k}, client {ids[0]}: {e}") from e
 
-        results = [run_client(cid) for cid in sampled]  # ascending ids
+        results = sorted(
+            (r for ids in client_groups(data, sampled, template, cfg.batch_size)
+             for r in run_group(ids)),
+            key=lambda r: r[0],
+        )  # ascending ids
 
         losses = [loss for *_, loss in results if not math.isnan(loss)]
         mean_loss = float(np.mean(losses)) if losses else float("nan")

@@ -14,6 +14,7 @@ from .engine import (
     FederationState,
     LRSchedule,
     assemble_client_params,
+    client_groups,
     eval_stream,
     iterations_per_epoch,
     train_epochs,
@@ -62,6 +63,17 @@ def accuracy(net: Network, ds: LabeledDataset) -> float:
     return float((logits.argmax(axis=1) == ds.labels).mean())
 
 
+def _client_accuracy(
+    params: ParamVector, template: Network, data: FederatedData, client_id: int
+) -> float:
+    """``accuracy`` on the client's test split; an empty split is an
+    EvalError naming the client."""
+    test_ds = data.client_test(client_id)
+    if len(test_ds) == 0:
+        raise EvalError(f"client {client_id}: empty test split")
+    return accuracy(template.with_params(params), test_ds)
+
+
 def client_models(
     state: FederationState,
     template: Network,
@@ -80,10 +92,7 @@ def initial_accuracy(
 ) -> EvalReport:
     """Accuracy of each client's broadcast model on its own test split.
     Read-only: evaluating twice yields byte-identical reports."""
-    accs = []
-    for cid, params in enumerate(models):
-        test_ds = data.client_test(cid)
-        accs.append(accuracy(template.with_params(params), test_ds))
+    accs = [_client_accuracy(p, template, data, cid) for cid, p in enumerate(models)]
     return EvalReport.from_accuracies(list(range(len(models))), accs, 0, None)
 
 
@@ -94,7 +103,7 @@ def fine_tune(
     finetune_epochs: int,
     lr: float,
     client_ds: LabeledDataset,
-    rng: np.random.Generator,
+    rng,
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
@@ -104,7 +113,7 @@ def fine_tune(
     ``rule='sequential_head_then_body'`` trains the head for the full
     epoch count and then the body for one more epoch, as local training
     does. Momentum buffers start fresh. finetune_epochs=0 returns the input
-    unchanged.
+    unchanged. Fine-tunes a lockstep group as ``train_epochs`` does.
     """
     params = client_params.copy()
     if finetune_epochs == 0:
@@ -129,15 +138,17 @@ def personalized_models(
     momentum: float = 0.9,
     rule: str = "joint",
 ) -> list[ParamVector]:
-    out = []
-    for cid, params in enumerate(models):
-        rng = eval_stream(seed, cid)
-        out.append(
-            fine_tune(
-                params, template, part, finetune_epochs, lr,
-                data.client_train(cid), rng, batch_size, momentum, rule,
-            )
+    """Each client's model fine-tuned on its own train data; clients of one
+    train-set size are fine-tuned in lockstep groups."""
+    out: list = [None] * len(models)
+    for ids in client_groups(data, range(len(models)), template, batch_size):
+        tuned = fine_tune(
+            ParamVector.stack([models[cid] for cid in ids]), template, part,
+            finetune_epochs, lr, data.group_train(ids),
+            [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule,
         )
+        for cid, params in zip(ids, tuned.rows()):
+            out[cid] = params
     return out
 
 
@@ -158,10 +169,7 @@ def personalized_accuracy(
         models, template, data, part, finetune_epochs, lr, seed,
         batch_size, momentum, rule,
     )
-    accs = [
-        accuracy(template.with_params(p), data.client_test(cid))
-        for cid, p in enumerate(tuned)
-    ]
+    accs = [_client_accuracy(p, template, data, cid) for cid, p in enumerate(tuned)]
     return EvalReport.from_accuracies(
         list(range(len(models))), accs, finetune_epochs, part
     )
@@ -304,6 +312,6 @@ def centralized_train(
     curve: list[float] = []
     train_epochs(
         train_ds, params, net, part, epochs, batch_size, momentum, sched.lr_at, rng,
-        on_epoch=lambda: curve.append(accuracy(working, test_ds)),
+        on_epoch=lambda _opt: curve.append(accuracy(working, test_ds)),
     )
     return curve

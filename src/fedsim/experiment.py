@@ -395,10 +395,21 @@ def load_checkpoint(out_dir: Path, template: Network) -> tuple[FederationState, 
         sidecar = json.loads(sidecar_path.read_text())
     except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot load {sidecar_path}: {e}") from e
+    if not (
+        isinstance(sidecar, dict)
+        and type(sidecar.get("round")) is int
+        and isinstance(sidecar.get("config_hash"), str)
+        and isinstance(sidecar.get("persistent_clients"), list)
+        and all(type(cid) is int for cid in sidecar["persistent_clients"])
+    ):
+        raise ConfigError(
+            f"{sidecar_path}: not a checkpoint sidecar (needs an object with an "
+            "int 'round', a str 'config_hash' and a list of int 'persistent_clients')"
+        )
     state = init_state(template)
     state.global_params = _load_params(out_dir / "checkpoint.pv", template)
     state.round = sidecar["round"]
-    for cid in sidecar.get("persistent_clients", []):
+    for cid in sidecar["persistent_clients"]:
         state.client_params[cid] = _load_params(out_dir / f"client_{cid:04d}.pv", template)
     return state, sidecar
 

@@ -9,6 +9,14 @@ are (C, H, W), but inside the network every activation with more than two
 axes is stored channels-last, (N, H, W, C), which is the layout the im2col
 matmul reads and writes. The network converts a batch once, with
 ``channels_last``; ``flatten`` emits features in (C, H, W) order.
+
+Stacks: a group of M clients that train in lockstep runs as one batch of
+M*B samples, client by client (client-major). The weight-free kernels see
+that batch as any other. ``dense`` and ``conv2d`` take weights with a
+leading client axis, (M, Cout, ...), M=1 for a single network, view the
+batch as (M, B*..., K) and multiply each client's rows by its own weights;
+their bias gradients sum per client. Each client's result equals, bit for
+bit, the same kernel run on that client alone.
 """
 
 from __future__ import annotations
@@ -160,18 +168,25 @@ def channels_first(x):
 
 
 def dense_forward(x, w, b):
-    out = x @ w.T
+    """x: (N, K), the N = M*B samples of M clients one after another;
+    w: (M, Cout, K); b: (M, Cout) or None. Out: (N, Cout)."""
+    m, cout, k = w.shape
+    xs = x.reshape(m, -1, k)
+    out = xs @ w.transpose(0, 2, 1)
     if b is not None:
-        out = out + b
-    return out, x
+        out += b[:, None]
+    return out.reshape(-1, cout), xs
 
 
 def dense_backward(gout, cache, w, has_bias, need_gx=True):
-    """(input grad, or None unless ``need_gx``; weight grad; bias grad)."""
-    x = cache
-    gx = gout @ w if need_gx else None
-    gw = gout.T @ x
-    gb = gout.sum(axis=0) if has_bias else None
+    """(input grad, or None unless ``need_gx``; weight grad; bias grad),
+    the parameter gradients with the weights' client axis."""
+    xs = cache
+    m, cout, k = w.shape
+    gs = gout.reshape(m, -1, cout)
+    gx = (gs @ w).reshape(-1, k) if need_gx else None
+    gw = gs.transpose(0, 2, 1) @ xs
+    gb = gs.sum(axis=1) if has_bias else None
     return gx, gw, gb
 
 
@@ -198,12 +213,13 @@ def flatten_backward(gout, shape):
 def conv2d_forward(x, w, b, padding):
     """Stride-1 2-D convolution via an im2col matmul.
 
-    x: (N, H, W, Cin); w: (Cout, Cin, k, k); out: (N, Ho, Wo, Cout). The
-    column matrix, (N*Ho*Wo, Cin*k*k) with columns in (Cin, k, k) order,
-    comes first in the cache; the weight gradient reads it.
+    x: (N, H, W, Cin), the N = M*B samples of M clients one after another;
+    w: (M, Cout, Cin, k, k); b: (M, Cout) or None; out: (N, Ho, Wo, Cout).
+    The column matrix, (N*Ho*Wo, Cin*k*k) with columns in (Cin, k, k)
+    order, comes first in the cache; the weight gradient reads it.
     """
     n, h, wd, cin = x.shape
-    cout, _, k, _ = w.shape
+    m, cout, _, k, _ = w.shape
     if padding:
         xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=x.dtype)
         xp[:, padding : padding + h, padding : padding + wd] = x
@@ -215,28 +231,29 @@ def conv2d_forward(x, w, b, padding):
         for j in range(k):
             cols[..., i, j] = xp[:, i : i + ho, j : j + wo]
     cols = cols.reshape(n * ho * wo, cin * k * k)
-    out = cols @ w.reshape(cout, -1).T
+    out = cols.reshape(m, -1, cin * k * k) @ w.reshape(m, cout, -1).transpose(0, 2, 1)
     if b is not None:
-        out += b
+        out += b[:, None]
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
 
 
 def conv2d_backward(gout, cache, w, padding, has_bias, need_gx=True):
-    """(input grad, or None unless ``need_gx``; weight grad; bias grad).
-    Gradients of activations are channels-last, like the activations."""
+    """(input grad, or None unless ``need_gx``; weight grad; bias grad),
+    the parameter gradients with the weights' client axis. Gradients of
+    activations are channels-last, like the activations."""
     cols, padded_shape, (n, ho, wo) = cache
-    cout, cin, k, _ = w.shape
-    gmat = gout.reshape(n * ho * wo, cout)
-    gw = (gmat.T @ cols).reshape(w.shape)
+    m, cout, cin, k, _ = w.shape
+    gmat = gout.reshape(m, -1, cout)
+    gw = (gmat.transpose(0, 2, 1) @ cols.reshape(m, -1, cin * k * k)).reshape(w.shape)
     gb = None
     if has_bias:
-        # einsum adds the rows in order, as sum(axis=0) does for two or more
-        # columns, and is several times faster; one column is a contiguous
-        # reduction, which sum(axis=0) adds pairwise
-        gb = np.einsum("ij->j", gmat) if cout > 1 else gmat.sum(axis=0)
+        # einsum adds each client's rows in order, as sum(axis=1) does for
+        # two or more columns, and is several times faster; one column is a
+        # contiguous reduction, which sum(axis=1) adds pairwise
+        gb = np.einsum("mij->mj", gmat) if cout > 1 else gmat.sum(axis=1)
     if not need_gx:
         return None, gw, gb
-    gcols = gmat @ w.reshape(cout, -1)
+    gcols = gmat @ w.reshape(m, cout, -1)
     gcols = gcols.reshape(n, ho, wo, cin, k, k)
     gx = np.zeros(padded_shape, dtype=gout.dtype)
     for i in range(k):
@@ -290,10 +307,13 @@ def maxpool2d_backward(gout, cache):
     return gx
 
 
-def softmax_cross_entropy(logits, labels):
+def softmax_cross_entropy(logits, labels, clients=None):
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
-    Labels are class indices in [0, C); raises on out-of-range labels.
+    logits: (N, C). With ``clients`` = M the N = M*B rows are M clients'
+    batches, client by client: the loss is then one mean per client, an
+    (M,) array, and the gradient divides by B, not N. Labels are class
+    indices in [0, C); raises on out-of-range labels.
     """
     n, c = logits.shape
     labels = np.asarray(labels)
@@ -303,8 +323,13 @@ def softmax_cross_entropy(logits, labels):
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(denom)
-    loss = -log_probs[np.arange(n), labels].mean()
+    picked = log_probs[np.arange(n), labels]
+    if clients is not None:
+        picked = picked.reshape(clients, -1)
+    b = np.asarray(picked.shape[-1], dtype=logits.dtype)
+    # the float32 sum and division np.mean does, without its Python wrapper
+    loss = -(np.add.reduce(picked, axis=-1) / b)
     grad = exp / denom
     grad[np.arange(n), labels] -= 1
-    grad /= np.asarray(n, dtype=logits.dtype)
+    grad /= b
     return loss.astype(logits.dtype), grad.astype(logits.dtype, copy=False)

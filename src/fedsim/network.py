@@ -54,7 +54,9 @@ class Network:
     """An ordered layer chain plus its flat parameters.
 
     The head is the final dense layer; the body is everything before it.
-    Their segments partition the ParamVector.
+    Their segments partition the ParamVector. With an (M, P) stack of
+    params the network is M clients at once: it runs client-major batches
+    of M*B samples, and each client's rows see only its own weights.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -63,18 +65,20 @@ class Network:
     # indices into `layers` of the parameterized layers, in segment order
     param_layers: tuple[int, ...] = field(default=())
     # layer index -> (weight view, bias view or None, weight slice, bias
-    # slice); the slices address the layer's segment of any ParamVector
-    # segmented like `params`
+    # slice); the views lead with a client axis (length 1 unless `params`
+    # is a stack), as the kernels take them; the slices address the layer's
+    # segment of any ParamVector segmented like `params`
     _bound: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._bound = {}
+        stack = self.params.as_stack().data
         for seg_idx, i in enumerate(self.param_layers):
             spec = self.layers[i]
             start, end = self.params.bounds[seg_idx]
             mid = start + int(np.prod(spec.weight_shape()))
-            w = self.params.data[start:mid].reshape(spec.weight_shape())
-            b = self.params.data[mid:end] if spec.has_bias else None
+            w = stack[:, start:mid].reshape(len(stack), *spec.weight_shape())
+            b = stack[:, mid:end] if spec.has_bias else None
             self._bound[i] = (w, b, slice(start, mid), slice(mid, end))
 
     @property
@@ -87,8 +91,12 @@ class Network:
         return self.layers[self.head_index].fan_out
 
     def layer_params(self, layer_index: int):
-        """(weights view reshaped, bias view or None) of a parameterized layer."""
-        return self._bound[layer_index][:2]
+        """(weights view reshaped, bias view or None) of a parameterized
+        layer, with the client axis first if the params are a stack."""
+        w, b, _, _ = self._bound[layer_index]
+        if self.params.data.ndim == 2:
+            return w, b
+        return w[0], None if b is None else b[0]
 
     def head_weights(self) -> np.ndarray:
         w, _ = self.layer_params(self.head_index)
@@ -223,7 +231,7 @@ def _dense_forward(net: Network, i: int, x):
         raise ShapeError(
             f"layer {i}: dense expects (N, {spec.fan_in}), got {_batch_shape(x)}"
         )
-    return dense_forward(x, *net.layer_params(i))
+    return dense_forward(x, *net._bound[i][:2])
 
 
 def _conv2d_forward(net: Network, i: int, x):
@@ -233,7 +241,7 @@ def _conv2d_forward(net: Network, i: int, x):
             f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), "
             f"got {_batch_shape(x)}"
         )
-    return conv2d_forward(x, *net.layer_params(i), spec.padding)
+    return conv2d_forward(x, *net._bound[i][:2], spec.padding)
 
 
 # kind -> (forward(net, i, x) -> (out, cache),
@@ -244,13 +252,13 @@ _LAYER_OPS = {
     "dense": (
         _dense_forward,
         lambda net, i, g, c: dense_backward(
-            g, c, net.layer_params(i)[0], net.layers[i].has_bias, need_gx=i > 0
+            g, c, net._bound[i][0], net.layers[i].has_bias, need_gx=i > 0
         ),
     ),
     "conv2d": (
         _conv2d_forward,
         lambda net, i, g, c: conv2d_backward(
-            g, c, net.layer_params(i)[0], net.layers[i].padding, net.layers[i].has_bias,
+            g, c, net._bound[i][0], net.layers[i].padding, net.layers[i].has_bias,
             need_gx=i > 0,
         ),
     ),
@@ -306,20 +314,24 @@ def backward(net: Network, cache, labels):
     """Softmax cross-entropy loss (mean over the batch) and parameter grads.
 
     Must be called with the cache of a matching forward; the returned
-    gradient vector shares the params' segmentation.
+    gradient vector shares the params' segmentation. A network over an
+    (M, P) stack returns an (M,) loss, each client's mean over its own B
+    samples, and an (M, P) gradient stack.
     """
     caches, logits = cache
-    loss, gout = softmax_cross_entropy(logits, labels)
+    clients = len(net.params.data) if net.params.data.ndim == 2 else None
+    loss, gout = softmax_cross_entropy(logits, labels, clients)
 
     # every segment is overwritten below, since each layer is visited
     grads = ParamVector(np.empty_like(net.params.data), net.params.bounds)
+    stack = grads.data.reshape(-1, grads.data.shape[-1])
     for i in range(len(net.layers) - 1, -1, -1):
         gout, gw, gb = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i])
         if gw is not None:
             _, _, wslice, bslice = net._bound[i]
-            grads.data[wslice] = gw.reshape(-1)
+            stack[:, wslice] = gw.reshape(len(stack), -1)
             if gb is not None:
-                grads.data[bslice] = gb
+                stack[:, bslice] = gb
     return loss, grads
 
 

@@ -59,7 +59,8 @@ def sgd_step(
 
     Masked-out segments (and their momentum buffers) are left bit-untouched.
     With ``prox=(mu, anchor)`` the effective gradient on masked-in segments
-    becomes ``g + mu * (params - anchor)``.
+    becomes ``g + mu * (params - anchor)``. On an (M, P) stack every row is
+    its own client: its own gradient, momentum buffer and anchor row.
     """
     params.require_same_segmentation(grads)
     mask.check(params)
@@ -84,11 +85,11 @@ def sgd_step(
         else:
             runs.append([start, end])
     for start, end in runs:
-        p = params.data[start:end]
-        g = grads.data[start:end]
+        p = params.data[..., start:end]
+        g = grads.data[..., start:end]
         if mu32 is not None:
-            g = g + mu32 * (p - prox[1].data[start:end])
-        buf = opt.buffers.data[start:end]
+            g = g + mu32 * (p - prox[1].data[..., start:end])
+        buf = opt.buffers.data[..., start:end]
         buf *= m32
         buf += g
         p -= lr32 * buf

@@ -30,6 +30,9 @@ class ParamVector:
     first, then its bias. Segment boundaries are a function of topology
     only, which is what makes masked aggregation across clients well
     defined.
+
+    A group of M clients that train in lockstep holds an (M, P) stack:
+    row m is client m's vector, and ``bounds`` index the last axis.
     """
 
     data: np.ndarray
@@ -37,24 +40,40 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         self.data = np.ascontiguousarray(self.data)
-        if self.bounds and self.bounds[-1][1] != self.data.shape[0]:
+        if self.bounds and self.bounds[-1][1] != self.data.shape[-1]:
             raise SegmentationError(
                 f"segment table covers {self.bounds[-1][1]} scalars, "
-                f"data holds {self.data.shape[0]}"
+                f"data holds {self.data.shape[-1]}"
             )
+
+    @classmethod
+    def stack(cls, vectors: list["ParamVector"]) -> "ParamVector":
+        """(M, P) stack of M equally segmented vectors, copied."""
+        for v in vectors[1:]:
+            vectors[0].require_same_segmentation(v)
+        return cls(np.array([v.data for v in vectors]), vectors[0].bounds)
+
+    def as_stack(self) -> "ParamVector":
+        """This stack, or a (1, P) view of this single vector."""
+        return self if self.data.ndim == 2 else ParamVector(self.data[None], self.bounds)
+
+    def rows(self) -> list["ParamVector"]:
+        """Views of the vectors in an (M, P) stack."""
+        return [ParamVector(row, self.bounds) for row in self.data]
 
     @property
     def total_len(self) -> int:
-        return int(self.data.shape[0])
+        """Scalars per vector (per row of a stack)."""
+        return int(self.data.shape[-1])
 
     @property
     def n_segments(self) -> int:
         return len(self.bounds)
 
     def segment(self, i: int) -> np.ndarray:
-        """View (not copy) of segment ``i``."""
+        """View (not copy) of segment ``i`` (of every row of a stack)."""
         start, end = self.bounds[i]
-        return self.data[start:end]
+        return self.data[..., start:end]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.data.copy(), self.bounds)

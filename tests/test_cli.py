@@ -223,6 +223,47 @@ def test_damaged_checkpoint_exits_2_naming_the_file(tmp_path, capsys, damage):
     assert main(["train", "--config", str(cfg_path), "--resume"]) == 2
 
 
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        [],
+        {"seed": 0},
+        {"round": "3", "config_hash": "x", "persistent_clients": []},
+        {"round": True, "config_hash": "x", "persistent_clients": []},
+        {"round": 3, "config_hash": 7, "persistent_clients": []},
+        {"round": 3, "config_hash": "x"},
+        {"round": 3, "config_hash": "x", "persistent_clients": {"0": 1}},
+        {"round": 3, "config_hash": "x", "persistent_clients": [0, 1.5]},
+    ],
+    ids=["list", "no_round", "str_round", "bool_round", "int_hash", "no_clients",
+         "dict_clients", "float_client"],
+)
+def test_malformed_sidecar_exits_2_naming_it(tmp_path, capsys, sidecar):
+    cfg_path, out = tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    (out / "checkpoint.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert "checkpoint.json" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg_path), "--resume"]) == 2
+
+
+def test_empty_test_split_exits_2_naming_the_client(tmp_path, capsys):
+    # the example config over 30 Dirichlet(0.15) clients: client 10 gets 4
+    # train samples, so its matched test split (len(train) // 5) is empty
+    cfg = json.loads((Path(__file__).parent.parent / "configs" / "example.json").read_text())
+    cfg["seed"] = 0
+    cfg["out"] = str(tmp_path / "run")
+    cfg["partition"] = {"mode": "dirichlet", "beta": 0.15, "test_mode": "matched"}
+    cfg["federation"].update(clients=30, rounds=1)
+    cfg_path = tmp_path / "dirichlet.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert "client 10: empty test split" in capsys.readouterr().err
+
+
 def test_missing_client_file_exits_2_naming_it(tmp_path, capsys):
     cfg_path, out = tiny_config(tmp_path, **{"federation.algorithm": "fedper"})
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -274,7 +315,7 @@ def test_seed_override_changes_hash(tmp_path):
 
 
 def test_train_has_no_jobs_flag(tmp_path):
-    # client updates run serially; only sweep cells run in worker processes
+    # client updates run in one process; only sweep cells run in worker processes
     cfg_path, out = tiny_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", str(cfg_path), "--jobs", "2"])

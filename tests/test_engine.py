@@ -3,17 +3,21 @@ determinism, budget invariance, and the server data-sharing path."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
 from fedsim.engine import (
     FederationError,
     NumericError,
+    _joint_step,
+    _perfedavg_step,
+    client_groups,
     client_schedule,
     iterations_per_epoch,
     stream,
     total_rounds,
+    train_epochs,
 )
 from fedsim.params import ParamMask, ParamVector
 from tests.conftest import make_federated_data, replay_clients_descending
@@ -267,19 +271,51 @@ def test_run_federation_deterministic(small_fed_data):
     assert [l.mean_loss for l in logs1] == [l.mean_loss for l in logs2]
 
 
-@pytest.mark.parametrize("alg", ["fedavg", "fedper", "fedrep", "fedprox", "perfedavg"])
+REPLAY_ALGORITHMS = ["fedavg", "fedbabu", "fedper", "fedrep", "fedprox", "perfedavg"]
+
+
+def assert_matches_replay(cfg, data, net):
+    state, _ = fs.run_federation(cfg, data, net)
+    ref = replay_clients_descending(cfg, data, net)
+    assert state.global_params.data.tobytes() == ref.global_params.data.tobytes()
+    assert sorted(state.client_params) == sorted(ref.client_params)
+    for cid, params in ref.client_params.items():
+        assert state.client_params[cid].data.tobytes() == params.data.tobytes()
+
+
+@pytest.mark.parametrize("alg", REPLAY_ALGORITHMS)
 def test_run_federation_matches_descending_client_replay(small_fed_data, alg):
+    # four clients of 60 samples: each round's two sampled clients step in lockstep
     net = small_net(seed=3)
     cfg = fs.FLConfig(
         clients=4, fraction=0.5, local_epochs=2, rounds=4, batch_size=10,
         algorithm=alg, mu=0.05, seed=13,
     )
-    state, _ = fs.run_federation(cfg, small_fed_data, net)
-    ref = replay_clients_descending(cfg, small_fed_data, net)
-    assert state.global_params.data.tobytes() == ref.global_params.data.tobytes()
-    assert sorted(state.client_params) == sorted(ref.client_params)
-    for cid, params in ref.client_params.items():
-        assert state.client_params[cid].data.tobytes() == params.data.tobytes()
+    assert_matches_replay(cfg, small_fed_data, net)
+
+
+def mixed_size_data():
+    """Seven clients whose train-set sizes both repeat and differ."""
+    data = make_federated_data()
+    order = np.random.default_rng(5).permutation(len(data.train))
+    cuts = np.cumsum([30, 45, 30, 20, 45, 30, 40])[:-1]
+    splits = [fs.ClientSplit(cid, np.sort(idx)) for cid, idx in enumerate(np.split(order, cuts))]
+    splits = fs.split_client_test(data.train, data.test, splits, "matched", seed=0)
+    return fs.FederatedData(data.train, data.test, splits)
+
+
+@pytest.mark.parametrize("alg", REPLAY_ALGORITHMS)
+def test_run_federation_mixed_size_groups_match_descending_client_replay(alg):
+    data = mixed_size_data()
+    net = small_net(seed=3)
+    # every round runs two multi-client groups beside two groups of one; the
+    # 45-sample clients end each epoch on a partial batch of 5
+    assert client_groups(data, range(7), net, 10) == [(0, 2, 5), (1, 4), (3,), (6,)]
+    cfg = fs.FLConfig(
+        clients=7, fraction=1.0, local_epochs=2, rounds=3, batch_size=10,
+        algorithm=alg, mu=0.05, seed=19,
+    )
+    assert_matches_replay(cfg, data, net)
 
 
 def test_fedbabu_head_frozen_over_rounds(small_fed_data):
@@ -373,3 +409,89 @@ def test_total_rounds_lg_extension():
     assert total_rounds(cfg) == 16 + 4
     cfg2 = fs.FLConfig(clients=4, fraction=0.5, local_epochs=2, rounds=16)
     assert total_rounds(cfg2) == 16
+
+
+# --- lockstep groups ----------------------------------------------------------
+
+
+def _train_stack_and_separately(net, m, n, batch_size, epochs, part, use_prox, meta, seed):
+    """train_epochs on an (m, P) stack and on each of its m clients alone:
+    (stacked, separate) lists of (params bytes, momentum bytes per epoch,
+    losses) per client."""
+    rng = np.random.default_rng(seed)
+    shape = (2, 4, 4) if net.layers[0].kind == "conv2d" else (net.layers[0].fan_in,)
+    ds = fs.LabeledDataset(
+        rng.standard_normal((m * n, *shape)).astype(np.float32),
+        rng.integers(0, net.num_classes, size=m * n),
+        net.num_classes,
+    )
+    noise = rng.standard_normal((m, net.params.total_len)).astype(np.float32)
+    stack = ParamVector(net.params.data + 0.1 * noise, net.params.bounds)
+    anchors = ParamVector(net.params.data + 0.1 * np.roll(noise, 1, axis=0), net.params.bounds)
+    kwargs = dict(step=_perfedavg_step(0.01) if meta else _joint_step)
+
+    def lr_fn(u):
+        return 0.05 * 0.5 ** (u // 3)
+
+    def run(ds, params, anchor, rngs):
+        momenta = []
+        losses = train_epochs(
+            ds, params, net, part, epochs, batch_size, 0.9, lr_fn, rngs,
+            prox=(0.3, anchor) if use_prox else None,
+            on_epoch=lambda opt: momenta.append(opt.buffers.data.copy()),
+            **kwargs,
+        )
+        return losses, momenta
+
+    streams = [stream(seed, 1, 1, i) for i in range(m)]
+    losses, momenta = run(ds, stack, anchors, streams)
+    stacked = [
+        (stack.data[i].tobytes(), [mom[i].tobytes() for mom in momenta], losses[i])
+        for i in range(m)
+    ]
+    separate = []
+    for i, row in enumerate(anchors.rows()):
+        params = ParamVector(net.params.data + 0.1 * noise[i], net.params.bounds)
+        client_ds = ds.subset(np.arange(i * n, (i + 1) * n))
+        (client_losses,), client_momenta = run(client_ds, params, row, stream(seed, 1, 1, i))
+        separate.append(
+            (params.data.tobytes(), [mom[0].tobytes() for mom in client_momenta], client_losses)
+        )
+    return stacked, separate
+
+
+@pytest.mark.parametrize("net_name", ["mlp_net", "conv_net"])
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(2, 23),
+    batch_size=st.integers(2, 9),
+    epochs=st.integers(1, 2),
+    part=st.sampled_from(["full", "body", "head"]),
+    use_prox=st.booleans(),
+    meta=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(m=3, n=23, batch_size=5, epochs=2, part="full", use_prox=True, meta=False, seed=1)
+@example(m=4, n=17, batch_size=4, epochs=1, part="body", use_prox=False, meta=True, seed=2)
+def test_train_epochs_stack_equals_separate_runs(
+    request, net_name, m, n, batch_size, epochs, part, use_prox, meta, seed
+):
+    # a Per-FedAvg step splits each batch in halves, so needs batches of 2+
+    assume(not (meta and n % batch_size == 1))
+    net = request.getfixturevalue(net_name)
+    stacked, separate = _train_stack_and_separately(
+        net, m, n, batch_size, epochs, part, use_prox, meta, seed
+    )
+    assert stacked == separate
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_error_names_the_group_member():
+    data = make_federated_data()
+    data.train.samples[data.splits[2].train_indices[:3]] = np.inf
+    net = small_net(seed=3)
+    cfg = fs.FLConfig(clients=4, fraction=1.0, local_epochs=1, rounds=1, batch_size=60, seed=3)
+    assert client_groups(data, range(4), net, 60) == [(0, 1, 2, 3)]
+    with pytest.raises(NumericError, match=r"^round 1, client 2: non-finite loss"):
+        fs.run_federation(cfg, data, net)

@@ -104,7 +104,7 @@ def test_dense_matches_loop_oracle(rng):
     x = rng.normal(size=(5, 7)).astype(np.float32)
     w = rng.normal(size=(4, 7)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out, _ = dense_forward(x, w, b)
+    out, _ = dense_forward(x, w[None], b[None])
     np.testing.assert_allclose(out, loop_dense(x, w, b), rtol=1e-5, atol=1e-6)
 
 
@@ -113,7 +113,7 @@ def test_conv2d_matches_loop_oracle(rng, padding):
     x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
     w = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out, _ = conv2d_forward(nhwc(x), w, b, padding)
+    out, _ = conv2d_forward(nhwc(x), w[None], b[None], padding)
     np.testing.assert_allclose(nchw(out), loop_conv2d(x, w, b, padding), rtol=1e-4, atol=1e-5)
 
 
@@ -227,17 +227,18 @@ def test_conv_shape_error_names_the_callers_batch_shape():
 @pytest.mark.parametrize("rows", [1, 7, 105, 39199])
 @pytest.mark.parametrize("cols", [1, 8, 16])
 def test_conv_bias_grad_equals_row_sum_bytes(rows, cols):
-    # conv2d_backward sums with einsum("ij->j"), which adds rows in order as
-    # sum(axis=0) does for two or more columns; one column takes sum itself
+    # conv2d_backward sums each client's rows with einsum("mij->mj"), which
+    # adds rows in order as sum(axis=0) does for two or more columns; one
+    # column takes sum itself
     rng = np.random.default_rng(rows * cols)
     gmat = rng.normal(size=(rows, cols)).astype(np.float32)
     if cols > 1:
         assert np.einsum("ij->j", gmat).tobytes() == gmat.sum(axis=0).tobytes()
     x = rng.normal(size=(1, 1, rows, 2)).astype(np.float32)
-    w = rng.normal(size=(cols, 2, 1, 1)).astype(np.float32)
+    w = rng.normal(size=(1, cols, 2, 1, 1)).astype(np.float32)
     _, cache = conv2d_forward(x, w, None, 0)
     _, _, gb = conv2d_backward(gmat.reshape(1, 1, rows, cols), cache, w, 0, True)
-    assert gb.tobytes() == gmat.sum(axis=0).tobytes()
+    assert gb[0].tobytes() == gmat.sum(axis=0).tobytes()
 
 
 def test_zero_weight_network_gives_zero_logits():
