@@ -19,10 +19,8 @@ from .engine import (
     ditto_update,
     init_state,
     local_update,
-    perfedavg_fo_update,
     run_federation,
     sample_clients,
-    server_side_update,
 )
 from .evaluation import (
     EvalReport,

@@ -1,7 +1,9 @@
 """Command-line front end: partition | train | eval | sweep.
 
-Exit codes: 0 ok, 2 invalid config (or a client that cannot be
-evaluated), 3 numeric failure. FEDSIM_LOG sets verbosity
+Exit codes: 0 ok, 2 invalid config (a config value of the wrong type, a
+checkpoint round out of range), a federation that cannot be trained
+(Per-FedAvg batch split, empty server pool) or a client that cannot be
+evaluated, 3 numeric failure. FEDSIM_LOG sets verbosity
 (debug/info/warning).
 """
 
@@ -13,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import NumericError
+from .engine import FederationError, NumericError
 from .evaluation import EvalError
 from .experiment import ConfigError, ExperimentConfig, run_eval, run_partition, run_train
 from .sweep import load_sweep, run_sweep
@@ -98,9 +100,12 @@ def main(argv: list[str] | None = None) -> int:
     except EvalError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as e:
+    except NumericError as e:  # a FederationError, so caught first
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except FederationError as e:
+        print(f"cannot train: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -283,30 +283,6 @@ def train_epochs(
     return losses
 
 
-def train_head_then_body(
-    ds: LabeledDataset,
-    params: ParamVector,
-    template: Network,
-    epochs: int,
-    batch_size: int,
-    momentum: float,
-    lr_fn,
-    rng,
-) -> list[list[float]]:
-    """The head for `epochs` epochs, then the body for one more epoch that
-    reuses the final head epoch's schedule positions."""
-    losses = train_epochs(
-        ds, params, template, "head", epochs, batch_size, momentum, lr_fn, rng
-    )
-    n = len(ds) // params.as_stack().data.shape[0]
-    body_offset = (epochs - 1) * iterations_per_epoch(n, batch_size)
-    body = train_epochs(
-        ds, params, template, "body", 1, batch_size, momentum, lr_fn, rng,
-        update_offset=body_offset,
-    )
-    return [head + tail for head, tail in zip(losses, body)]
-
-
 def local_update(
     client_ds: LabeledDataset,
     theta_start: ParamVector,
@@ -320,21 +296,31 @@ def local_update(
     mu: float = 0.0,
     perfedavg_alpha: float = 0.01,
 ) -> tuple[ParamVector, float | list[float]]:
-    """One client's local pass; returns (final params, mean minibatch loss).
-    Given a lockstep group (see ``train_epochs``: an (M, P) stack and M
-    generators), it returns the group's stack and one mean loss per client.
+    """One client's local pass under ``alg``'s local rule; returns (final
+    params, mean minibatch loss). The one place a local rule becomes
+    ``train_epochs`` calls, for federated rounds and for evaluation's
+    fine-tunes alike. Given a lockstep group (see ``train_epochs``: an
+    (M, P) stack and M generators), it returns the group's stack and one
+    mean loss per client.
 
-    Momentum buffers are created fresh here: optimizer state is never
-    communicated between rounds.
+    'sequential_head_then_body' (FedRep) trains the head for every epoch,
+    then the body for one more epoch that reuses the final head epoch's
+    schedule positions. Momentum buffers are created fresh here: optimizer
+    state is never communicated between rounds.
     """
     if len(client_ds) == 0:
         raise FederationError("client has no training data")
     params = theta_start.copy()
     args = (batch_size, momentum, lr_fn, rng)
-    if local_epochs == 0:
-        losses = [[] for _ in params.as_stack().data]
-    elif alg.local_rule == "sequential_head_then_body":
-        losses = train_head_then_body(client_ds, params, template, local_epochs, *args)
+    if alg.local_rule == "sequential_head_then_body":
+        losses = train_epochs(client_ds, params, template, "head", local_epochs, *args)
+        if local_epochs > 0:  # the body epoch starts at offset (tau - 1) * I
+            n = len(client_ds) // len(losses)
+            body = train_epochs(
+                client_ds, params, template, "body", 1, *args,
+                update_offset=(local_epochs - 1) * iterations_per_epoch(n, batch_size),
+            )
+            losses = [head + tail for head, tail in zip(losses, body)]
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
         losses = train_epochs(
             client_ds, params, template, alg.update_part, local_epochs, *args,
@@ -349,26 +335,6 @@ def local_update(
         raise FederationError(f"unknown local rule {alg.local_rule!r}")
     means = [float(np.mean(client)) if client else float("nan") for client in losses]
     return params, means if params.data.ndim == 2 else means[0]
-
-
-def perfedavg_fo_update(
-    client_ds: LabeledDataset,
-    theta_start: ParamVector,
-    template: Network,
-    local_epochs: int,
-    alpha: float,
-    lr_fn,
-    rng: np.random.Generator,
-    batch_size: int = 50,
-    momentum: float = 0.9,
-) -> ParamVector:
-    """Standalone first-order meta update (outer rate from the schedule)."""
-    alg = get_algorithm("perfedavg")
-    params, _ = local_update(
-        client_ds, theta_start, template, alg, local_epochs,
-        batch_size, momentum, lr_fn, rng, perfedavg_alpha=alpha,
-    )
-    return params
 
 
 def ditto_update(
@@ -388,8 +354,6 @@ def ditto_update(
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     params = theta_personal.copy()
-    if local_epochs == 0:
-        return params
     train_epochs(
         client_ds, params, template, "full", local_epochs,
         batch_size, momentum, lr_fn, rng, prox=(lam, theta_global),
@@ -439,28 +403,6 @@ def draw_server_pool(
         raise FederationError("server share produced an empty pool")
     chosen = rng.choice(len(every), size=k, replace=False)
     return np.sort(every[chosen])
-
-
-def server_side_update(
-    theta: ParamVector,
-    pool_ds: LabeledDataset,
-    template: Network,
-    part: str,
-    lr: float,
-    batch_size: int,
-    momentum: float,
-    rng: np.random.Generator,
-) -> ParamVector:
-    """One epoch of SGD on the shared pool updating ``part`` ('body' leaves
-    the head bit-unchanged)."""
-    if len(pool_ds) == 0:
-        raise FederationError("server pool is empty")
-    params = theta.copy()
-    train_epochs(
-        pool_ds, params, template, part, 1, batch_size, momentum,
-        lambda _u: lr, rng,
-    )
-    return params
 
 
 # --- the round loop -----------------------------------------------------------
@@ -615,11 +557,12 @@ def run_federation(
                 ).copy()
 
         if pool_ds is not None and round_alg.federated:
-            # server epoch at the rate the schedule has reached so far
-            state.global_params = server_side_update(
-                state.global_params, pool_ds, template, cfg.server_update_part,
-                _round_end_lr(cfg, k), cfg.batch_size, cfg.momentum,
-                stream(cfg.seed, _SERVER, k),
+            # one server epoch on the shared pool, in place on the fresh
+            # aggregate, at the rate the schedule has reached so far
+            round_lr = _round_end_lr(cfg, k)
+            train_epochs(
+                pool_ds, state.global_params, template, cfg.server_update_part, 1,
+                cfg.batch_size, cfg.momentum, lambda _u: round_lr, stream(cfg.seed, _SERVER, k),
             )
 
         state.round = k

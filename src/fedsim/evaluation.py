@@ -17,8 +17,8 @@ from .engine import (
     client_groups,
     eval_stream,
     iterations_per_epoch,
+    local_update,
     train_epochs,
-    train_head_then_body,
 )
 from .network import Network, forward, representations, segment_cosines
 from .params import ParamVector
@@ -108,21 +108,19 @@ def fine_tune(
     momentum: float = 0.9,
     rule: str = "joint",
 ) -> ParamVector:
-    """Personalization epochs on the client's train data, updating ``part``.
-
-    ``rule='sequential_head_then_body'`` trains the head for the full
-    epoch count and then the body for one more epoch, as local training
-    does. Momentum buffers start fresh. finetune_epochs=0 returns the input
-    unchanged. Fine-tunes a lockstep group as ``train_epochs`` does.
+    """Personalization epochs on the client's train data at the constant
+    rate ``lr``: ``local_update`` under the local rule ``rule``, 'joint'
+    (updating ``part``) or 'sequential_head_then_body' (the head for every
+    epoch, then the body for one more, as FedRep's local training does).
+    Momentum buffers start fresh; finetune_epochs=0 returns a copy of the
+    input. Fine-tunes a lockstep group as ``train_epochs`` does.
     """
-    params = client_params.copy()
     if finetune_epochs == 0:
-        return params
-    args = (batch_size, momentum, lambda _u: lr, rng)
-    if rule == "sequential_head_then_body":
-        train_head_then_body(client_ds, params, template, finetune_epochs, *args)
-    else:
-        train_epochs(client_ds, params, template, part, finetune_epochs, *args)
+        return client_params.copy()
+    params, _ = local_update(
+        client_ds, client_params, template, AlgorithmSpec("fine-tune", part, part, rule),
+        finetune_epochs, batch_size, momentum, lambda _u: lr, rng,
+    )
     return params
 
 

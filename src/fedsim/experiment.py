@@ -98,12 +98,47 @@ _DEFAULTS = {
 }
 
 
+# what a key whose default is null takes besides null: its consumer's type
+_NULL_DEFAULT_KINDS = {
+    "eval.lr": "number",
+    **{
+        f"dataset.{k}": "string"
+        for k in ("train_images", "train_labels", "test_images", "test_labels")
+    },
+}
+
+
+def _json_kind(value) -> str:
+    """The JSON type of a config value; a bool is never an integer, and a
+    list counts as one of integers only if every item is one."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, list):
+        ints = all(_json_kind(v) == "integer" for v in value)
+        return "list of integers" if ints else "list"
+    kinds = {type(None): "null", int: "integer", float: "number", str: "string", dict: "object"}
+    return kinds.get(type(value), type(value).__name__)
+
+
 def _merge_defaults(defaults: dict, given: dict, path: str = "") -> dict:
+    """``given`` over ``defaults``; each value must have its default's JSON
+    type, where an integer also serves as a number."""
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         if key not in out:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
+        want = _json_kind(out[key])
+        if want == "null":
+            want = _NULL_DEFAULT_KINDS[path + key]
+        kind = _json_kind(value)
+        null_ok = kind == "null" and out[key] is None
+        if kind != want and (kind, want) != ("integer", "number") and not null_ok:
+            article = "an" if want[0] in "aeiou" else "a"
+            raise ConfigError(
+                f"config key {path + key!r} must be {article} {want}, "
+                f"not {json.dumps(value, default=repr)}"
+            )
+        if want == "object":
             out[key] = _merge_defaults(out[key], value, path + key + ".")
         else:
             out[key] = value
@@ -120,6 +155,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
+        for key in ("name", "out"):
+            if not isinstance(d.get(key, ""), str):
+                shown = json.dumps(d[key], default=repr)
+                raise ConfigError(f"config key {key!r} must be a string, not {shown}")
         name = d.pop("name", "experiment")
         out = d.pop("out", "runs/" + name)
         merged = _merge_defaults(_DEFAULTS, d)
@@ -414,6 +453,27 @@ def load_checkpoint(out_dir: Path, template: Network) -> tuple[FederationState, 
     return state, sidecar
 
 
+def _checked_checkpoint(
+    cfg: ExperimentConfig, ckpt_dir: Path, template: Network
+) -> FederationState:
+    """The checkpoint in ``ckpt_dir``, checked against ``cfg`` before any
+    training or evaluation starts: trained under the same config hash, at
+    a round in [0, total_rounds]. Either failure is a ConfigError."""
+    state, sidecar = load_checkpoint(ckpt_dir, template)
+    chash = sidecar["config_hash"]
+    if chash != cfg.config_hash():
+        raise ConfigError(
+            "checkpoint was trained under a different config "
+            f"(hash {chash} vs {cfg.config_hash()})"
+        )
+    last = total_rounds(cfg.fl_config())
+    if not 0 <= state.round <= last:
+        raise ConfigError(
+            f"{ckpt_dir / 'checkpoint.json'}: round {state.round} is outside [0, {last}]"
+        )
+    return state
+
+
 # --- drivers -------------------------------------------------------------------
 
 
@@ -427,9 +487,7 @@ def run_train(
     state = None
     append = False
     if resume:
-        state, sidecar = load_checkpoint(out, template)
-        if sidecar["config_hash"] != cfg.config_hash():
-            raise ConfigError("checkpoint was produced by a different config")
+        state = _checked_checkpoint(cfg, out, template)
         append = True
         log.info("resuming from round %d", state.round)
     state, logs = run_federation(
@@ -469,14 +527,8 @@ def run_partition(cfg: ExperimentConfig) -> None:
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[str, EvalReport]:
     fl_cfg, data, template = prepare(cfg)
-    ckpt_dir = checkpoint_dir or cfg.out_dir
-    state, sidecar = load_checkpoint(ckpt_dir, template)
-    chash = sidecar["config_hash"]
-    if chash != cfg.config_hash():
-        raise ConfigError(
-            "checkpoint was trained under a different config "
-            f"(hash {chash} vs {cfg.config_hash()})"
-        )
+    state = _checked_checkpoint(cfg, checkpoint_dir or cfg.out_dir, template)
+    chash = cfg.config_hash()
     alg = get_algorithm(cfg["federation"]["algorithm"])
     models = client_models(state, template, alg, fl_cfg.clients)
     ev = cfg["eval"]

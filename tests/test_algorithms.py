@@ -34,6 +34,11 @@ def test_fedrep_sequential_matches_manual_replay(small_fed_data):
         ds, net.params, net, fs.get_algorithm("fedrep"), tau, 10, 0.9,
         lr_const(0.05), stream(3, 1, 1, 0),
     )
+    # evaluation's fine-tune under FedRep's rule, at a constant rate
+    tuned = fs.fine_tune(
+        net.params, net, "full", tau, 0.05, ds, stream(3, 1, 1, 0),
+        batch_size=10, momentum=0.9, rule="sequential_head_then_body",
+    )
 
     # manual replay: same rng, head mask for tau epochs, then body for one
     rng = stream(3, 1, 1, 0)
@@ -55,6 +60,7 @@ def test_fedrep_sequential_matches_manual_replay(small_fed_data):
         _, grads = fs.backward(working, cache, ds.labels[b])
         sgd_step(params, grads, opt, 0.05, net.mask_for("body"))
     assert out.data.tobytes() == params.data.tobytes()
+    assert tuned.data.tobytes() == params.data.tobytes()
 
 
 def test_fedrep_aggregates_body_only(small_fed_data):
@@ -173,9 +179,9 @@ def test_perfedavg_single_meta_step_closed_form():
     inner = w0 - alpha * ce_grad(w0, float(x[sup, 0]), int(y[sup]))
     expected = w0 - beta * ce_grad(inner, float(x[qry, 0]), int(y[qry]))
 
-    out = fs.perfedavg_fo_update(
-        ds, net.params, net, 1, alpha, lr_const(beta), stream(11, 1, 1, 0),
-        batch_size=2, momentum=0.9,
+    out, _ = fs.local_update(
+        ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 2, 0.9,
+        lr_const(beta), stream(11, 1, 1, 0), perfedavg_alpha=alpha,
     )
     np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-7)
 
@@ -183,9 +189,9 @@ def test_perfedavg_single_meta_step_closed_form():
 def test_perfedavg_alpha_zero_is_sgd_on_query_halves(small_fed_data):
     net = small_net(seed=9)
     ds = small_fed_data.client_train(3)
-    out = fs.perfedavg_fo_update(
-        ds, net.params, net, 1, 0.0, lr_const(0.05), stream(13, 1, 1, 3),
-        batch_size=10, momentum=0.9,
+    out, _ = fs.local_update(
+        ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 10, 0.9,
+        lr_const(0.05), stream(13, 1, 1, 3), perfedavg_alpha=0.0,
     )
     # manual: same permutation, step on the query half of each batch
     rng = stream(13, 1, 1, 3)
@@ -207,14 +213,22 @@ def test_perfedavg_batch_of_one_rejected():
     net = small_net(seed=10)
     ds = fs.LabeledDataset(np.zeros((1, 8), dtype=np.float32), np.zeros(1, dtype=np.int64), 4)
     with pytest.raises(fs.FederationError):
-        fs.perfedavg_fo_update(ds, net.params, net, 1, 0.01, lr_const(0.1), stream(1, 1, 1, 0))
+        fs.local_update(
+            ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 50, 0.9,
+            lr_const(0.1), stream(1, 1, 1, 0), perfedavg_alpha=0.01,
+        )
 
 
 def test_perfedavg_deterministic(small_fed_data):
     net = small_net(seed=11)
     ds = small_fed_data.client_train(0)
-    a = fs.perfedavg_fo_update(ds, net.params, net, 2, 0.01, lr_const(0.05), stream(2, 1, 1, 0), batch_size=10)
-    b = fs.perfedavg_fo_update(ds, net.params, net, 2, 0.01, lr_const(0.05), stream(2, 1, 1, 0), batch_size=10)
+    a, b = (
+        fs.local_update(
+            ds, net.params, net, fs.get_algorithm("perfedavg"), 2, 10, 0.9,
+            lr_const(0.05), stream(2, 1, 1, 0), perfedavg_alpha=0.01,
+        )[0]
+        for _ in range(2)
+    )
     assert a.data.tobytes() == b.data.tobytes()
 
 

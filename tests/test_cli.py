@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedsim.cli import main
+from fedsim.engine import total_rounds
 from fedsim.experiment import ConfigError, ExperimentConfig
 from fedsim.params import ParamVector
 
@@ -296,6 +297,64 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["train", "--config", str(cfg_path)]) == 2
     cfg_path2, _ = tiny_config(tmp_path, name="badfrac", **{"federation.fraction": 1.5})
     assert main(["train", "--config", str(cfg_path2)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("federation.rounds", "3"),
+        ("eval.finetune_epochs", 5),
+        ("network.hidden", 64),
+        ("federation.clients", 4.5),
+        ("partition.beta", "x"),
+        ("federation.batch_size", True),
+        ("name", 5),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    cfg_path, _ = tiny_config(tmp_path)
+    raw = node = json.loads(cfg_path.read_text())
+    *parents, leaf = key.split(".")
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_perfedavg_one_sample_batch_exits_2_naming_the_client(tmp_path, capsys):
+    # every client holds 30 samples, so B=29 leaves a last batch of one,
+    # which the meta step cannot split into support and query
+    cfg_path, _ = tiny_config(
+        tmp_path, **{"federation.algorithm": "perfedavg", "federation.batch_size": 29}
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "round 1, client 0: meta step needs a batch of at least 2" in err
+
+
+def test_empty_server_pool_exits_2(tmp_path, capsys):
+    cfg_path, _ = tiny_config(tmp_path, **{"federation.server_share": 1e-5})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "server share produced an empty pool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus_1", "total_plus_1"])
+def test_checkpoint_round_out_of_range_exits_2_naming_it(tmp_path, capsys, past_end):
+    cfg_path, out = tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--stop-after", "1"]) == 0
+    sidecar_path = out / "checkpoint.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    total = total_rounds(ExperimentConfig.load(cfg_path).fl_config())
+    sidecar["round"] = total + 1 if past_end else -1
+    sidecar_path.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert "checkpoint.json" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg_path), "--resume"]) == 2
+    assert "checkpoint.json" in capsys.readouterr().err
+    assert json.loads(sidecar_path.read_text()) == sidecar  # not rewritten
 
 
 def test_unknown_config_key_rejected(tmp_path):
