@@ -43,6 +43,7 @@ from .network import (
     init_network,
     param_distance,
     representations,
+    segment_cosines,
 )
 from .optim import LRSchedule, OptState, sgd_step
 from .params import ParamMask, ParamVector

@@ -49,9 +49,6 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.samples[idx], self.labels[idx], self.num_classes)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 def synthetic_gaussian(
     num_classes: int,

@@ -80,6 +80,8 @@ class FLConfig:
             raise ValueError("epochs and rounds must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
+        if self.base_lr < 0:
+            raise ValueError("base_lr must be non-negative")
         if self.mu < 0 or self.lam < 0:
             raise ValueError("regularization coefficients must be non-negative")
         if not 0 <= self.server_share < 1:

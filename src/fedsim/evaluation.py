@@ -263,8 +263,9 @@ def in_out_class_accuracy(
 # --- inter-client similarity --------------------------------------------------
 
 
-def interclient_cosine(models: list[ParamVector], per_layer: bool = True):
-    """Mean pairwise cosine similarity per layer segment across client models."""
+def interclient_cosine(models: list[ParamVector]) -> list[float | None]:
+    """Mean pairwise cosine similarity per layer segment across client
+    models; None for a segment no pair has a defined cosine on."""
     if len(models) < 2:
         raise EvalError("need at least two models")
     n_seg = models[0].n_segments
@@ -276,13 +277,7 @@ def interclient_cosine(models: list[ParamVector], per_layer: bool = True):
                 if cos is not None:
                     sums[s] += cos
                     counts[s] += 1
-    means = [
-        float(sums[s] / counts[s]) if counts[s] else None for s in range(n_seg)
-    ]
-    if per_layer:
-        return means
-    present = [m for m in means if m is not None]
-    return float(np.mean(present)) if present else None
+    return [float(sums[s] / counts[s]) if counts[s] else None for s in range(n_seg)]
 
 
 # --- centralized baselines -----------------------------------------------------

@@ -98,6 +98,21 @@ _DEFAULTS = {
 }
 
 
+# the least value of each size and rate that FLConfig and PartitionSpec do not
+# check; a list's bound holds for every item, and a null passes
+_LEAST = {
+    "dataset.classes": 2,
+    "dataset.dim": 1,
+    "network.hidden": 1,
+    "network.channels": 1,
+    "network.kernel": 1,
+    "network.padding": 0,
+    "network.pool": 1,
+    "eval.finetune_epochs": 0,
+    "eval.lr": 0,
+}
+
+
 # what a key whose default is null takes besides null: its consumer's type
 _NULL_DEFAULT_KINDS = {
     "eval.lr": "number",
@@ -197,10 +212,18 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        """Federation and partition checks live in FLConfig and
-        PartitionSpec; their errors surface here as ConfigError."""
+        """Every check that needs no data, run before any is built. The
+        federation, partition and init checks live in FLConfig, PartitionSpec
+        and InitScheme; their errors surface here as ConfigError."""
         self.fl_config()
         self.partition_spec()
+        try:
+            InitScheme(self.raw["federation"]["init"], self.seed)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        test_mode = self.raw["partition"]["test_mode"]
+        if test_mode not in ("matched", "global"):
+            raise ConfigError(f"partition.test_mode must be matched or global, not {test_mode!r}")
         ds = self.raw["dataset"]
         if ds["kind"] not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
@@ -210,9 +233,15 @@ class ExperimentConfig:
         ev = self.raw["eval"]
         if ev["part"] not in ("body", "head", "full"):
             raise ConfigError("eval.part must be body, head, or full")
-        if any(t < 0 for t in ev["finetune_epochs"]):
-            raise ConfigError("eval.finetune_epochs must be non-negative")
-        if ev["in_out"] and self.raw["partition"]["test_mode"] != "global":
+        for dotted, least in _LEAST.items():
+            section, key = dotted.split(".")
+            value = self.raw[section][key]
+            items = value if isinstance(value, list) else [value]
+            if any(v is not None and v < least for v in items):
+                raise ConfigError(
+                    f"config key {dotted!r} must be at least {least}, not {json.dumps(value)}"
+                )
+        if ev["in_out"] and test_mode != "global":
             raise ConfigError("eval.in_out needs partition.test_mode = 'global'")
 
     # hash covers everything that determines the trained model and splits;
@@ -357,28 +386,27 @@ def prepare(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network]:
 # --- artifact IO --------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
+def _write_csv(path: Path, header: list[str], rows, config_hash: str, append: bool = False) -> None:
+    """Hash line, header and rows; with ``append``, only the rows go onto
+    an existing file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash} schema={SCHEMA_VERSION}\n")
+    append = append and path.exists()
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        if not append:
+            fh.write(f"# config_hash={config_hash} schema={SCHEMA_VERSION}\n")
+            writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_round_csv(path: Path, logs: list[RoundLog], config_hash: str, append: bool = False) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "a" if append and path.exists() else "w"
-    with open(path, mode, newline="") as fh:
-        if mode == "w":
-            fh.write(f"# config_hash={config_hash} schema={SCHEMA_VERSION}\n")
-            csv.writer(fh).writerow(["round", "client_ids", "mean_loss", "lr", "wall_time"])
-        writer = csv.writer(fh)
-        for rl in logs:
-            writer.writerow(
-                [rl.round, ";".join(map(str, rl.client_ids)),
-                 f"{rl.mean_loss:.6f}", f"{rl.lr:g}", f"{rl.wall_time:.4f}"]
-            )
+    rows = [
+        [rl.round, ";".join(map(str, rl.client_ids)),
+         f"{rl.mean_loss:.6f}", f"{rl.lr:g}", f"{rl.wall_time:.4f}"]
+        for rl in logs
+    ]
+    header = ["round", "client_ids", "mean_loss", "lr", "wall_time"]
+    _write_csv(path, header, rows, config_hash, append)
 
 
 def write_eval_report(out_dir: Path, stem: str, report: EvalReport, config_hash: str) -> None:

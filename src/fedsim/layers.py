@@ -35,8 +35,9 @@ class LayerSpec:
     """One layer of a network: kind plus its dimension fields.
 
     kinds: dense, conv2d, relu, maxpool2d, flatten. Only dense and conv2d
-    carry parameters. A network's final layer must be a single dense layer
-    (the head) mapping the representation dimension to the class count.
+    carry parameters, a weight and a bias each. A network's final layer
+    must be a single dense layer (the head) mapping the representation
+    dimension to the class count.
     """
 
     kind: str
@@ -47,7 +48,6 @@ class LayerSpec:
     kernel: int = 0  # conv2d, square
     padding: int = 0  # conv2d
     window: int = 0  # maxpool2d, stride == window
-    has_bias: bool = True
 
     @property
     def parameterized(self) -> bool:
@@ -61,8 +61,6 @@ class LayerSpec:
         return ()
 
     def bias_len(self) -> int:
-        if not self.has_bias:
-            return 0
         if self.kind == "dense":
             return self.fan_out
         if self.kind == "conv2d":
@@ -84,8 +82,8 @@ class LayerSpec:
         return self.out_channels * self.kernel * self.kernel
 
 
-def dense(fan_in: int, fan_out: int, has_bias: bool = True) -> LayerSpec:
-    return LayerSpec("dense", fan_in=fan_in, fan_out=fan_out, has_bias=has_bias)
+def dense(fan_in: int, fan_out: int) -> LayerSpec:
+    return LayerSpec("dense", fan_in=fan_in, fan_out=fan_out)
 
 
 def conv2d(in_channels: int, out_channels: int, kernel: int, padding: int = 0) -> LayerSpec:
@@ -99,15 +97,15 @@ def conv2d(in_channels: int, out_channels: int, kernel: int, padding: int = 0) -
 
 
 def relu() -> LayerSpec:
-    return LayerSpec("relu", has_bias=False)
+    return LayerSpec("relu")
 
 
 def maxpool2d(window: int = 2) -> LayerSpec:
-    return LayerSpec("maxpool2d", window=window, has_bias=False)
+    return LayerSpec("maxpool2d", window=window)
 
 
 def flatten() -> LayerSpec:
-    return LayerSpec("flatten", has_bias=False)
+    return LayerSpec("flatten")
 
 
 # --- shape inference ---------------------------------------------------
@@ -169,16 +167,15 @@ def channels_first(x):
 
 def dense_forward(x, w, b):
     """x: (N, K), the N = M*B samples of M clients one after another;
-    w: (M, Cout, K); b: (M, Cout) or None. Out: (N, Cout)."""
+    w: (M, Cout, K); b: (M, Cout). Out: (N, Cout)."""
     m, cout, k = w.shape
     xs = x.reshape(m, -1, k)
     out = xs @ w.transpose(0, 2, 1)
-    if b is not None:
-        out += b[:, None]
+    out += b[:, None]
     return out.reshape(-1, cout), xs
 
 
-def dense_backward(gout, cache, w, has_bias, need_gx=True):
+def dense_backward(gout, cache, w, need_gx=True):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis."""
     xs = cache
@@ -186,7 +183,7 @@ def dense_backward(gout, cache, w, has_bias, need_gx=True):
     gs = gout.reshape(m, -1, cout)
     gx = (gs @ w).reshape(-1, k) if need_gx else None
     gw = gs.transpose(0, 2, 1) @ xs
-    gb = gs.sum(axis=1) if has_bias else None
+    gb = gs.sum(axis=1)
     return gx, gw, gb
 
 
@@ -214,7 +211,7 @@ def conv2d_forward(x, w, b, padding):
     """Stride-1 2-D convolution via an im2col matmul.
 
     x: (N, H, W, Cin), the N = M*B samples of M clients one after another;
-    w: (M, Cout, Cin, k, k); b: (M, Cout) or None; out: (N, Ho, Wo, Cout).
+    w: (M, Cout, Cin, k, k); b: (M, Cout); out: (N, Ho, Wo, Cout).
     The column matrix, (N*Ho*Wo, Cin*k*k) with columns in (Cin, k, k)
     order, comes first in the cache; the weight gradient reads it.
     """
@@ -232,12 +229,11 @@ def conv2d_forward(x, w, b, padding):
             cols[..., i, j] = xp[:, i : i + ho, j : j + wo]
     cols = cols.reshape(n * ho * wo, cin * k * k)
     out = cols.reshape(m, -1, cin * k * k) @ w.reshape(m, cout, -1).transpose(0, 2, 1)
-    if b is not None:
-        out += b[:, None]
+    out += b[:, None]
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
 
 
-def conv2d_backward(gout, cache, w, padding, has_bias, need_gx=True):
+def conv2d_backward(gout, cache, w, padding, need_gx=True):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis. Gradients of
     activations are channels-last, like the activations."""
@@ -245,12 +241,10 @@ def conv2d_backward(gout, cache, w, padding, has_bias, need_gx=True):
     m, cout, cin, k, _ = w.shape
     gmat = gout.reshape(m, -1, cout)
     gw = (gmat.transpose(0, 2, 1) @ cols.reshape(m, -1, cin * k * k)).reshape(w.shape)
-    gb = None
-    if has_bias:
-        # einsum adds each client's rows in order, as sum(axis=1) does for
-        # two or more columns, and is several times faster; one column is a
-        # contiguous reduction, which sum(axis=1) adds pairwise
-        gb = np.einsum("mij->mj", gmat) if cout > 1 else gmat.sum(axis=1)
+    # einsum adds each client's rows in order, as sum(axis=1) does for two
+    # or more columns, and is several times faster; one column is a
+    # contiguous reduction, which sum(axis=1) adds pairwise
+    gb = np.einsum("mij->mj", gmat) if cout > 1 else gmat.sum(axis=1)
     if not need_gx:
         return None, gw, gb
     gcols = gmat @ w.reshape(m, cout, -1)

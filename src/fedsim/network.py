@@ -64,9 +64,9 @@ class Network:
     head_index: int
     # indices into `layers` of the parameterized layers, in segment order
     param_layers: tuple[int, ...] = field(default=())
-    # layer index -> (weight view, bias view or None, weight slice, bias
-    # slice); the views lead with a client axis (length 1 unless `params`
-    # is a stack), as the kernels take them; the slices address the layer's
+    # layer index -> (weight view, bias view, weight slice, bias slice);
+    # the views lead with a client axis (length 1 unless `params` is a
+    # stack), as the kernels take them; the slices address the layer's
     # segment of any ParamVector segmented like `params`
     _bound: dict = field(init=False, repr=False, compare=False)
 
@@ -78,8 +78,7 @@ class Network:
             start, end = self.params.bounds[seg_idx]
             mid = start + int(np.prod(spec.weight_shape()))
             w = stack[:, start:mid].reshape(len(stack), *spec.weight_shape())
-            b = stack[:, mid:end] if spec.has_bias else None
-            self._bound[i] = (w, b, slice(start, mid), slice(mid, end))
+            self._bound[i] = (w, stack[:, mid:end], slice(start, mid), slice(mid, end))
 
     @property
     def head_segment(self) -> int:
@@ -91,12 +90,12 @@ class Network:
         return self.layers[self.head_index].fan_out
 
     def layer_params(self, layer_index: int):
-        """(weights view reshaped, bias view or None) of a parameterized
-        layer, with the client axis first if the params are a stack."""
+        """(weights view reshaped, bias view) of a parameterized layer,
+        with the client axis first if the params are a stack."""
         w, b, _, _ = self._bound[layer_index]
         if self.params.data.ndim == 2:
             return w, b
-        return w[0], None if b is None else b[0]
+        return w[0], b[0]
 
     def head_weights(self) -> np.ndarray:
         w, _ = self.layer_params(self.head_index)
@@ -251,15 +250,12 @@ def _conv2d_forward(net: Network, i: int, x):
 _LAYER_OPS = {
     "dense": (
         _dense_forward,
-        lambda net, i, g, c: dense_backward(
-            g, c, net._bound[i][0], net.layers[i].has_bias, need_gx=i > 0
-        ),
+        lambda net, i, g, c: dense_backward(g, c, net._bound[i][0], need_gx=i > 0),
     ),
     "conv2d": (
         _conv2d_forward,
         lambda net, i, g, c: conv2d_backward(
-            g, c, net._bound[i][0], net.layers[i].padding, net.layers[i].has_bias,
-            need_gx=i > 0,
+            g, c, net._bound[i][0], net.layers[i].padding, need_gx=i > 0
         ),
     ),
     "relu": (
@@ -330,8 +326,7 @@ def backward(net: Network, cache, labels):
         if gw is not None:
             _, _, wslice, bslice = net._bound[i]
             stack[:, wslice] = gw.reshape(len(stack), -1)
-            if gb is not None:
-                stack[:, bslice] = gb
+            stack[:, bslice] = gb
     return loss, grads
 
 
@@ -379,10 +374,8 @@ def segment_cosines(a: ParamVector, b: ParamVector) -> list[float | None]:
     return out
 
 
-def param_distance(a: ParamVector, b: ParamVector, per_layer: bool = False):
-    """Global L2 distance, or per-layer cosine similarities when asked."""
-    if per_layer:
-        return segment_cosines(a, b)
+def param_distance(a: ParamVector, b: ParamVector) -> float:
+    """Global L2 distance."""
     a.require_same_segmentation(b)
     diff = a.data.astype(np.float64) - b.data.astype(np.float64)
     return float(np.sqrt(np.dot(diff, diff)))

@@ -16,23 +16,17 @@ class LRSchedule:
 
     base_lr: float = 0.1
     total_updates: int = 1
-    decay_factor: float = 0.1
-
-    @property
-    def decay_points(self) -> tuple[int, int]:
-        return (self.total_updates // 2, (3 * self.total_updates) // 4)
 
     def lr_at(self, update_index: int) -> float:
         if not 0 <= update_index < self.total_updates:
             raise ValueError(
                 f"update index {update_index} outside [0, {self.total_updates})"
             )
-        half, three_quarters = self.decay_points
-        if update_index < half:
+        if update_index < self.total_updates // 2:
             return self.base_lr
-        if update_index < three_quarters:
-            return self.base_lr * self.decay_factor
-        return self.base_lr * self.decay_factor**2
+        if update_index < (3 * self.total_updates) // 4:
+            return self.base_lr * 0.1
+        return self.base_lr * 0.1**2
 
 
 @dataclass

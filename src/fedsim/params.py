@@ -81,11 +81,8 @@ class ParamVector:
     def zeros_like(self) -> "ParamVector":
         return ParamVector(np.zeros_like(self.data), self.bounds)
 
-    def same_segmentation(self, other: "ParamVector") -> bool:
-        return self.bounds == other.bounds
-
     def require_same_segmentation(self, other: "ParamVector") -> None:
-        if not self.same_segmentation(other):
+        if self.bounds != other.bounds:
             raise SegmentationError("parameter vectors have different segmentations")
 
     # --- binary checkpoint format -------------------------------------

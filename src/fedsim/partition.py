@@ -30,9 +30,6 @@ class ClientSplit:
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
         self.test_indices = np.asarray(self.test_indices, dtype=np.int64)
 
-    def train_classes(self, ds: LabeledDataset) -> np.ndarray:
-        return np.unique(ds.labels[self.train_indices])
-
 
 @dataclass(frozen=True)
 class PartitionSpec:

@@ -68,6 +68,8 @@ def load_sweep(path) -> dict:
 def expand_cells(sweep: dict) -> list[ExperimentConfig]:
     """Cartesian product of the grid axes and the seed list."""
     grid = sweep["grid"]
+    if "seed" in grid:
+        raise ConfigError("a sweep sets seeds through its 'seeds' list, not a 'seed' grid axis")
     axes = sorted(grid)
     combos = list(itertools.product(*(grid[a] for a in axes))) or [()]
     cells = []

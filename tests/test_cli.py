@@ -323,6 +323,40 @@ def test_config_value_of_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dataset.classes", 1),
+        ("dataset.dim", 0),
+        ("network.hidden", [0]),
+        ("network.channels", [0, 4]),
+        ("network.pool", 0),
+        ("network.padding", -1),
+        ("network.kernel", 0),
+        ("federation.base_lr", -0.1),
+        ("eval.lr", -1),
+    ],
+)
+def test_value_out_of_range_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    # FLConfig's own checks name its field; the others name the dotted key
+    named = "base_lr" if key == "federation.base_lr" else repr(key)
+    # the conv keys are read only by a conv2 network, the others by the MLP
+    if key.startswith("network.") and key != "network.hidden":
+        cfg_path, out, _ = idx_config(tmp_path, "range")
+    else:
+        cfg_path, out = tiny_config(tmp_path, name="range")
+    raw = node = json.loads(cfg_path.read_text())
+    *parents, leaf = key.split(".")
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    cfg_path.write_text(json.dumps(raw))
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert named in capsys.readouterr().err
+    assert not out.exists()  # rejected before any data was built
+
+
 def test_perfedavg_one_sample_batch_exits_2_naming_the_client(tmp_path, capsys):
     # every client holds 30 samples, so B=29 leaves a last batch of one,
     # which the meta step cannot split into support and query
@@ -602,3 +636,20 @@ def test_sweep_corrupt_cell_rerun(tmp_path):
     cell_result.write_text("{corrupt")
     assert main(["sweep", "--config", str(sweep_path)]) == 0
     assert (out / "results.csv").read_bytes() == results
+
+
+@pytest.mark.parametrize("key", ["federation.init", "partition.test_mode"])
+def test_sweep_bad_value_in_a_later_cell_exits_2_before_training(tmp_path, capsys, key):
+    good = {"federation.init": "he_uniform", "partition.test_mode": "matched"}[key]
+    sweep_path, out = sweep_config(tmp_path, grid={key: [good, "bogus"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not list(out.glob("cells/*/result.json"))
+
+
+def test_sweep_seed_axis_exits_2_pointing_to_seeds(tmp_path, capsys):
+    # the seeds list would overwrite the axis, giving identical rows
+    sweep_path, out = sweep_config(tmp_path, grid={"seed": [1, 2]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 2
+    assert "'seeds'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()

@@ -236,8 +236,8 @@ def test_conv_bias_grad_equals_row_sum_bytes(rows, cols):
         assert np.einsum("ij->j", gmat).tobytes() == gmat.sum(axis=0).tobytes()
     x = rng.normal(size=(1, 1, rows, 2)).astype(np.float32)
     w = rng.normal(size=(1, cols, 2, 1, 1)).astype(np.float32)
-    _, cache = conv2d_forward(x, w, None, 0)
-    _, _, gb = conv2d_backward(gmat.reshape(1, 1, rows, cols), cache, w, 0, True)
+    _, cache = conv2d_forward(x, w, np.zeros((1, cols), np.float32), 0)
+    _, _, gb = conv2d_backward(gmat.reshape(1, 1, rows, cols), cache, w, 0)
     assert gb[0].tobytes() == gmat.sum(axis=0).tobytes()
 
 

@@ -108,10 +108,10 @@ def test_head_stats_require_two_classes():
 
 def test_param_distance_identical_and_negated(mlp_net):
     a = mlp_net.params
-    same = fs.param_distance(a, a.copy(), per_layer=True)
+    same = fs.segment_cosines(a, a.copy())
     assert all(c == 1.0 for c in same)
     neg = ParamVector(-a.data, a.bounds)
-    cos = fs.param_distance(a, neg, per_layer=True)
+    cos = fs.segment_cosines(a, neg)
     assert all(abs(c + 1.0) < 1e-12 for c in cos)
     assert fs.param_distance(a, a.copy()) == 0.0
 
@@ -123,7 +123,7 @@ def test_param_distance_random_vectors_decorrelated():
     for _ in range(trials):
         a = ParamVector(rng.normal(size=1000).astype(np.float32), ((0, 1000),))
         b = ParamVector(rng.normal(size=1000).astype(np.float32), ((0, 1000),))
-        (cos,) = fs.param_distance(a, b, per_layer=True)
+        (cos,) = fs.segment_cosines(a, b)
         hits += abs(cos) < 0.1
     assert hits >= trials * 0.9
 
@@ -131,7 +131,7 @@ def test_param_distance_random_vectors_decorrelated():
 def test_param_distance_zero_norm_segment_is_undefined():
     a = ParamVector(np.array([0, 0, 3, 4], dtype=np.float32), ((0, 2), (2, 4)))
     b = ParamVector(np.array([5, 6, 1, 2], dtype=np.float32), ((0, 2), (2, 4)))
-    cos = fs.param_distance(a, b, per_layer=True)
+    cos = fs.segment_cosines(a, b)
     assert cos[0] is None
     assert cos[1] is not None
 

@@ -19,11 +19,11 @@ def test_schedule_start_half_and_tail():
     total = 320 * 10
     sched = LRSchedule(0.1, total)
     assert sched.lr_at(0) == 0.1
-    assert sched.lr_at(total // 2) == pytest.approx(0.01)
-    assert sched.lr_at(total - 1) == pytest.approx(0.001)
+    assert sched.lr_at(total // 2) == 0.1 * 0.1
+    assert sched.lr_at(total - 1) == 0.1 * 0.1**2
     assert sched.lr_at(total // 2 - 1) == 0.1
-    assert sched.lr_at(3 * total // 4 - 1) == pytest.approx(0.01)
-    assert sched.lr_at(3 * total // 4) == pytest.approx(0.001)
+    assert sched.lr_at(3 * total // 4 - 1) == 0.1 * 0.1
+    assert sched.lr_at(3 * total // 4) == 0.1 * 0.1**2
 
 
 @given(st.integers(min_value=1, max_value=5000), st.data())

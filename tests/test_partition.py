@@ -95,7 +95,7 @@ def test_dirichlet_concentrates_at_large_beta():
 
 
 def mean_tv_distance(ds, splits):
-    global_dist = ds.class_counts() / len(ds)
+    global_dist = np.bincount(ds.labels, minlength=ds.num_classes) / len(ds)
     tvs = []
     for s in splits:
         if len(s.train_indices) == 0:
