@@ -1,10 +1,10 @@
 """Command-line front end: partition | train | eval | sweep.
 
-Exit codes: 0 ok, 2 invalid config (a config value of the wrong type, a
-checkpoint round out of range), a federation that cannot be trained
-(Per-FedAvg batch split, empty server pool) or a client that cannot be
-evaluated, 3 numeric failure. FEDSIM_LOG sets verbosity
-(debug/info/warning).
+Exit codes: 0 ok, 2 invalid config (a config value of the wrong type, out of
+range or not among its choices, a checkpoint round out of range), a
+federation that cannot be trained (Per-FedAvg batch split, empty server
+pool) or a client that cannot be evaluated, 3 numeric failure. FEDSIM_LOG
+sets verbosity (debug/info/warning).
 """
 
 from __future__ import annotations

@@ -82,6 +82,10 @@ class FLConfig:
             raise ValueError("batch size must be positive")
         if self.base_lr < 0:
             raise ValueError("base_lr must be non-negative")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.perfedavg_alpha < 0:
+            raise ValueError("perfedavg_alpha must be non-negative")
         if self.mu < 0 or self.lam < 0:
             raise ValueError("regularization coefficients must be non-negative")
         if not 0 <= self.server_share < 1:

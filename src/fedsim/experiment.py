@@ -34,7 +34,7 @@ from .evaluation import (
     terminal_lr,
 )
 from .layers import ShapeError, conv2d, dense, flatten, infer_shapes, maxpool2d, relu
-from .network import InitScheme, Network, init_network
+from .network import INIT_SCHEMES, InitScheme, Network, init_network
 from .params import BlobError, ParamVector
 from .partition import PartitionError, PartitionSpec, partition, save_splits, split_client_test
 
@@ -47,78 +47,64 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration (CLI exit code 2)."""
 
 
-_DEFAULTS = {
-    "seed": 0,
+# Every config key: (default, JSON type, rule). The rule is the least value
+# (which every item of a list must reach), a tuple of the allowed values, or
+# None where the consumer (FLConfig, PartitionSpec) checks the key. A null
+# passes only where the default is null; an integer also serves as a number.
+_SCHEMA = {
+    "name": ("experiment", "string", None),
+    "out": (None, "string", None),  # null: runs/<name>
+    "seed": (0, "integer", 0),
     "dataset": {
-        "kind": "synthetic",
-        "classes": 10,
-        "per_class": 100,
-        "test_per_class": 20,
-        "dim": 32,
-        "spread": 1.0,
-        "scale": 1.0,
+        "kind": ("synthetic", "string", ("synthetic", "idx")),
+        "classes": (10, "integer", 2),
+        "per_class": (100, "integer", 1),
+        "test_per_class": (20, "integer", 0),
+        "dim": (32, "integer", 1),
+        "spread": (1.0, "number", 0),
+        "scale": (1.0, "number", 0),
         # idx mode
-        "train_images": None,
-        "train_labels": None,
-        "test_images": None,
-        "test_labels": None,
+        "train_images": (None, "string", None),
+        "train_labels": (None, "string", None),
+        "test_images": (None, "string", None),
+        "test_labels": (None, "string", None),
     },
     "network": {
-        "kind": "mlp",
-        "hidden": [64],  # mlp
-        "channels": [8, 16],  # conv2
-        "kernel": 3,
-        "padding": 1,
-        "pool": 2,
+        "kind": ("mlp", "string", ("mlp", "conv2")),
+        "hidden": ([64], "list of integers", 1),  # mlp
+        "channels": ([8, 16], "list of integers", 1),  # conv2
+        "kernel": (3, "integer", 1),
+        "padding": (1, "integer", 0),
+        "pool": (2, "integer", 1),
     },
-    "partition": {"mode": "shard", "shards_per_client": 2, "beta": 0.5, "test_mode": "matched"},
+    "partition": {
+        "mode": ("shard", "string", None),
+        "shards_per_client": (2, "integer", None),
+        "beta": (0.5, "number", None),
+        "test_mode": ("matched", "string", ("matched", "global")),
+    },
     "federation": {
-        "algorithm": "fedavg",
-        "clients": 20,
-        "fraction": 0.5,
-        "local_epochs": 2,
-        "rounds": 32,
-        "batch_size": 50,
-        "base_lr": 0.1,
-        "momentum": 0.9,
-        "mu": 0.0,
-        "lambda": 0.75,
-        "server_share": 0.0,
-        "server_update_part": "full",
-        "perfedavg_alpha": 0.01,
-        "init": "he_uniform",
+        "algorithm": ("fedavg", "string", None),
+        "clients": (20, "integer", None),
+        "fraction": (0.5, "number", None),
+        "local_epochs": (2, "integer", None),
+        "rounds": (32, "integer", None),
+        "batch_size": (50, "integer", None),
+        "base_lr": (0.1, "number", None),
+        "momentum": (0.9, "number", None),
+        "mu": (0.0, "number", None),
+        "lambda": (0.75, "number", None),
+        "server_share": (0.0, "number", None),
+        "server_update_part": ("full", "string", None),
+        "perfedavg_alpha": (0.01, "number", None),
+        "init": ("he_uniform", "string", INIT_SCHEMES),
     },
     "eval": {
-        "finetune_epochs": [5],
-        "part": "full",
-        "lr": None,
-        "template": False,
-        "in_out": False,
-    },
-}
-
-
-# the least value of each size and rate that FLConfig and PartitionSpec do not
-# check; a list's bound holds for every item, and a null passes
-_LEAST = {
-    "dataset.classes": 2,
-    "dataset.dim": 1,
-    "network.hidden": 1,
-    "network.channels": 1,
-    "network.kernel": 1,
-    "network.padding": 0,
-    "network.pool": 1,
-    "eval.finetune_epochs": 0,
-    "eval.lr": 0,
-}
-
-
-# what a key whose default is null takes besides null: its consumer's type
-_NULL_DEFAULT_KINDS = {
-    "eval.lr": "number",
-    **{
-        f"dataset.{k}": "string"
-        for k in ("train_images", "train_labels", "test_images", "test_labels")
+        "finetune_epochs": ([5], "list of integers", 0),
+        "part": ("full", "string", ("body", "head", "full")),
+        "lr": (None, "number", 0),  # null: the schedule's terminal rate
+        "template": (False, "boolean", None),
+        "in_out": (False, "boolean", None),
     },
 }
 
@@ -126,37 +112,49 @@ _NULL_DEFAULT_KINDS = {
 def _json_kind(value) -> str:
     """The JSON type of a config value; a bool is never an integer, and a
     list counts as one of integers only if every item is one."""
-    if isinstance(value, bool):
-        return "boolean"
     if isinstance(value, list):
-        ints = all(_json_kind(v) == "integer" for v in value)
-        return "list of integers" if ints else "list"
-    kinds = {type(None): "null", int: "integer", float: "number", str: "string", dict: "object"}
+        return "list of integers" if all(_json_kind(v) == "integer" for v in value) else "list"
+    kinds = {
+        bool: "boolean", type(None): "null", int: "integer", float: "number",
+        str: "string", dict: "object",
+    }
     return kinds.get(type(value), type(value).__name__)
 
 
-def _merge_defaults(defaults: dict, given: dict, path: str = "") -> dict:
-    """``given`` over ``defaults``; each value must have its default's JSON
-    type, where an integer also serves as a number."""
-    out = copy.deepcopy(defaults)
-    for key, value in given.items():
-        if key not in out:
+def _check(dotted: str, value, kind: str, rule=None) -> None:
+    """``value`` has JSON type ``kind`` and keeps ``rule``, or a ConfigError
+    names ``dotted``."""
+    got = _json_kind(value)
+    if got != kind and (got, kind) != ("integer", "number"):
+        article = "an" if kind[0] in "aeiou" else "a"
+        shown = json.dumps(value, default=repr)
+        raise ConfigError(f"config key {dotted!r} must be {article} {kind}, not {shown}")
+    shown = json.dumps(value)
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ConfigError(f"config key {dotted!r} must be one of {', '.join(rule)}, not {shown}")
+    elif rule is not None and any(v < rule for v in (value if isinstance(value, list) else [value])):
+        raise ConfigError(f"config key {dotted!r} must be at least {rule}, not {shown}")
+
+
+def _walk(schema: dict, given: dict, path: str = "") -> dict:
+    """The full config: each key in ``given`` checked against ``schema``,
+    each omitted key at its default."""
+    for key in given:
+        if key not in schema:
             raise ConfigError(f"unknown config key {path + key!r}")
-        want = _json_kind(out[key])
-        if want == "null":
-            want = _NULL_DEFAULT_KINDS[path + key]
-        kind = _json_kind(value)
-        null_ok = kind == "null" and out[key] is None
-        if kind != want and (kind, want) != ("integer", "number") and not null_ok:
-            article = "an" if want[0] in "aeiou" else "a"
-            raise ConfigError(
-                f"config key {path + key!r} must be {article} {want}, "
-                f"not {json.dumps(value, default=repr)}"
-            )
-        if want == "object":
-            out[key] = _merge_defaults(out[key], value, path + key + ".")
-        else:
-            out[key] = value
+    out = {}
+    for key, entry in schema.items():
+        if isinstance(entry, dict):  # a section
+            section = given.get(key, {})
+            _check(path + key, section, "object")
+            out[key] = _walk(entry, section, path + key + ".")
+            continue
+        default, kind, rule = entry
+        value = given.get(key, default)
+        if key in given and not (value is None and default is None):
+            _check(path + key, value, kind, rule)
+        out[key] = copy.deepcopy(value)
     return out
 
 
@@ -169,17 +167,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        for key in ("name", "out"):
-            if not isinstance(d.get(key, ""), str):
-                shown = json.dumps(d[key], default=repr)
-                raise ConfigError(f"config key {key!r} must be a string, not {shown}")
-        name = d.pop("name", "experiment")
-        out = d.pop("out", "runs/" + name)
-        merged = _merge_defaults(_DEFAULTS, d)
-        merged["name"] = name
-        merged["out"] = out
-        cfg = cls(merged)
+        if not isinstance(d, dict):
+            shown = json.dumps(d, default=repr)
+            raise ConfigError(f"a config must be a JSON object, not {shown}")
+        raw = _walk(_SCHEMA, d)
+        if raw["out"] is None:
+            raw["out"] = "runs/" + raw["name"]
+        cfg = cls(raw)
         cfg.validate()
         return cfg
 
@@ -202,46 +196,20 @@ class ExperimentConfig:
         return Path(self.raw["out"])
 
     def with_overrides(self, seed: int | None = None, out: str | None = None) -> "ExperimentConfig":
-        d = copy.deepcopy(self.raw)
+        d = dict(self.raw)  # from_dict copies every value
         if seed is not None:
             d["seed"] = seed
         if out is not None:
             d["out"] = out
-        cfg = ExperimentConfig(d)
-        cfg.validate()
-        return cfg
+        return ExperimentConfig.from_dict(d)
 
     def validate(self) -> None:
-        """Every check that needs no data, run before any is built. The
-        federation, partition and init checks live in FLConfig, PartitionSpec
-        and InitScheme; their errors surface here as ConfigError."""
+        """The checks _SCHEMA leaves to its consumers, run before any data is
+        built: FLConfig's and PartitionSpec's errors surface here as
+        ConfigError, beside the one check that spans two keys."""
         self.fl_config()
         self.partition_spec()
-        try:
-            InitScheme(self.raw["federation"]["init"], self.seed)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        test_mode = self.raw["partition"]["test_mode"]
-        if test_mode not in ("matched", "global"):
-            raise ConfigError(f"partition.test_mode must be matched or global, not {test_mode!r}")
-        ds = self.raw["dataset"]
-        if ds["kind"] not in ("synthetic", "idx"):
-            raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-        net = self.raw["network"]
-        if net["kind"] not in ("mlp", "conv2"):
-            raise ConfigError(f"unknown network kind {net['kind']!r}")
-        ev = self.raw["eval"]
-        if ev["part"] not in ("body", "head", "full"):
-            raise ConfigError("eval.part must be body, head, or full")
-        for dotted, least in _LEAST.items():
-            section, key = dotted.split(".")
-            value = self.raw[section][key]
-            items = value if isinstance(value, list) else [value]
-            if any(v is not None and v < least for v in items):
-                raise ConfigError(
-                    f"config key {dotted!r} must be at least {least}, not {json.dumps(value)}"
-                )
-        if ev["in_out"] and test_mode != "global":
+        if self.raw["eval"]["in_out"] and self.raw["partition"]["test_mode"] != "global":
             raise ConfigError("eval.in_out needs partition.test_mode = 'global'")
 
     # hash covers everything that determines the trained model and splits;
@@ -368,12 +336,7 @@ def build_network(cfg: ExperimentConfig, sample_shape: tuple[int, ...], classes:
         except ShapeError as e:
             raise ConfigError(str(e)) from e
         layers.append(dense(shapes[-1][0], classes))
-    try:
-        infer_shapes(tuple(layers), sample_shape)
-        scheme = InitScheme(cfg["federation"]["init"], cfg.seed)
-        return init_network(layers, scheme)
-    except (ShapeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
+    return init_network(layers, InitScheme(cfg["federation"]["init"], cfg.seed))
 
 
 def prepare(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network]:

@@ -40,15 +40,14 @@ RESULT_COLUMNS = [
 
 
 def _set_dotted(d: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
-    node = d
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"grid key {dotted!r} does not exist in the base config")
-        node = node[key]
-    if keys[-1] not in node and keys[0] not in ("dataset", "network", "partition", "federation", "eval"):
-        raise ConfigError(f"grid key {dotted!r} does not exist in the base config")
-    node[keys[-1]] = value
+    """Set a grid key, creating the sections ``d`` omits; the schema names
+    an unknown key when the cell loads."""
+    *sections, leaf = dotted.split(".")
+    for key in sections:
+        d = d.setdefault(key, {})
+        if not isinstance(d, dict):
+            raise ConfigError(f"grid key {dotted!r}: {key!r} is not a config section")
+    d[leaf] = value
 
 
 def load_sweep(path) -> dict:

@@ -11,6 +11,7 @@ from fedsim.cli import main
 from fedsim.engine import total_rounds
 from fedsim.experiment import ConfigError, ExperimentConfig
 from fedsim.params import ParamVector
+from fedsim.sweep import expand_cells, load_sweep
 
 
 def tiny_config(tmp_path, name="tiny", **overrides):
@@ -334,12 +335,20 @@ def test_config_value_of_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key
         ("network.padding", -1),
         ("network.kernel", 0),
         ("federation.base_lr", -0.1),
+        ("federation.momentum", 1.5),
+        ("federation.momentum", -1),
+        ("federation.perfedavg_alpha", -1),
+        ("dataset.spread", -1),
+        ("dataset.scale", -1),
+        ("dataset.per_class", 0),
+        ("dataset.test_per_class", -1),
+        ("seed", -1),
         ("eval.lr", -1),
     ],
 )
 def test_value_out_of_range_exits_2_naming_the_key(tmp_path, capsys, key, value):
-    # FLConfig's own checks name its field; the others name the dotted key
-    named = "base_lr" if key == "federation.base_lr" else repr(key)
+    # FLConfig's own checks name its field; the schema names the dotted key
+    named = key.split(".")[1] if key.startswith("federation.") else repr(key)
     # the conv keys are read only by a conv2 network, the others by the MLP
     if key.startswith("network.") and key != "network.hidden":
         cfg_path, out, _ = idx_config(tmp_path, "range")
@@ -355,6 +364,17 @@ def test_value_out_of_range_exits_2_naming_the_key(tmp_path, capsys, key, value)
         assert main([command, "--config", str(cfg_path)]) == 2
         assert named in capsys.readouterr().err
     assert not out.exists()  # rejected before any data was built
+
+
+@pytest.mark.parametrize(
+    "key", ["dataset.kind", "network.kind", "partition.test_mode", "eval.part", "federation.init"]
+)
+def test_value_not_among_choices_exits_2_naming_the_key(tmp_path, capsys, key):
+    cfg_path, out = tiny_config(tmp_path, **{key: "bogus"})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "bogus" in err
+    assert not out.exists()
 
 
 def test_perfedavg_one_sample_batch_exits_2_naming_the_client(tmp_path, capsys):
@@ -397,6 +417,14 @@ def test_unknown_config_key_rejected(tmp_path):
     raw["federation"]["shards"] = 3
     cfg_path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("text", ["[1]", '"x"', '{"eval": 5}'])
+def test_config_not_an_object_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text(text)
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "object" in capsys.readouterr().err
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -645,6 +673,29 @@ def test_sweep_bad_value_in_a_later_cell_exits_2_before_training(tmp_path, capsy
     assert main(["sweep", "--config", str(sweep_path)]) == 2
     assert "bogus" in capsys.readouterr().err
     assert not list(out.glob("cells/*/result.json"))
+
+
+def test_sweep_axis_over_a_section_the_base_omits(tmp_path):
+    # the omitted section takes its defaults, as in a single-run config
+    sweep_path, out = sweep_config(tmp_path, grid={"eval.part": ["head", "full"]})
+    sweep = json.loads(sweep_path.read_text())
+    del sweep["base"]["eval"]
+    sweep_path.write_text(json.dumps(sweep))
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert sorted(r["part"] for r in read_results(out)) == ["full", "head"]
+    del sweep["base"]["federation"]
+    sweep["grid"] = {"federation.algorithm": ["fedavg", "fedbabu"]}
+    sweep_path.write_text(json.dumps(sweep))
+    cells = expand_cells(load_sweep(sweep_path))
+    assert [c["federation"]["algorithm"] for c in cells] == ["fedavg", "fedbabu"]
+    assert cells[0]["federation"]["clients"] == 20  # the default
+
+
+def test_sweep_typo_axis_exits_2_naming_it(tmp_path, capsys):
+    sweep_path, out = sweep_config(tmp_path, grid={"federation.shards": [1, 2]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 2
+    assert "'federation.shards'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_seed_axis_exits_2_pointing_to_seeds(tmp_path, capsys):

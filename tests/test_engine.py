@@ -402,6 +402,9 @@ def test_config_validation():
         fs.FLConfig(clients=4, fraction=0.5, local_epochs=1, rounds=1, algorithm="nope")
     with pytest.raises(ValueError):
         fs.FLConfig(clients=4, fraction=0.5, local_epochs=1, rounds=1, mu=-1.0)
+    for bad in (dict(momentum=1.5), dict(momentum=1.0), dict(momentum=-1.0), dict(perfedavg_alpha=-1.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            fs.FLConfig(clients=4, fraction=0.5, local_epochs=1, rounds=1, **bad)
 
 
 def test_total_rounds_lg_extension():

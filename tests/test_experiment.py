@@ -1,6 +1,8 @@
 """Config loading, defaulting, hashing, and the dataset/network builders."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from fedsim.experiment import (
     build_splits,
     prepare,
 )
+from fedsim.sweep import expand_cells, load_sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal(**over):
@@ -129,3 +134,16 @@ def test_splits_respect_partition_seed():
     sa = build_splits(cfg_a, train_a, test_a)
     sb = build_splits(cfg_b, train_b, test_b)
     assert not all(np.array_equal(x.train_indices, y.train_indices) for x, y in zip(sa, sb))
+
+
+def test_shipped_configs_pass_the_schema(tmp_path):
+    cfg = ExperimentConfig.load(CONFIGS / "example.json").with_overrides(out=str(tmp_path / "demo"))
+    assert cfg["federation"]["algorithm"] == "fedbabu"
+    assert cfg.out_dir == tmp_path / "demo"
+    sweep = load_sweep(CONFIGS / "sweep_example.json")
+    sweep["out"] = str(tmp_path / "sweep")
+    cells = expand_cells(sweep)
+    assert len(cells) == math.prod(map(len, sweep["grid"].values())) * len(sweep["seeds"])
+    assert len({c.out_dir for c in cells}) == len(cells)
+    assert all(c.out_dir.parent == tmp_path / "sweep" / "cells" for c in cells)
+    assert not any(tmp_path.iterdir())  # checked without building or writing anything
