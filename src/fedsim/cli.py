@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after this round (checkpoint is written; use --resume to finish)",
     )
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint: initial/personalized/template reports")
+    p = sub.add_parser("eval", help="evaluate a checkpoint: initial/personalized/template/in-out reports")
     common(p)
     p.add_argument(
         "--checkpoint", type=Path, default=None,

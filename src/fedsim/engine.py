@@ -544,11 +544,9 @@ def run_federation(
             key=lambda r: r[0],
         )  # ascending ids
 
+        # train_epochs has raised NumericError on any non-finite step loss
         losses = [loss for *_, loss in results if not math.isnan(loss)]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
-        if losses and not math.isfinite(mean_loss):
-            bad = [cid for cid, _, _, _, loss in results if not math.isfinite(loss)]
-            raise NumericError(f"round {k}: non-finite loss on clients {bad}")
 
         if round_alg.federated:
             updates = [(theta, n) for _, theta, _, n, _ in results]

@@ -63,15 +63,13 @@ def accuracy(net: Network, ds: LabeledDataset) -> float:
     return float((logits.argmax(axis=1) == ds.labels).mean())
 
 
-def _client_accuracy(
-    params: ParamVector, template: Network, data: FederatedData, client_id: int
-) -> float:
-    """``accuracy`` on the client's test split; an empty split is an
-    EvalError naming the client."""
+def _test_split(data: FederatedData, client_id: int) -> LabeledDataset:
+    """The client's test split, which every report reads; an empty split is
+    an EvalError naming the client."""
     test_ds = data.client_test(client_id)
     if len(test_ds) == 0:
         raise EvalError(f"client {client_id}: empty test split")
-    return accuracy(template.with_params(params), test_ds)
+    return test_ds
 
 
 def client_models(
@@ -92,7 +90,9 @@ def initial_accuracy(
 ) -> EvalReport:
     """Accuracy of each client's broadcast model on its own test split.
     Read-only: evaluating twice yields byte-identical reports."""
-    accs = [_client_accuracy(p, template, data, cid) for cid, p in enumerate(models)]
+    accs = [
+        accuracy(template.with_params(p), _test_split(data, cid)) for cid, p in enumerate(models)
+    ]
     return EvalReport.from_accuracies(list(range(len(models))), accs, 0, None)
 
 
@@ -167,7 +167,9 @@ def personalized_accuracy(
         models, template, data, part, finetune_epochs, lr, seed,
         batch_size, momentum, rule,
     )
-    accs = [_client_accuracy(p, template, data, cid) for cid, p in enumerate(tuned)]
+    accs = [
+        accuracy(template.with_params(p), _test_split(data, cid)) for cid, p in enumerate(tuned)
+    ]
     return EvalReport.from_accuracies(
         list(range(len(models))), accs, finetune_epochs, part
     )
@@ -224,9 +226,7 @@ def template_accuracy(
     for cid, params in enumerate(models):
         net = template.with_params(params)
         tset = TemplateSet.build(net, data.client_train(cid))
-        test_ds = data.client_test(cid)
-        if len(test_ds) == 0:
-            raise EvalError(f"client {cid}: empty test split")
+        test_ds = _test_split(data, cid)
         preds = tset.classify(representations(net, test_ds.samples))
         accs.append(float((preds == test_ds.labels).mean()))
     return EvalReport.from_accuracies(list(range(len(models))), accs, 0, "template")
@@ -239,11 +239,12 @@ def in_out_class_accuracy(
     models: list[ParamVector], template: Network, data: FederatedData
 ) -> tuple[EvalReport, EvalReport]:
     """Accuracy split by whether a test label appears in the client's train
-    split. Meant for global-mode test splits; empty subsets become NaN."""
+    split. Meant for global-mode test splits; an empty subset becomes NaN,
+    an empty test split an EvalError."""
     in_accs, out_accs = [], []
     for cid, params in enumerate(models):
         net = template.with_params(params)
-        test_ds = data.client_test(cid)
+        test_ds = _test_split(data, cid)
         train_classes = np.unique(data.client_train(cid).labels)
         logits, _ = forward(net, test_ds.samples)
         preds = logits.argmax(axis=1)

@@ -49,8 +49,9 @@ class ConfigError(ValueError):
 
 # Every config key: (default, JSON type, rule). The rule is the least value
 # (which every item of a list must reach), a tuple of the allowed values, or
-# None where the consumer (FLConfig, PartitionSpec) checks the key. A null
-# passes only where the default is null; an integer also serves as a number.
+# None where the consumer (FLConfig, PartitionSpec) checks the key's range.
+# A null passes only where the default is null; an integer also serves as a
+# number, and a list of integers as a list.
 _SCHEMA = {
     "name": ("experiment", "string", None),
     "out": (None, "string", None),  # null: runs/<name>
@@ -59,7 +60,7 @@ _SCHEMA = {
         "kind": ("synthetic", "string", ("synthetic", "idx")),
         "classes": (10, "integer", 2),
         "per_class": (100, "integer", 1),
-        "test_per_class": (20, "integer", 0),
+        "test_per_class": (20, "integer", 1),
         "dim": (32, "integer", 1),
         "spread": (1.0, "number", 0),
         "scale": (1.0, "number", 0),
@@ -104,7 +105,6 @@ _SCHEMA = {
         "part": ("full", "string", ("body", "head", "full")),
         "lr": (None, "number", 0),  # null: the schedule's terminal rate
         "template": (False, "boolean", None),
-        "in_out": (False, "boolean", None),
     },
 }
 
@@ -125,7 +125,7 @@ def _check(dotted: str, value, kind: str, rule=None) -> None:
     """``value`` has JSON type ``kind`` and keeps ``rule``, or a ConfigError
     names ``dotted``."""
     got = _json_kind(value)
-    if got != kind and (got, kind) != ("integer", "number"):
+    if got != kind and (got, kind) not in (("integer", "number"), ("list of integers", "list")):
         article = "an" if kind[0] in "aeiou" else "a"
         shown = json.dumps(value, default=repr)
         raise ConfigError(f"config key {dotted!r} must be {article} {kind}, not {shown}")
@@ -206,11 +206,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         """The checks _SCHEMA leaves to its consumers, run before any data is
         built: FLConfig's and PartitionSpec's errors surface here as
-        ConfigError, beside the one check that spans two keys."""
+        ConfigError."""
         self.fl_config()
         self.partition_spec()
-        if self.raw["eval"]["in_out"] and self.raw["partition"]["test_mode"] != "global":
-            raise ConfigError("eval.in_out needs partition.test_mode = 'global'")
 
     # hash covers everything that determines the trained model and splits;
     # eval settings are recorded in reports instead. ``with_eval`` adds them,
@@ -222,24 +220,13 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def fl_config(self) -> FLConfig:
-        fed = self.raw["federation"]
+        """The federation section as an FLConfig: ``init`` belongs to the
+        network, and ``lambda`` is spelled ``lam`` in Python."""
+        fed = dict(self.raw["federation"])
+        del fed["init"]
+        fed["lam"] = fed.pop("lambda")
         try:
-            return FLConfig(
-                clients=fed["clients"],
-                fraction=fed["fraction"],
-                local_epochs=fed["local_epochs"],
-                rounds=fed["rounds"],
-                batch_size=fed["batch_size"],
-                algorithm=fed["algorithm"],
-                base_lr=fed["base_lr"],
-                momentum=fed["momentum"],
-                mu=fed["mu"],
-                lam=fed["lambda"],
-                server_share=fed["server_share"],
-                server_update_part=fed["server_update_part"],
-                perfedavg_alpha=fed["perfedavg_alpha"],
-                seed=self.seed,
-            )
+            return FLConfig(**fed, seed=self.seed)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -548,7 +535,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     if ev["template"]:
         reports["template"] = template_accuracy(models, template, data)
         write_eval_report(out, "template", reports["template"], chash)
-    if ev["in_out"]:
+    if cfg["partition"]["test_mode"] == "global":  # the one mode with out-of-class samples
         rep_in, rep_out = in_out_class_accuracy(models, template, data)
         reports["in_class"], reports["out_class"] = rep_in, rep_out
         write_eval_report(out, "in_class", rep_in, chash)

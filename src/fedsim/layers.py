@@ -21,6 +21,7 @@ bit, the same kernel run on that client alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,26 +61,10 @@ class LayerSpec:
             return (self.out_channels, self.in_channels, self.kernel, self.kernel)
         return ()
 
-    def bias_len(self) -> int:
-        if self.kind == "dense":
-            return self.fan_out
-        if self.kind == "conv2d":
-            return self.out_channels
-        return 0
-
     def param_count(self) -> int:
-        return int(np.prod(self.weight_shape(), initial=1)) * (1 if self.parameterized else 0) + self.bias_len()
-
-    def init_fan_in(self) -> int:
-        """Fan-in used by the distribution-based initializers."""
-        if self.kind == "dense":
-            return self.fan_in
-        return self.in_channels * self.kernel * self.kernel
-
-    def init_fan_out(self) -> int:
-        if self.kind == "dense":
-            return self.fan_out
-        return self.out_channels * self.kernel * self.kernel
+        """Weight entries plus one bias per output unit."""
+        shape = self.weight_shape()
+        return math.prod(shape) + shape[0] if shape else 0
 
 
 def dense(fan_in: int, fan_out: int) -> LayerSpec:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,9 @@ def validate_layers(layers: tuple[LayerSpec, ...]) -> None:
 
 def _draw_weights(spec: LayerSpec, scheme: str, rng: np.random.Generator) -> np.ndarray:
     shape = spec.weight_shape()
-    fan_in = spec.init_fan_in()
-    fan_out = spec.init_fan_out()
+    # (out, in) or (out, in, k, k): the inputs of one output, the outputs of one input
+    fan_in = math.prod(shape[1:])
+    fan_out = shape[0] * math.prod(shape[2:])
     gain = np.sqrt(2.0)  # ReLU scaling
     if scheme == "he_uniform":
         a = gain * np.sqrt(3.0 / fan_in)
@@ -173,8 +175,7 @@ def _draw_weights(spec: LayerSpec, scheme: str, rng: np.random.Generator) -> np.
         sigma = gain * np.sqrt(2.0 / (fan_in + fan_out))
         return rng.normal(0.0, sigma, size=shape)
     if scheme == "orthogonal":
-        rows = shape[0]
-        cols = int(np.prod(shape[1:]))
+        rows, cols = shape[0], fan_in
         flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
         q, r = np.linalg.qr(flat)
         q = q * np.sign(np.diag(r))  # fix the sign ambiguity for determinism
@@ -182,7 +183,7 @@ def _draw_weights(spec: LayerSpec, scheme: str, rng: np.random.Generator) -> np.
             q = q.T
         return q[:rows, :cols].reshape(shape)
     if scheme == "similar":
-        w = rng.uniform(0.45, 0.55, size=(shape[0], int(np.prod(shape[1:]))))
+        w = rng.uniform(0.45, 0.55, size=(shape[0], fan_in))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         return w.reshape(shape)
     raise ValueError(f"unknown init scheme {scheme!r}")
@@ -198,22 +199,16 @@ def init_network(layers, scheme: InitScheme) -> Network:
     layers = tuple(layers)
     validate_layers(layers)
     param_layers, bounds = _segment_bounds(layers)
-    total = bounds[-1][1] if bounds else 0
-    data = np.zeros(total, dtype=FLOAT)
+    params = ParamVector(np.zeros(bounds[-1][1], dtype=FLOAT), bounds)
+    net = Network(layers, params, len(layers) - 1, param_layers)
     rng = np.random.default_rng(scheme.seed)
-    head_index = len(layers) - 1
-    for seg_idx, layer_idx in enumerate(param_layers):
-        spec = layers[layer_idx]
+    for i in param_layers:
         layer_scheme = scheme.scheme
-        if scheme.scheme == "similar" and layer_idx != head_index:
+        if scheme.scheme == "similar" and i != net.head_index:
             layer_scheme = "he_uniform"
-        w = _draw_weights(spec, layer_scheme, rng)
-        start, _ = bounds[seg_idx]
-        wlen = int(np.prod(spec.weight_shape()))
-        data[start : start + wlen] = w.ravel().astype(FLOAT)
-        # bias slice stays zero
-    params = ParamVector(data, bounds)
-    return Network(layers, params, head_index, param_layers)
+        w, _ = net.layer_params(i)  # the bias view stays zero
+        w[...] = _draw_weights(layers[i], layer_scheme, rng)
+    return net
 
 
 # --- forward / backward ----------------------------------------------------

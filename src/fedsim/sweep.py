@@ -14,6 +14,7 @@ from .experiment import (
     SCHEMA_VERSION,
     ConfigError,
     ExperimentConfig,
+    _check,
     run_eval,
     run_train,
 )
@@ -51,16 +52,32 @@ def _set_dotted(d: dict, dotted: str, value) -> None:
 
 
 def load_sweep(path) -> dict:
+    """A sweep file: objects ``base`` and ``grid``, each grid axis a
+    non-empty list, ``seeds`` a non-empty list of integers >= 0, and
+    strings ``name`` and ``out``. A failed check names the key."""
     try:
         sweep = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read sweep config {path}: {e}") from e
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"sweep config {path} is not a JSON object")
     for key in ("base", "grid"):
         if key not in sweep:
             raise ConfigError(f"sweep config needs a {key!r} section")
+        _check(key, sweep[key], "object")
     sweep.setdefault("seeds", [sweep["base"].get("seed", 0)])
     sweep.setdefault("name", "sweep")
+    _check("name", sweep["name"], "string")
     sweep.setdefault("out", "runs/" + sweep["name"])
+    _check("out", sweep["out"], "string")
+    # an empty list would leave the sweep without a cell
+    for axis, values in sweep["grid"].items():
+        _check(f"grid.{axis}", values, "list")
+        if not values:
+            raise ConfigError(f"config key 'grid.{axis}' must list at least one value")
+    _check("seeds", sweep["seeds"], "list of integers", 0)
+    if not sweep["seeds"]:
+        raise ConfigError("config key 'seeds' must list at least one value")
     return sweep
 
 
@@ -70,7 +87,7 @@ def expand_cells(sweep: dict) -> list[ExperimentConfig]:
     if "seed" in grid:
         raise ConfigError("a sweep sets seeds through its 'seeds' list, not a 'seed' grid axis")
     axes = sorted(grid)
-    combos = list(itertools.product(*(grid[a] for a in axes))) or [()]
+    combos = list(itertools.product(*(grid[a] for a in axes)))
     cells = []
     out_root = Path(sweep["out"])
     for combo in combos:
@@ -153,32 +170,18 @@ def run_sweep(sweep: dict, jobs: int = 1) -> Path:
     else:
         records = [run_cell(raw) for raw in raws]
 
-    rows = []
-    for record in records:
-        for tf, stats in sorted(record["personalized"].items(), key=lambda kv: int(kv[0])):
-            rows.append(
-                [
-                    record["config_hash"],
-                    record["algorithm"],
-                    record["partition_mode"],
-                    record["s_or_beta"],
-                    record["clients"],
-                    record["fraction"],
-                    record["local_epochs"],
-                    record["rounds"],
-                    record["seed"],
-                    tf,
-                    record["part"],
-                    f"{record['initial_mean']:.6f}",
-                    f"{record['initial_std']:.6f}",
-                    f"{stats['mean']:.6f}",
-                    f"{stats['std']:.6f}",
-                ]
-            )
     results_path = out_root / "results.csv"
     with open(results_path, "w", newline="") as fh:
         fh.write(f"# schema={SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        writer.writerows(rows)
+        for record in records:
+            for tf, stats in sorted(record["personalized"].items(), key=lambda kv: int(kv[0])):
+                row = {
+                    **record, "tau_f": tf,
+                    "personalized_mean": stats["mean"], "personalized_std": stats["std"],
+                }
+                writer.writerow(
+                    [f"{row[c]:.6f}" if c.endswith(("_mean", "_std")) else row[c] for c in RESULT_COLUMNS]
+                )
     return results_path

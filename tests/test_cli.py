@@ -342,6 +342,7 @@ def test_config_value_of_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key
         ("dataset.scale", -1),
         ("dataset.per_class", 0),
         ("dataset.test_per_class", -1),
+        ("dataset.test_per_class", 0),
         ("seed", -1),
         ("eval.lr", -1),
     ],
@@ -562,7 +563,7 @@ def test_partition_with_empty_clients_exits_2_naming_them(tmp_path, capsys):
 def test_in_out_reports_with_global_test_mode(tmp_path):
     cfg_path, out = tiny_config(
         tmp_path, name="inout",
-        **{"partition.test_mode": "global", "eval": {"finetune_epochs": [0], "in_out": True}},
+        **{"partition.test_mode": "global", "eval": {"finetune_epochs": [0]}},
     )
     main(["train", "--config", str(cfg_path)])
     assert main(["eval", "--config", str(cfg_path)]) == 0
@@ -593,6 +594,32 @@ def sweep_config(tmp_path, grid=None, seeds=(0,), rounds=None):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(sweep))
     return path, Path(sweep["out"])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid.federation.rounds", 3),
+        ("grid.federation.rounds", []),
+        ("grid", []),
+        ("base", []),
+        ("seeds", 3),
+        ("seeds", []),
+        ("name", 5),
+        ("out", 5),
+    ],
+)
+def test_sweep_file_of_wrong_shape_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    sweep_path, out = sweep_config(tmp_path)
+    sweep = json.loads(sweep_path.read_text())
+    if key.startswith("grid."):
+        sweep["grid"][key.removeprefix("grid.")] = value
+    else:
+        sweep[key] = value
+    sweep_path.write_text(json.dumps(sweep))
+    assert main(["sweep", "--config", str(sweep_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_produces_one_row_per_cell(tmp_path):

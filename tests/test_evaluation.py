@@ -244,6 +244,14 @@ def test_in_out_all_classes_client_has_no_out():
             assert not np.isnan(rep_out.accuracies[cid])
 
 
+def test_in_out_empty_test_split_raises_naming_the_client():
+    data = make_federated_data(test_mode="global", seed=10)
+    data.splits[2].test_indices = np.empty(0, dtype=np.int64)
+    net = small_net(seed=10)
+    with pytest.raises(EvalError, match="client 2: empty test split"):
+        fs.in_out_class_accuracy([net.params.copy() for _ in range(4)], net, data)
+
+
 def test_out_of_class_degrades_with_finetuning():
     data = make_federated_data(clients=4, classes=4, shards_per_client=1, test_mode="global", spread=0.4, seed=12)
     net, _, state, models = run_small(algorithm="fedavg", seed=12, data=data, rounds=10)

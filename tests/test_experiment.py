@@ -1,5 +1,6 @@
 """Config loading, defaulting, hashing, and the dataset/network builders."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,13 +9,18 @@ import numpy as np
 import pytest
 
 import fedsim as fs
+from fedsim.cli import main
+from fedsim.engine import FLConfig
 from fedsim.experiment import (
+    _SCHEMA,
     ConfigError,
     ExperimentConfig,
     build_datasets,
     build_network,
     build_splits,
     prepare,
+    run_eval,
+    run_train,
 )
 from fedsim.sweep import expand_cells, load_sweep
 
@@ -106,10 +112,33 @@ def test_idx_config_missing_paths():
         build_datasets(minimal(dataset={"kind": "idx"}))
 
 
-def test_in_out_requires_global_test_mode():
-    with pytest.raises(ConfigError):
-        minimal(eval={"in_out": True})
-    minimal(eval={"in_out": True}, partition={"test_mode": "global"})  # ok
+def test_in_out_reports_follow_the_test_mode(tmp_path, capsys):
+    # no key asks for them: a matched-mode test split holds no out-of-class sample
+    path = tmp_path / "inout.json"
+    path.write_text(json.dumps({"out": str(tmp_path / "inout"), "eval": {"in_out": True}}))
+    assert main(["train", "--config", str(path)]) == 2
+    assert "'eval.in_out'" in capsys.readouterr().err
+    cfg = minimal(
+        out=str(tmp_path / "matched"),
+        dataset={"classes": 4, "per_class": 30, "test_per_class": 10, "dim": 8},
+        federation={"clients": 4, "rounds": 1, "local_epochs": 1, "batch_size": 10},
+        eval={"finetune_epochs": [0]},
+    )
+    run_train(cfg)
+    assert "in_class" not in run_eval(cfg)
+    assert sorted(p.name for p in (cfg.out_dir / "eval").iterdir()) == [
+        "initial.csv", "initial.json", "personalized_tf0.csv", "personalized_tf0.json",
+    ]
+
+
+def test_schema_federation_defaults_match_flconfig():
+    # the CLI fills omitted keys from _SCHEMA, library callers from FLConfig
+    for f in dataclasses.fields(FLConfig):
+        if f.default is dataclasses.MISSING:
+            continue
+        key = {"lam": "lambda"}.get(f.name, f.name)
+        default = (_SCHEMA if key == "seed" else _SCHEMA["federation"])[key][0]
+        assert default == f.default and type(default) is type(f.default), key
 
 
 def test_prepare_produces_consistent_bundle():

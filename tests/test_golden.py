@@ -73,7 +73,6 @@ CASES = {
     "fedper-global-inout": {
         "federation.algorithm": "fedper",
         "partition.test_mode": "global",
-        "eval.in_out": True,
     },
     "conv2-fedbabu-template": {
         "federation.algorithm": "fedbabu",
