@@ -126,19 +126,11 @@ class FederatedData:
     test: LabeledDataset
     splits: list[ClientSplit]
 
-    def __post_init__(self) -> None:
-        self._train_cache: dict[int, LabeledDataset] = {}
-
     def client_train(self, client_id: int) -> LabeledDataset:
-        if client_id not in self._train_cache:
-            split = self.splits[client_id]
-            self._train_cache[client_id] = self.train.subset(split.train_indices)
-        return self._train_cache[client_id]
+        return self.group_train((client_id,))
 
     def group_train(self, client_ids: tuple[int, ...]) -> LabeledDataset:
         """The train sets of a lockstep group, one after another."""
-        if len(client_ids) == 1:
-            return self.client_train(client_ids[0])
         every = [self.splits[cid].train_indices for cid in client_ids]
         return self.train.subset(np.concatenate(every))
 
@@ -375,9 +367,9 @@ def aggregate(
     theta_prev: ParamVector,
     mask,
 ) -> ParamVector:
-    """Sample-count-weighted average over masked-in segments; masked-out
-    segments are bit-copied from ``theta_prev``. Callers pass updates in
-    ascending client order; summation follows that order in float64."""
+    """Sample-count-weighted average over the mask's segment range; the
+    other segments are bit-copied from ``theta_prev``. Callers pass updates
+    in ascending client order; summation follows that order in float64."""
     if not updates:
         raise FederationError("nothing to aggregate")
     total = sum(n for _, n in updates)
@@ -385,14 +377,12 @@ def aggregate(
         raise FederationError("aggregation weights sum to zero")
     for theta, _ in updates:
         theta_prev.require_same_segmentation(theta)
-    mask.check(theta_prev)
+    part = mask.scalars(theta_prev)
     out = theta_prev.copy()
-    for i in mask.selected():
-        start, end = theta_prev.bounds[i]
-        acc = np.zeros(end - start, dtype=np.float64)
-        for theta, n in updates:
-            acc += (n / total) * theta.segment(i).astype(np.float64)
-        out.segment(i)[:] = acc.astype(FLOAT)
+    acc = np.zeros(part.stop - part.start, dtype=np.float64)
+    for theta, n in updates:
+        acc += (n / total) * theta.data[part].astype(np.float64)
+    out.data[part] = acc.astype(FLOAT)
     return out
 
 
@@ -420,13 +410,8 @@ def _round_plan(cfg: FLConfig, alg: AlgorithmSpec) -> list[tuple[AlgorithmSpec, 
     small constant rate."""
     if not alg.two_phase_lg:
         return [(alg, "schedule")] * cfg.rounds
-    fedavg = get_algorithm("fedavg")
-    lg_phase = AlgorithmSpec(
-        "lg-fedavg", "full", "head", "joint", persistent_part="body"
-    )
-    plan = [(fedavg, "schedule")] * cfg.rounds
-    plan += [(lg_phase, "constant")] * math.ceil(cfg.rounds / 4)
-    return plan
+    plan = [(get_algorithm("fedavg"), "schedule")] * cfg.rounds
+    return plan + [(alg, "constant")] * math.ceil(cfg.rounds / 4)
 
 
 def assemble_client_params(
@@ -438,8 +423,8 @@ def assemble_client_params(
     if alg.persistent_part is None:
         return base
     source = state.client_params.get(client_id, state.initial_params)
-    for i in template.mask_for(alg.persistent_part).selected():
-        base.segment(i)[:] = source.segment(i)
+    part = template.mask_for(alg.persistent_part).scalars(base)
+    base.data[part] = source.data[part]
     return base
 
 

@@ -115,8 +115,6 @@ def fine_tune(
     Momentum buffers start fresh; finetune_epochs=0 returns a copy of the
     input. Fine-tunes a lockstep group as ``train_epochs`` does.
     """
-    if finetune_epochs == 0:
-        return client_params.copy()
     params, _ = local_update(
         client_ds, client_params, template, AlgorithmSpec("fine-tune", part, part, rule),
         finetune_epochs, batch_size, momentum, lambda _u: lr, rng,
@@ -173,11 +171,6 @@ def personalized_accuracy(
     return EvalReport.from_accuracies(
         list(range(len(models))), accs, finetune_epochs, part
     )
-
-
-def terminal_lr(base_lr: float) -> float:
-    """The rate the federated schedule ends on (two decays of 0.1)."""
-    return base_lr * 0.01
 
 
 # --- template (without-head) evaluation --------------------------------------

@@ -31,10 +31,10 @@ from .evaluation import (
     initial_accuracy,
     personalized_accuracy,
     template_accuracy,
-    terminal_lr,
 )
 from .layers import ShapeError, conv2d, dense, flatten, infer_shapes, maxpool2d, relu
 from .network import INIT_SCHEMES, InitScheme, Network, init_network
+from .optim import LRSchedule
 from .params import BlobError, ParamVector
 from .partition import PartitionError, PartitionSpec, partition, save_splits, split_client_test
 
@@ -247,7 +247,7 @@ class ExperimentConfig:
         ev = self.raw["eval"]
         if ev["lr"] is not None:
             return float(ev["lr"])
-        return terminal_lr(self.raw["federation"]["base_lr"])
+        return LRSchedule(self.raw["federation"]["base_lr"]).final_lr
 
 
 # --- builders ----------------------------------------------------------------
@@ -511,13 +511,11 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     models = client_models(state, template, alg, fl_cfg.clients)
     ev = cfg["eval"]
     out = cfg.out_dir / "eval"
-    out.mkdir(parents=True, exist_ok=True)
     lr = cfg.eval_lr()
     rule = "sequential_head_then_body" if alg.local_rule == "sequential_head_then_body" else "joint"
 
     reports: dict[str, EvalReport] = {}
     reports["initial"] = initial_accuracy(models, template, data)
-    write_eval_report(out, "initial", reports["initial"], chash)
     for tf in ev["finetune_epochs"]:
         if tf == 0:  # no fine-tuning: the initial accuracies, reported for ``part``
             initial = reports["initial"]
@@ -529,15 +527,16 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
                 models, template, data, ev["part"], tf, lr, cfg.seed,
                 fl_cfg.batch_size, fl_cfg.momentum, rule,
             )
-        key = f"personalized_tf{tf}"
-        reports[key] = rep
-        write_eval_report(out, key, rep, chash)
+        reports[f"personalized_tf{tf}"] = rep
     if ev["template"]:
         reports["template"] = template_accuracy(models, template, data)
-        write_eval_report(out, "template", reports["template"], chash)
     if cfg["partition"]["test_mode"] == "global":  # the one mode with out-of-class samples
-        rep_in, rep_out = in_out_class_accuracy(models, template, data)
-        reports["in_class"], reports["out_class"] = rep_in, rep_out
-        write_eval_report(out, "in_class", rep_in, chash)
-        write_eval_report(out, "out_class", rep_out, chash)
+        reports["in_class"], reports["out_class"] = in_out_class_accuracy(models, template, data)
+    # the directory holds this evaluation's reports only: every report
+    # carries the same training hash, which leaves out the eval section
+    for stale in [*out.glob("*.csv"), *out.glob("*.json")]:
+        if stale.stem not in reports:
+            stale.unlink()
+    for stem, rep in reports.items():
+        write_eval_report(out, stem, rep, chash)
     return reports

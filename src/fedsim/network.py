@@ -62,7 +62,6 @@ class Network:
 
     layers: tuple[LayerSpec, ...]
     params: ParamVector
-    head_index: int
     # indices into `layers` of the parameterized layers, in segment order
     param_layers: tuple[int, ...] = field(default=())
     # layer index -> (weight view, bias view, weight slice, bias slice);
@@ -80,6 +79,11 @@ class Network:
             mid = start + int(np.prod(spec.weight_shape()))
             w = stack[:, start:mid].reshape(len(stack), *spec.weight_shape())
             self._bound[i] = (w, stack[:, mid:end], slice(start, mid), slice(mid, end))
+
+    @property
+    def head_index(self) -> int:
+        """Layer index of the head (always the last layer)."""
+        return len(self.layers) - 1
 
     @property
     def head_segment(self) -> int:
@@ -103,19 +107,20 @@ class Network:
         return w
 
     def mask_for(self, part: str) -> ParamMask:
-        """ParamMask selecting 'body', 'head', or 'full'."""
+        """ParamMask selecting 'body' (every segment before the head),
+        'head' (the last segment), or 'full'."""
         n = self.params.n_segments
         if part == "full":
             return ParamMask.full(n)
         if part == "head":
-            return ParamMask.only(n, (self.head_segment,))
+            return ParamMask(n - 1, n)
         if part == "body":
-            return ParamMask.excluding(n, (self.head_segment,))
+            return ParamMask(0, n - 1)
         raise ValueError(f"unknown part {part!r}")
 
     def with_params(self, params: ParamVector) -> "Network":
         self.params.require_same_segmentation(params)
-        return Network(self.layers, params, self.head_index, self.param_layers)
+        return Network(self.layers, params, self.param_layers)
 
 
 def _segment_bounds(layers: tuple[LayerSpec, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -200,7 +205,7 @@ def init_network(layers, scheme: InitScheme) -> Network:
     validate_layers(layers)
     param_layers, bounds = _segment_bounds(layers)
     params = ParamVector(np.zeros(bounds[-1][1], dtype=FLOAT), bounds)
-    net = Network(layers, params, len(layers) - 1, param_layers)
+    net = Network(layers, params, param_layers)
     rng = np.random.default_rng(scheme.seed)
     for i in param_layers:
         layer_scheme = scheme.scheme

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,11 @@ class LRSchedule:
             return self.base_lr
         if update_index < (3 * self.total_updates) // 4:
             return self.base_lr * 0.1
+        return self.final_lr
+
+    @property
+    def final_lr(self) -> float:
+        """The rate of the last quarter, after both decays."""
         return self.base_lr * 0.1**2
 
 
@@ -49,7 +54,8 @@ def sgd_step(
     mask: ParamMask,
     prox: tuple[float, ParamVector] | None = None,
 ) -> None:
-    """One masked momentum-SGD step, in place.
+    """One masked momentum-SGD step, in place, on the scalars of ``mask``'s
+    segment range.
 
     Masked-out segments (and their momentum buffers) are left bit-untouched.
     With ``prox=(mu, anchor)`` the effective gradient on masked-in segments
@@ -57,33 +63,20 @@ def sgd_step(
     its own client: its own gradient, momentum buffer and anchor row.
     """
     params.require_same_segmentation(grads)
-    mask.check(params)
+    part = mask.scalars(params)
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
     lr32 = FLOAT(lr)
     m32 = FLOAT(opt.momentum)
-    mu32 = None
+    p = params.data[..., part]
+    g = grads.data[..., part]
     if prox is not None:
         mu, anchor = prox
         if mu < 0:
             raise ValueError("proximal coefficient must be non-negative")
         params.require_same_segmentation(anchor)
-        mu32 = FLOAT(mu)
-    # masked-in segments merged into contiguous ranges; the update is
-    # elementwise, so the bits equal those of a loop over segments
-    runs: list[list[int]] = []
-    for i in mask.selected():
-        start, end = params.bounds[i]
-        if runs and runs[-1][1] == start:
-            runs[-1][1] = end
-        else:
-            runs.append([start, end])
-    for start, end in runs:
-        p = params.data[..., start:end]
-        g = grads.data[..., start:end]
-        if mu32 is not None:
-            g = g + mu32 * (p - prox[1].data[..., start:end])
-        buf = opt.buffers.data[..., start:end]
-        buf *= m32
-        buf += g
-        p -= lr32 * buf
+        g = g + FLOAT(mu) * (p - anchor.data[..., part])
+    buf = opt.buffers.data[..., part]
+    buf *= m32
+    buf += g
+    p -= lr32 * buf

@@ -123,32 +123,31 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class ParamMask:
-    """Per-layer boolean selection over a ParamVector's segments.
-
-    ``include[i]`` says whether segment ``i`` is touched by an update or
-    an aggregation; excluded segments must come out bit-identical.
+    """One part of a network: the segments ``[first, stop)`` of a
+    ParamVector, a contiguous run of scalars. Updates and aggregations touch
+    only these; every other segment must come out bit-identical.
     """
 
-    include: tuple[bool, ...]
+    first: int
+    stop: int
 
     @classmethod
     def full(cls, n_segments: int) -> "ParamMask":
-        return cls((True,) * n_segments)
-
-    @classmethod
-    def only(cls, n_segments: int, indices: tuple[int, ...]) -> "ParamMask":
-        return cls(tuple(i in indices for i in range(n_segments)))
-
-    @classmethod
-    def excluding(cls, n_segments: int, indices: tuple[int, ...]) -> "ParamMask":
-        return cls(tuple(i not in indices for i in range(n_segments)))
+        return cls(0, n_segments)
 
     def check(self, params: ParamVector) -> None:
-        if len(self.include) != params.n_segments:
+        if not 0 <= self.first <= self.stop <= params.n_segments:
             raise SegmentationError(
-                f"mask covers {len(self.include)} segments, "
+                f"mask covers segments [{self.first}, {self.stop}), "
                 f"params have {params.n_segments}"
             )
 
     def selected(self) -> tuple[int, ...]:
-        return tuple(i for i, inc in enumerate(self.include) if inc)
+        return tuple(range(self.first, self.stop))
+
+    def scalars(self, params: ParamVector) -> slice:
+        """The range's scalars: a slice of the last axis of ``params.data``."""
+        self.check(params)
+        if self.first == self.stop:
+            return slice(0, 0)
+        return slice(params.bounds[self.first][0], params.bounds[self.stop - 1][1])

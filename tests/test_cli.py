@@ -2,6 +2,7 @@
 exit codes, and sweep consolidation."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,19 @@ def test_eval_tf0_reuses_initial_accuracies(tmp_path, monkeypatch):
     assert rows["initial"] == rows["personalized_tf0"]
     summary = json.loads((out / "eval" / "personalized_tf0.json").read_text())
     assert summary["part"] == "body" and summary["finetune_epochs"] == 0
+
+
+def test_eval_leaves_only_its_own_reports(tmp_path):
+    cfg_path, out = tiny_config(tmp_path)  # tau_f [0, 1] and the template report
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg["eval"] = {"finetune_epochs": [2], "part": "full", "template": False}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    assert sorted(p.name for p in (out / "eval").iterdir()) == [
+        "initial.csv", "initial.json", "personalized_tf2.csv", "personalized_tf2.json",
+    ]
 
 
 def test_eval_topology_mismatch_exits_2(tmp_path):
@@ -447,7 +461,6 @@ def test_train_has_no_jobs_flag(tmp_path):
 
 def make_idx_dataset(tmp_path, n_train=240, n_test=80, side=8, classes=4):
     """Synthesize a small IDX image/label pair with class-dependent patterns."""
-    import struct
 
     def write_pair(stem, n, seed):
         rng = np.random.default_rng(seed)
@@ -482,7 +495,7 @@ def test_conv_net_on_idx_dataset_end_to_end(tmp_path):
     assert 0.0 <= summary["mean"] <= 1.0
 
 
-def idx_config(tmp_path, name, train_images=None):
+def idx_config(tmp_path, name, train_images=None, **overrides):
     """A tiny conv2 config on a fresh IDX dataset; returns (config, out, train images)."""
     (ti, tl), (vi, vl) = make_idx_dataset(tmp_path)
     ti = train_images or ti
@@ -492,6 +505,7 @@ def idx_config(tmp_path, name, train_images=None):
             "dataset": {"kind": "idx", "train_images": ti, "train_labels": tl,
                         "test_images": vi, "test_labels": vl},
             "network": {"kind": "conv2", "channels": [4], "kernel": 3, "padding": 1, "pool": 2},
+            **overrides,
         },
     )
     return cfg_path, out, Path(ti)
@@ -509,6 +523,47 @@ def test_truncated_idx_header_exits_2_naming_it(tmp_path, capsys):
     train_images.write_bytes(train_images.read_bytes()[:10])
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "train-images.idx: truncated header" in capsys.readouterr().err
+
+
+def _eval_under_another_config(tmp_path):
+    cfg_path, out = tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    other, _ = tiny_config(tmp_path, name="other", out=str(out), **{"federation.rounds": 2})
+    return ["eval", "--config", str(other)]
+
+
+def _train_on_damaged_labels(tmp_path, damage):
+    cfg_path, _, _ = idx_config(tmp_path, "labels")
+    labels = tmp_path / "train-labels.idx"  # 240 labels
+    labels.write_bytes(damage(labels.read_bytes()))
+    return ["train", "--config", str(cfg_path)]
+
+
+_EXIT_2_CASES = {
+    "checkpoint_of_another_config": (
+        _eval_under_another_config, "checkpoint was trained under a different config"),
+    "label_header_short": (
+        lambda t: _train_on_damaged_labels(t, lambda b: b[:6]),
+        "train-labels.idx: truncated header"),
+    "label_magic_bad": (
+        lambda t: _train_on_damaged_labels(t, lambda b: struct.pack(">I", 0x802) + b[4:]),
+        "train-labels.idx: bad magic 0x00000802"),
+    "label_count_differs": (
+        lambda t: _train_on_damaged_labels(t, lambda b: b[:4] + struct.pack(">I", 239) + b[8:-1]),
+        "count mismatch: 240 images vs 239 labels"),
+    "kernel_larger_than_image": (
+        lambda t: ["train", "--config", str(idx_config(t, "kernel", **{"network.kernel": 11})[0])],
+        "conv2d kernel 11 too large for (1, 8, 8)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXIT_2_CASES))
+def test_input_fault_exits_2_naming_its_cause(tmp_path, capsys, case):
+    build, cause = _EXIT_2_CASES[case]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_dirichlet_federation_end_to_end(tmp_path):

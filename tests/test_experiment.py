@@ -50,6 +50,15 @@ def test_partial_overrides_merge():
     assert cfg["federation"]["batch_size"] == 50  # untouched default
 
 
+@pytest.mark.parametrize("base_lr", [0.1, 0.05, 0.3, 0.07])
+def test_default_eval_lr_is_the_schedules_last_rate(base_lr):
+    cfg = minimal(federation={"base_lr": base_lr})
+    assert cfg["eval"]["lr"] is None
+    schedule = fs.LRSchedule(base_lr, 40)
+    assert cfg.eval_lr() == schedule.lr_at(39)  # exactly, in float64
+    assert minimal(federation={"base_lr": base_lr}, eval={"lr": 0.02}).eval_lr() == 0.02
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         minimal(federation={"alg": "fedavg"})

@@ -5,6 +5,7 @@ import pytest
 
 import fedsim as fs
 from fedsim.layers import ShapeError
+from fedsim.network import INIT_SCHEMES
 from fedsim.params import BlobError, ParamVector
 
 
@@ -53,6 +54,40 @@ def test_biases_start_at_zero():
     for layer_idx in net.param_layers:
         _, b = net.layer_params(layer_idx)
         assert np.all(b == 0)
+
+
+INIT_CHAINS = {
+    "tall_dense": [fs.dense(4, 12)],
+    "wide_dense": [fs.dense(12, 4)],
+    "conv": [fs.conv2d(2, 3, 3, padding=1), fs.relu(), fs.flatten(), fs.dense(48, 3)],
+}
+
+
+@pytest.mark.parametrize("layers", INIT_CHAINS.values(), ids=INIT_CHAINS.keys())
+@pytest.mark.parametrize("scheme", INIT_SCHEMES)
+def test_init_scheme_draws_on_each_layer_shape(scheme, layers):
+    net, again, other = (fs.init_network(layers, fs.InitScheme(scheme, s)) for s in (3, 3, 4))
+    assert net.params.data.tobytes() == again.params.data.tobytes()
+    assert net.params.data.tobytes() != other.params.data.tobytes()
+    for layer_idx in net.param_layers:
+        assert not np.any(net.layer_params(layer_idx)[1])
+    # the first layer: the head of a one-layer chain, a conv body layer otherwise
+    first = net.param_layers[0]
+    w = net.layer_params(first)[0].astype(np.float64)
+    flat = w.reshape(len(w), -1)
+    fan_in, fan_out = flat.shape[1], w.shape[0] * int(np.prod(w.shape[2:]))
+    drawn = "he_uniform" if scheme == "similar" and first != net.head_index else scheme
+    if drawn in ("he_uniform", "xavier_uniform"):
+        bound = np.sqrt(2.0) * np.sqrt(
+            3.0 / fan_in if drawn == "he_uniform" else 6.0 / (fan_in + fan_out)
+        )
+        assert bound / 2 < np.abs(flat).max() <= bound * (1 + 1e-6)
+    elif drawn == "orthogonal":  # columns of a tall matrix, rows of a wide one
+        gram = flat.T @ flat if flat.shape[0] >= flat.shape[1] else flat @ flat.T
+        np.testing.assert_allclose(gram, np.eye(len(gram)), atol=1e-5)
+    elif drawn == "similar":
+        np.testing.assert_allclose(np.linalg.norm(flat, axis=1), 1.0, atol=1e-6)
+        assert np.all(flat > 0)
 
 
 def test_invalid_layer_chain_rejected():
@@ -201,9 +236,10 @@ def test_body_head_masks_partition(mlp_net):
     body = mlp_net.mask_for("body")
     head = mlp_net.mask_for("head")
     full = mlp_net.mask_for("full")
-    assert tuple(a or b for a, b in zip(body.include, head.include)) == full.include
-    assert not any(a and b for a, b in zip(body.include, head.include))
-    assert head.include[mlp_net.head_segment]
+    # body then head, disjoint, cover every segment
+    assert body.selected() + head.selected() == full.selected()
+    assert full.selected() == tuple(range(mlp_net.params.n_segments))
+    assert head.selected() == (mlp_net.head_segment,)
 
 
 def test_representations_are_head_inputs(mlp_net, rng):

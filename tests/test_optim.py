@@ -68,41 +68,46 @@ def test_masked_out_segment_bit_unchanged():
     before = params.segment(1).tobytes()
     grads = vec([1, 1, 1, 1, 1], bounds)
     opt = OptState.for_params(params)
-    mask = ParamMask((True, False))
+    mask = ParamMask(0, 1)
     for _ in range(25):
         sgd_step(params, grads, opt, 0.05, mask)
     assert params.segment(1).tobytes() == before
     assert not np.array_equal(params.segment(0), np.float32([1, 2, 3]))
 
 
-@given(
-    st.lists(st.booleans(), min_size=1, max_size=4),
-    st.integers(min_value=1, max_value=10),
-)
+@st.composite
+def segment_ranges(draw, max_segments):
+    """(segment count n, mask) with 0 <= first <= stop <= n."""
+    n = draw(st.integers(min_value=1, max_value=max_segments))
+    first = draw(st.integers(min_value=0, max_value=n))
+    return n, ParamMask(first, draw(st.integers(min_value=first, max_value=n)))
+
+
+@given(segment_ranges(4), st.integers(min_value=1, max_value=10))
 @settings(max_examples=40, deadline=None)
-def test_mask_isolation_property(include, steps):
+def test_mask_isolation_property(n_and_mask, steps):
+    n, mask = n_and_mask
     rng = np.random.default_rng(7)
-    sizes = [3] * len(include)
-    bounds = tuple((i * 3, (i + 1) * 3) for i in range(len(include)))
-    params = ParamVector(rng.normal(size=sum(sizes)).astype(np.float32), bounds)
-    snapshots = [params.segment(i).tobytes() for i in range(len(include))]
+    bounds = tuple((i * 3, (i + 1) * 3) for i in range(n))
+    params = ParamVector(rng.normal(size=3 * n).astype(np.float32), bounds)
+    snapshots = [params.segment(i).tobytes() for i in range(n)]
     opt = OptState.for_params(params)
-    mask = ParamMask(tuple(include))
     for _ in range(steps):
-        grads = ParamVector(rng.normal(size=sum(sizes)).astype(np.float32), bounds)
+        grads = ParamVector(rng.normal(size=3 * n).astype(np.float32), bounds)
         sgd_step(params, grads, opt, 0.1, mask)
-    for i, inc in enumerate(include):
-        if not inc:
+    for i in range(n):
+        if i not in mask.selected():
             assert params.segment(i).tobytes() == snapshots[i]
 
 
-@given(st.lists(st.booleans(), min_size=1, max_size=6), st.booleans())
+@given(segment_ranges(6), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_masked_step_matches_per_segment_reference(include, with_prox):
-    # the step updates contiguous runs of segments at once; a loop over the
-    # masked-in segments must give the same bits
+def test_masked_step_matches_per_segment_reference(n_and_mask, with_prox):
+    # the step updates the range's scalars at once; a loop over its
+    # segments must give the same bits
+    n, mask = n_and_mask
     rng = np.random.default_rng(11)
-    sizes = rng.integers(1, 5, size=len(include))
+    sizes = rng.integers(1, 5, size=n)
     ends = np.cumsum(sizes)
     bounds = tuple((int(e - n), int(e)) for n, e in zip(sizes, ends))
     params = ParamVector(rng.normal(size=int(ends[-1])).astype(np.float32), bounds)
@@ -113,8 +118,8 @@ def test_masked_step_matches_per_segment_reference(include, with_prox):
     lr, m, mu = np.float32(0.1), np.float32(0.9), np.float32(0.3)
     for _ in range(3):
         grads = ParamVector(rng.normal(size=int(ends[-1])).astype(np.float32), bounds)
-        sgd_step(params, grads, opt, 0.1, ParamMask(tuple(include)), prox)
-        for i in (i for i, inc in enumerate(include) if inc):
+        sgd_step(params, grads, opt, 0.1, mask, prox)
+        for i in mask.selected():
             p, g, buf = ref.segment(i), grads.segment(i), ref_buf.segment(i)
             if with_prox:
                 g = g + mu * (p - anchor.segment(i))

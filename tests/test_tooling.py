@@ -1,0 +1,26 @@
+"""The test run's own configuration."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+
+
+def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
+    # hypothesis's failure report must not turn a warning into an internal
+    # error under the configured ``filterwarnings``: the next test still runs
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "1 failed, 1 passed" in run.stdout, run.stdout + run.stderr
