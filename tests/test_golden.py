@@ -2,8 +2,8 @@
 train+eval runs, pinned in ``golden.json``.
 
 A refactor that means to change nothing must leave these green. The hashes
-depend on the numpy/BLAS build that produced them, which the fixture
-records; a mismatch names both builds. A change that moves bits on purpose
+depend on the numpy/BLAS build and the BLAS kernel that produced them,
+which the fixture records; a mismatch names both builds and both kernels. A change that moves bits on purpose
 regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
@@ -11,6 +11,7 @@ regenerates the fixture with
 and says why in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -56,6 +57,9 @@ IDX_PATHS = {
     "test_labels": "data/test-labels.idx",
 }
 
+# clients of 50/84/64/42 samples, so batches of 10 leave partial batches of 4 and 2
+DIRICHLET = {"mode": "dirichlet", "beta": 0.5}
+
 # name -> dotted overrides of BASE; lg-fedavg's plan includes its second phase
 CASES = {
     **{alg: {"federation.algorithm": alg} for alg in sorted(ALGORITHMS)},
@@ -80,15 +84,34 @@ CASES = {
         "dataset": {"kind": "idx", **IDX_PATHS},
         "network": {"kind": "conv2", "channels": [4, 6], "kernel": 3, "padding": 1, "pool": 2},
     },
+    **{
+        f"{alg}-dirichlet": {"federation.algorithm": alg, "partition": dict(DIRICHLET)}
+        for alg in ("ditto", "fedprox", "fedrep", "perfedavg")
+    },
 }
 
 
+def blas_kernel() -> str:
+    """The core OpenBLAS chose at run time (``OPENBLAS_CORETYPE`` can force
+    another), read from the library numpy bundles; "unknown" elsewhere."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def build_facts() -> dict:
-    """The numpy/BLAS build the hashes depend on."""
+    """The numpy/BLAS build and BLAS kernel the hashes depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_kernel": blas_kernel(),
         "machine": platform.machine(),
     }
 
@@ -159,8 +182,9 @@ def test_golden_bits(name, golden, tmp_path, monkeypatch):
         pytest.fail(
             f"{name}: artifacts differ from the golden hashes: {changed}. "
             f"The fixture was recorded under {golden['build']}; this run uses "
-            f"{build_facts()}. A different numpy/BLAS build can move bits on its "
-            f"own; under the same build, the code changed behaviour."
+            f"{build_facts()}. A different numpy/BLAS build or BLAS kernel can "
+            f"move bits on its own; under the same build and kernel, the code "
+            f"changed behaviour."
         )
 
 
