@@ -31,16 +31,16 @@ LG_LR = 0.001  # constant learning rate of the LG-FedAvg second phase
 
 
 class FederationError(RuntimeError):
-    pass
+    """A run that cannot go on. ``member``, where known, is the row, in its
+    lockstep group's stack, of the client it happened to."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class NumericError(FederationError):
-    """Loss or parameters stopped being finite. ``member`` is the row, in
-    its lockstep group's stack, of the client it happened to."""
-
-    def __init__(self, message: str, member: int = 0):
-        super().__init__(message)
-        self.member = member
+    """Loss or parameters stopped being finite."""
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -127,12 +127,12 @@ class FederatedData:
     splits: list[ClientSplit]
 
     def client_train(self, client_id: int) -> LabeledDataset:
-        return self.group_train((client_id,))
+        return self.train.subset(self.splits[client_id].train_indices)
 
-    def group_train(self, client_ids: tuple[int, ...]) -> LabeledDataset:
-        """The train sets of a lockstep group, one after another."""
+    def group_train(self, client_ids: tuple[int, ...]) -> tuple[LabeledDataset, list[int]]:
+        """The train sets of a lockstep group, one after another, and their sizes."""
         every = [self.splits[cid].train_indices for cid in client_ids]
-        return self.train.subset(np.concatenate(every))
+        return self.train.subset(np.concatenate(every)), [len(idx) for idx in every]
 
     def client_test(self, client_id: int) -> LabeledDataset:
         return self.test.subset(self.splits[client_id].test_indices)
@@ -168,24 +168,22 @@ GROUP_BYTES = 2 << 20
 
 
 def client_groups(
-    data: FederatedData, client_ids, template: Network, batch_size: int
+    data: FederatedData, client_ids, template: Network, batch_size: int, tracks: int = 1
 ) -> list[tuple[int, ...]]:
-    """Lockstep groups of ``client_ids``: clients of one train-set size, in
-    ascending id order, as many as fit in GROUP_BYTES; groups come in the
-    order of their first id. A client's step is counted from the shapes:
-    every layer's output plus each conv's im2col column matrix."""
+    """Lockstep groups of ``client_ids``, of any train-set sizes: ascending
+    ids, cut into runs of as many clients as fit in GROUP_BYTES. The cap
+    counts stacked rows, ``tracks`` per client (Ditto stacks two). A row's
+    step is counted from the shapes at a full batch: every layer's output
+    plus each conv's im2col column matrix."""
     shapes = infer_shapes(template.layers, data.train.sample_shape)
     per_sample = sum(math.prod(s) for s in shapes)
     for spec, out in zip(template.layers, shapes):
         if spec.kind == "conv2d":
             per_sample += math.prod(out[1:]) * spec.in_channels * spec.kernel**2
-    cap = max(1, GROUP_BYTES // (FLOAT().itemsize * batch_size * per_sample))
-    by_size: dict[int, list[int]] = {}
-    for cid in sorted(client_ids):
-        by_size.setdefault(len(data.splits[cid].train_indices), []).append(cid)
-    return sorted(
-        tuple(ids[i : i + cap]) for ids in by_size.values() for i in range(0, len(ids), cap)
-    )
+    rows = GROUP_BYTES // (FLOAT().itemsize * batch_size * per_sample)
+    cap = max(1, rows // tracks)
+    ids = sorted(client_ids)
+    return [tuple(ids[i : i + cap]) for i in range(0, len(ids), cap)]
 
 
 def _joint_step(net: Network, ds: LabeledDataset, batch: np.ndarray):
@@ -216,6 +214,19 @@ def _perfedavg_step(alpha: float):
     return step
 
 
+def _rows(v: ParamVector, rows) -> ParamVector:
+    """Rows of a stack: a view for a slice, a copy for an index array."""
+    return ParamVector(v.data[rows], v.bounds)
+
+
+def _sgd_rows(params, grads, opt: OptState, lr, mask, rows: slice, prox=None) -> None:
+    """``sgd_step`` on a slice of the rows of a stack, in place."""
+    sgd_step(
+        _rows(params, rows), _rows(grads, rows),
+        OptState(_rows(opt.buffers, rows), opt.momentum), lr[rows], mask, prox,
+    )
+
+
 def train_epochs(
     ds: LabeledDataset,
     params: ParamVector,
@@ -227,57 +238,122 @@ def train_epochs(
     lr_fn,
     rng,
     prox: tuple[float, ParamVector] | None = None,
-    update_offset: int = 0,
+    update_offset=0,
     step=_joint_step,
     on_epoch=None,
+    sizes=None,
 ) -> list[list[float]]:
     """Minibatch momentum SGD over `epochs`, updating `part` of `params` in
     place: the one training loop behind every local, server-side,
     fine-tuning and centralized update.
 
-    ``params`` is an (M, P) stack of a lockstep group, M clients of one
-    train-set size whose train sets ``ds`` holds one after another, with
+    ``params`` is an (M, P) stack of a lockstep group, M clients whose train
+    sets ``ds`` holds one after another, ``sizes`` samples each, with
     ``rng`` a list of M generators. A single vector with one generator is a
-    group of one. Each step runs one forward, one backward and one
-    ``sgd_step`` for the whole group. Each client draws its batches from its
-    own generator and has its own momentum buffer, prox anchor (a row of
-    ``prox[1]``) and losses, so its bits do not depend on its group.
+    group of one. The clients step by step index: at step s every client
+    with a step left runs its own s-th step. Those whose batch has one size
+    run as one subgroup: one forward, one backward and one ``sgd_step``. A
+    subgroup that is the whole stack, as every one is when the sizes are
+    equal, trains in place; any other has its rows gathered and written
+    back. Each client draws an epoch's permutation from its own generator
+    when its epoch starts, and has its own momentum buffer and losses, so
+    its bits do not depend on its group.
 
-    ``lr_fn`` maps the update counter (starting at ``update_offset``) to a
-    learning rate; the group shares it, since a client's schedule depends
-    only on its train-set size. ``step`` maps (net, ds, (M, b) batch
-    indices) to (losses, grads); ``on_epoch`` is called with the optimizer
-    state after each epoch. Momentum starts at zero and carries across the
-    epochs of one call. Returns each client's per-step losses.
+    ``lr_fn`` maps a client's update counter, which starts at
+    ``update_offset``, to its rate; either may be one per client.
+    ``prox=(mu, anchor)`` pulls the last len(anchor) rows toward their rows
+    of ``anchor``; rows before them (Ditto's global track) take no prox
+    term. ``step`` maps (net, ds, (M, b) batch indices) to (losses, grads);
+    ``on_epoch(opt, row)`` is called as client ``row`` ends an epoch.
+    Momentum starts at zero and carries across the epochs of one call.
+    Returns each client's per-step losses.
     """
     stack = params.as_stack()
+    m = len(stack.data)
     rngs = list(rng) if params.data.ndim == 2 else [rng]
-    m = len(rngs)
-    if stack.data.shape[0] != m or len(ds) % m:
-        raise ValueError(f"{len(ds)} samples and {m} generators do not fit {m} clients")
-    n = len(ds) // m
+    n = np.array([len(ds)] if sizes is None else sizes, dtype=np.int64)
+    if len(rngs) != m or len(n) != m or n.sum() != len(ds):
+        raise ValueError(
+            f"{len(ds)} samples, {len(n)} sizes and {len(rngs)} generators do not fit {m} clients"
+        )
+    if (n == 0).any():
+        raise FederationError("client has no training data", int(np.argmin(n)))
+    lr_fns = [lr_fn] * m if callable(lr_fn) else list(lr_fn)
+    offsets = np.broadcast_to(update_offset, m).tolist()
     net = template.with_params(stack)
     mask = template.mask_for(part)
     opt = OptState.for_params(stack, momentum)
+    free = m  # rows before the first one with a prox term
     if prox is not None:
-        prox = (prox[0], prox[1].as_stack())
+        mu, anchor = prox[0], prox[1].as_stack()
+        free = m - len(anchor.data)
+
+    # the whole schedule, as (steps, M) tables: a client with no step left
+    # has batch size 0
+    ipe = -(-n // batch_size)
+    steps = epochs * ipe
+    index = np.arange(steps.max())[:, None]
+    t = index % ipe
+    live = index < steps
+    size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
+    first = np.cumsum(n) - n
+    start = first + t * batch_size  # where each batch starts in `order`
+    rate = np.zeros(size.shape, FLOAT)
+    for r, (fn, offset) in enumerate(zip(lr_fns, offsets)):
+        rate[: steps[r], r] = [fn(offset + s) for s in range(steps[r])]
+
+    def rows_by_step(where) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for s, r in zip(*np.nonzero(live & where)):
+            out.setdefault(int(s), []).append(int(r))
+        return out
+
+    draws, ends = rows_by_step(t == 0), rows_by_step(t == ipe - 1)  # epoch starts, ends
+    order = np.empty(len(ds), np.int64)  # each client's epoch permutation, as ds rows
+    within = np.arange(batch_size)
+    plans: dict[bytes, list] = {}  # a step's batch sizes -> (b, rows, first prox row)
     losses: list[list[float]] = [[] for _ in range(m)]
-    first = (np.arange(m) * n)[:, None]  # each client's first row in ds
-    u = update_offset
-    for _ in range(epochs):
-        orders = np.array([r.permutation(n) for r in rngs]) + first
-        for t in range(iterations_per_epoch(n, batch_size)):
-            loss, grads = step(net, ds, orders[:, t * batch_size : (t + 1) * batch_size])
+    for s in range(len(index)):
+        for r in draws.get(s, ()):
+            order[first[r] : first[r] + n[r]] = rngs[r].permutation(n[r]) + first[r]
+        key = size[s].tobytes()
+        if key not in plans:
+            plans[key] = []
+            for b in np.unique(size[s][live[s]]).tolist():
+                ids = np.flatnonzero(size[s] == b)
+                plans[key].append((b, ids, int(np.searchsorted(ids, free))))
+        for b, ids, k in plans[key]:
+            whole = len(ids) == m  # the stack itself, with no rows to gather
+            sub = stack if whole else _rows(stack, ids)
+            sub_opt = opt if whole else OptState(_rows(opt.buffers, ids), momentum)
+            try:
+                loss, grads = step(
+                    net if whole else template.with_params(sub), ds,
+                    order[start[s, ids, None] + within[:b]],
+                )
+            except FederationError as e:  # the whole subgroup has the batch size it failed on
+                raise FederationError(str(e), int(ids[0])) from e
             values = loss.tolist()
             if not all(map(math.isfinite, values)):
-                member = next(i for i, v in enumerate(values) if not math.isfinite(v))
-                raise NumericError(f"non-finite loss at local update {u}", member)
-            sgd_step(stack, grads, opt, lr_fn(u), mask, prox)
-            for client_losses, value in zip(losses, values):
-                client_losses.append(value)
-            u += 1
+                r = int(ids[next(i for i, v in enumerate(values) if not math.isfinite(v))])
+                raise NumericError(f"non-finite loss at local update {offsets[r] + s}", r)
+            lr = rate[s, ids, None]
+            pull = None
+            if k < len(ids):
+                pull = (mu, anchor if whole else _rows(anchor, ids[k:] - free))
+            if k in (0, len(ids)):
+                sgd_step(sub, grads, sub_opt, lr, mask, pull)
+            else:  # only rows [k:] take the prox term: mu = 0 could turn x into -0.0
+                _sgd_rows(sub, grads, sub_opt, lr, mask, slice(k))
+                _sgd_rows(sub, grads, sub_opt, lr, mask, slice(k, None), pull)
+            if not whole:
+                stack.data[ids] = sub.data
+                opt.buffers.data[ids] = sub_opt.buffers.data
+            for r, value in zip(ids.tolist(), values):
+                losses[r].append(value)
         if on_epoch is not None:
-            on_epoch(opt)
+            for r in ends.get(s, ()):
+                on_epoch(opt, r)
     return losses
 
 
@@ -293,42 +369,63 @@ def local_update(
     rng,
     mu: float = 0.0,
     perfedavg_alpha: float = 0.01,
+    sizes=None,
+    personal: tuple[float, ParamVector, list] | None = None,
 ) -> tuple[ParamVector, float | list[float]]:
     """One client's local pass under ``alg``'s local rule; returns (final
     params, mean minibatch loss). The one place a local rule becomes
     ``train_epochs`` calls, for federated rounds and for evaluation's
     fine-tunes alike. Given a lockstep group (see ``train_epochs``: an
-    (M, P) stack and M generators), it returns the group's stack and one
-    mean loss per client.
+    (M, P) stack, ``sizes`` and M generators, and ``lr_fn`` shared or one
+    per client), it returns the group's stack and one mean loss per client.
 
     'sequential_head_then_body' (FedRep) trains the head for every epoch,
     then the body for one more epoch that reuses the final head epoch's
-    schedule positions. Momentum buffers are created fresh here: optimizer
-    state is never communicated between rounds.
+    schedule positions, (tau - 1) * I of each client. Under 'ditto', a
+    group's ``personal=(lam, theta_personal, rngs)`` runs the personal track
+    in the same stack: M more rows after the global ones, on the same data,
+    each pulled toward its client's start with weight ``lam``. The stack
+    returned then holds both tracks, global rows first; the mean losses
+    stay the global track's.
+    Momentum buffers are created fresh here: optimizer state is never
+    communicated between rounds.
     """
-    if len(client_ds) == 0:
-        raise FederationError("client has no training data")
     params = theta_start.copy()
+    sizes = [len(client_ds)] if sizes is None else list(sizes)
     args = (batch_size, momentum, lr_fn, rng)
     if alg.local_rule == "sequential_head_then_body":
-        losses = train_epochs(client_ds, params, template, "head", local_epochs, *args)
+        losses = train_epochs(
+            client_ds, params, template, "head", local_epochs, *args, sizes=sizes
+        )
         if local_epochs > 0:  # the body epoch starts at offset (tau - 1) * I
-            n = len(client_ds) // len(losses)
             body = train_epochs(
-                client_ds, params, template, "body", 1, *args,
-                update_offset=(local_epochs - 1) * iterations_per_epoch(n, batch_size),
+                client_ds, params, template, "body", 1, *args, sizes=sizes,
+                update_offset=[(local_epochs - 1) * iterations_per_epoch(n, batch_size)
+                               for n in sizes],
             )
             losses = [head + tail for head, tail in zip(losses, body)]
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
+        prox = (mu, theta_start) if alg.local_rule == "proximal" else None
+        clients = len(sizes)
+        if alg.local_rule == "ditto" and personal is not None:
+            lam, theta_personal, personal_rng = personal
+            params = ParamVector(
+                np.concatenate([params.data, theta_personal.data]), params.bounds
+            )
+            client_ds = client_ds.subset(np.tile(np.arange(len(client_ds)), 2))
+            sizes = sizes * 2
+            lr_fn = list(lr_fn) * 2
+            rng = [*rng, *personal_rng]
+            prox = (lam, theta_start)
         losses = train_epochs(
-            client_ds, params, template, alg.update_part, local_epochs, *args,
-            prox=(mu, theta_start) if alg.local_rule == "proximal" else None,
+            client_ds, params, template, alg.update_part, local_epochs,
+            batch_size, momentum, lr_fn, rng, prox=prox, sizes=sizes,
             step=(
                 _perfedavg_step(perfedavg_alpha)
                 if alg.local_rule == "perfedavg_fo"
                 else _joint_step
             ),
-        )
+        )[:clients]
     else:
         raise FederationError(f"unknown local rule {alg.local_rule!r}")
     means = [float(np.mean(client)) if client else float("nan") for client in losses]
@@ -347,8 +444,9 @@ def ditto_update(
     batch_size: int = 50,
     momentum: float = 0.9,
 ) -> ParamVector:
-    """Personal-model step: local loss plus (lam/2)||theta - theta_global||^2.
-    Runs a lockstep group as ``train_epochs`` does."""
+    """One client's personal-model step alone: local loss plus
+    (lam/2)||theta - theta_global||^2. Federated rounds run it beside the
+    global track, through ``local_update``'s ``personal``."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     params = theta_personal.copy()
@@ -432,6 +530,16 @@ def init_state(template: Network) -> FederationState:
     return FederationState(template.params.copy(), template.params.copy())
 
 
+def _round_rate(cfg: FLConfig, k: int, n_samples: int):
+    """Rate function of a client of ``n_samples`` in round k: its schedule,
+    from where its earlier rounds left off."""
+    sched = client_schedule(cfg, n_samples)
+    offset = (min(k, cfg.rounds) - 1) * cfg.local_epochs * iterations_per_epoch(
+        n_samples, cfg.batch_size
+    )
+    return lambda u: sched.lr_at(offset + u)
+
+
 def _round_end_lr(cfg: FLConfig, k: int) -> float:
     """The schedule rate where round k leaves off, on the epoch grid."""
     if cfg.epoch_budget == 0:
@@ -477,54 +585,50 @@ def run_federation(
         else:
             sampled = list(range(cfg.clients))
 
+        ditto = round_alg.local_rule == "ditto"
+
         def run_group(ids: tuple[int, ...]):
             """Train a lockstep group; one (cid, theta, personal, n, loss) per client."""
             try:
-                group_ds = data.group_train(ids)
-                n = len(group_ds) // len(ids)
-                if round_alg.local_rule == "ditto":
+                group_ds, sizes = data.group_train(ids)
+                if ditto:
                     # the global track is plain FedAvg: broadcast the global
-                    # model; the personal model only enters ditto_update
+                    # model; the personal models run beside it in one stack
                     starts = ParamVector.stack([state.global_params] * len(ids))
+                    personal = (
+                        cfg.lam,
+                        ParamVector.stack(
+                            [state.client_params.get(cid, state.initial_params) for cid in ids]
+                        ),
+                        [stream(cfg.seed, _CLIENT, k, cid, 1) for cid in ids],
+                    )
                 else:
                     starts = ParamVector.stack(
                         [assemble_client_params(state, template, round_alg, cid) for cid in ids]
                     )
-                sched = client_schedule(cfg, n)
-                offset = (min(k, cfg.rounds) - 1) * cfg.local_epochs * iterations_per_epoch(
-                    n, cfg.batch_size
-                )
-                if lr_mode == "schedule":
-                    lr_fn = lambda u: sched.lr_at(offset + u)
-                else:
-                    lr_fn = lambda u: LG_LR
+                    personal = None
+                lr_fns = [
+                    _round_rate(cfg, k, n) if lr_mode == "schedule" else lambda _u: LG_LR
+                    for n in sizes
+                ]
                 rngs = [stream(cfg.seed, _CLIENT, k, cid) for cid in ids]
                 thetas, losses = local_update(
                     group_ds, starts, template, round_alg,
                     cfg.local_epochs, cfg.batch_size, cfg.momentum,
-                    lr_fn, rngs, mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
+                    lr_fns, rngs, mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
+                    sizes=sizes, personal=personal,
                 )
-                personals = [None] * len(ids)
-                if round_alg.local_rule == "ditto":
-                    personals = ditto_update(
-                        group_ds,
-                        starts,
-                        ParamVector.stack(
-                            [state.client_params.get(cid, state.initial_params) for cid in ids]
-                        ),
-                        cfg.lam, cfg.local_epochs, lr_fn,
-                        [stream(cfg.seed, _CLIENT, k, cid, 1) for cid in ids],
-                        template, cfg.batch_size, cfg.momentum,
-                    ).rows()
-                return list(zip(ids, thetas.rows(), personals, [n] * len(ids), losses))
-            except NumericError as e:
-                raise NumericError(f"round {k}, client {ids[e.member]}: {e}") from e
             except FederationError as e:
-                # anything else holds for the whole group, which shares a size
-                raise FederationError(f"round {k}, client {ids[0]}: {e}") from e
+                # a member past len(ids) is a Ditto personal row; an error
+                # without one holds for the whole group
+                who = ids if e.member is None else ids[e.member % len(ids)]
+                raise type(e)(f"round {k}, client {who}: {e}", e.member) from e
+            rows = thetas.rows()
+            personals = rows[len(ids) :] if ditto else [None] * len(ids)
+            return list(zip(ids, rows[: len(ids)], personals, sizes, losses))
 
         results = sorted(
-            (r for ids in client_groups(data, sampled, template, cfg.batch_size)
+            (r for ids in client_groups(data, sampled, template, cfg.batch_size, 1 + ditto)
              for r in run_group(ids)),
             key=lambda r: r[0],
         )  # ascending ids

@@ -107,17 +107,19 @@ def fine_tune(
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
+    sizes=None,
 ) -> ParamVector:
     """Personalization epochs on the client's train data at the constant
     rate ``lr``: ``local_update`` under the local rule ``rule``, 'joint'
     (updating ``part``) or 'sequential_head_then_body' (the head for every
     epoch, then the body for one more, as FedRep's local training does).
     Momentum buffers start fresh; finetune_epochs=0 returns a copy of the
-    input. Fine-tunes a lockstep group as ``train_epochs`` does.
+    input. Fine-tunes a lockstep group, of train sets ``sizes``, as
+    ``train_epochs`` does.
     """
     params, _ = local_update(
         client_ds, client_params, template, AlgorithmSpec("fine-tune", part, part, rule),
-        finetune_epochs, batch_size, momentum, lambda _u: lr, rng,
+        finetune_epochs, batch_size, momentum, lambda _u: lr, rng, sizes=sizes,
     )
     return params
 
@@ -134,14 +136,15 @@ def personalized_models(
     momentum: float = 0.9,
     rule: str = "joint",
 ) -> list[ParamVector]:
-    """Each client's model fine-tuned on its own train data; clients of one
-    train-set size are fine-tuned in lockstep groups."""
+    """Each client's model fine-tuned on its own train data, in lockstep
+    groups."""
     out: list = [None] * len(models)
     for ids in client_groups(data, range(len(models)), template, batch_size):
+        group_ds, sizes = data.group_train(ids)
         tuned = fine_tune(
             ParamVector.stack([models[cid] for cid in ids]), template, part,
-            finetune_epochs, lr, data.group_train(ids),
-            [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule,
+            finetune_epochs, lr, group_ds,
+            [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule, sizes,
         )
         for cid, params in zip(ids, tuned.rows()):
             out[cid] = params
@@ -299,6 +302,6 @@ def centralized_train(
     curve: list[float] = []
     train_epochs(
         train_ds, params, net, part, epochs, batch_size, momentum, sched.lr_at, rng,
-        on_epoch=lambda _opt: curve.append(accuracy(working, test_ds)),
+        on_epoch=lambda _opt, _row: curve.append(accuracy(working, test_ds)),
     )
     return curve

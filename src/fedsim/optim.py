@@ -50,7 +50,7 @@ def sgd_step(
     params: ParamVector,
     grads: ParamVector,
     opt: OptState,
-    lr: float,
+    lr,
     mask: ParamMask,
     prox: tuple[float, ParamVector] | None = None,
 ) -> None:
@@ -60,13 +60,14 @@ def sgd_step(
     Masked-out segments (and their momentum buffers) are left bit-untouched.
     With ``prox=(mu, anchor)`` the effective gradient on masked-in segments
     becomes ``g + mu * (params - anchor)``. On an (M, P) stack every row is
-    its own client: its own gradient, momentum buffer and anchor row.
+    its own client: its own gradient, momentum buffer and anchor row, and
+    ``lr`` may be an (M, 1) float32 column of per-row rates.
     """
     params.require_same_segmentation(grads)
     part = mask.scalars(params)
-    if lr < 0:
+    lr32 = np.asarray(lr, dtype=FLOAT)
+    if (lr32 < 0).any():
         raise ValueError("learning rate must be non-negative")
-    lr32 = FLOAT(lr)
     m32 = FLOAT(opt.momentum)
     p = params.data[..., part]
     g = grads.data[..., part]

@@ -61,9 +61,9 @@ def small_fed_data():
 
 def replay_clients_descending(cfg, data, template):
     """Reference for run_federation: each round's sampled clients are replayed
-    one at a time through local_update in descending id order, then
-    aggregated in ascending order. Covers single-phase federated algorithms
-    without Ditto or a server pool."""
+    one at a time through local_update (then, for Ditto, ditto_update) in
+    descending id order, then aggregated in ascending order. Covers
+    single-phase federated algorithms without a server pool."""
     from fedsim.engine import (
         assemble_client_params,
         client_schedule,
@@ -73,23 +73,36 @@ def replay_clients_descending(cfg, data, template):
     )
 
     alg = fs.get_algorithm(cfg.algorithm)
-    assert alg.federated and not alg.two_phase_lg and alg.local_rule != "ditto"
+    assert alg.federated and not alg.two_phase_lg
     assert cfg.server_share == 0
+    ditto = alg.local_rule == "ditto"
     state = init_state(template)
     for k in range(1, cfg.rounds + 1):
         sampled = fs.sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, 0, k))
-        updates = {}
+        updates, personals = {}, {}
         for cid in sorted(sampled, reverse=True):
             ds = data.client_train(cid)
             sched = client_schedule(cfg, len(ds))
             offset = (k - 1) * cfg.local_epochs * iterations_per_epoch(len(ds), cfg.batch_size)
+            lr_fn = lambda u: sched.lr_at(offset + u)
+            start = (
+                state.global_params
+                if ditto
+                else assemble_client_params(state, template, alg, cid)
+            )
             theta, _ = fs.local_update(
-                ds, assemble_client_params(state, template, alg, cid), template, alg,
+                ds, start, template, alg,
                 cfg.local_epochs, cfg.batch_size, cfg.momentum,
-                lambda u: sched.lr_at(offset + u), stream(cfg.seed, 1, k, cid),
+                lr_fn, stream(cfg.seed, 1, k, cid),
                 mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
             )
             updates[cid] = (theta, len(ds))
+            if ditto:
+                personals[cid] = fs.ditto_update(
+                    ds, start, state.client_params.get(cid, state.initial_params),
+                    cfg.lam, cfg.local_epochs, lr_fn, stream(cfg.seed, 1, k, cid, 1),
+                    template, cfg.batch_size, cfg.momentum,
+                )
         state.global_params = fs.aggregate(
             [updates[cid] for cid in sorted(updates)],
             state.global_params,
@@ -97,6 +110,6 @@ def replay_clients_descending(cfg, data, template):
         )
         if alg.persistent_part is not None:
             for cid, (theta, _) in updates.items():
-                state.client_params[cid] = theta
+                state.client_params[cid] = personals.get(cid, theta)
         state.round = k
     return state

@@ -270,7 +270,7 @@ def test_run_federation_deterministic(small_fed_data):
     assert [l.mean_loss for l in logs1] == [l.mean_loss for l in logs2]
 
 
-REPLAY_ALGORITHMS = ["fedavg", "fedbabu", "fedper", "fedrep", "fedprox", "perfedavg"]
+REPLAY_ALGORITHMS = ["fedavg", "fedbabu", "fedper", "fedrep", "fedprox", "perfedavg", "ditto"]
 
 
 def assert_matches_replay(cfg, data, net):
@@ -293,11 +293,11 @@ def test_run_federation_matches_descending_client_replay(small_fed_data, alg):
     assert_matches_replay(cfg, small_fed_data, net)
 
 
-def mixed_size_data():
-    """Seven clients whose train-set sizes both repeat and differ."""
+def mixed_size_data(sizes=(30, 45, 30, 20, 45, 30, 40)):
+    """Clients whose train-set sizes both repeat and differ."""
     data = make_federated_data()
-    order = np.random.default_rng(5).permutation(len(data.train))
-    cuts = np.cumsum([30, 45, 30, 20, 45, 30, 40])[:-1]
+    order = np.random.default_rng(5).permutation(len(data.train))[: sum(sizes)]
+    cuts = np.cumsum(sizes)[:-1]
     splits = [fs.ClientSplit(cid, np.sort(idx)) for cid, idx in enumerate(np.split(order, cuts))]
     splits = fs.split_client_test(data.train, data.test, splits, "matched", seed=0)
     return fs.FederatedData(data.train, data.test, splits)
@@ -307,9 +307,10 @@ def mixed_size_data():
 def test_run_federation_mixed_size_groups_match_descending_client_replay(alg):
     data = mixed_size_data()
     net = small_net(seed=3)
-    # every round runs two multi-client groups beside two groups of one; the
-    # 45-sample clients end each epoch on a partial batch of 5
-    assert client_groups(data, range(7), net, 10) == [(0, 2, 5), (1, 4), (3,), (6,)]
+    # one group of every size: the 20-sample client has run both its epochs
+    # by step index 4, and the 45-sample clients end each epoch on a partial
+    # batch of 5, which steps as a subgroup of its own
+    assert client_groups(data, range(7), net, 10) == [tuple(range(7))]
     cfg = fs.FLConfig(
         clients=7, fraction=1.0, local_epochs=2, rounds=3, batch_size=10,
         algorithm=alg, mu=0.05, seed=19,
@@ -416,48 +417,54 @@ def test_total_rounds_lg_extension():
 # --- lockstep groups ----------------------------------------------------------
 
 
-def _train_stack_and_separately(net, m, n, batch_size, epochs, part, use_prox, meta, seed):
-    """train_epochs on an (m, P) stack and on each of its m clients alone:
-    (stacked, separate) lists of (params bytes, momentum bytes per epoch,
-    losses) per client."""
+def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, meta, seed):
+    """train_epochs on an (m, P) stack of clients of ``sizes`` samples, each
+    with its own rate function and update offset and the last ``pulled``
+    with a prox term, and on each client alone: (stacked, separate) lists
+    of (params bytes, momentum bytes per epoch, losses) per client."""
+    m = len(sizes)
     rng = np.random.default_rng(seed)
     shape = (2, 4, 4) if net.layers[0].kind == "conv2d" else (net.layers[0].fan_in,)
     ds = fs.LabeledDataset(
-        rng.standard_normal((m * n, *shape)).astype(np.float32),
-        rng.integers(0, net.num_classes, size=m * n),
+        rng.standard_normal((sum(sizes), *shape)).astype(np.float32),
+        rng.integers(0, net.num_classes, size=sum(sizes)),
         net.num_classes,
     )
     noise = rng.standard_normal((m, net.params.total_len)).astype(np.float32)
     stack = ParamVector(net.params.data + 0.1 * noise, net.params.bounds)
     anchors = ParamVector(net.params.data + 0.1 * np.roll(noise, 1, axis=0), net.params.bounds)
-    kwargs = dict(step=_perfedavg_step(0.01) if meta else _joint_step)
+    offsets = rng.integers(0, 4, size=m).tolist()
+    lr_fns = [lambda u, i=i: 0.05 * (1 + i) * 0.5 ** (u // 3) for i in range(m)]
+    step = _perfedavg_step(0.01) if meta else _joint_step
 
-    def lr_fn(u):
-        return 0.05 * 0.5 ** (u // 3)
-
-    def run(ds, params, anchor, rngs):
-        momenta = []
+    def run(ds, params, prox, rngs, lr_fn, offset, sizes):
+        momenta = [[] for _ in range(len(rngs) if isinstance(rngs, list) else 1)]
         losses = train_epochs(
             ds, params, net, part, epochs, batch_size, 0.9, lr_fn, rngs,
-            prox=(0.3, anchor) if use_prox else None,
-            on_epoch=lambda opt: momenta.append(opt.buffers.data.copy()),
-            **kwargs,
+            prox=prox, update_offset=offset, step=step, sizes=sizes,
+            on_epoch=lambda opt, row: momenta[row].append(opt.buffers.data[row].copy()),
         )
         return losses, momenta
 
+    free = m - pulled
+    prox = (0.3, ParamVector(anchors.data[free:], anchors.bounds)) if pulled else None
     streams = [stream(seed, 1, 1, i) for i in range(m)]
-    losses, momenta = run(ds, stack, anchors, streams)
+    losses, momenta = run(ds, stack, prox, streams, lr_fns, offsets, sizes)
     stacked = [
-        (stack.data[i].tobytes(), [mom[i].tobytes() for mom in momenta], losses[i])
+        (stack.data[i].tobytes(), [mom.tobytes() for mom in momenta[i]], losses[i])
         for i in range(m)
     ]
     separate = []
+    first = np.cumsum(sizes) - sizes
     for i, row in enumerate(anchors.rows()):
         params = ParamVector(net.params.data + 0.1 * noise[i], net.params.bounds)
-        client_ds = ds.subset(np.arange(i * n, (i + 1) * n))
-        (client_losses,), client_momenta = run(client_ds, params, row, stream(seed, 1, 1, i))
+        client_ds = ds.subset(np.arange(first[i], first[i] + sizes[i]))
+        (client_losses,), (client_momenta,) = run(
+            client_ds, params, (0.3, row) if i >= free else None, stream(seed, 1, 1, i),
+            lr_fns[i], offsets[i], None,
+        )
         separate.append(
-            (params.data.tobytes(), [mom[0].tobytes() for mom in client_momenta], client_losses)
+            (params.data.tobytes(), [mom.tobytes() for mom in client_momenta], client_losses)
         )
     return stacked, separate
 
@@ -465,27 +472,76 @@ def _train_stack_and_separately(net, m, n, batch_size, epochs, part, use_prox, m
 @pytest.mark.parametrize("net_name", ["mlp_net", "conv_net"])
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    m=st.integers(1, 4),
-    n=st.integers(2, 23),
+    sizes=st.lists(st.integers(1, 23), min_size=1, max_size=4),
     batch_size=st.integers(2, 9),
     epochs=st.integers(1, 2),
     part=st.sampled_from(["full", "body", "head"]),
-    use_prox=st.booleans(),
+    pulled=st.integers(0, 4),
     meta=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(m=3, n=23, batch_size=5, epochs=2, part="full", use_prox=True, meta=False, seed=1)
-@example(m=4, n=17, batch_size=4, epochs=1, part="body", use_prox=False, meta=True, seed=2)
+@example(sizes=[23, 23, 23], batch_size=5, epochs=2, part="full", pulled=3, meta=False, seed=1)
+@example(sizes=[17, 17, 17, 17], batch_size=4, epochs=1, part="body", pulled=0, meta=True, seed=2)
+@example(sizes=[3, 23, 10, 14], batch_size=5, epochs=2, part="full", pulled=2, meta=False, seed=3)
+@example(sizes=[8, 22, 12, 6], batch_size=4, epochs=2, part="head", pulled=1, meta=True, seed=4)
 def test_train_epochs_stack_equals_separate_runs(
-    request, net_name, m, n, batch_size, epochs, part, use_prox, meta, seed
+    request, net_name, sizes, batch_size, epochs, part, pulled, meta, seed
 ):
     # a Per-FedAvg step splits each batch in halves, so needs batches of 2+
-    assume(not (meta and n % batch_size == 1))
+    assume(not (meta and any(n % batch_size == 1 for n in sizes)))
     net = request.getfixturevalue(net_name)
     stacked, separate = _train_stack_and_separately(
-        net, m, n, batch_size, epochs, part, use_prox, meta, seed
+        net, sizes, batch_size, epochs, part, min(pulled, len(sizes)), meta, seed
     )
     assert stacked == separate
+
+
+def test_client_groups_cap_counts_stacked_rows(monkeypatch):
+    data = mixed_size_data()
+    net = small_net(seed=3)
+    # small_net holds 12 + 12 + 4 floats of activations per sample
+    monkeypatch.setattr(fs.engine, "GROUP_BYTES", 4 * 10 * 28 * 3)
+    assert client_groups(data, [6, 0, 3, 1, 5, 2, 4], net, 10) == [(0, 1, 2), (3, 4, 5), (6,)]
+    assert client_groups(data, range(7), net, 10, tracks=2) == [(i,) for i in range(7)]
+
+
+@pytest.mark.parametrize("alg", ["fedavg", "ditto"])
+def test_groups_of_a_few_rows_match_descending_client_replay(monkeypatch, alg):
+    # the cap cuts the seven mixed-size clients into groups of three rows
+    monkeypatch.setattr(fs.engine, "GROUP_BYTES", 4 * 10 * 28 * 3)
+    cfg = fs.FLConfig(
+        clients=7, fraction=1.0, local_epochs=2, rounds=2, batch_size=10,
+        algorithm=alg, seed=19,
+    )
+    assert_matches_replay(cfg, mixed_size_data(), small_net(seed=3))
+
+
+def test_meta_step_error_names_the_client_whose_batch_is_too_small():
+    # only client 2 ends its epoch on a batch of one sample
+    data = mixed_size_data((30, 20, 31, 40))
+    net = small_net(seed=3)
+    cfg = fs.FLConfig(
+        clients=4, fraction=1.0, local_epochs=1, rounds=1, batch_size=10,
+        algorithm="perfedavg", seed=3,
+    )
+    assert client_groups(data, range(4), net, 10) == [(0, 1, 2, 3)]
+    with pytest.raises(FederationError, match=r"^round 1, client 2: meta step needs a batch"):
+        fs.run_federation(cfg, data, net)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_error_in_a_ditto_personal_row_names_its_client():
+    data = make_federated_data()
+    net = small_net(seed=3)
+    # client 2's personal model alone is broken; the global rows stay finite
+    state = fs.init_state(net)
+    state.client_params[2] = ParamVector(np.full_like(net.params.data, np.nan), net.params.bounds)
+    cfg = fs.FLConfig(
+        clients=4, fraction=1.0, local_epochs=1, rounds=1, batch_size=60,
+        algorithm="ditto", seed=3,
+    )
+    with pytest.raises(NumericError, match=r"^round 1, client 2: non-finite loss"):
+        fs.run_federation(cfg, data, net, state=state)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

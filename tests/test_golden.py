@@ -3,8 +3,8 @@ train+eval runs, pinned in ``golden.json``.
 
 A refactor that means to change nothing must leave these green. The hashes
 depend on the numpy/BLAS build and the BLAS kernel that produced them,
-which the fixture records; a mismatch names both builds and both kernels. A change that moves bits on purpose
-regenerates the fixture with
+which the fixture records; a mismatch names both builds and both
+kernels. A change that moves bits on purpose regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 

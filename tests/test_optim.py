@@ -130,6 +130,40 @@ def test_masked_step_matches_per_segment_reference(n_and_mask, with_prox):
     assert opt.buffers.data.tobytes() == ref_buf.data.tobytes()
 
 
+@given(
+    st.integers(1, 6),
+    segment_ranges(3),
+    st.booleans(),
+    st.lists(st.floats(0, 2, width=32), min_size=6, max_size=6),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_rate_column_matches_scalar_rate_per_row(m, n_and_mask, with_prox, rates, seed):
+    # an (M, 1) float32 column of rates gives each row the bits of a
+    # separate step at its own scalar rate
+    n, mask = n_and_mask
+    rng = np.random.default_rng(seed)
+    bounds = tuple((3 * i, 3 * i + 3) for i in range(n))
+
+    def draw():
+        return ParamVector(rng.normal(size=(m, 3 * n)).astype(np.float32), bounds)
+
+    params, anchor = draw(), draw()
+    column = np.float32(rates[:m])[:, None]
+    rows = [row.copy() for row in params.rows()]
+    opt = OptState.for_params(params)
+    row_opts = [OptState.for_params(row) for row in rows]
+    for _ in range(3):
+        grads = draw()
+        sgd_step(params, grads, opt, column, mask, (0.3, anchor) if with_prox else None)
+        for i, row in enumerate(rows):
+            prox = (0.3, anchor.rows()[i]) if with_prox else None
+            sgd_step(row, grads.rows()[i], row_opts[i], float(column[i, 0]), mask, prox)
+    for i, row in enumerate(rows):
+        assert params.data[i].tobytes() == row.data.tobytes()
+        assert opt.buffers.data[i].tobytes() == row_opts[i].buffers.data.tobytes()
+
+
 def test_prox_mu_zero_equals_no_prox():
     rng = np.random.default_rng(3)
     base = rng.normal(size=8).astype(np.float32)
@@ -173,6 +207,10 @@ def test_negative_lr_and_mu_rejected():
     opt = OptState.for_params(params)
     with pytest.raises(ValueError):
         sgd_step(params, grads, opt, -0.1, ParamMask.full(1))
+    stack = ParamVector(np.ones((2, 1), np.float32), params.bounds)
+    with pytest.raises(ValueError):
+        rates = np.float32([[0.1], [-0.1]])
+        sgd_step(stack, stack.copy(), OptState.for_params(stack), rates, ParamMask.full(1))
     with pytest.raises(ValueError):
         sgd_step(params, grads, opt, 0.1, ParamMask.full(1), prox=(-1.0, params.copy()))
 
