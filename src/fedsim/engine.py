@@ -238,10 +238,10 @@ def train_epochs(
     lr_fn,
     rng,
     prox: tuple[float, ParamVector] | None = None,
-    update_offset=0,
+    update_offset: int | list[int] = 0,
     step=_joint_step,
     on_epoch=None,
-    sizes=None,
+    sizes: list[int] | None = None,
 ) -> list[list[float]]:
     """Minibatch momentum SGD over `epochs`, updating `part` of `params` in
     place: the one training loop behind every local, server-side,
@@ -319,7 +319,7 @@ def train_epochs(
         key = size[s].tobytes()
         if key not in plans:
             plans[key] = []
-            for b in np.unique(size[s][live[s]]).tolist():
+            for b in sorted(set(size[s].tolist()) - {0}):
                 ids = np.flatnonzero(size[s] == b)
                 plans[key].append((b, ids, int(np.searchsorted(ids, free))))
         for b, ids, k in plans[key]:
@@ -369,7 +369,7 @@ def local_update(
     rng,
     mu: float = 0.0,
     perfedavg_alpha: float = 0.01,
-    sizes=None,
+    sizes: list[int] | None = None,
     personal: tuple[float, ParamVector, list] | None = None,
 ) -> tuple[ParamVector, float | list[float]]:
     """One client's local pass under ``alg``'s local rule; returns (final
@@ -386,9 +386,8 @@ def local_update(
     in the same stack: M more rows after the global ones, on the same data,
     each pulled toward its client's start with weight ``lam``. The stack
     returned then holds both tracks, global rows first; the mean losses
-    stay the global track's.
-    Momentum buffers are created fresh here: optimizer state is never
-    communicated between rounds.
+    stay the global track's. Momentum buffers are created fresh here:
+    optimizer state is never communicated between rounds.
     """
     params = theta_start.copy()
     sizes = [len(client_ds)] if sizes is None else list(sizes)
@@ -410,7 +409,7 @@ def local_update(
         if alg.local_rule == "ditto" and personal is not None:
             lam, theta_personal, personal_rng = personal
             params = ParamVector(
-                np.concatenate([params.data, theta_personal.data]), params.bounds
+                np.concatenate([theta_start.data, theta_personal.data]), params.bounds
             )
             client_ds = client_ds.subset(np.tile(np.arange(len(client_ds)), 2))
             sizes = sizes * 2
@@ -621,8 +620,11 @@ def run_federation(
             except FederationError as e:
                 # a member past len(ids) is a Ditto personal row; an error
                 # without one holds for the whole group
-                who = ids if e.member is None else ids[e.member % len(ids)]
-                raise type(e)(f"round {k}, client {who}: {e}", e.member) from e
+                who = (
+                    f"clients {list(ids)}" if e.member is None
+                    else f"client {ids[e.member % len(ids)]}"
+                )
+                raise type(e)(f"round {k}, {who}: {e}", e.member) from e
             rows = thetas.rows()
             personals = rows[len(ids) :] if ditto else [None] * len(ids)
             return list(zip(ids, rows[: len(ids)], personals, sizes, losses))

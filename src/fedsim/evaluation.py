@@ -107,7 +107,7 @@ def fine_tune(
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
-    sizes=None,
+    sizes: list[int] | None = None,
 ) -> ParamVector:
     """Personalization epochs on the client's train data at the constant
     rate ``lr``: ``local_update`` under the local rule ``rule``, 'joint'

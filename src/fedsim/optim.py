@@ -50,7 +50,7 @@ def sgd_step(
     params: ParamVector,
     grads: ParamVector,
     opt: OptState,
-    lr,
+    lr: float | np.ndarray,
     mask: ParamMask,
     prox: tuple[float, ParamVector] | None = None,
 ) -> None:
