@@ -296,8 +296,8 @@ def train_epochs(
     t = index % ipe
     live = index < steps
     size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
-    first = np.cumsum(n) - n
-    start = first + t * batch_size  # where each batch starts in `order`
+    first = np.cumsum(n) - n  # each client's first row in ds
+    even = (t == t[:, :1]).all(axis=1)  # every client at one batch index
     rate = np.zeros(size.shape, FLOAT)
     for r, (fn, offset) in enumerate(zip(lr_fns, offsets)):
         rate[: steps[r], r] = [fn(offset + s) for s in range(steps[r])]
@@ -309,13 +309,13 @@ def train_epochs(
         return out
 
     draws, ends = rows_by_step(t == 0), rows_by_step(t == ipe - 1)  # epoch starts, ends
-    order = np.empty(len(ds), np.int64)  # each client's epoch permutation, as ds rows
+    order = np.empty((m, n.max()), np.int64)  # each client's epoch permutation, as ds rows
     within = np.arange(batch_size)
     plans: dict[bytes, list] = {}  # a step's batch sizes -> (b, rows, first prox row)
     losses: list[list[float]] = [[] for _ in range(m)]
     for s in range(len(index)):
         for r in draws.get(s, ()):
-            order[first[r] : first[r] + n[r]] = rngs[r].permutation(n[r]) + first[r]
+            order[r, : n[r]] = rngs[r].permutation(n[r]) + first[r]
         key = size[s].tobytes()
         if key not in plans:
             plans[key] = []
@@ -326,11 +326,12 @@ def train_epochs(
             whole = len(ids) == m  # the stack itself, with no rows to gather
             sub = stack if whole else _rows(stack, ids)
             sub_opt = opt if whole else OptState(_rows(opt.buffers, ids), momentum)
+            if whole and even[s]:  # as with equal sizes: one slice of every permutation
+                batch = order[:, t[s, 0] * batch_size :][:, :b]
+            else:
+                batch = order[ids[:, None], t[s, ids, None] * batch_size + within[:b]]
             try:
-                loss, grads = step(
-                    net if whole else template.with_params(sub), ds,
-                    order[start[s, ids, None] + within[:b]],
-                )
+                loss, grads = step(net if whole else template.with_params(sub), ds, batch)
             except FederationError as e:  # the whole subgroup has the batch size it failed on
                 raise FederationError(str(e), int(ids[0])) from e
             values = loss.tolist()
