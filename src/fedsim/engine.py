@@ -299,25 +299,28 @@ def train_epochs(
     live = index < steps
     size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
     first = np.cumsum(n) - n  # each client's first row in ds
-    even = (t == t[:, :1]).all(axis=1)  # every client at one batch index
     rate = np.zeros(size.shape, FLOAT)
-    for r, (fn, offset) in enumerate(zip(lr_fns, offsets)):
-        rate[: steps[r], r] = [fn(offset + s) for s in range(steps[r])]
-    # a step whose clients share one rate passes it as a scalar, which
-    # sgd_step applies faster than a column
+    for r, (fn, offset, count) in enumerate(zip(lr_fns, offsets, steps.tolist())):
+        rate[:count, r] = [fn(offset + s) for s in range(count)]
+    # per step, -1 unless every client is at one batch index (where their
+    # batches start) and has one rate (a scalar, which sgd_step applies
+    # faster than a column), as with equal sizes
+    starts = np.where((t == t[:, :1]).all(axis=1), t[:, 0] * batch_size, -1).tolist()
     low = np.where(live, rate, np.inf).min(axis=1)
-    shared = low == np.where(live, rate, -np.inf).max(axis=1)
+    one_rate = np.where(low == np.where(live, rate, -np.inf).max(axis=1), low, -1).tolist()
 
     def rows_by_step(where) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
-        for s, r in zip(*np.nonzero(live & where)):
-            out.setdefault(int(s), []).append(int(r))
+        for s, r in zip(*(a.tolist() for a in np.nonzero(live & where))):
+            out.setdefault(s, []).append(r)
         return out
 
     draws, ends = rows_by_step(t == 0), rows_by_step(t == ipe - 1)  # epoch starts, ends
     order = np.empty((m, n.max()), np.int64)  # each client's epoch permutation, as ds rows
     within = np.arange(batch_size)
-    plans: dict[bytes, list] = {}  # a step's batch sizes -> (b, rows, first prox row)
+    # a step's batch sizes -> its subgroups: (b, rows, as a list, all rows?,
+    # first prox row)
+    plans: dict[bytes, list] = {}
     losses: list[list[float]] = [[] for _ in range(m)]
     for s in range(len(index)):
         for r in draws.get(s, ()):
@@ -327,24 +330,26 @@ def train_epochs(
             plans[key] = []
             for b in sorted(set(size[s].tolist()) - {0}):
                 ids = np.flatnonzero(size[s] == b)
-                plans[key].append((b, ids, int(np.searchsorted(ids, free))))
-        for b, ids, k in plans[key]:
-            whole = len(ids) == m  # the stack itself, with no rows to gather
+                plans[key].append(
+                    (b, ids, ids.tolist(), len(ids) == m, int(np.searchsorted(ids, free)))
+                )
+        for b, ids, members, whole, k in plans[key]:
+            # a whole-stack subgroup trains in place, with no rows to gather
             sub = stack if whole else _rows(stack, ids)
             sub_opt = opt if whole else OptState(_rows(opt.buffers, ids), momentum)
-            if whole and even[s]:  # as with equal sizes: one slice of every permutation
-                batch = order[:, t[s, 0] * batch_size :][:, :b]
+            if whole and starts[s] >= 0:
+                batch = order[:, starts[s] : starts[s] + b]
             else:
                 batch = order[ids[:, None], t[s, ids, None] * batch_size + within[:b]]
             try:
                 loss, grads = step(net if whole else template.with_params(sub), ds, batch)
             except FederationError as e:  # the whole subgroup has the batch size it failed on
-                raise FederationError(str(e), int(ids[0])) from e
+                raise FederationError(str(e), members[0]) from e
             values = loss.tolist()
             if not all(map(math.isfinite, values)):
-                r = int(ids[next(i for i, v in enumerate(values) if not math.isfinite(v))])
+                r = members[next(i for i, v in enumerate(values) if not math.isfinite(v))]
                 raise NumericError(f"non-finite loss at local update {offsets[r] + s}", r)
-            lr = low[s] if shared[s] else rate[s, ids, None]
+            lr = one_rate[s] if one_rate[s] >= 0 else rate[s, ids, None]
             pull = None
             if k < len(ids):
                 pull = (mu, anchor if whole else _rows(anchor, ids[k:] - free))
@@ -356,7 +361,7 @@ def train_epochs(
             if not whole:
                 stack.data[ids] = sub.data
                 opt.buffers.data[ids] = sub_opt.buffers.data
-            for r, value in zip(ids.tolist(), values):
+            for r, value in zip(members, values):
                 losses[r].append(value)
         if on_epoch is not None:
             for r in ends.get(s, ()):

@@ -66,7 +66,7 @@ def sgd_step(
     params.require_same_segmentation(grads)
     part = mask.scalars(params)
     lr32 = np.asarray(lr, dtype=FLOAT)
-    if (lr32 < 0).any():
+    if lr32.min() < 0:
         raise ValueError("learning rate must be non-negative")
     m32 = FLOAT(opt.momentum)
     p = params.data[..., part]
