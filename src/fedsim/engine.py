@@ -300,8 +300,12 @@ def train_epochs(
     size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
     first = np.cumsum(n) - n  # each client's first row in ds
     rate = np.zeros(size.shape, FLOAT)
-    for r, (fn, offset, count) in enumerate(zip(lr_fns, offsets, steps.tolist())):
-        rate[:count, r] = [fn(offset + s) for s in range(count)]
+    rates: dict[tuple, list[float]] = {}  # clients that share a rate function share its calls
+    for r, key in enumerate(zip(lr_fns, offsets, steps.tolist())):
+        if key not in rates:
+            fn, offset, count = key
+            rates[key] = [fn(offset + s) for s in range(count)]
+        rate[: key[2], r] = rates[key]
     # per step, -1 unless every client is at one batch index (where their
     # batches start) and has one rate (a scalar, which sgd_step applies
     # faster than a column), as with equal sizes
@@ -618,10 +622,11 @@ def run_federation(
                         [assemble_client_params(state, template, round_alg, cid) for cid in ids]
                     )
                     personal = None
-                lr_fns = [
-                    _round_rate(cfg, k, n) if lr_mode == "schedule" else lambda _u: LG_LR
-                    for n in sizes
-                ]
+                by_size = {
+                    n: _round_rate(cfg, k, n) if lr_mode == "schedule" else lambda _u: LG_LR
+                    for n in set(sizes)
+                }
+                lr_fns = [by_size[n] for n in sizes]
                 rngs = [stream(cfg.seed, _CLIENT, k, cid) for cid in ids]
                 thetas, losses = local_update(
                     group_ds, starts, template, round_alg,
