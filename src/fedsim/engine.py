@@ -646,11 +646,11 @@ def run_federation(
             personals = rows[len(ids) :] if ditto else [None] * len(ids)
             return list(zip(ids, rows[: len(ids)], personals, sizes, losses))
 
-        results = sorted(
-            (r for ids in client_groups(data, sampled, template, cfg.batch_size, 1 + ditto)
-             for r in run_group(ids)),
-            key=lambda r: r[0],
-        )  # ascending ids
+        # client_groups cuts ascending ids, so results come in ascending ids
+        results = [
+            r for ids in client_groups(data, sampled, template, cfg.batch_size, 1 + ditto)
+            for r in run_group(ids)
+        ]
 
         # train_epochs has raised NumericError on any non-finite step loss
         losses = [loss for *_, loss in results if not math.isnan(loss)]
