@@ -94,11 +94,11 @@ CASES = {
 def blas_kernel() -> str:
     """The core OpenBLAS chose at run time (``OPENBLAS_CORETYPE`` can force
     another), read from the library numpy bundles; "unknown" elsewhere."""
-    from numpy._core import _multiarray_umath
-
     try:
+        from numpy._core import _multiarray_umath
+
         corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
-    except (AttributeError, OSError):
+    except (AttributeError, ImportError, OSError):
         return "unknown"
     corename.argtypes = []
     corename.restype = ctypes.c_char_p
