@@ -16,7 +16,6 @@ from .engine import (
     NumericError,
     RoundLog,
     aggregate,
-    ditto_update,
     init_state,
     local_update,
     run_federation,

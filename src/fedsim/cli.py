@@ -81,6 +81,8 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (getattr(args, "stop_after", None) or 0) < 0:
+        parser.error(f"argument --stop-after: must be at least 0, not {args.stop_after}")
     try:
         if args.command == "partition":
             run_partition(_load_config(args))

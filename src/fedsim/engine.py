@@ -38,6 +38,17 @@ class FederationError(RuntimeError):
         super().__init__(message)
         self.member = member
 
+    def in_group(self, ids: tuple[int, ...], context: str) -> "FederationError":
+        """This error, of its type, for a group of clients ``ids``: prefixed
+        with ``context`` and the client of its member row (a row past
+        len(ids) is a Ditto personal row of the same client), or the whole
+        group where it has no member."""
+        who = (
+            f"clients {list(ids)}" if self.member is None
+            else f"client {ids[self.member % len(ids)]}"
+        )
+        return type(self)(f"{context}, {who}: {self}", self.member)
+
 
 class NumericError(FederationError):
     """Loss or parameters stopped being finite."""
@@ -447,31 +458,6 @@ def local_update(
     return params, means if params.data.ndim == 2 else means[0]
 
 
-def ditto_update(
-    client_ds: LabeledDataset,
-    theta_global: ParamVector,
-    theta_personal: ParamVector,
-    lam: float,
-    local_epochs: int,
-    lr_fn,
-    rng,
-    template: Network,
-    batch_size: int = 50,
-    momentum: float = 0.9,
-) -> ParamVector:
-    """One client's personal-model step alone: local loss plus
-    (lam/2)||theta - theta_global||^2. Federated rounds run it beside the
-    global track, through ``local_update``'s ``personal``."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    params = theta_personal.copy()
-    train_epochs(
-        client_ds, params, template, "full", local_epochs,
-        batch_size, momentum, lr_fn, rng, prox=(lam, theta_global),
-    )
-    return params
-
-
 # --- aggregation -------------------------------------------------------------
 
 
@@ -583,7 +569,9 @@ def run_federation(
         state = init_state(template)
     plan = _round_plan(cfg, alg)
     if until_round is not None:
-        plan = plan[: until_round]
+        if until_round < 0:
+            raise ValueError(f"until_round must be at least 0, not {until_round}")
+        plan = plan[:until_round]
 
     pool_ds = None
     if cfg.server_share > 0:
@@ -635,13 +623,7 @@ def run_federation(
                     sizes=sizes, personal=personal,
                 )
             except FederationError as e:
-                # a member past len(ids) is a Ditto personal row; an error
-                # without one holds for the whole group
-                who = (
-                    f"clients {list(ids)}" if e.member is None
-                    else f"client {ids[e.member % len(ids)]}"
-                )
-                raise type(e)(f"round {k}, {who}: {e}", e.member) from e
+                raise e.in_group(ids, f"round {k}") from e
             rows = thetas.rows()
             personals = rows[len(ids) :] if ditto else [None] * len(ids)
             return list(zip(ids, rows[: len(ids)], personals, sizes, losses))

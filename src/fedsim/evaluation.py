@@ -11,6 +11,7 @@ from .algorithms import AlgorithmSpec
 from .datasets import LabeledDataset
 from .engine import (
     FederatedData,
+    FederationError,
     FederationState,
     LRSchedule,
     assemble_client_params,
@@ -137,15 +138,18 @@ def personalized_models(
     rule: str = "joint",
 ) -> list[ParamVector]:
     """Each client's model fine-tuned on its own train data, in lockstep
-    groups."""
+    groups. A FederationError names the fine-tune's epochs and its client."""
     out: list = [None] * len(models)
     for ids in client_groups(data, range(len(models)), template, batch_size):
         group_ds, sizes = data.group_train(ids)
-        tuned = fine_tune(
-            ParamVector.stack([models[cid] for cid in ids]), template, part,
-            finetune_epochs, lr, group_ds,
-            [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule, sizes,
-        )
+        try:
+            tuned = fine_tune(
+                ParamVector.stack([models[cid] for cid in ids]), template, part,
+                finetune_epochs, lr, group_ds,
+                [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule, sizes,
+            )
+        except FederationError as e:
+            raise e.in_group(ids, f"fine-tune tf={finetune_epochs}") from e
         for cid, params in zip(ids, tuned.rows()):
             out[cid] = params
     return out

@@ -390,6 +390,12 @@ def save_checkpoint(out_dir: Path, state: FederationState, cfg: ExperimentConfig
         "schema": SCHEMA_VERSION,
     }
     (out_dir / "checkpoint.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    # the directory holds this state's client blobs only, as a retrain into
+    # it under another algorithm would otherwise leave the last run's behind
+    kept = {f"client_{cid:04d}.pv" for cid in state.client_params}
+    for stale in out_dir.glob("client_*.pv"):
+        if stale.name not in kept:
+            stale.unlink()
 
 
 def _load_params(path: Path, template: Network) -> ParamVector:

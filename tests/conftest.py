@@ -61,15 +61,18 @@ def small_fed_data():
 
 def replay_clients_descending(cfg, data, template):
     """Reference for run_federation: each round's sampled clients are replayed
-    one at a time through local_update (then, for Ditto, ditto_update) in
-    descending id order, then aggregated in ascending order. Covers
-    single-phase federated algorithms without a server pool."""
+    one at a time through local_update in descending id order, then
+    aggregated in ascending order; for Ditto, each client's personal pass
+    runs after its global one as a train_epochs call of its own, pulled
+    toward the broadcast model, rather than in local_update's shared stack.
+    Covers single-phase federated algorithms without a server pool."""
     from fedsim.engine import (
         assemble_client_params,
         client_schedule,
         init_state,
         iterations_per_epoch,
         stream,
+        train_epochs,
     )
 
     alg = fs.get_algorithm(cfg.algorithm)
@@ -98,11 +101,13 @@ def replay_clients_descending(cfg, data, template):
             )
             updates[cid] = (theta, len(ds))
             if ditto:
-                personals[cid] = fs.ditto_update(
-                    ds, start, state.client_params.get(cid, state.initial_params),
-                    cfg.lam, cfg.local_epochs, lr_fn, stream(cfg.seed, 1, k, cid, 1),
-                    template, cfg.batch_size, cfg.momentum,
+                personal = state.client_params.get(cid, state.initial_params).copy()
+                train_epochs(
+                    ds, personal, template, "full", cfg.local_epochs, cfg.batch_size,
+                    cfg.momentum, lr_fn, stream(cfg.seed, 1, k, cid, 1),
+                    prox=(cfg.lam, start),
                 )
+                personals[cid] = personal
         state.global_params = fs.aggregate(
             [updates[cid] for cid in sorted(updates)],
             state.global_params,

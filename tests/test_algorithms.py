@@ -80,13 +80,25 @@ def test_fedrep_aggregates_body_only(small_fed_data):
 # --- Ditto -----------------------------------------------------------------------
 
 
+def ditto_personal(ds, theta_g, theta_v, lam, epochs, lr_fn, rng, template, batch_size, momentum):
+    """The personal row of a one-client Ditto stack, as federated rounds
+    train it: ``local_update`` with ``personal=``, whose global row starts
+    at ``theta_g`` and anchors the personal row's prox term."""
+    stack, _ = fs.local_update(
+        ds, ParamVector.stack([theta_g]), template, fs.get_algorithm("ditto"),
+        epochs, batch_size, momentum, [lr_fn], [stream(0, 1, 0, 0)],
+        personal=(lam, ParamVector.stack([theta_v]), [rng]),
+    )
+    return stack.rows()[1]
+
+
 def test_ditto_lambda_zero_is_plain_finetune(small_fed_data):
     net = small_net(seed=3)
     ds = small_fed_data.client_train(1)
     theta_v = net.params.copy()
     theta_g = ParamVector(net.params.data + np.float32(0.5), net.params.bounds)
 
-    personal = fs.ditto_update(
+    personal = ditto_personal(
         ds, theta_g, theta_v, 0.0, 2, lr_const(0.05), stream(5, 1, 1, 1),
         batch_size=10, momentum=0.9, template=net,
     )
@@ -109,7 +121,7 @@ def test_ditto_single_step_closed_form(small_fed_data):
     _, cache = fs.forward(net, ds.samples[order])
     _, grads = fs.backward(net, cache, ds.labels[order])
 
-    out = fs.ditto_update(
+    out = ditto_personal(
         ds, theta_g, theta_g.copy(), 1e6, 1, lr_const(0.1), stream(6, 1, 1, 0),
         batch_size=len(ds), momentum=0.9, template=net,
     )
@@ -124,11 +136,11 @@ def test_ditto_large_lambda_tracks_global(small_fed_data):
     net = small_net(seed=5)
     ds = small_fed_data.client_train(2)
     theta_g = net.params.copy()
-    free = fs.ditto_update(
+    free = ditto_personal(
         ds, theta_g, theta_g.copy(), 0.0, 3, lr_const(0.05), stream(7, 1, 1, 2),
         batch_size=10, momentum=0.9, template=net,
     )
-    pinned = fs.ditto_update(
+    pinned = ditto_personal(
         ds, theta_g, theta_g.copy(), 50.0, 3, lr_const(0.05), stream(7, 1, 1, 2),
         batch_size=10, momentum=0.9, template=net,
     )

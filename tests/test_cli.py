@@ -133,6 +133,26 @@ def test_stop_and_resume_matches_uninterrupted(tmp_path):
     assert strip((out2 / "rounds.csv").read_text()) == strip(rounds_full)
 
 
+def test_negative_stop_after_exits_2_naming_the_flag(tmp_path, capsys):
+    # a negative stop would train all but the last rounds and exit 0
+    cfg_path, out = tiny_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg_path), "--stop-after", "-1"])
+    assert exc.value.code == 2
+    assert "--stop-after" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retrain_removes_client_blobs_the_new_state_lacks(tmp_path):
+    cfg_path, out = tiny_config(tmp_path, name="run", **{"federation.algorithm": "fedper"})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert len(list(out.glob("client_*.pv"))) == 4
+    cfg_path, out = tiny_config(tmp_path, name="run", **{"federation.algorithm": "fedavg"})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert json.loads((out / "checkpoint.json").read_text())["persistent_clients"] == []
+    assert list(out.glob("client_*.pv")) == []
+
+
 def test_resume_restores_client_resident_params(tmp_path):
     # fedper keeps per-client heads; resume must restore them from disk
     over = {"federation.algorithm": "fedper", "federation.fraction": 0.5, "federation.rounds": 4}
@@ -305,6 +325,18 @@ def test_nan_loss_exits_3(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["train", "--config", str(cfg_path)]) == 3
+
+
+def test_numeric_failure_in_finetune_exits_3_naming_the_client(tmp_path, capsys):
+    cfg_path, _ = tiny_config(tmp_path, **{"eval.lr": 1e30})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    import warnings
+
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["eval", "--config", str(cfg_path)]) == 3
+    assert "fine-tune tf=1, client 0: non-finite loss" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path):

@@ -341,6 +341,9 @@ def test_resume_matches_uninterrupted(small_fed_data):
     assert part_state.round == 8
     assert part_state.global_params.data.tobytes() == full_state.global_params.data.tobytes()
     assert [l.client_ids for l in logs_a + logs_b] == [l.client_ids for l in full_logs]
+    # a negative stop would slice rounds off the end of the plan
+    with pytest.raises(ValueError, match="until_round must be at least 0, not -1"):
+        fs.run_federation(cfg, small_fed_data, net, until_round=-1)
 
 
 def test_round_log_sample_counts(small_fed_data):

@@ -252,6 +252,17 @@ def test_in_out_empty_test_split_raises_naming_the_client():
         fs.in_out_class_accuracy([net.params.copy() for _ in range(4)], net, data)
 
 
+def test_finetune_error_names_the_client_and_epochs():
+    # only client 2's model overflows, so its loss is the one that fails
+    data = make_federated_data(seed=10)
+    net = small_net(seed=10)
+    models = [net.params.copy() for _ in range(4)]
+    models[2].data[:] = np.float32(3e38)
+    with np.errstate(all="ignore"), pytest.raises(fs.NumericError) as exc:
+        fs.evaluation.personalized_models(models, net, data, "full", 2, 0.01, seed=0, batch_size=10)
+    assert str(exc.value) == "fine-tune tf=2, client 2: non-finite loss at local update 0"
+
+
 def test_out_of_class_degrades_with_finetuning():
     data = make_federated_data(clients=4, classes=4, shards_per_client=1, test_mode="global", spread=0.4, seed=12)
     net, _, state, models = run_small(algorithm="fedavg", seed=12, data=data, rounds=10)

@@ -8,8 +8,13 @@ from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
-# evaluation's fine-tunes train through engine.local_update, which holds these
-ABSENT = {("fedsim.evaluation", "backward"), ("fedsim.evaluation", "sgd_step")}
+# evaluation's fine-tunes train through engine.local_update, which holds the
+# first two; Ditto's personal step runs inside engine.local_update's stack
+ABSENT = {
+    ("fedsim.evaluation", "backward"),
+    ("fedsim.evaluation", "sgd_step"),
+    ("fedsim.engine", "ditto_update"),
+}
 
 
 def test_every_traced_name_resolves():
