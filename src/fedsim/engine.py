@@ -277,7 +277,8 @@ def train_epochs(
     ``prox=(mu, anchor)`` pulls the last len(anchor) rows toward their rows
     of ``anchor``; rows before them (Ditto's global track) take no prox
     term. ``step`` maps (net, ds, (M, b) batch indices) to (losses, grads);
-    ``on_epoch(opt, row)`` is called as client ``row`` ends an epoch.
+    ``on_epoch(stack, opt, row)`` is called as client ``row`` ends an epoch,
+    with its parameters in row ``row`` of the (M, P) ``stack``.
     Momentum starts at zero and carries across the epochs of one call.
     Returns each client's per-step losses.
     """
@@ -380,7 +381,7 @@ def train_epochs(
                 losses[r].append(value)
         if on_epoch is not None:
             for r in ends.get(s, ()):
-                on_epoch(opt, r)
+                on_epoch(stack, opt, r)
     return losses
 
 
@@ -398,6 +399,7 @@ def local_update(
     perfedavg_alpha: float = 0.01,
     sizes: list[int] | None = None,
     personal: tuple[float, ParamVector, list] | None = None,
+    on_epoch=None,
 ) -> tuple[ParamVector, float | list[float]]:
     """One client's local pass under ``alg``'s local rule; returns (final
     params, mean minibatch loss). The one place a local rule becomes
@@ -413,8 +415,10 @@ def local_update(
     in the same stack: M more rows after the global ones, on the same data,
     each pulled toward its client's start with weight ``lam``. The stack
     returned then holds both tracks, global rows first; the mean losses
-    stay the global track's. Momentum buffers are created fresh here:
-    optimizer state is never communicated between rounds.
+    stay the global track's. ``on_epoch`` goes to ``train_epochs`` under
+    every rule but FedRep's, whose epochs are not one pass. Momentum
+    buffers are created fresh here: optimizer state is never communicated
+    between rounds.
     """
     params = theta_start.copy()
     sizes = [len(client_ds)] if sizes is None else list(sizes)
@@ -445,7 +449,7 @@ def local_update(
             prox = (lam, theta_start)
         losses = train_epochs(
             client_ds, params, template, alg.update_part, local_epochs,
-            batch_size, momentum, lr_fn, rng, prox=prox, sizes=sizes,
+            batch_size, momentum, lr_fn, rng, prox=prox, sizes=sizes, on_epoch=on_epoch,
             step=(
                 _perfedavg_step(perfedavg_alpha)
                 if alg.local_rule == "perfedavg_fo"

@@ -56,21 +56,43 @@ class EvalReport:
         return cls(list(client_ids), acc, finetune_epochs, part, mean, std)
 
 
-def accuracy(net: Network, ds: LabeledDataset) -> float:
-    """Share of correct argmax predictions; ties go to the lowest class."""
+def accuracy(net: Network, ds: LabeledDataset):
+    """Share of correct argmax predictions; ties go to the lowest class.
+    A network over an (M, P) stack takes M clients' sets of one size, one
+    after another, and returns each client's share, an (M,) array."""
     if len(ds) == 0:
         raise EvalError("empty evaluation set")
     logits, _ = forward(net, ds.samples)
-    return float((logits.argmax(axis=1) == ds.labels).mean())
+    correct = logits.argmax(axis=1) == ds.labels
+    if net.params.data.ndim == 2:
+        return correct.reshape(len(net.params.data), -1).mean(axis=1)
+    return float(correct.mean())
 
 
-def _test_split(data: FederatedData, client_id: int) -> LabeledDataset:
-    """The client's test split, which every report reads; an empty split is
-    an EvalError naming the client."""
-    test_ds = data.client_test(client_id)
-    if len(test_ds) == 0:
-        raise EvalError(f"client {client_id}: empty test split")
-    return test_ds
+def _stacked(models: list[ParamVector], template: Network, data: FederatedData, split: str):
+    """Lockstep groups of a forward-only pass over each client's ``split``
+    set ('train' or 'test'): clients whose sets hold one sample count run
+    as one stack, cut by ``client_groups`` at that count. Yields (ids, a
+    network over their models, their sets one after another). An empty set
+    is an EvalError naming the client."""
+    base = data.train if split == "train" else data.test
+    index = [getattr(data.splits[cid], f"{split}_indices") for cid in range(len(models))]
+    by_size: dict[int, list[int]] = {}
+    for cid, idx in enumerate(index):
+        if len(idx) == 0:
+            raise EvalError(f"client {cid}: empty {split} split")
+        by_size.setdefault(len(idx), []).append(cid)
+    for n, same in by_size.items():
+        for ids in client_groups(data, same, template, n):
+            net = template.with_params(ParamVector.stack([models[cid] for cid in ids]))
+            yield ids, net, base.subset(np.concatenate([index[cid] for cid in ids]))
+
+
+def _test_accuracies(models: list[ParamVector], template: Network, data: FederatedData):
+    accs = np.empty(len(models))
+    for ids, net, test_ds in _stacked(models, template, data, "test"):
+        accs[list(ids)] = accuracy(net, test_ds)
+    return accs
 
 
 def client_models(
@@ -91,9 +113,7 @@ def initial_accuracy(
 ) -> EvalReport:
     """Accuracy of each client's broadcast model on its own test split.
     Read-only: evaluating twice yields byte-identical reports."""
-    accs = [
-        accuracy(template.with_params(p), _test_split(data, cid)) for cid, p in enumerate(models)
-    ]
+    accs = _test_accuracies(models, template, data)
     return EvalReport.from_accuracies(list(range(len(models))), accs, 0, None)
 
 
@@ -109,6 +129,7 @@ def fine_tune(
     momentum: float = 0.9,
     rule: str = "joint",
     sizes: list[int] | None = None,
+    on_epoch=None,
 ) -> ParamVector:
     """Personalization epochs on the client's train data at the constant
     rate ``lr``: ``local_update`` under the local rule ``rule``, 'joint'
@@ -116,11 +137,12 @@ def fine_tune(
     epoch, then the body for one more, as FedRep's local training does).
     Momentum buffers start fresh; finetune_epochs=0 returns a copy of the
     input. Fine-tunes a lockstep group, of train sets ``sizes``, as
-    ``train_epochs`` does.
+    ``train_epochs`` does, which calls ``on_epoch`` under the joint rule.
     """
     params, _ = local_update(
         client_ds, client_params, template, AlgorithmSpec("fine-tune", part, part, rule),
         finetune_epochs, batch_size, momentum, lambda _u: lr, rng, sizes=sizes,
+        on_epoch=on_epoch,
     )
     return params
 
@@ -130,29 +152,63 @@ def personalized_models(
     template: Network,
     data: FederatedData,
     part: str,
-    finetune_epochs: int,
+    finetune_epochs: int | list[int],
     lr: float,
     seed: int,
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
-) -> list[ParamVector]:
+) -> list:
     """Each client's model fine-tuned on its own train data, in lockstep
-    groups. A FederationError names the fine-tune's epochs and its client."""
-    out: list = [None] * len(models)
-    for ids in client_groups(data, range(len(models)), template, batch_size):
-        group_ds, sizes = data.group_train(ids)
-        try:
-            tuned = fine_tune(
-                ParamVector.stack([models[cid] for cid in ids]), template, part,
-                finetune_epochs, lr, group_ds,
-                [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule, sizes,
-            )
-        except FederationError as e:
-            raise e.in_group(ids, f"fine-tune tf={finetune_epochs}") from e
-        for cid, params in zip(ids, tuned.rows()):
-            out[cid] = params
-    return out
+    groups, for each τ_f of the list ``finetune_epochs``: one list of
+    models per τ_f, or the one list for a single τ_f. τ_f = 0 gives the
+    input models themselves.
+
+    Under the joint rule a group fine-tunes once, to the largest τ_f, and
+    a client's row is copied as it ends each requested epoch: a shorter
+    fine-tune is a prefix of a longer one. FedRep's rule trains its body
+    epoch after the head epochs, so it fine-tunes once per τ_f. A
+    FederationError names its client and the smallest requested τ_f whose
+    epochs hold the failure.
+    """
+    single = np.ndim(finetune_epochs) == 0
+    tfs = [finetune_epochs] if single else list(finetune_epochs)
+    positive = sorted(set(tfs) - {0})
+    out = {tf: [None] * len(models) for tf in positive}
+    out[0] = models
+    # each pass: the τ_f it snapshots, ending at the last
+    if rule == "sequential_head_then_body":
+        passes = [[tf] for tf in positive]
+    else:
+        passes = [positive] if positive else []
+    for snaps in passes:
+        for ids in client_groups(data, range(len(models)), template, batch_size):
+            group_ds, sizes = data.group_train(ids)
+            start = ParamVector.stack([models[cid] for cid in ids])
+            done = [0] * len(ids)  # epochs each row has ended
+            # one stack per earlier τ_f; the last is the pass's result
+            early = {tf: start.zeros_like() for tf in snaps[:-1]}
+
+            def keep(stack, _opt, row):
+                done[row] += 1
+                if done[row] in early:
+                    early[done[row]].data[row] = stack.data[row]
+
+            try:
+                tuned = fine_tune(
+                    start, template, part, snaps[-1], lr, group_ds,
+                    [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule, sizes,
+                    on_epoch=keep,
+                )
+            except FederationError as e:
+                epoch = 1 + (min(done) if e.member is None else done[e.member])
+                tf = next(tf for tf in snaps if tf >= epoch)
+                raise e.in_group(ids, f"fine-tune tf={tf}") from e
+            for tf, stack in [*early.items(), (snaps[-1], tuned)]:
+                for cid, params in zip(ids, stack.rows()):
+                    out[tf][cid] = params
+    every = [out[tf] for tf in tfs]
+    return every[0] if single else every
 
 
 def personalized_accuracy(
@@ -160,24 +216,33 @@ def personalized_accuracy(
     template: Network,
     data: FederatedData,
     part: str,
-    finetune_epochs: int,
+    finetune_epochs: int | list[int],
     lr: float,
     seed: int,
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
-) -> EvalReport:
-    """Fine-tune each client independently, then evaluate on its test split."""
+    initial: EvalReport | None = None,
+):
+    """Fine-tune each client independently (``personalized_models``), then
+    evaluate on its test split: one report per τ_f of the list
+    ``finetune_epochs``, or the one report for a single τ_f. ``initial``,
+    the models' ``initial_accuracy`` report where given, serves τ_f = 0."""
+    single = np.ndim(finetune_epochs) == 0
+    tfs = [finetune_epochs] if single else list(finetune_epochs)
     tuned = personalized_models(
-        models, template, data, part, finetune_epochs, lr, seed,
-        batch_size, momentum, rule,
+        models, template, data, part, tfs, lr, seed, batch_size, momentum, rule
     )
-    accs = [
-        accuracy(template.with_params(p), _test_split(data, cid)) for cid, p in enumerate(tuned)
+    reports = [
+        EvalReport.from_accuracies(
+            list(range(len(models))),
+            initial.accuracies.copy() if tf == 0 and initial is not None
+            else _test_accuracies(tf_models, template, data),
+            tf, part,
+        )
+        for tf, tf_models in zip(tfs, tuned)
     ]
-    return EvalReport.from_accuracies(
-        list(range(len(models))), accs, finetune_epochs, part
-    )
+    return reports[0] if single else reports
 
 
 # --- template (without-head) evaluation --------------------------------------
@@ -195,12 +260,14 @@ class TemplateSet:
     def build(cls, net: Network, client_ds: LabeledDataset) -> "TemplateSet":
         if len(client_ds) == 0:
             raise EvalError("cannot build templates from an empty train split")
-        reps = representations(net, client_ds.samples).astype(np.float64)
-        classes = np.unique(client_ds.labels)
-        templates = np.stack(
-            [reps[client_ds.labels == c].mean(axis=0) for c in classes]
-        )
-        return cls(classes, templates)
+        return cls.of(representations(net, client_ds.samples), client_ds.labels)
+
+    @classmethod
+    def of(cls, reps: np.ndarray, labels: np.ndarray) -> "TemplateSet":
+        """The set of representations ``reps`` of samples labelled ``labels``."""
+        reps = reps.astype(np.float64)
+        classes = np.unique(labels)
+        return cls(classes, np.stack([reps[labels == c].mean(axis=0) for c in classes]))
 
     def classify(self, reps: np.ndarray) -> np.ndarray:
         """Nearest template by cosine similarity; a zero-norm template is
@@ -217,18 +284,28 @@ class TemplateSet:
         return self.classes[sims.argmax(axis=1)]
 
 
+def _by_client(ids, *arrays):
+    """(client id, its rows of each array) for a group's stacked pass."""
+    return zip(ids, *(np.split(a, len(ids)) for a in arrays))
+
+
 def template_accuracy(
     models: list[ParamVector], template: Network, data: FederatedData
 ) -> EvalReport:
     """Classify each client's test samples to its nearest per-class mean
     representation (cosine similarity); the trained head plays no part."""
-    accs = []
-    for cid, params in enumerate(models):
-        net = template.with_params(params)
-        tset = TemplateSet.build(net, data.client_train(cid))
-        test_ds = _test_split(data, cid)
-        preds = tset.classify(representations(net, test_ds.samples))
-        accs.append(float((preds == test_ds.labels).mean()))
+    tsets = {}
+    for ids, net, train_ds in _stacked(models, template, data, "train"):
+        for cid, reps, labels in _by_client(
+            ids, representations(net, train_ds.samples), train_ds.labels
+        ):
+            tsets[cid] = TemplateSet.of(reps, labels)
+    accs = np.empty(len(models))
+    for ids, net, test_ds in _stacked(models, template, data, "test"):
+        for cid, reps, labels in _by_client(
+            ids, representations(net, test_ds.samples), test_ds.labels
+        ):
+            accs[cid] = float((tsets[cid].classify(reps) == labels).mean())
     return EvalReport.from_accuracies(list(range(len(models))), accs, 0, "template")
 
 
@@ -241,19 +318,15 @@ def in_out_class_accuracy(
     """Accuracy split by whether a test label appears in the client's train
     split. Meant for global-mode test splits; an empty subset becomes NaN,
     an empty test split an EvalError."""
-    in_accs, out_accs = [], []
-    for cid, params in enumerate(models):
-        net = template.with_params(params)
-        test_ds = _test_split(data, cid)
-        train_classes = np.unique(data.client_train(cid).labels)
+    in_accs, out_accs = np.empty(len(models)), np.empty(len(models))
+    for ids, net, test_ds in _stacked(models, template, data, "test"):
         logits, _ = forward(net, test_ds.samples)
-        preds = logits.argmax(axis=1)
-        in_mask = np.isin(test_ds.labels, train_classes)
-        correct = preds == test_ds.labels
-        in_accs.append(float(correct[in_mask].mean()) if in_mask.any() else float("nan"))
-        out_accs.append(
-            float(correct[~in_mask].mean()) if (~in_mask).any() else float("nan")
-        )
+        for cid, preds, labels in _by_client(ids, logits.argmax(axis=1), test_ds.labels):
+            train_classes = np.unique(data.train.labels[data.splits[cid].train_indices])
+            in_mask = np.isin(labels, train_classes)
+            correct = preds == labels
+            in_accs[cid] = correct[in_mask].mean() if in_mask.any() else np.nan
+            out_accs[cid] = correct[~in_mask].mean() if (~in_mask).any() else np.nan
     ids = list(range(len(models)))
     return (
         EvalReport.from_accuracies(ids, in_accs, 0, "in-class"),
@@ -306,6 +379,6 @@ def centralized_train(
     curve: list[float] = []
     train_epochs(
         train_ds, params, net, part, epochs, batch_size, momentum, sched.lr_at, rng,
-        on_epoch=lambda _opt, _row: curve.append(accuracy(working, test_ds)),
+        on_epoch=lambda *_: curve.append(accuracy(working, test_ds)),
     )
     return curve

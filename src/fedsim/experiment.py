@@ -472,6 +472,10 @@ def run_train(
     append = False
     if resume:
         state = _checked_checkpoint(cfg, out, template)
+        if stop_after is not None and stop_after < state.round:
+            raise ConfigError(
+                f"--stop-after {stop_after} is below the checkpoint's round {state.round}"
+            )
         append = True
         log.info("resuming from round %d", state.round)
     state, logs = run_federation(
@@ -522,18 +526,12 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
 
     reports: dict[str, EvalReport] = {}
     reports["initial"] = initial_accuracy(models, template, data)
-    for tf in ev["finetune_epochs"]:
-        if tf == 0:  # no fine-tuning: the initial accuracies, reported for ``part``
-            initial = reports["initial"]
-            rep = EvalReport.from_accuracies(
-                initial.client_ids, initial.accuracies.copy(), 0, ev["part"]
-            )
-        else:
-            rep = personalized_accuracy(
-                models, template, data, ev["part"], tf, lr, cfg.seed,
-                fl_cfg.batch_size, fl_cfg.momentum, rule,
-            )
-        reports[f"personalized_tf{tf}"] = rep
+    personalized = personalized_accuracy(
+        models, template, data, ev["part"], ev["finetune_epochs"], lr, cfg.seed,
+        fl_cfg.batch_size, fl_cfg.momentum, rule, initial=reports["initial"],
+    )
+    for rep in personalized:
+        reports[f"personalized_tf{rep.finetune_epochs}"] = rep
     if ev["template"]:
         reports["template"] = template_accuracy(models, template, data)
     if cfg["partition"]["test_mode"] == "global":  # the one mode with out-of-class samples

@@ -298,7 +298,11 @@ def softmax_cross_entropy(logits, labels, clients=None):
     labels = np.asarray(labels)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise ValueError(f"label out of range [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # the row max, taken down the contiguous columns of the transpose,
+    # which numpy reduces faster than across short rows. It is exact, but
+    # a +0.0/-0.0 tie may settle on the other zero than a row-wise max;
+    # the tie makes denom >= 2, so subtracting log(denom) erases that sign
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(denom)

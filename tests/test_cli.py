@@ -133,6 +133,22 @@ def test_stop_and_resume_matches_uninterrupted(tmp_path):
     assert strip((out2 / "rounds.csv").read_text()) == strip(rounds_full)
 
 
+def test_resume_stop_after_below_checkpoint_round_exits_2(tmp_path, capsys):
+    # it would run no round and rewrite the checkpoint at its old round
+    cfg_path, out = tiny_config(tmp_path, **{"federation.algorithm": "fedper"})
+    assert main(["train", "--config", str(cfg_path), "--stop-after", "2"]) == 0
+    blobs = sorted(p.name for p in out.glob("client_*.pv"))
+    assert blobs  # FedPer keeps each client's head
+    files = ["checkpoint.json", "checkpoint.pv", "rounds.csv", *blobs]
+    before = {name: (out / name).read_bytes() for name in files}
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--resume", "--stop-after", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--stop-after 1" in err and "round 2" in err
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    assert {name: (out / name).read_bytes() for name in files} == before
+
+
 def test_negative_stop_after_exits_2_naming_the_flag(tmp_path, capsys):
     # a negative stop would train all but the last rounds and exit 0
     cfg_path, out = tiny_config(tmp_path)
@@ -190,7 +206,7 @@ def test_eval_reports_per_finetune_epoch(tmp_path):
 
 def test_eval_tf0_reuses_initial_accuracies(tmp_path, monkeypatch):
     import fedsim.evaluation as evaluation
-    from fedsim.experiment import run_eval
+    from fedsim.experiment import prepare, run_eval
 
     cfg_path, out = tiny_config(
         tmp_path, **{"eval": {"finetune_epochs": [0], "part": "body"}}
@@ -205,7 +221,10 @@ def test_eval_tf0_reuses_initial_accuracies(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evaluation, "forward", counting_forward)
     run_eval(ExperimentConfig.load(cfg_path))
-    assert len(calls) == 4  # one initial pass per client, none for tau_f = 0
+    # one initial pass over each client's test set, however the clients
+    # stack, and none for tau_f = 0
+    _, data, _ = prepare(ExperimentConfig.load(cfg_path))
+    assert sum(calls) == sum(len(split.test_indices) for split in data.splits)
     rows = {
         stem: (out / "eval" / f"{stem}.csv").read_text().splitlines()[2:]
         for stem in ("initial", "personalized_tf0")

@@ -445,7 +445,7 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
         losses = train_epochs(
             ds, params, net, part, epochs, batch_size, 0.9, lr_fn, rngs,
             prox=prox, update_offset=offset, step=step, sizes=sizes,
-            on_epoch=lambda opt, row: momenta[row].append(opt.buffers.data[row].copy()),
+            on_epoch=lambda _stack, opt, row: momenta[row].append(opt.buffers.data[row].copy()),
         )
         return losses, momenta
 

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import fedsim as fs
-from fedsim.evaluation import EvalError, EvalReport, accuracy, client_models
+import fedsim.evaluation as evaluation
+from fedsim.engine import GROUP_BYTES, NumericError, client_groups, eval_stream
+from fedsim.evaluation import (
+    EvalError,
+    EvalReport,
+    accuracy,
+    client_models,
+    personalized_models,
+)
 from fedsim.params import ParamVector
 from tests.conftest import make_federated_data
 
@@ -153,6 +161,191 @@ def test_personalized_accuracy_deterministic():
     a = fs.personalized_accuracy(models, net, data, "full", 2, 0.05, seed=9, batch_size=10)
     b = fs.personalized_accuracy(models, net, data, "full", 2, 0.05, seed=9, batch_size=10)
     assert a.accuracies.tobytes() == b.accuracies.tobytes()
+
+
+# --- one fine-tune pass for every tau_f ---------------------------------------
+
+
+def dirichlet_data(test_sizes=None, seed=0, image=False):
+    """Dirichlet(0.5) train splits over 6 clients, of sizes 62, 75, 26, 29,
+    30 and 18. Test splits are matched (sizes 12, 15, 5, 5, 6 and 3), or
+    drawn from the whole test set at ``test_sizes``, which holds labels
+    outside a client's train classes. ``image`` reshapes the 16-dim samples
+    to 1x4x4 images."""
+    data = make_federated_data(seed=seed, dim=16 if image else 8)
+    if image:
+        data.train, data.test = (
+            fs.LabeledDataset(ds.samples.reshape(-1, 1, 4, 4), ds.labels, ds.num_classes)
+            for ds in (data.train, data.test)
+        )
+    spec = fs.PartitionSpec("dirichlet", clients=6, beta=0.5, seed=seed)
+    splits = fs.dirichlet_partition(data.train, spec)
+    if test_sizes is None:
+        splits = fs.split_client_test(data.train, data.test, splits, "matched", seed=seed)
+    else:
+        rng = np.random.default_rng(seed)
+        for split, n in zip(splits, test_sizes):
+            split.test_indices = np.sort(rng.choice(len(data.test), n, replace=False))
+    return fs.FederatedData(data.train, data.test, splits)
+
+
+def noisy_models(net, clients, seed):
+    noise = np.random.default_rng(seed).standard_normal((clients, net.params.total_len))
+    return [ParamVector(net.params.data + np.float32(0.1) * row.astype(np.float32),
+                        net.params.bounds) for row in noise]
+
+
+@pytest.mark.parametrize("part", ["body", "head", "full"])
+@pytest.mark.parametrize("sizes", ["equal", "dirichlet"])
+def test_one_pass_snapshots_equal_separate_finetunes(part, sizes):
+    data = make_federated_data(seed=20) if sizes == "equal" else dirichlet_data()
+    n = len(data.splits)
+    train_sizes = {len(split.train_indices) for split in data.splits}
+    if sizes == "dirichlet":  # partial batches, and epochs that end at different steps
+        assert len(train_sizes) > 1 and any(size % 10 for size in train_sizes)
+    net = small_net(seed=20, dim=data.train.sample_shape[0])
+    models = noisy_models(net, n, seed=20)
+    assert client_groups(data, range(n), net, 10) == [tuple(range(n))]  # one lockstep group
+    tfs = [3, 0, 1, 4, 1]
+    snapshots = personalized_models(models, net, data, part, tfs, 0.05, seed=5, batch_size=10)
+    for tf, tuned in zip(tfs, snapshots):
+        for cid in range(n):
+            alone = fs.fine_tune(
+                models[cid], net, part, tf, 0.05, data.client_train(cid), eval_stream(5, cid),
+                batch_size=10,
+            )
+            assert tuned[cid].data.tobytes() == alone.data.tobytes(), (tf, cid)
+
+
+def test_sequential_rule_finetunes_once_per_tf(monkeypatch):
+    # FedRep's body epoch follows all its head epochs, so a shorter
+    # fine-tune is no prefix of a longer one
+    data = make_federated_data(seed=21)
+    net = small_net(seed=21)
+    models = noisy_models(net, 4, seed=21)
+    calls = []
+    fine_tune = evaluation.fine_tune
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return fine_tune(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fine_tune", counting)
+    rule = "sequential_head_then_body"
+    tfs = [2, 0, 1]
+    tuned = personalized_models(models, net, data, "full", tfs, 0.05, 6, batch_size=10, rule=rule)
+    assert calls == [1, 2]  # one group, one fine-tune per positive tau_f
+    for tf, models_tf in zip(tfs, tuned):
+        for cid in range(4):
+            alone = fine_tune(
+                models[cid], net, "full", tf, 0.05, data.client_train(cid), eval_stream(6, cid),
+                batch_size=10, rule=rule,
+            )
+            assert models_tf[cid].data.tobytes() == alone.data.tobytes(), (tf, cid)
+    calls.clear()
+    personalized_models(models, net, data, "full", tfs, 0.05, 6, batch_size=10)
+    assert calls == [2]  # the joint rule: one fine-tune to the largest tau_f
+
+
+def test_finetune_error_names_the_tf_whose_epochs_hold_it(monkeypatch):
+    # client 1 fails in its second epoch: within tau_f 3, not 1
+    data = make_federated_data(seed=22)
+    net = small_net(seed=22)
+    fine_tune = evaluation.fine_tune
+
+    def failing(*args, on_epoch, **kwargs):
+        def end(stack, opt, row):
+            on_epoch(stack, opt, row)
+            if row == 1:
+                raise NumericError("non-finite loss", row)
+
+        return fine_tune(*args, on_epoch=end, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fine_tune", failing)
+    models = [net.params.copy() for _ in range(4)]
+    with pytest.raises(NumericError) as exc:
+        personalized_models(models, net, data, "full", [5, 1, 3], 0.05, 0, batch_size=10)
+    assert str(exc.value) == "fine-tune tf=3, client 1: non-finite loss"
+
+
+# --- stacked report passes -------------------------------------------------------
+
+
+def one_client_reports(models, net, data, tuned):
+    """Every report's accuracies, one network per client: the reference the
+    stacked passes must equal byte for byte. ``tuned`` holds fine-tuned models."""
+    rows = []
+    for cid, params in enumerate(models):
+        working = net.with_params(params)
+        train_ds, test_ds = data.client_train(cid), data.client_test(cid)
+        reps = fs.representations(working, test_ds.samples)
+        tset = fs.TemplateSet.build(working, train_ds)
+        correct = fs.forward(working, test_ds.samples)[0].argmax(axis=1) == test_ds.labels
+        seen = np.isin(test_ds.labels, train_ds.labels)
+        rows.append([
+            accuracy(working, test_ds),
+            accuracy(net.with_params(tuned[cid]), test_ds),
+            float((tset.classify(reps) == test_ds.labels).mean()),
+            correct[seen].mean() if seen.any() else np.nan,
+            correct[~seen].mean() if (~seen).any() else np.nan,
+        ])
+    return np.array(rows).T
+
+
+def conv_net(seed):
+    return fs.init_network(
+        [fs.conv2d(1, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2), fs.flatten(),
+         fs.dense(3 * 2 * 2, 4)],
+        fs.InitScheme("he_uniform", seed),
+    )
+
+
+@pytest.mark.parametrize("kind", ["mlp", "conv", "capped"])
+def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
+    test_sizes = [30, 45, 30, 12, 45, 30]  # sizes that repeat and differ
+    data = dirichlet_data(test_sizes, image=kind == "conv")
+    if kind == "conv":
+        net = conv_net(seed=23)
+    elif kind == "mlp":
+        net = small_net(seed=23)
+    else:  # a hidden layer so wide that one client's test pass fills the cap
+        wide = GROUP_BYTES // (4 * 2 * min(test_sizes)) + 1
+        net = fs.init_network(
+            [fs.dense(8, wide), fs.relu(), fs.dense(wide, 4)], fs.InitScheme("he_uniform", 23)
+        )
+    models = noisy_models(net, 6, seed=23)
+    stacks = []
+    for n in set(test_sizes):
+        same = [cid for cid, size in enumerate(test_sizes) if size == n]
+        stacks += client_groups(data, same, net, n)
+    if kind == "capped":
+        assert all(len(ids) == 1 for ids in stacks)
+    else:
+        assert len(stacks) == len(set(test_sizes)) < 6
+
+    forwards = []
+    forward = evaluation.forward
+    monkeypatch.setattr(
+        evaluation, "forward", lambda net, batch: forwards.append(len(batch)) or forward(net, batch)
+    )
+    initial = fs.initial_accuracy(models, net, data)
+    assert len(forwards) == len(stacks)
+    monkeypatch.undo()
+    reports = fs.personalized_accuracy(models, net, data, "full", [0, 2], 0.05, 7, batch_size=10)
+    template = fs.template_accuracy(models, net, data)
+    in_class, out_class = fs.in_out_class_accuracy(models, net, data)
+    tuned = [
+        fs.fine_tune(models[cid], net, "full", 2, 0.05, data.client_train(cid),
+                     eval_stream(7, cid), batch_size=10)
+        for cid in range(6)
+    ]
+    want = one_client_reports(models, net, data, tuned)
+    assert not np.isnan(want[4]).all()  # some test labels are out of class
+    for got, expected in zip(
+        [initial, reports[1], template, in_class, out_class], [want[0], *want[1:]]
+    ):
+        assert got.accuracies.tobytes() == expected.tobytes()
+    assert reports[0].accuracies.tobytes() == want[0].tobytes()
 
 
 # --- templates ------------------------------------------------------------------

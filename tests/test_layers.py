@@ -281,3 +281,51 @@ def test_softmax_cross_entropy_rejects_bad_labels(rng):
         softmax_cross_entropy(logits, np.array([0, 1, 4]))
     with pytest.raises(ValueError):
         softmax_cross_entropy(logits, np.array([0, -1, 2]))
+
+
+def softmax_xent_rowmax(logits, labels, clients=None):
+    """softmax_cross_entropy as it was written with the row max taken
+    across each row, ``logits.max(axis=1)``: the reference its
+    transposed-max form must equal byte for byte."""
+    n = len(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    picked = (shifted - np.log(denom))[np.arange(n), labels]
+    if clients is not None:
+        picked = picked.reshape(clients, -1)
+    b = np.asarray(picked.shape[-1], dtype=logits.dtype)
+    loss = -(np.add.reduce(picked, axis=-1) / b)
+    grad = exp / denom
+    grad[np.arange(n), labels] -= 1
+    grad /= b
+    return loss.astype(logits.dtype), grad.astype(logits.dtype, copy=False)
+
+
+def softmax_cases(rng):
+    """(logits, clients) pairs: random rows, tied rows, rows mixing +0.0 and
+    -0.0 with far larger magnitudes, and client stacks."""
+    yield rng.standard_normal((500, 10)).astype(np.float32), None
+    yield (rng.standard_normal((1200, 10)) * 30).astype(np.float32), None
+    yield rng.standard_normal((4 * 50, 10)).astype(np.float32), 4
+    yield np.repeat(rng.standard_normal((60, 1)), 7, axis=1).astype(np.float32), 3
+    signed_zeros = np.array([0.0, -0.0, -1.0, -3e38], dtype=np.float32)
+    large = np.array([0.0, -0.0, 1.0, 3e38, -3e38, 1e-45], dtype=np.float32)
+    for _ in range(100):  # a +0.0/-0.0 max tie settles either way in some shapes
+        n, c = int(rng.integers(1, 400)), int(rng.integers(2, 20))
+        yield rng.choice(signed_zeros, size=(n, c)), None
+        mixed = rng.standard_normal((n, c)).astype(np.float32)
+        yield np.where(rng.random((n, c)) < 0.5, rng.choice(large, size=(n, c)), mixed), None
+    zeros = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(6 * 25, 10))
+    zeros[:, ::3] = -5.0
+    yield zeros, 6
+
+
+def test_softmax_transposed_row_max_equals_row_max_bytes(rng):
+    for logits, clients in softmax_cases(rng):
+        labels = rng.integers(0, logits.shape[1], size=len(logits))
+        with np.errstate(all="ignore"):  # +-3e38 rows overflow to inf alike
+            got = softmax_cross_entropy(logits, labels, clients)
+            want = softmax_xent_rowmax(logits, labels, clients)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
