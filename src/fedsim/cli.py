@@ -81,8 +81,10 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (getattr(args, "stop_after", None) or 0) < 0:
-        parser.error(f"argument --stop-after: must be at least 0, not {args.stop_after}")
+    for flag, least in (("stop-after", 0), ("jobs", 1)):
+        value = getattr(args, flag.replace("-", "_"), None)
+        if value is not None and value < least:
+            parser.error(f"argument --{flag}: must be at least {least}, not {value}")
     try:
         if args.command == "partition":
             run_partition(_load_config(args))

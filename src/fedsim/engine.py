@@ -197,47 +197,46 @@ def client_groups(
     return [tuple(ids[i : i + cap]) for i in range(0, len(ids), cap)]
 
 
-def _joint_step(net: Network, ds: LabeledDataset, batch: np.ndarray):
+def _joint_step(net: Network, ds: LabeledDataset, batch: list[np.ndarray]):
     """Step rule of plain SGD: (losses, grads) of the minibatch ``batch``,
-    (M, b) sample indices, one row per client of the stack."""
-    idx = batch.reshape(-1)
-    _, cache = forward(net, ds.samples[idx])
+    one (clients, b) array of sample indices per run of the stack's rows."""
+    idx = np.concatenate(batch, axis=None)
+    _, cache = forward(net, ds.samples[idx], [run.shape for run in batch])
     return backward(net, cache, ds.labels[idx])
 
 
 def _perfedavg_step(alpha: float):
     """First-order Per-FedAvg step rule: an inner SGD step of rate ``alpha``
     on each client's first half of the batch (support), then the loss and
-    gradient on its second half (query) at the adapted point."""
+    gradient on its second half (query) at the adapted point. A run whose
+    batch cannot be split raises, naming its first row."""
     a32 = FLOAT(alpha)
 
-    def step(net: Network, ds: LabeledDataset, batch: np.ndarray):
-        if batch.shape[1] < 2:
-            raise FederationError(
-                "meta step needs a batch of at least 2 to split into support/query"
-            )
-        half = batch.shape[1] // 2
-        _, g_sup = _joint_step(net, ds, batch[:, :half])
+    def step(net: Network, ds: LabeledDataset, batch: list[np.ndarray]):
+        row = 0
+        for run in batch:
+            if run.shape[1] < 2:
+                raise FederationError(
+                    "meta step needs a batch of at least 2 to split into support/query", row
+                )
+            row += len(run)
+        halves = [run.shape[1] // 2 for run in batch]
+        _, g_sup = _joint_step(net, ds, [run[:, :h] for run, h in zip(batch, halves)])
         adapted = net.params.copy()
         adapted.data -= a32 * g_sup.data
-        return _joint_step(net.with_params(adapted), ds, batch[:, half:])
+        query = [run[:, h:] for run, h in zip(batch, halves)]
+        return _joint_step(net.with_params(adapted), ds, query)
 
     return step
 
 
-def _rows(v: ParamVector, rows) -> ParamVector:
-    """Rows of a stack: a view for a slice, a copy for an index array."""
-    return ParamVector(v.data[rows], v.bounds)
-
-
-def _sgd_rows(params, grads, opt: OptState, lr, mask, rows: slice, prox=None) -> None:
-    """``sgd_step`` on a slice of the rows of a stack, in place; ``lr`` is
-    one rate or a column of one per row."""
-    sgd_step(
-        _rows(params, rows), _rows(grads, rows),
-        OptState(_rows(opt.buffers, rows), opt.momentum),
-        lr if np.ndim(lr) == 0 else lr[rows], mask, prox,
-    )
+def _slices(rows: np.ndarray) -> list[slice]:
+    """Slices covering the ascending positions ``rows``: one, stepped, where
+    they are evenly spaced, as a Ditto track's rows are, else one per row."""
+    gaps = set(np.diff(rows).tolist())
+    if len(rows) and len(gaps) <= 1:
+        return [slice(int(rows[0]), int(rows[-1]) + 1, gaps.pop() if gaps else 1)]
+    return [slice(r, r + 1) for r in rows.tolist()]
 
 
 def train_epochs(
@@ -264,23 +263,29 @@ def train_epochs(
     sets ``ds`` holds one after another, ``sizes`` samples each, with
     ``rng`` a list of M generators. A single vector with one generator is a
     group of one. The clients step by step index: at step s every client
-    with a step left runs its own s-th step. Those whose batch has one size
-    run as one subgroup: one forward, one backward and one ``sgd_step``. A
-    subgroup that is the whole stack, as every one is when the sizes are
-    equal, trains in place; any other has its rows gathered and written
-    back. Each client draws an epoch's permutation from its own generator
-    when its epoch starts, and has its own momentum buffer and losses, so
-    its bits do not depend on its group.
+    with a step left runs its own s-th step, and all of them run as one
+    forward, one backward and one ``sgd_step`` per track. For this the
+    rows are ordered by step count, descending, so that a step's live rows
+    are a prefix of the stack, and then by size, so that equal partial
+    batches sit side by side: a step's batch is a list of runs of one batch
+    size (layers.py, "Stacks"). The caller's order is restored on return;
+    a group already in that order (one client, or equal sizes without
+    Ditto's two tracks) trains in place.
+    Each client draws an epoch's permutation from its own generator when
+    its epoch starts, and has its own momentum buffer and losses, so its
+    bits do not depend on its group.
 
     ``lr_fn`` maps a client's update counter, which starts at
     ``update_offset``, to its rate; either may be one per client.
     ``prox=(mu, anchor)`` pulls the last len(anchor) rows toward their rows
     of ``anchor``; rows before them (Ditto's global track) take no prox
-    term. ``step`` maps (net, ds, (M, b) batch indices) to (losses, grads);
-    ``on_epoch(stack, opt, row)`` is called as client ``row`` ends an epoch,
-    with its parameters in row ``row`` of the (M, P) ``stack``.
-    Momentum starts at zero and carries across the epochs of one call.
-    Returns each client's per-step losses.
+    term, and each pulled row is ordered right after the row len(anchor)
+    before it (its client's global row, under Ditto). ``step`` maps (net,
+    ds, one (clients, b) array of batch indices per run) to (losses,
+    grads); ``on_epoch(row, params, momentum)`` is called as the caller's
+    row ``row`` ends an epoch, with views of its parameter and momentum
+    vectors. Momentum starts at zero and carries across the epochs of one
+    call. Returns each client's per-step losses.
     """
     stack = params.as_stack()
     m = len(stack.data)
@@ -294,36 +299,50 @@ def train_epochs(
         raise FederationError("client has no training data", int(np.argmin(n)))
     lr_fns = [lr_fn] * m if callable(lr_fn) else list(lr_fn)
     offsets = np.broadcast_to(update_offset, m).tolist()
-    net = template.with_params(stack)
     mask = template.mask_for(part)
-    opt = OptState.for_params(stack, momentum)
-    free = m  # rows before the first one with a prox term
-    if prox is not None:
-        mu, anchor = prox[0], prox[1].as_stack()
-        free = m - len(anchor.data)
+    anchor = None if prox is None else prox[1].as_stack().data
+    free = m if prox is None else m - len(anchor)
+    pulled = np.arange(m) >= free
 
-    # the whole schedule, as (steps, M) tables: a client with no step left
-    # has batch size 0
+    # the row order; from here on a row is a position in it
+    steps = epochs * -(-n // batch_size)
+    order = np.lexsort((pulled, np.arange(m) - free * pulled, -n, -steps))
+    in_place = bool((order == np.arange(m)).all())
+    work = stack.data if in_place else stack.data[order]
+    buf = np.zeros_like(work)
+    first = (np.cumsum(n) - n)[order]  # each row's first sample in ds
+    n, steps, pulled = n[order], steps[order], pulled[order]
+    rngs = [rngs[r] for r in order.tolist()]
+    if anchor is not None:  # the pulled rows' anchors, in row order
+        src = order[pulled] - free
+        anchor = anchor if (src == np.arange(len(src))).all() else anchor[src]
+
+    # the whole schedule, as (steps, M) tables: a row with no step left has
+    # batch size 0
     ipe = -(-n // batch_size)
-    steps = epochs * ipe
     index = np.arange(steps.max())[:, None]
     t = index % ipe
     live = index < steps
     size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
-    first = np.cumsum(n) - n  # each client's first row in ds
     rate = np.zeros(size.shape, FLOAT)
-    rates: dict[tuple, list[float]] = {}  # clients that share a rate function share its calls
-    for r, key in enumerate(zip(lr_fns, offsets, steps.tolist())):
+    rates: dict[tuple, np.ndarray] = {}  # clients that share a rate function share its calls
+    for i, r in enumerate(order.tolist()):
+        key = (lr_fns[r], offsets[r], int(steps[i]))
         if key not in rates:
             fn, offset, count = key
-            rates[key] = [fn(offset + s) for s in range(count)]
-        rate[: key[2], r] = rates[key]
-    # per step, -1 unless every client is at one batch index (where their
-    # batches start) and has one rate (a scalar, which sgd_step applies
-    # faster than a column), as with equal sizes
-    starts = np.where((t == t[:, :1]).all(axis=1), t[:, 0] * batch_size, -1).tolist()
+            rates[key] = np.array([fn(offset + s) for s in range(count)], FLOAT)
+        rate[: key[2], i] = rates[key]
+    # per step, -1 unless every live row has one rate (a scalar, which
+    # sgd_step applies faster than a column)
     low = np.where(live, rate, np.inf).min(axis=1)
     one_rate = np.where(low == np.where(live, rate, -np.inf).max(axis=1), low, -1).tolist()
+    width = live.sum(axis=1).tolist()  # live rows per step, a prefix
+    # a run starts where the batch size changes
+    cut = np.ones(size.shape, bool)
+    cut[:, 1:] = size[:, 1:] != size[:, :-1]
+    col = t * batch_size  # where each row's batch starts in its permutation
+    sizes_at, cols_at = size.tolist(), col.tolist()
+    within = np.arange(batch_size)
 
     def rows_by_step(where) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -332,57 +351,58 @@ def train_epochs(
         return out
 
     draws, ends = rows_by_step(t == 0), rows_by_step(t == ipe - 1)  # epoch starts, ends
-    order = np.empty((m, n.max()), np.int64)  # each client's epoch permutation, as ds rows
-    within = np.arange(batch_size)
-    # a step's batch sizes -> its subgroups: (b, rows, as a list, all rows?,
-    # first prox row)
-    plans: dict[bytes, list] = {}
+
+    def prefix(k: int):
+        """(network, momentum, updates) of the first k rows: views, and one
+        (rows, prox) per ``sgd_step`` call, the free rows' and the pulled
+        rows' apart, as mu = 0 could turn a gradient of -0.0 into 0.0."""
+        rows = ParamVector(work[:k], stack.bounds)
+        updates = [(sl, None) for sl in _slices(np.flatnonzero(~pulled[:k]))]
+        for sl in _slices(np.flatnonzero(pulled[:k])):
+            j = int(pulled[: sl.start].sum())
+            pull = ParamVector(anchor[j : j + len(range(k)[sl])], stack.bounds)
+            updates.append((sl, (prox[0], pull)))
+        opt = OptState(ParamVector(buf[:k], stack.bounds), momentum)
+        return template.with_params(rows), opt, updates
+
+    prefixes: dict[int, tuple] = {}
+    perm = np.empty((m, n.max()), np.int64)  # each row's epoch permutation, as ds rows
     losses: list[list[float]] = [[] for _ in range(m)]
     for s in range(len(index)):
-        for r in draws.get(s, ()):
-            order[r, : n[r]] = rngs[r].permutation(n[r]) + first[r]
-        key = size[s].tobytes()
-        if key not in plans:
-            plans[key] = []
-            for b in sorted(set(size[s].tolist()) - {0}):
-                ids = np.flatnonzero(size[s] == b)
-                plans[key].append(
-                    (b, ids, ids.tolist(), len(ids) == m, int(np.searchsorted(ids, free)))
-                )
-        for b, ids, members, whole, k in plans[key]:
-            # a whole-stack subgroup trains in place, with no rows to gather
-            sub = stack if whole else _rows(stack, ids)
-            sub_opt = opt if whole else OptState(_rows(opt.buffers, ids), momentum)
-            if whole and starts[s] >= 0:
-                batch = order[:, starts[s] : starts[s] + b]
+        for i in draws.get(s, ()):
+            perm[i, : n[i]] = rngs[i].permutation(n[i]) + first[i]
+        k = width[s]
+        if k not in prefixes:
+            prefixes[k] = prefix(k)
+        net, opt, updates = prefixes[k]
+        heads = np.flatnonzero(cut[s, :k]).tolist()
+        batch = []
+        for a, z in zip(heads, heads[1:] + [k]):
+            c, b = cols_at[s][a], sizes_at[s][a]
+            if cols_at[s][a:z].count(c) == z - a:  # one batch index: a view
+                batch.append(perm[a:z, c : c + b])
             else:
-                batch = order[ids[:, None], t[s, ids, None] * batch_size + within[:b]]
-            try:
-                loss, grads = step(net if whole else template.with_params(sub), ds, batch)
-            except FederationError as e:  # the whole subgroup has the batch size it failed on
-                raise FederationError(str(e), members[0]) from e
-            values = loss.tolist()
-            if not all(map(math.isfinite, values)):
-                r = members[next(i for i, v in enumerate(values) if not math.isfinite(v))]
-                raise NumericError(f"non-finite loss at local update {offsets[r] + s}", r)
-            lr = one_rate[s] if one_rate[s] >= 0 else rate[s, ids, None]
-            pull = None
-            if k < len(ids):
-                pull = (mu, anchor if whole else _rows(anchor, ids[k:] - free))
-            if k in (0, len(ids)):
-                sgd_step(sub, grads, sub_opt, lr, mask, pull)
-            else:  # only rows [k:] take the prox term: mu = 0 could turn x into -0.0
-                _sgd_rows(sub, grads, sub_opt, lr, mask, slice(k))
-                _sgd_rows(sub, grads, sub_opt, lr, mask, slice(k, None), pull)
-            if not whole:
-                stack.data[ids] = sub.data
-                opt.buffers.data[ids] = sub_opt.buffers.data
-            for r, value in zip(members, values):
-                losses[r].append(value)
+                batch.append(perm[np.arange(a, z)[:, None], col[s, a:z, None] + within[:b]])
+        try:
+            loss, grads = step(net, ds, batch)
+        except FederationError as e:  # name the caller's row
+            raise type(e)(str(e), None if e.member is None else int(order[e.member])) from e
+        values = loss.tolist()
+        if not all(map(math.isfinite, values)):
+            r = int(order[next(i for i, v in enumerate(values) if not math.isfinite(v))])
+            raise NumericError(f"non-finite loss at local update {offsets[r] + s}", r)
+        column = None if one_rate[s] >= 0 else rate[s, :k, None]
+        for rows, pull in updates:
+            lr = one_rate[s] if column is None else column[rows]
+            sgd_step(net.params, grads, opt, lr, mask, pull, rows)
+        for row_losses, value in zip(losses, values):
+            row_losses.append(value)
         if on_epoch is not None:
-            for r in ends.get(s, ()):
-                on_epoch(stack, opt, r)
-    return losses
+            for i in ends.get(s, ()):
+                on_epoch(int(order[i]), work[i], buf[i])
+    if not in_place:
+        stack.data[order] = work
+    return [losses[i] for i in np.argsort(order)]
 
 
 def local_update(

@@ -21,6 +21,7 @@ from .engine import (
     local_update,
     train_epochs,
 )
+from .layers import runs_of
 from .network import Network, forward, representations, segment_cosines
 from .params import ParamVector
 
@@ -56,42 +57,41 @@ class EvalReport:
         return cls(list(client_ids), acc, finetune_epochs, part, mean, std)
 
 
-def accuracy(net: Network, ds: LabeledDataset):
+def accuracy(net: Network, ds: LabeledDataset, sizes: list[int] | None = None):
     """Share of correct argmax predictions; ties go to the lowest class.
-    A network over an (M, P) stack takes M clients' sets of one size, one
-    after another, and returns each client's share, an (M,) array."""
+    A network over an (M, P) stack takes M clients' sets one after another,
+    ``sizes`` samples each, and returns each client's share, an (M,) array."""
     if len(ds) == 0:
         raise EvalError("empty evaluation set")
-    logits, _ = forward(net, ds.samples)
+    logits, _ = forward(net, ds.samples, None if sizes is None else runs_of(sizes))
     correct = logits.argmax(axis=1) == ds.labels
-    if net.params.data.ndim == 2:
-        return correct.reshape(len(net.params.data), -1).mean(axis=1)
-    return float(correct.mean())
+    if sizes is None:
+        return float(correct.mean())
+    # sums of zeros and ones are exact, so these are np.mean's bits
+    return np.add.reduceat(correct, np.cumsum(sizes) - sizes, dtype=np.float64) / sizes
 
 
 def _stacked(models: list[ParamVector], template: Network, data: FederatedData, split: str):
     """Lockstep groups of a forward-only pass over each client's ``split``
-    set ('train' or 'test'): clients whose sets hold one sample count run
-    as one stack, cut by ``client_groups`` at that count. Yields (ids, a
-    network over their models, their sets one after another). An empty set
-    is an EvalError naming the client."""
+    set ('train' or 'test'), of any sizes: ``client_groups`` cut at the
+    largest set. Yields (ids, a network over their models, their sets one
+    after another, their sizes). An empty set is an EvalError naming the
+    client."""
     base = data.train if split == "train" else data.test
     index = [getattr(data.splits[cid], f"{split}_indices") for cid in range(len(models))]
-    by_size: dict[int, list[int]] = {}
     for cid, idx in enumerate(index):
         if len(idx) == 0:
             raise EvalError(f"client {cid}: empty {split} split")
-        by_size.setdefault(len(idx), []).append(cid)
-    for n, same in by_size.items():
-        for ids in client_groups(data, same, template, n):
-            net = template.with_params(ParamVector.stack([models[cid] for cid in ids]))
-            yield ids, net, base.subset(np.concatenate([index[cid] for cid in ids]))
+    for ids in client_groups(data, range(len(models)), template, max(map(len, index))):
+        net = template.with_params(ParamVector.stack([models[cid] for cid in ids]))
+        sets = base.subset(np.concatenate([index[cid] for cid in ids]))
+        yield ids, net, sets, [len(index[cid]) for cid in ids]
 
 
 def _test_accuracies(models: list[ParamVector], template: Network, data: FederatedData):
     accs = np.empty(len(models))
-    for ids, net, test_ds in _stacked(models, template, data, "test"):
-        accs[list(ids)] = accuracy(net, test_ds)
+    for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
+        accs[list(ids)] = accuracy(net, test_ds, sizes)
     return accs
 
 
@@ -189,10 +189,10 @@ def personalized_models(
             # one stack per earlier τ_f; the last is the pass's result
             early = {tf: start.zeros_like() for tf in snaps[:-1]}
 
-            def keep(stack, _opt, row):
+            def keep(row, params, _momentum):
                 done[row] += 1
                 if done[row] in early:
-                    early[done[row]].data[row] = stack.data[row]
+                    early[done[row]].data[row] = params
 
             try:
                 tuned = fine_tune(
@@ -284,9 +284,11 @@ class TemplateSet:
         return self.classes[sims.argmax(axis=1)]
 
 
-def _by_client(ids, *arrays):
-    """(client id, its rows of each array) for a group's stacked pass."""
-    return zip(ids, *(np.split(a, len(ids)) for a in arrays))
+def _by_client(ids, sizes, *arrays):
+    """(client id, its rows of each array) for a group's stacked pass over
+    sets of ``sizes`` samples."""
+    cuts = np.cumsum(sizes)[:-1]
+    return zip(ids, *(np.split(a, cuts) for a in arrays))
 
 
 def template_accuracy(
@@ -295,15 +297,15 @@ def template_accuracy(
     """Classify each client's test samples to its nearest per-class mean
     representation (cosine similarity); the trained head plays no part."""
     tsets = {}
-    for ids, net, train_ds in _stacked(models, template, data, "train"):
+    for ids, net, train_ds, sizes in _stacked(models, template, data, "train"):
         for cid, reps, labels in _by_client(
-            ids, representations(net, train_ds.samples), train_ds.labels
+            ids, sizes, representations(net, train_ds.samples, runs_of(sizes)), train_ds.labels
         ):
             tsets[cid] = TemplateSet.of(reps, labels)
     accs = np.empty(len(models))
-    for ids, net, test_ds in _stacked(models, template, data, "test"):
+    for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
         for cid, reps, labels in _by_client(
-            ids, representations(net, test_ds.samples), test_ds.labels
+            ids, sizes, representations(net, test_ds.samples, runs_of(sizes)), test_ds.labels
         ):
             accs[cid] = float((tsets[cid].classify(reps) == labels).mean())
     return EvalReport.from_accuracies(list(range(len(models))), accs, 0, "template")
@@ -319,9 +321,9 @@ def in_out_class_accuracy(
     split. Meant for global-mode test splits; an empty subset becomes NaN,
     an empty test split an EvalError."""
     in_accs, out_accs = np.empty(len(models)), np.empty(len(models))
-    for ids, net, test_ds in _stacked(models, template, data, "test"):
-        logits, _ = forward(net, test_ds.samples)
-        for cid, preds, labels in _by_client(ids, logits.argmax(axis=1), test_ds.labels):
+    for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
+        logits, _ = forward(net, test_ds.samples, runs_of(sizes))
+        for cid, preds, labels in _by_client(ids, sizes, logits.argmax(axis=1), test_ds.labels):
             train_classes = np.unique(data.train.labels[data.splits[cid].train_indices])
             in_mask = np.isin(labels, train_classes)
             correct = preds == labels

@@ -10,12 +10,16 @@ axes is stored channels-last, (N, H, W, C), which is the layout the im2col
 matmul reads and writes. The network converts a batch once, with
 ``channels_last``; ``flatten`` emits features in (C, H, W) order.
 
-Stacks: a group of M clients that train in lockstep runs as one batch of
-M*B samples, client by client (client-major). The weight-free kernels see
-that batch as any other. ``dense`` and ``conv2d`` take weights with a
-leading client axis, (M, Cout, ...), M=1 for a single network, view the
-batch as (M, B*..., K) and multiply each client's rows by its own weights;
-their bias gradients sum per client. Each client's result equals, bit for
+Stacks: a group of M clients that train in lockstep runs as one batch,
+client by client (client-major). Clients may differ in batch size: the
+batch is then a list of runs, ``[(clients, b), ...]`` in client order, each
+a stretch of clients with b samples apiece; ``runs`` None is one run of M
+equal batches. The weight-free kernels see the batch as any other.
+``dense`` and ``conv2d`` take weights with a leading client axis,
+(M, Cout, ...), M=1 for a single network, and multiply each client's rows
+by its own weights, one batched GEMM per run; their bias gradients sum per
+client, and ``softmax_cross_entropy`` takes one mean per client. Each
+client's GEMM has the shape it has alone, so its result equals, bit for
 bit, the same kernel run on that client alone.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -150,26 +155,71 @@ def channels_first(x):
     return x.transpose(0, x.ndim - 1, *range(1, x.ndim - 1))
 
 
-def dense_forward(x, w, b):
-    """x: (N, K), the N = M*B samples of M clients one after another;
-    w: (M, Cout, K); b: (M, Cout). Out: (N, Cout)."""
+def runs_of(sizes) -> list[tuple[int, int]]:
+    """The runs of clients of ``sizes`` samples each, in order: one
+    (clients, b) per stretch of equal sizes."""
+    return [(len(list(same)), b) for b, same in groupby(sizes)]
+
+
+def _spans(runs, per):
+    """(client slice, row slice, rows per client) of each run of a batch
+    whose samples span ``per`` rows each."""
+    c = r = 0
+    for clients, b in runs:
+        rows = b * per
+        yield slice(c, c + clients), slice(r, r + clients * rows), rows
+        c, r = c + clients, r + clients * rows
+
+
+def _client_affine(x, wt, b, runs, per):
+    """Each client's rows of ``x`` (rows, K) times its matrix of ``wt``
+    (M, K, C), plus its row of ``b`` (M, C): (rows, C), one batched GEMM
+    per run."""
+    m, k, cout = wt.shape
+    if runs is None or len(runs) == 1:
+        out = x.reshape(m, -1, k) @ wt
+        out += b[:, None]
+        return out.reshape(-1, cout)
+    out = np.empty((len(x), cout), dtype=x.dtype)
+    for c, r, rows in _spans(runs, per):
+        part = out[r].reshape(-1, rows, cout)
+        np.matmul(x[r].reshape(-1, rows, k), wt[c], out=part)
+        part += b[c, None]
+    return out
+
+
+def _client_backward(g, x, w, runs, per, need_gx, bias_sum):
+    """The gradients of ``_client_affine`` from ``g`` (rows, C), its input
+    ``x`` (rows, K) and ``w`` (M, C, K): (each client's g @ w, or None
+    unless ``need_gx``; each client's g.T @ x, (M, C, K); ``bias_sum`` of
+    each run's (clients, rows, C) view of ``g``, (M, C))."""
     m, cout, k = w.shape
-    xs = x.reshape(m, -1, k)
-    out = xs @ w.transpose(0, 2, 1)
-    out += b[:, None]
-    return out.reshape(-1, cout), xs
+    if runs is None or len(runs) == 1:
+        gs = g.reshape(m, -1, cout)
+        gx = (gs @ w).reshape(-1, k) if need_gx else None
+        return gx, gs.transpose(0, 2, 1) @ x.reshape(m, -1, k), bias_sum(gs)
+    gx = np.empty((len(g), k), dtype=g.dtype) if need_gx else None
+    gw = np.empty((m, cout, k), dtype=g.dtype)
+    gb = np.empty((m, cout), dtype=g.dtype)
+    for c, r, rows in _spans(runs, per):
+        gs = g[r].reshape(-1, rows, cout)
+        if need_gx:
+            np.matmul(gs, w[c], out=gx[r].reshape(-1, rows, k))
+        np.matmul(gs.transpose(0, 2, 1), x[r].reshape(-1, rows, k), out=gw[c])
+        gb[c] = bias_sum(gs)
+    return gx, gw, gb
 
 
-def dense_backward(gout, cache, w, need_gx=True):
+def dense_forward(x, w, b, runs=None):
+    """x: (N, K), the samples of M clients one after another, in ``runs``;
+    w: (M, Cout, K); b: (M, Cout). Out: (N, Cout)."""
+    return _client_affine(x, w.transpose(0, 2, 1), b, runs, 1), x
+
+
+def dense_backward(gout, cache, w, need_gx=True, runs=None):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis."""
-    xs = cache
-    m, cout, k = w.shape
-    gs = gout.reshape(m, -1, cout)
-    gx = (gs @ w).reshape(-1, k) if need_gx else None
-    gw = gs.transpose(0, 2, 1) @ xs
-    gb = gs.sum(axis=1)
-    return gx, gw, gb
+    return _client_backward(gout, cache, w, runs, 1, need_gx, lambda g: g.sum(axis=1))
 
 
 def relu_forward(x):
@@ -192,11 +242,11 @@ def flatten_backward(gout, shape):
     return np.ascontiguousarray(channels_last(gout.reshape(shape)))
 
 
-def conv2d_forward(x, w, b, padding):
+def conv2d_forward(x, w, b, padding, runs=None):
     """Stride-1 2-D convolution via an im2col matmul.
 
-    x: (N, H, W, Cin), the N = M*B samples of M clients one after another;
-    w: (M, Cout, Cin, k, k); b: (M, Cout); out: (N, Ho, Wo, Cout).
+    x: (N, H, W, Cin), the samples of M clients one after another, in
+    ``runs``; w: (M, Cout, Cin, k, k); b: (M, Cout); out: (N, Ho, Wo, Cout).
     The column matrix, (N*Ho*Wo, Cin*k*k) with columns in (Cin, k, k)
     order, comes first in the cache; the weight gradient reads it.
     """
@@ -213,26 +263,21 @@ def conv2d_forward(x, w, b, padding):
         for j in range(k):
             cols[..., i, j] = xp[:, i : i + ho, j : j + wo]
     cols = cols.reshape(n * ho * wo, cin * k * k)
-    out = cols.reshape(m, -1, cin * k * k) @ w.reshape(m, cout, -1).transpose(0, 2, 1)
-    out += b[:, None]
+    out = _client_affine(cols, w.reshape(m, cout, -1).transpose(0, 2, 1), b, runs, ho * wo)
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
 
 
-def conv2d_backward(gout, cache, w, padding, need_gx=True):
+def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis. Gradients of
     activations are channels-last, like the activations."""
     cols, padded_shape, (n, ho, wo) = cache
     m, cout, cin, k, _ = w.shape
-    gmat = gout.reshape(m, -1, cout)
-    gw = (gmat.transpose(0, 2, 1) @ cols.reshape(m, -1, cin * k * k)).reshape(w.shape)
-    # einsum adds each client's rows in order, as sum(axis=1) does for two
-    # or more columns, and is several times faster; one column is a
-    # contiguous reduction, which sum(axis=1) adds pairwise
-    gb = np.einsum("mij->mj", gmat) if cout > 1 else gmat.sum(axis=1)
+    gcols, gw, gb = _client_backward(
+        gout.reshape(-1, cout), cols, w.reshape(m, cout, -1), runs, ho * wo, need_gx, _conv_bias_sum
+    )
     if not need_gx:
-        return None, gw, gb
-    gcols = gmat @ w.reshape(m, cout, -1)
+        return None, gw.reshape(w.shape), gb
     gcols = gcols.reshape(n, ho, wo, cin, k, k)
     gx = np.zeros(padded_shape, dtype=gout.dtype)
     for i in range(k):
@@ -240,7 +285,14 @@ def conv2d_backward(gout, cache, w, padding, need_gx=True):
             gx[:, i : i + ho, j : j + wo] += gcols[..., i, j]
     if padding:
         gx = np.ascontiguousarray(gx[:, padding:-padding, padding:-padding])
-    return gx, gw, gb
+    return gx, gw.reshape(w.shape), gb
+
+
+def _conv_bias_sum(g):
+    # einsum adds each client's rows in order, as sum(axis=1) does for two
+    # or more columns, and is several times faster; one column is a
+    # contiguous reduction, which sum(axis=1) adds pairwise
+    return np.einsum("mij->mj", g) if g.shape[2] > 1 else g.sum(axis=1)
 
 
 def maxpool2d_forward(x, window):
@@ -289,10 +341,11 @@ def maxpool2d_backward(gout, cache):
 def softmax_cross_entropy(logits, labels, clients=None):
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
-    logits: (N, C). With ``clients`` = M the N = M*B rows are M clients'
-    batches, client by client: the loss is then one mean per client, an
-    (M,) array, and the gradient divides by B, not N. Labels are class
-    indices in [0, C); raises on out-of-range labels.
+    logits: (N, C). With ``clients`` the N rows are client batches, client
+    by client: M clients of one batch size, or a run list
+    ``[(clients, b), ...]``. The loss is then one mean per client, an (M,)
+    array, and each client's gradient rows divide by its own b, not N.
+    Labels are class indices in [0, C); raises on out-of-range labels.
     """
     n, c = logits.shape
     labels = np.asarray(labels)
@@ -307,12 +360,19 @@ def softmax_cross_entropy(logits, labels, clients=None):
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(denom)
     picked = log_probs[np.arange(n), labels]
-    if clients is not None:
-        picked = picked.reshape(clients, -1)
-    b = np.asarray(picked.shape[-1], dtype=logits.dtype)
-    # the float32 sum and division np.mean does, without its Python wrapper
-    loss = -(np.add.reduce(picked, axis=-1) / b)
     grad = exp / denom
     grad[np.arange(n), labels] -= 1
-    grad /= b
-    return loss.astype(logits.dtype), grad.astype(logits.dtype, copy=False)
+    if clients is None or isinstance(clients, int):
+        if clients is not None:
+            picked = picked.reshape(clients, -1)
+        b = np.asarray(picked.shape[-1], dtype=logits.dtype)
+        # the float32 sum and division np.mean does, without its Python wrapper
+        loss = -(np.add.reduce(picked, axis=-1) / b)
+        grad /= b
+        return loss.astype(logits.dtype), grad.astype(logits.dtype, copy=False)
+    loss = np.empty(sum(k for k, _ in clients), dtype=logits.dtype)
+    for c, r, b in _spans(clients, 1):
+        b32 = np.asarray(b, dtype=logits.dtype)
+        loss[c] = -(np.add.reduce(picked[r].reshape(-1, b), axis=-1) / b32)
+        grad[r] /= b32
+    return loss, grad.astype(logits.dtype, copy=False)

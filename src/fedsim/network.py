@@ -224,56 +224,57 @@ def _batch_shape(x) -> tuple[int, ...]:
     return channels_first(x).shape if x.ndim > 2 else x.shape
 
 
-def _dense_forward(net: Network, i: int, x):
+def _dense_forward(net: Network, i: int, x, runs):
     spec = net.layers[i]
     if x.ndim != 2 or x.shape[1] != spec.fan_in:
         raise ShapeError(
             f"layer {i}: dense expects (N, {spec.fan_in}), got {_batch_shape(x)}"
         )
-    return dense_forward(x, *net._bound[i][:2])
+    return dense_forward(x, *net._bound[i][:2], runs)
 
 
-def _conv2d_forward(net: Network, i: int, x):
+def _conv2d_forward(net: Network, i: int, x, runs):
     spec = net.layers[i]
     if x.ndim != 4 or x.shape[3] != spec.in_channels:
         raise ShapeError(
             f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), "
             f"got {_batch_shape(x)}"
         )
-    return conv2d_forward(x, *net._bound[i][:2], spec.padding)
+    return conv2d_forward(x, *net._bound[i][:2], spec.padding, runs)
 
 
-# kind -> (forward(net, i, x) -> (out, cache),
-#          backward(net, i, gout, cache) -> (gin, weight grad, bias grad)).
+# kind -> (forward(net, i, x, runs) -> (out, cache),
+#          backward(net, i, gout, cache, runs) -> (gin, weight grad, bias grad)),
+# ``runs`` as the kernels take them (layers.py, "Stacks").
 # The adapters name the kernels as module globals, looked up at call time.
 # Layer 0's input gradient would be discarded, so it is not computed.
 _LAYER_OPS = {
     "dense": (
         _dense_forward,
-        lambda net, i, g, c: dense_backward(g, c, net._bound[i][0], need_gx=i > 0),
+        lambda net, i, g, c, runs: dense_backward(g, c, net._bound[i][0], i > 0, runs),
     ),
     "conv2d": (
         _conv2d_forward,
-        lambda net, i, g, c: conv2d_backward(
-            g, c, net._bound[i][0], net.layers[i].padding, need_gx=i > 0
+        lambda net, i, g, c, runs: conv2d_backward(
+            g, c, net._bound[i][0], net.layers[i].padding, i > 0, runs
         ),
     ),
     "relu": (
-        lambda net, i, x: relu_forward(x),
-        lambda net, i, g, c: (relu_backward(g, c), None, None),
+        lambda net, i, x, runs: relu_forward(x),
+        lambda net, i, g, c, runs: (relu_backward(g, c), None, None),
     ),
     "maxpool2d": (
-        lambda net, i, x: maxpool2d_forward(x, net.layers[i].window),
-        lambda net, i, g, c: (maxpool2d_backward(g, c), None, None),
+        lambda net, i, x, runs: maxpool2d_forward(x, net.layers[i].window),
+        lambda net, i, g, c, runs: (maxpool2d_backward(g, c), None, None),
     ),
     "flatten": (
-        lambda net, i, x: flatten_forward(x),
-        lambda net, i, g, c: (flatten_backward(g, c), None, None),
+        lambda net, i, x, runs: flatten_forward(x),
+        lambda net, i, g, c, runs: (flatten_backward(g, c), None, None),
     ),
 }
 
 
-def _run_layers(net: Network, batch, stop: int, caches: list | None):
+def _run_layers(net: Network, batch, stop: int, caches: list | None, runs=None):
     """Apply layers [0, stop) in the params' dtype, appending each layer's
     cache to ``caches`` unless it is None. A batch with more than two axes
     enters the layers channels-last."""
@@ -283,27 +284,30 @@ def _run_layers(net: Network, batch, stop: int, caches: list | None):
     if x.ndim > 2:
         x = channels_last(x)
     for i, spec in enumerate(net.layers[:stop]):
-        x, cache = _LAYER_OPS[spec.kind][0](net, i, x)
+        x, cache = _LAYER_OPS[spec.kind][0](net, i, x, runs)
         if caches is not None:
             caches.append(cache)
     return x
 
 
-def forward(net: Network, batch: np.ndarray):
+def forward(net: Network, batch: np.ndarray, runs=None):
     """Run the network on a batch; returns (logits, cache).
 
-    The cache holds per-layer records sufficient for backward, plus the
-    logits.
+    A network over a stack runs its clients' batches one after another, in
+    ``runs`` of one batch size (layers.py, "Stacks"). The cache holds
+    per-layer records sufficient for backward, plus the logits and runs.
     """
+    runs = runs if runs and len(runs) > 1 else None  # one run: the plain stacked path
     caches: list = []
-    x = _run_layers(net, batch, len(net.layers), caches)
-    return x, (caches, x)
+    x = _run_layers(net, batch, len(net.layers), caches, runs)
+    return x, (caches, x, runs)
 
 
-def representations(net: Network, batch: np.ndarray) -> np.ndarray:
-    """Inputs to the head: the post-flatten, pre-head activations. Layer
-    caches are dropped as the pass goes."""
-    return _run_layers(net, batch, net.head_index, None)
+def representations(net: Network, batch: np.ndarray, runs=None) -> np.ndarray:
+    """Inputs to the head: the post-flatten, pre-head activations, of a
+    batch in ``runs`` as ``forward`` takes it. Layer caches are dropped as
+    the pass goes."""
+    return _run_layers(net, batch, net.head_index, None, runs)
 
 
 def backward(net: Network, cache, labels):
@@ -311,18 +315,18 @@ def backward(net: Network, cache, labels):
 
     Must be called with the cache of a matching forward; the returned
     gradient vector shares the params' segmentation. A network over an
-    (M, P) stack returns an (M,) loss, each client's mean over its own B
-    samples, and an (M, P) gradient stack.
+    (M, P) stack returns an (M,) loss, each client's mean over its own
+    batch, and an (M, P) gradient stack.
     """
-    caches, logits = cache
-    clients = len(net.params.data) if net.params.data.ndim == 2 else None
+    caches, logits, runs = cache
+    clients = runs or (len(net.params.data) if net.params.data.ndim == 2 else None)
     loss, gout = softmax_cross_entropy(logits, labels, clients)
 
     # every segment is overwritten below, since each layer is visited
     grads = ParamVector(np.empty_like(net.params.data), net.params.bounds)
     stack = grads.data.reshape(-1, grads.data.shape[-1])
     for i in range(len(net.layers) - 1, -1, -1):
-        gout, gw, gb = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i])
+        gout, gw, gb = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i], runs)
         if gw is not None:
             _, _, wslice, bslice = net._bound[i]
             stack[:, wslice] = gw.reshape(len(stack), -1)

@@ -53,6 +53,7 @@ def sgd_step(
     lr: float | np.ndarray,
     mask: ParamMask,
     prox: tuple[float, ParamVector] | None = None,
+    rows: slice | None = None,
 ) -> None:
     """One masked momentum-SGD step, in place, on the scalars of ``mask``'s
     segment range.
@@ -61,23 +62,27 @@ def sgd_step(
     With ``prox=(mu, anchor)`` the effective gradient on masked-in segments
     becomes ``g + mu * (params - anchor)``. On an (M, P) stack every row is
     its own client: its own gradient, momentum buffer and anchor row, and
-    ``lr`` may be an (M, 1) float32 column of per-row rates.
+    ``lr`` may be an (M, 1) float32 column of per-row rates. ``rows``, a
+    slice, steps only those rows of the stacks ``params``, ``grads`` and
+    ``opt.buffers``; a column ``lr`` and the anchor then hold one row per
+    stepped row.
     """
     params.require_same_segmentation(grads)
     part = mask.scalars(params)
+    at = (..., part) if rows is None else (rows, part)
     lr32 = np.asarray(lr, dtype=FLOAT)
     if lr32.min() < 0:
         raise ValueError("learning rate must be non-negative")
     m32 = FLOAT(opt.momentum)
-    p = params.data[..., part]
-    g = grads.data[..., part]
+    p = params.data[at]
+    g = grads.data[at]
     if prox is not None:
         mu, anchor = prox
         if mu < 0:
             raise ValueError("proximal coefficient must be non-negative")
         params.require_same_segmentation(anchor)
         g = g + FLOAT(mu) * (p - anchor.data[..., part])
-    buf = opt.buffers.data[..., part]
+    buf = opt.buffers.data[at]
     buf *= m32
     buf += g
     p -= lr32 * buf

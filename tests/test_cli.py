@@ -215,9 +215,9 @@ def test_eval_tf0_reuses_initial_accuracies(tmp_path, monkeypatch):
     calls = []
     forward = evaluation.forward
 
-    def counting_forward(net, batch):
+    def counting_forward(net, batch, runs=None):
         calls.append(len(batch))
-        return forward(net, batch)
+        return forward(net, batch, runs)
 
     monkeypatch.setattr(evaluation, "forward", counting_forward)
     run_eval(ExperimentConfig.load(cfg_path))
@@ -725,6 +725,17 @@ def test_sweep_file_of_wrong_shape_exits_2_naming_the_key(tmp_path, capsys, key,
     sweep_path.write_text(json.dumps(sweep))
     assert main(["sweep", "--config", str(sweep_path)]) == 2
     assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_2_before_any_cell(tmp_path, capsys, jobs):
+    # run_sweep only pools for jobs > 1, so these would run serially and exit 0
+    sweep_path, out = sweep_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(sweep_path), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, not {jobs}" in capsys.readouterr().err
     assert not out.exists()
 
 

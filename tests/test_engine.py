@@ -445,7 +445,7 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
         losses = train_epochs(
             ds, params, net, part, epochs, batch_size, 0.9, lr_fn, rngs,
             prox=prox, update_offset=offset, step=step, sizes=sizes,
-            on_epoch=lambda _stack, opt, row: momenta[row].append(opt.buffers.data[row].copy()),
+            on_epoch=lambda row, _params, momentum: momenta[row].append(momentum.copy()),
         )
         return losses, momenta
 
@@ -497,6 +497,35 @@ def test_train_epochs_stack_equals_separate_runs(
         net, sizes, batch_size, epochs, part, min(pulled, len(sizes)), meta, seed
     )
     assert stacked == separate
+
+
+@pytest.mark.parametrize("alg", ["fedavg", "ditto"])
+def test_ragged_group_runs_one_forward_and_one_update_per_track_per_step_index(monkeypatch, alg):
+    # seven clients of five sizes, batch 10: partial batches of 5 and of 0,
+    # and clients that run out of steps early
+    data = mixed_size_data((30, 45, 30, 20, 45, 35, 40))
+    net = small_net(seed=3)
+    cfg = fs.FLConfig(
+        clients=7, fraction=1.0, local_epochs=2, rounds=1, batch_size=10, algorithm=alg, seed=5,
+    )
+    assert client_groups(data, range(7), net, 10, 1 + (alg == "ditto")) == [tuple(range(7))]
+    runs, updates = [], []
+    forward, sgd_step = fs.engine.forward, fs.engine.sgd_step
+
+    def counting_forward(net, batch, *step_runs):
+        runs.extend(step_runs or [[]])
+        return forward(net, batch, *step_runs)
+
+    monkeypatch.setattr(fs.engine, "forward", counting_forward)
+    monkeypatch.setattr(
+        fs.engine, "sgd_step", lambda *args: updates.append(args[-1]) or sgd_step(*args)
+    )
+    fs.run_federation(cfg, data, net)
+    steps = 2 * iterations_per_epoch(45, 10)
+    assert len(runs) == steps
+    assert max(map(len, runs)) > 1  # ragged steps, still one forward each
+    # Ditto's global and personal tracks: two stepped views of one stack
+    assert len(updates) == steps * (1 + (alg == "ditto"))
 
 
 def test_client_groups_cap_counts_stacked_rows(monkeypatch):

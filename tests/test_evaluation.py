@@ -3,6 +3,8 @@ inter-client similarity, and the centralized baseline loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim as fs
 import fedsim.evaluation as evaluation
@@ -254,8 +256,8 @@ def test_finetune_error_names_the_tf_whose_epochs_hold_it(monkeypatch):
     fine_tune = evaluation.fine_tune
 
     def failing(*args, on_epoch, **kwargs):
-        def end(stack, opt, row):
-            on_epoch(stack, opt, row)
+        def end(row, params, momentum):
+            on_epoch(row, params, momentum)
             if row == 1:
                 raise NumericError("non-finite loss", row)
 
@@ -314,19 +316,18 @@ def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
             [fs.dense(8, wide), fs.relu(), fs.dense(wide, 4)], fs.InitScheme("he_uniform", 23)
         )
     models = noisy_models(net, 6, seed=23)
-    stacks = []
-    for n in set(test_sizes):
-        same = [cid for cid, size in enumerate(test_sizes) if size == n]
-        stacks += client_groups(data, same, net, n)
+    # clients of every size stack together, capped at the largest set
+    stacks = client_groups(data, range(6), net, max(test_sizes))
     if kind == "capped":
         assert all(len(ids) == 1 for ids in stacks)
     else:
-        assert len(stacks) == len(set(test_sizes)) < 6
+        assert stacks == [tuple(range(6))]
 
     forwards = []
     forward = evaluation.forward
     monkeypatch.setattr(
-        evaluation, "forward", lambda net, batch: forwards.append(len(batch)) or forward(net, batch)
+        evaluation, "forward",
+        lambda net, batch, runs=None: forwards.append(len(batch)) or forward(net, batch, runs),
     )
     initial = fs.initial_accuracy(models, net, data)
     assert len(forwards) == len(stacks)
@@ -530,3 +531,24 @@ def test_accuracy_tie_breaks_to_lowest_class():
     net.params.data[:] = 0  # all logits identical -> argmax picks class 0
     ds = fs.LabeledDataset(np.ones((4, 2), dtype=np.float32), np.array([0, 0, 1, 2]), 3)
     assert accuracy(net, ds) == pytest.approx(0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_accuracy_over_mixed_set_sizes_equals_one_client_calls(sizes, seed):
+    # sets of one sample and repeated sizes, so runs of one and of several clients
+    rng = np.random.default_rng(seed)
+    net = small_net(seed=seed % 7)
+    noise = rng.standard_normal((len(sizes), net.params.total_len)).astype(np.float32)
+    stack = ParamVector(net.params.data + noise, net.params.bounds)
+    ds = fs.LabeledDataset(
+        rng.standard_normal((sum(sizes), 8)).astype(np.float32),
+        rng.integers(0, 4, size=sum(sizes)), 4,
+    )
+    got = accuracy(net.with_params(stack), ds, sizes)
+    first = np.cumsum(sizes) - sizes
+    want = [
+        accuracy(net.with_params(row), ds.subset(np.arange(start, start + n)))
+        for row, start, n in zip(stack.rows(), first, sizes)
+    ]
+    assert got.tobytes() == np.array(want).tobytes()

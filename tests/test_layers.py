@@ -6,16 +6,20 @@ kernel boundary with ``nhwc`` and ``nchw``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim as fs
 from fedsim.layers import (
     ShapeError,
     conv2d_backward,
     conv2d_forward,
+    dense_backward,
     dense_forward,
     maxpool2d_backward,
     maxpool2d_forward,
     relu_forward,
+    runs_of,
     softmax_cross_entropy,
 )
 
@@ -329,3 +333,77 @@ def test_softmax_transposed_row_max_equals_row_max_bytes(rng):
             want = softmax_xent_rowmax(logits, labels, clients)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+# --- ragged batches: runs of clients of one batch size -------------------------
+
+# (clients, b) runs with batches of one sample and partial batches; equal
+# neighbouring runs are allowed, as a caller may split a stretch anywhere
+RUNS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), min_size=1, max_size=5)
+
+
+def client_rows(runs, per=1):
+    """(client, its slice of the batch rows) for every client of ``runs``."""
+    sizes = [b * per for clients, b in runs for _ in range(clients)]
+    starts = np.cumsum(sizes) - sizes
+    return [(i, slice(s, s + n)) for i, (s, n) in enumerate(zip(starts, sizes))]
+
+
+def assert_same_bytes(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=RUNS, seed=st.integers(0, 2**16))
+def test_dense_over_runs_equals_one_client_calls(runs, seed):
+    rng = np.random.default_rng(seed)
+    m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
+    x = rng.standard_normal((n, 5)).astype(np.float32)
+    w = rng.standard_normal((m, 3, 5)).astype(np.float32)
+    b = rng.standard_normal((m, 3)).astype(np.float32)
+    g = rng.standard_normal((n, 3)).astype(np.float32)
+    out, cache = dense_forward(x, w, b, runs)
+    gx, gw, gb = dense_backward(g, cache, w, True, runs)
+    for i, rows in client_rows(runs):
+        one, one_cache = dense_forward(x[rows], w[i : i + 1], b[i : i + 1])
+        one_gx, one_gw, one_gb = dense_backward(g[rows], one_cache, w[i : i + 1], True)
+        assert_same_bytes(
+            [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(runs=RUNS, padding=st.integers(0, 1), cout=st.sampled_from([1, 4]), seed=st.integers(0, 2**16))
+def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, seed):
+    rng = np.random.default_rng(seed)
+    m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
+    x = rng.standard_normal((n, 4, 4, 2)).astype(np.float32)
+    w = rng.standard_normal((m, cout, 2, 3, 3)).astype(np.float32)
+    b = rng.standard_normal((m, cout)).astype(np.float32)
+    out, cache = conv2d_forward(x, w, b, padding, runs)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs)
+    for i, rows in client_rows(runs):
+        one, one_cache = conv2d_forward(x[rows], w[i : i + 1], b[i : i + 1], padding)
+        one_gx, one_gw, one_gb = conv2d_backward(g[rows], one_cache, w[i : i + 1], padding, True)
+        assert_same_bytes(
+            [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=RUNS, seed=st.integers(0, 2**16))
+def test_softmax_over_runs_equals_one_client_calls(runs, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(c * b for c, b in runs)
+    logits = rng.standard_normal((n, 6)).astype(np.float32)
+    labels = rng.integers(0, 6, size=n)
+    loss, grad = softmax_cross_entropy(logits, labels, runs)
+    for i, rows in client_rows(runs):
+        one_loss, one_grad = softmax_cross_entropy(logits[rows], labels[rows], 1)
+        assert_same_bytes([loss[i : i + 1], grad[rows]], [one_loss, one_grad])
+
+
+def test_runs_of_groups_neighbouring_equal_sizes():
+    assert runs_of([5, 5, 3, 5, 1, 1]) == [(2, 5), (1, 3), (1, 5), (2, 1)]
+    assert runs_of([]) == []

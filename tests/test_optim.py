@@ -164,6 +164,41 @@ def test_rate_column_matches_scalar_rate_per_row(m, n_and_mask, with_prox, rates
         assert opt.buffers.data[i].tobytes() == row_opts[i].buffers.data.tobytes()
 
 
+@given(
+    st.integers(1, 7),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_rows_step_a_stepped_view_in_place_and_nothing_else(m, start, step, with_prox, seed):
+    # a ParamVector over a stepped view would be a copy; ``rows`` steps the
+    # stack itself, as the selected rows alone would step
+    rng = np.random.default_rng(seed)
+    bounds = ((0, 4), (4, 6))
+    params = ParamVector(rng.normal(size=(m, 6)).astype(np.float32), bounds)
+    grads = ParamVector(rng.normal(size=(m, 6)).astype(np.float32), bounds)
+    sel = slice(min(start, m - 1), m, step)
+    picked = np.arange(m)[sel]
+    anchor = ParamVector(rng.normal(size=(len(picked), 6)).astype(np.float32), bounds)
+    column = rng.uniform(0, 1, size=(len(picked), 1)).astype(np.float32)
+    before = params.copy()
+    opt = OptState.for_params(params)
+    alone = ParamVector(params.data[sel].copy(), bounds)
+    alone_opt = OptState.for_params(alone)
+    prox = (0.3, anchor) if with_prox else None
+    for _ in range(2):
+        sgd_step(params, grads, opt, column, ParamMask.full(2), prox, sel)
+        alone_grads = ParamVector(grads.data[sel], bounds)
+        sgd_step(alone, alone_grads, alone_opt, column, ParamMask.full(2), prox)
+    assert params.data[sel].tobytes() == alone.data.tobytes()
+    assert opt.buffers.data[sel].tobytes() == alone_opt.buffers.data.tobytes()
+    rest = np.setdiff1d(np.arange(m), picked)
+    assert params.data[rest].tobytes() == before.data[rest].tobytes()
+    assert not opt.buffers.data[rest].any()
+
+
 def test_prox_mu_zero_equals_no_prox():
     rng = np.random.default_rng(3)
     base = rng.normal(size=8).astype(np.float32)
