@@ -304,7 +304,10 @@ def train_epochs(
     free = m if prox is None else m - len(anchor)
     pulled = np.arange(m) >= free
 
-    # the row order; from here on a row is a position in it
+    # rows by step count, descending, so a step's live rows are a prefix;
+    # then by size, so equal partial batches sit side by side; a pulled row
+    # right after the row ``free`` before it (under Ditto, its client's
+    # global row). From here on a row is a position in this order.
     steps = epochs * -(-n // batch_size)
     order = np.lexsort((pulled, np.arange(m) - free * pulled, -n, -steps))
     in_place = bool((order == np.arange(m)).all())
@@ -337,9 +340,10 @@ def train_epochs(
     low = np.where(live, rate, np.inf).min(axis=1)
     one_rate = np.where(low == np.where(live, rate, -np.inf).max(axis=1), low, -1).tolist()
     width = live.sum(axis=1).tolist()  # live rows per step, a prefix
-    # a run starts where the batch size changes
+    # a run starts where the batch size changes; a ragged step has several
     cut = np.ones(size.shape, bool)
-    cut[:, 1:] = size[:, 1:] != size[:, :-1]
+    cut[:, 1:] = (size[:, 1:] != size[:, :-1]) & live[:, 1:]
+    ragged = cut[:, 1:].any(axis=1).tolist()
     col = t * batch_size  # where each row's batch starts in its permutation
     sizes_at, cols_at = size.tolist(), col.tolist()
     within = np.arange(batch_size)
@@ -375,7 +379,7 @@ def train_epochs(
         if k not in prefixes:
             prefixes[k] = prefix(k)
         net, opt, updates = prefixes[k]
-        heads = np.flatnonzero(cut[s, :k]).tolist()
+        heads = np.flatnonzero(cut[s, :k]).tolist() if ragged[s] else [0]
         batch = []
         for a, z in zip(heads, heads[1:] + [k]):
             c, b = cols_at[s][a], sizes_at[s][a]
