@@ -131,7 +131,9 @@ class FederationState:
 
 @dataclass
 class FederatedData:
-    """Shared datasets plus each client's index sets."""
+    """Shared datasets plus each client's index sets. Training and
+    fine-tuning read a client's samples in place, through its
+    ``train_indices`` into ``train``, with no per-round copy."""
 
     train: LabeledDataset
     test: LabeledDataset
@@ -139,11 +141,6 @@ class FederatedData:
 
     def client_train(self, client_id: int) -> LabeledDataset:
         return self.train.subset(self.splits[client_id].train_indices)
-
-    def group_train(self, client_ids: tuple[int, ...]) -> tuple[LabeledDataset, list[int]]:
-        """The train sets of a lockstep group, one after another, and their sizes."""
-        every = [self.splits[cid].train_indices for cid in client_ids]
-        return self.train.subset(np.concatenate(every)), [len(idx) for idx in every]
 
     def client_test(self, client_id: int) -> LabeledDataset:
         return self.test.subset(self.splits[client_id].test_indices)
@@ -253,24 +250,25 @@ def train_epochs(
     update_offset: int | list[int] = 0,
     step=_joint_step,
     on_epoch=None,
-    sizes: list[int] | None = None,
+    indices: list[np.ndarray] | None = None,
 ) -> list[list[float]]:
     """Minibatch momentum SGD over `epochs`, updating `part` of `params` in
     place: the one training loop behind every local, server-side,
     fine-tuning and centralized update.
 
-    ``params`` is an (M, P) stack of a lockstep group, M clients whose train
-    sets ``ds`` holds one after another, ``sizes`` samples each, with
-    ``rng`` a list of M generators. A single vector with one generator is a
-    group of one. The clients step by step index: at step s every client
-    with a step left runs its own s-th step, and all of them run as one
-    forward, one backward and one ``sgd_step`` per track. For this the
-    rows are ordered by step count, descending, so that a step's live rows
-    are a prefix of the stack, and then by size, so that equal partial
-    batches sit side by side: a step's batch is a list of runs of one batch
-    size (layers.py, "Stacks"). The caller's order is restored on return;
-    a group already in that order (one client, or equal sizes without
-    Ditto's two tracks) trains in place.
+    ``params`` is an (M, P) stack of a lockstep group, M clients whose rows
+    read their samples in place, with no copy, through ``indices``, one
+    index array into ``ds`` per row; ``rng`` is a list of M generators. A
+    single vector with one generator is a group of one, over all of ``ds``
+    if ``indices`` is None. The clients step by step index: at step s
+    every client with a step left runs its own s-th step, and all of them
+    run as one forward, one backward and one ``sgd_step`` per track. For
+    this the rows are ordered by step count, descending, so that a step's
+    live rows are a prefix of the stack, and then by size, so that equal
+    partial batches sit side by side: a step's batch is a list of runs of
+    one batch size (layers.py, "Stacks"). The caller's order is restored
+    on return; a group already in that order (one client, or equal sizes
+    without Ditto's two tracks) trains in place.
     Each client draws an epoch's permutation from its own generator when
     its epoch starts, and has its own momentum buffer and losses, so its
     bits do not depend on its group.
@@ -290,11 +288,10 @@ def train_epochs(
     stack = params.as_stack()
     m = len(stack.data)
     rngs = list(rng) if params.data.ndim == 2 else [rng]
-    n = np.array([len(ds)] if sizes is None else sizes, dtype=np.int64)
-    if len(rngs) != m or len(n) != m or n.sum() != len(ds):
-        raise ValueError(
-            f"{len(ds)} samples, {len(n)} sizes and {len(rngs)} generators do not fit {m} clients"
-        )
+    own = [np.arange(len(ds))] if indices is None else list(indices)
+    n = np.array([len(idx) for idx in own], dtype=np.int64)
+    if len(rngs) != m or len(n) != m:
+        raise ValueError(f"{len(n)} index arrays and {len(rngs)} generators do not fit {m} clients")
     if (n == 0).any():
         raise FederationError("client has no training data", int(np.argmin(n)))
     lr_fns = [lr_fn] * m if callable(lr_fn) else list(lr_fn)
@@ -313,9 +310,9 @@ def train_epochs(
     in_place = bool((order == np.arange(m)).all())
     work = stack.data if in_place else stack.data[order]
     buf = np.zeros_like(work)
-    first = (np.cumsum(n) - n)[order]  # each row's first sample in ds
     n, steps, pulled = n[order], steps[order], pulled[order]
     rngs = [rngs[r] for r in order.tolist()]
+    own = [own[r] for r in order.tolist()]
     if anchor is not None:  # the pulled rows' anchors, in row order
         src = order[pulled] - free
         anchor = anchor if (src == np.arange(len(src))).all() else anchor[src]
@@ -374,7 +371,7 @@ def train_epochs(
     losses: list[list[float]] = [[] for _ in range(m)]
     for s in range(len(index)):
         for i in draws.get(s, ()):
-            perm[i, : n[i]] = rngs[i].permutation(n[i]) + first[i]
+            perm[i, : n[i]] = own[i][rngs[i].permutation(n[i])]
         k = width[s]
         if k not in prefixes:
             prefixes[k] = prefix(k)
@@ -421,7 +418,7 @@ def local_update(
     rng,
     mu: float = 0.0,
     perfedavg_alpha: float = 0.01,
-    sizes: list[int] | None = None,
+    indices: list[np.ndarray] | None = None,
     personal: tuple[float, ParamVector, list] | None = None,
     on_epoch=None,
 ) -> tuple[ParamVector, float | list[float]]:
@@ -429,51 +426,51 @@ def local_update(
     params, mean minibatch loss). The one place a local rule becomes
     ``train_epochs`` calls, for federated rounds and for evaluation's
     fine-tunes alike. Given a lockstep group (see ``train_epochs``: an
-    (M, P) stack, ``sizes`` and M generators, and ``lr_fn`` shared or one
+    (M, P) stack, ``indices`` and M generators, and ``lr_fn`` shared or one
     per client), it returns the group's stack and one mean loss per client.
+    Each row reads its client's samples in place, with no per-round copy.
 
     'sequential_head_then_body' (FedRep) trains the head for every epoch,
     then the body for one more epoch that reuses the final head epoch's
     schedule positions, (tau - 1) * I of each client. Under 'ditto', a
     group's ``personal=(lam, theta_personal, rngs)`` runs the personal track
-    in the same stack: M more rows after the global ones, on the same data,
-    each pulled toward its client's start with weight ``lam``. The stack
-    returned then holds both tracks, global rows first; the mean losses
-    stay the global track's. ``on_epoch`` goes to ``train_epochs`` under
+    in the same stack: M more rows after the global ones, reading the same
+    index arrays, each pulled toward its client's start with weight
+    ``lam``. The stack returned then holds both tracks, global rows first;
+    the mean losses stay the global track's. ``on_epoch`` goes to ``train_epochs`` under
     every rule but FedRep's, whose epochs are not one pass. Momentum
     buffers are created fresh here: optimizer state is never communicated
     between rounds.
     """
     params = theta_start.copy()
-    sizes = [len(client_ds)] if sizes is None else list(sizes)
+    indices = [np.arange(len(client_ds))] if indices is None else list(indices)
     args = (batch_size, momentum, lr_fn, rng)
     if alg.local_rule == "sequential_head_then_body":
         losses = train_epochs(
-            client_ds, params, template, "head", local_epochs, *args, sizes=sizes
+            client_ds, params, template, "head", local_epochs, *args, indices=indices
         )
         if local_epochs > 0:  # the body epoch starts at offset (tau - 1) * I
             body = train_epochs(
-                client_ds, params, template, "body", 1, *args, sizes=sizes,
-                update_offset=[(local_epochs - 1) * iterations_per_epoch(n, batch_size)
-                               for n in sizes],
+                client_ds, params, template, "body", 1, *args, indices=indices,
+                update_offset=[(local_epochs - 1) * iterations_per_epoch(len(idx), batch_size)
+                               for idx in indices],
             )
             losses = [head + tail for head, tail in zip(losses, body)]
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
         prox = (mu, theta_start) if alg.local_rule == "proximal" else None
-        clients = len(sizes)
+        clients = len(indices)
         if alg.local_rule == "ditto" and personal is not None:
             lam, theta_personal, personal_rng = personal
             params = ParamVector(
                 np.concatenate([theta_start.data, theta_personal.data]), params.bounds
             )
-            client_ds = client_ds.subset(np.tile(np.arange(len(client_ds)), 2))
-            sizes = sizes * 2
+            indices = indices * 2
             lr_fn = list(lr_fn) * 2
             rng = [*rng, *personal_rng]
             prox = (lam, theta_start)
         losses = train_epochs(
             client_ds, params, template, alg.update_part, local_epochs,
-            batch_size, momentum, lr_fn, rng, prox=prox, sizes=sizes, on_epoch=on_epoch,
+            batch_size, momentum, lr_fn, rng, prox=prox, indices=indices, on_epoch=on_epoch,
             step=(
                 _perfedavg_step(perfedavg_alpha)
                 if alg.local_rule == "perfedavg_fo"
@@ -601,10 +598,9 @@ def run_federation(
             raise ValueError(f"until_round must be at least 0, not {until_round}")
         plan = plan[:until_round]
 
-    pool_ds = None
+    pool_idx = None
     if cfg.server_share > 0:
         pool_idx = draw_server_pool(data.splits, cfg.server_share, stream(cfg.seed, _POOL))
-        pool_ds = data.train.subset(pool_idx)
 
     logs: list[RoundLog] = []
     for k in range(state.round + 1, len(plan) + 1):
@@ -621,7 +617,7 @@ def run_federation(
         def run_group(ids: tuple[int, ...]):
             """Train a lockstep group; one (cid, theta, personal, n, loss) per client."""
             try:
-                group_ds, sizes = data.group_train(ids)
+                indices = [data.splits[cid].train_indices for cid in ids]
                 if ditto:
                     # the global track is plain FedAvg: broadcast the global
                     # model; the personal models run beside it in one stack
@@ -640,21 +636,21 @@ def run_federation(
                     personal = None
                 by_size = {
                     n: _round_rate(cfg, k, n) if lr_mode == "schedule" else lambda _u: LG_LR
-                    for n in set(sizes)
+                    for n in set(map(len, indices))
                 }
-                lr_fns = [by_size[n] for n in sizes]
+                lr_fns = [by_size[len(idx)] for idx in indices]
                 rngs = [stream(cfg.seed, _CLIENT, k, cid) for cid in ids]
                 thetas, losses = local_update(
-                    group_ds, starts, template, round_alg,
+                    data.train, starts, template, round_alg,
                     cfg.local_epochs, cfg.batch_size, cfg.momentum,
                     lr_fns, rngs, mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
-                    sizes=sizes, personal=personal,
+                    indices=indices, personal=personal,
                 )
             except FederationError as e:
                 raise e.in_group(ids, f"round {k}") from e
             rows = thetas.rows()
             personals = rows[len(ids) :] if ditto else [None] * len(ids)
-            return list(zip(ids, rows[: len(ids)], personals, sizes, losses))
+            return list(zip(ids, rows[: len(ids)], personals, map(len, indices), losses))
 
         # client_groups cuts ascending ids, so results come in ascending ids
         results = [
@@ -678,13 +674,14 @@ def run_federation(
                     personal if personal is not None else theta_out
                 ).copy()
 
-        if pool_ds is not None and round_alg.federated:
+        if pool_idx is not None and round_alg.federated:
             # one server epoch on the shared pool, in place on the fresh
             # aggregate, at the rate the schedule has reached so far
             round_lr = _round_end_lr(cfg, k)
             train_epochs(
-                pool_ds, state.global_params, template, cfg.server_update_part, 1,
+                data.train, state.global_params, template, cfg.server_update_part, 1,
                 cfg.batch_size, cfg.momentum, lambda _u: round_lr, stream(cfg.seed, _SERVER, k),
+                indices=[pool_idx],
             )
 
         state.round = k

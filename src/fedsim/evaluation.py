@@ -128,7 +128,7 @@ def fine_tune(
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
-    sizes: list[int] | None = None,
+    indices: list[np.ndarray] | None = None,
     on_epoch=None,
 ) -> ParamVector:
     """Personalization epochs on the client's train data at the constant
@@ -136,12 +136,13 @@ def fine_tune(
     (updating ``part``) or 'sequential_head_then_body' (the head for every
     epoch, then the body for one more, as FedRep's local training does).
     Momentum buffers start fresh; finetune_epochs=0 returns a copy of the
-    input. Fine-tunes a lockstep group, of train sets ``sizes``, as
-    ``train_epochs`` does, which calls ``on_epoch`` under the joint rule.
+    input. Fine-tunes a lockstep group as ``train_epochs`` does, reading
+    its clients' samples in place through ``indices``, with no copy, and
+    calling ``on_epoch`` under the joint rule.
     """
     params, _ = local_update(
         client_ds, client_params, template, AlgorithmSpec("fine-tune", part, part, rule),
-        finetune_epochs, batch_size, momentum, lambda _u: lr, rng, sizes=sizes,
+        finetune_epochs, batch_size, momentum, lambda _u: lr, rng, indices=indices,
         on_epoch=on_epoch,
     )
     return params
@@ -183,7 +184,6 @@ def personalized_models(
         passes = [positive] if positive else []
     for snaps in passes:
         for ids in client_groups(data, range(len(models)), template, batch_size):
-            group_ds, sizes = data.group_train(ids)
             start = ParamVector.stack([models[cid] for cid in ids])
             done = [0] * len(ids)  # epochs each row has ended
             # one stack per earlier τ_f; the last is the pass's result
@@ -196,9 +196,9 @@ def personalized_models(
 
             try:
                 tuned = fine_tune(
-                    start, template, part, snaps[-1], lr, group_ds,
-                    [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule, sizes,
-                    on_epoch=keep,
+                    start, template, part, snaps[-1], lr, data.train,
+                    [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule,
+                    [data.splits[cid].train_indices for cid in ids], on_epoch=keep,
                 )
             except FederationError as e:
                 epoch = 1 + (min(done) if e.member is None else done[e.member])

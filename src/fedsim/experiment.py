@@ -338,9 +338,8 @@ def prepare(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network]:
 
 def _write_csv(path: Path, header: list[str], rows, config_hash: str, append: bool = False) -> None:
     """Hash line, header and rows; with ``append``, only the rows go onto
-    an existing file."""
+    the existing file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    append = append and path.exists()
     with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
         if not append:
@@ -458,6 +457,20 @@ def _checked_checkpoint(
     return state
 
 
+def _check_round_log(path: Path, round_: int) -> None:
+    """``rounds.csv`` ends at the checkpoint's round ``round_`` (a header
+    only at round 0), so a resume neither repeats nor drops a round: rounds
+    are logged before the checkpoint is saved. A missing file or another
+    last round is a ConfigError naming it."""
+    try:
+        rows = path.read_text().splitlines()[2:]
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    last = rows[-1].split(",", 1)[0] if rows else "0"
+    if last != str(round_):
+        raise ConfigError(f"{path}: last round {last} is not the checkpoint's round {round_}")
+
+
 # --- drivers -------------------------------------------------------------------
 
 
@@ -476,6 +489,7 @@ def run_train(
             raise ConfigError(
                 f"--stop-after {stop_after} is below the checkpoint's round {state.round}"
             )
+        _check_round_log(out / "rounds.csv", state.round)
         append = True
         log.info("resuming from round %d", state.round)
     state, logs = run_federation(

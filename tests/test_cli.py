@@ -149,6 +149,45 @@ def test_resume_stop_after_below_checkpoint_round_exits_2(tmp_path, capsys):
     assert {name: (out / name).read_bytes() for name in files} == before
 
 
+def _resume_after_round_log_edit(tmp_path, capsys, edit):
+    """Train two rounds, apply ``edit`` to rounds.csv, then resume: (exit
+    code, stderr, whether every file is byte-equal to before the resume)."""
+    cfg_path, out = tiny_config(tmp_path, **{"federation.algorithm": "fedper"})
+    assert main(["train", "--config", str(cfg_path), "--stop-after", "2"]) == 0
+    edit(out / "rounds.csv")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg_path), "--resume"])
+    return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_resume_with_round_log_ahead_of_checkpoint_exits_2(tmp_path, capsys):
+    # a run killed between writing rounds.csv and the checkpoint leaves the
+    # log a round ahead; resuming would log that round twice
+    def extra_row(path):
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows + ["3" + rows[-1][1:]]) + "\n")
+
+    code, err, untouched = _resume_after_round_log_edit(tmp_path, capsys, extra_row)
+    assert code == 2 and untouched
+    assert "rounds.csv" in err and "last round 3" in err and "round 2" in err
+
+
+def test_resume_without_round_log_exits_2(tmp_path, capsys):
+    # it would write a log holding only the resumed rounds
+    code, err, untouched = _resume_after_round_log_edit(tmp_path, capsys, Path.unlink)
+    assert code == 2 and untouched
+    assert "rounds.csv" in err
+
+
+def test_resume_from_round_0_takes_a_header_only_round_log(tmp_path):
+    cfg_path, out = tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--stop-after", "0"]) == 0
+    assert main(["train", "--config", str(cfg_path), "--resume"]) == 0
+    rounds = (out / "rounds.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rounds] == ["1", "2", "3"]
+
+
 def test_negative_stop_after_exits_2_naming_the_flag(tmp_path, capsys):
     # a negative stop would train all but the last rounds and exit 0
     cfg_path, out = tiny_config(tmp_path)

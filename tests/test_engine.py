@@ -424,15 +424,23 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     """train_epochs on an (m, P) stack of clients of ``sizes`` samples, each
     with its own rate function and update offset and the last ``pulled``
     with a prox term, and on each client alone: (stacked, separate) lists
-    of (params bytes, momentum bytes per epoch, losses) per client."""
+    of (params bytes, momentum bytes per epoch, losses) per client. The
+    stack reads its clients' samples in place through scattered, unsorted
+    index arrays into one shared set, where the first two clients share a
+    sample; each client alone trains on a copy of its samples."""
     m = len(sizes)
     rng = np.random.default_rng(seed)
     shape = (2, 4, 4) if net.layers[0].kind == "conv2d" else (net.layers[0].fan_in,)
     ds = fs.LabeledDataset(
-        rng.standard_normal((sum(sizes), *shape)).astype(np.float32),
-        rng.integers(0, net.num_classes, size=sum(sizes)),
+        rng.standard_normal((sum(sizes) + 3, *shape)).astype(np.float32),
+        rng.integers(0, net.num_classes, size=sum(sizes) + 3),
         net.num_classes,
     )
+    pool = rng.permutation(len(ds))  # three samples belong to no client
+    first = np.cumsum(sizes) - sizes
+    indices = [pool[f : f + n].copy() for f, n in zip(first, sizes)]
+    if m > 1:
+        indices[1][-1] = indices[0][0]
     noise = rng.standard_normal((m, net.params.total_len)).astype(np.float32)
     stack = ParamVector(net.params.data + 0.1 * noise, net.params.bounds)
     anchors = ParamVector(net.params.data + 0.1 * np.roll(noise, 1, axis=0), net.params.bounds)
@@ -440,11 +448,11 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     lr_fns = [lambda u, i=i: 0.05 * (1 + i) * 0.5 ** (u // 3) for i in range(m)]
     step = _perfedavg_step(0.01) if meta else _joint_step
 
-    def run(ds, params, prox, rngs, lr_fn, offset, sizes):
+    def run(ds, params, prox, rngs, lr_fn, offset, indices):
         momenta = [[] for _ in range(len(rngs) if isinstance(rngs, list) else 1)]
         losses = train_epochs(
             ds, params, net, part, epochs, batch_size, 0.9, lr_fn, rngs,
-            prox=prox, update_offset=offset, step=step, sizes=sizes,
+            prox=prox, update_offset=offset, step=step, indices=indices,
             on_epoch=lambda row, _params, momentum: momenta[row].append(momentum.copy()),
         )
         return losses, momenta
@@ -452,16 +460,15 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     free = m - pulled
     prox = (0.3, ParamVector(anchors.data[free:], anchors.bounds)) if pulled else None
     streams = [stream(seed, 1, 1, i) for i in range(m)]
-    losses, momenta = run(ds, stack, prox, streams, lr_fns, offsets, sizes)
+    losses, momenta = run(ds, stack, prox, streams, lr_fns, offsets, indices)
     stacked = [
         (stack.data[i].tobytes(), [mom.tobytes() for mom in momenta[i]], losses[i])
         for i in range(m)
     ]
     separate = []
-    first = np.cumsum(sizes) - sizes
     for i, row in enumerate(anchors.rows()):
         params = ParamVector(net.params.data + 0.1 * noise[i], net.params.bounds)
-        client_ds = ds.subset(np.arange(first[i], first[i] + sizes[i]))
+        client_ds = ds.subset(indices[i])
         (client_losses,), (client_momenta,) = run(
             client_ds, params, (0.3, row) if i >= free else None, stream(seed, 1, 1, i),
             lr_fns[i], offsets[i], None,
@@ -526,6 +533,27 @@ def test_ragged_group_runs_one_forward_and_one_update_per_track_per_step_index(m
     assert max(map(len, runs)) > 1  # ragged steps, still one forward each
     # Ditto's global and personal tracks: two stepped views of one stack
     assert len(updates) == steps * (1 + (alg == "ditto"))
+
+
+def test_training_and_finetunes_read_client_samples_in_place(monkeypatch):
+    # Ditto's two tracks, the server pool and both fine-tune rules read the
+    # shared train set through each client's index array, never a copy
+    data = mixed_size_data()
+    net = small_net(seed=3)
+    cfg = fs.FLConfig(
+        clients=7, fraction=1.0, local_epochs=2, rounds=2, batch_size=10,
+        algorithm="ditto", server_share=0.2, seed=5,
+    )
+    copies = []
+    subset = fs.LabeledDataset.subset
+    monkeypatch.setattr(
+        fs.LabeledDataset, "subset", lambda *args: copies.append(args[1]) or subset(*args)
+    )
+    state, _ = fs.run_federation(cfg, data, net)
+    models = [state.global_params] * 7
+    for rule in ("joint", "sequential_head_then_body"):
+        fs.evaluation.personalized_models(models, net, data, "full", [1, 2], 0.05, 7, 10, 0.9, rule)
+    assert copies == []
 
 
 def test_client_groups_cap_counts_stacked_rows(monkeypatch):
