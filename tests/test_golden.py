@@ -57,6 +57,9 @@ IDX_PATHS = {
     "test_labels": "data/test-labels.idx",
 }
 
+# image side of each IDX case, where it is not 8
+IDX_SIDE = {"conv2-fedbabu-multichunk": 28}
+
 # clients of 50/84/64/42 samples, so batches of 10 leave partial batches of 4 and 2
 DIRICHLET = {"mode": "dirichlet", "beta": 0.5}
 
@@ -81,6 +84,16 @@ CASES = {
     "conv2-fedbabu-template": {
         "federation.algorithm": "fedbabu",
         "federation.rounds": 2,
+        "dataset": {"kind": "idx", **IDX_PATHS},
+        "network": {"kind": "conv2", "channels": [4, 6], "kernel": 3, "padding": 1, "pool": 2},
+    },
+    # 28x28 images at B=50: conv batches and whole-set passes span several
+    # of the kernels' column chunks, and their GEMMs sit above OpenBLAS's
+    # small-matrix threshold
+    "conv2-fedbabu-multichunk": {
+        "federation.algorithm": "fedbabu",
+        "federation.rounds": 2,
+        "federation.batch_size": 50,
         "dataset": {"kind": "idx", **IDX_PATHS},
         "network": {"kind": "conv2", "channels": [4, 6], "kernel": 3, "padding": 1, "pool": 2},
     },
@@ -151,7 +164,7 @@ def run_case(name: str) -> dict[str, str]:
     """Train and evaluate one case under the current directory; returns
     sha256 per artifact, keyed by its path inside the run directory."""
     if CASES[name].get("dataset", {}).get("kind") == "idx":
-        write_idx_images(Path.cwd())
+        write_idx_images(Path.cwd(), IDX_SIDE.get(name, 8))
     cfg = case_config(name)
     run_train(cfg)
     run_eval(cfg)
