@@ -16,7 +16,7 @@ import numpy as np
 
 from .algorithms import AlgorithmSpec, get_algorithm
 from .datasets import LabeledDataset
-from .layers import infer_shapes
+from .layers import L2_BYTES, infer_shapes
 from .network import Network, backward, forward
 from .optim import LRSchedule, OptState, sgd_step
 from .params import FLOAT, ParamVector
@@ -168,11 +168,11 @@ def sample_clients(n_clients: int, fraction: float, rng: np.random.Generator) ->
 # --- local training ---------------------------------------------------------
 
 # Activation bytes one lockstep step may hold: about the L2 cache of one
-# core (2 MiB on the 2-core Xeon the engine was tuned on). Stacking pays
-# where a step is mostly per-call overhead; past this size a stacked step
-# spills its activations out of the cache, and peak memory would grow with
-# the group. A client that alone exceeds it trains as a group of one.
-GROUP_BYTES = 2 << 20
+# core. Stacking pays where a step is mostly per-call overhead; past this
+# size a stacked step spills its activations out of the cache, and peak
+# memory would grow with the group. A client that alone exceeds it trains
+# as a group of one.
+GROUP_BYTES = L2_BYTES
 
 
 def client_groups(

@@ -21,6 +21,15 @@ by its own weights, one batched GEMM per run; their bias gradients sum per
 client, and ``softmax_cross_entropy`` takes one mean per client. Each
 client's GEMM has the shape it has alone, so its result equals, bit for
 bit, the same kernel run on that client alone.
+
+Column copies: a conv builds its im2col matrix with k² strided copies, and
+its input gradient (col2im) with k² strided adds. Both work on the batch
+one chunk of samples at a time, about ``CHUNK_BYTES`` of columns, so a
+chunk stays in cache through all k² passes instead of the whole batch
+streaming through memory k² times. Chunks change only the order in which
+memory is visited, so no bit can move: the GEMMs get the same C-contiguous
+(N*Ho*Wo, Cin*k*k) matrix, and each input-gradient element adds its k²
+terms in the same (i, j) order.
 """
 
 from __future__ import annotations
@@ -30,6 +39,15 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
+
+
+# One core's L2 cache (2 MiB on the 2-core Xeon the kernels were tuned on).
+L2_BYTES = 2 << 20
+
+# Column bytes per chunk of a conv's column copies ("Column copies" above):
+# a quarter or a half of L2 timed fastest, while the whole L2 lost most of
+# the gain.
+CHUNK_BYTES = L2_BYTES // 4
 
 
 class ShapeError(ValueError):
@@ -242,13 +260,22 @@ def flatten_backward(gout, shape):
     return np.ascontiguousarray(channels_last(gout.reshape(shape)))
 
 
+def _chunks(n, sample_bytes):
+    """Slices of a batch of ``n`` samples that hold ``sample_bytes`` of
+    columns each, in order, each about CHUNK_BYTES (at least one sample)."""
+    step = max(1, CHUNK_BYTES // sample_bytes)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 def conv2d_forward(x, w, b, padding, runs=None):
     """Stride-1 2-D convolution via an im2col matmul.
 
     x: (N, H, W, Cin), the samples of M clients one after another, in
     ``runs``; w: (M, Cout, Cin, k, k); b: (M, Cout); out: (N, Ho, Wo, Cout).
     The column matrix, (N*Ho*Wo, Cin*k*k) with columns in (Cin, k, k)
-    order, comes first in the cache; the weight gradient reads it.
+    order, comes first in the cache; the weight gradient reads it. Its k²
+    copies run one chunk of samples at a time, which leaves its bytes as
+    they are.
     """
     n, h, wd, cin = x.shape
     m, cout, _, k, _ = w.shape
@@ -259,9 +286,10 @@ def conv2d_forward(x, w, b, padding, runs=None):
         xp = x
     ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     cols = np.empty((n, ho, wo, cin, k, k), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[..., i, j] = xp[:, i : i + ho, j : j + wo]
+    for s in _chunks(n, cols[0].nbytes):
+        for i in range(k):
+            for j in range(k):
+                cols[s, ..., i, j] = xp[s, i : i + ho, j : j + wo]
     cols = cols.reshape(n * ho * wo, cin * k * k)
     out = _client_affine(cols, w.reshape(m, cout, -1).transpose(0, 2, 1), b, runs, ho * wo)
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
@@ -270,7 +298,9 @@ def conv2d_forward(x, w, b, padding, runs=None):
 def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis. Gradients of
-    activations are channels-last, like the activations."""
+    activations are channels-last, like the activations. The col2im adds
+    run one chunk of samples at a time, each element's k² terms in (i, j)
+    order whatever the chunk."""
     cols, padded_shape, (n, ho, wo) = cache
     m, cout, cin, k, _ = w.shape
     gcols, gw, gb = _client_backward(
@@ -280,9 +310,10 @@ def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None):
         return None, gw.reshape(w.shape), gb
     gcols = gcols.reshape(n, ho, wo, cin, k, k)
     gx = np.zeros(padded_shape, dtype=gout.dtype)
-    for i in range(k):
-        for j in range(k):
-            gx[:, i : i + ho, j : j + wo] += gcols[..., i, j]
+    for s in _chunks(n, gcols[0].nbytes):
+        for i in range(k):
+            for j in range(k):
+                gx[s, i : i + ho, j : j + wo] += gcols[s, ..., i, j]
     if padding:
         gx = np.ascontiguousarray(gx[:, padding:-padding, padding:-padding])
     return gx, gw.reshape(w.shape), gb
@@ -299,8 +330,9 @@ def maxpool2d_forward(x, window):
     """Max over each ``window``-square tile, stride ``window``, of an
     (N, H, W, C) batch.
 
-    A tie goes to the first maximum in row-major window order, as argmax
-    picks it. The cache holds one boolean mask per in-window offset, stacked
+    A tie goes to the first maximum in row-major window order, and a window
+    that holds a NaN yields its first NaN, bits and all, as argmax picks
+    them. The cache holds one boolean mask per in-window offset, stacked
     as (window**2, N, Ho, Wo, C), marking where that offset won.
     """
     n, h, w, c = x.shape
@@ -315,6 +347,11 @@ def maxpool2d_forward(x, window):
     for t in tiles[1:]:
         np.maximum(top, t, out=top)
     masks = tiles == top
+    if np.isnan(top.max(initial=0)):
+        # np.maximum carries a NaN into top, and a NaN equals nothing, so
+        # its window has no mask yet; marking every NaN lets the first one
+        # win, as argmax picks it (windows without a NaN have none to mark)
+        masks |= np.isnan(tiles)
     seen = masks[0].copy()
     for m in masks[1:]:
         np.greater(m, seen, out=m)  # m and not seen

@@ -601,6 +601,26 @@ def idx_config(tmp_path, name, train_images=None, **overrides):
     return cfg_path, out, Path(ti)
 
 
+def test_nan_conv_weight_exits_3(tmp_path, monkeypatch):
+    import warnings
+
+    import fedsim.experiment
+
+    init = fedsim.experiment.init_network
+
+    def init_with_nan_conv_weight(layers, scheme):
+        net = init(layers, scheme)
+        net.layer_params(0)[0][0, 0, 0, 0] = np.nan
+        return net
+
+    monkeypatch.setattr(fedsim.experiment, "init_network", init_with_nan_conv_weight)
+    cfg_path, out, _ = idx_config(tmp_path, "nan_conv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--config", str(cfg_path)]) == 3
+    assert not (out / "checkpoint.pv").exists()
+
+
 def test_missing_idx_file_exits_2_naming_it(tmp_path, capsys):
     cfg_path, out, _ = idx_config(tmp_path, "missing_idx", str(tmp_path / "nowhere-images.idx"))
     assert main(["train", "--config", str(cfg_path)]) == 2

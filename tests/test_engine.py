@@ -590,6 +590,20 @@ def test_meta_step_error_names_the_client_whose_batch_is_too_small():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_conv_weight_in_the_template_raises_numeric_error():
+    # the NaN fills its channel, and max-pooling must carry it to the loss
+    data = make_federated_data(dim=32)
+    for ds in (data.train, data.test):
+        ds.samples = ds.samples.reshape(-1, 2, 4, 4)
+    layers = [fs.conv2d(2, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2), fs.flatten(), fs.dense(12, 4)]
+    net = fs.init_network(layers, fs.InitScheme("he_uniform", 3))
+    net.layer_params(0)[0][0, 0, 0, 0] = np.nan
+    cfg = fs.FLConfig(clients=4, fraction=1.0, local_epochs=1, rounds=2, batch_size=10, seed=3)
+    with pytest.raises(NumericError, match=r"^round 1, client 0: non-finite loss"):
+        fs.run_federation(cfg, data, net)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_error_in_a_ditto_personal_row_names_its_client():
     data = make_federated_data()
     net = small_net(seed=3)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
+from fedsim import layers
 from fedsim.layers import (
     ShapeError,
     conv2d_backward,
@@ -127,10 +128,15 @@ def test_maxpool_matches_loop_oracle(rng):
     np.testing.assert_allclose(nchw(out), loop_maxpool(x, 2), rtol=0, atol=0)
 
 
+def nan_with(payload):
+    """A float32 NaN with the given bits."""
+    return np.array(payload, dtype=np.uint32).view(np.float32)
+
+
 def tie_heavy_pool_inputs(rng, window):
     """Post-ReLU activations (negatives become -0.0) with whole samples of
-    exact +0.0, all-equal windows, windows mixing -0.0 and +0.0, and small
-    integers that tie often."""
+    exact +0.0, all-equal windows, windows mixing -0.0 and +0.0, small
+    integers that tie often, and windows holding NaNs of distinct bits."""
     side = 4 * window
     x = rng.normal(size=(6, 3, side, side)).astype(np.float32)
     x[1] = 0.0
@@ -139,6 +145,15 @@ def tie_heavy_pool_inputs(rng, window):
     x[4] = np.round(x[4])
     x, _ = relu_forward(x)
     x[5] = -np.abs(x[5]) - 1.0  # all-negative windows
+    # one NaN after other values; two NaNs, the first in the window's second
+    # row; a negative NaN among ties; a whole window of NaNs; a NaN in an
+    # all-negative window
+    x[0, 0, 0, 1] = nan_with(0x7FC00001)
+    x[0, 1, 1, window] = nan_with(0x7FC00002)
+    x[0, 1, window - 1, 2 * window - 1] = nan_with(0x7FC00003)
+    x[4, 0, window - 1, 0] = nan_with(0xFFC00004)
+    x[4, 2, :window, :window] = nan_with(0x7FA00005)
+    x[5, 1, window - 1, window - 1] = nan_with(0x7FC00006)
     return x
 
 
@@ -373,22 +388,36 @@ def test_dense_over_runs_equals_one_client_calls(runs, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(runs=RUNS, padding=st.integers(0, 1), cout=st.sampled_from([1, 4]), seed=st.integers(0, 2**16))
-def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, seed):
+@given(
+    runs=RUNS,
+    padding=st.integers(0, 1),
+    cout=st.sampled_from([1, 4]),
+    chunk=st.sampled_from([1, 2, 3, None]),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, seed):
+    # the stacked call copies columns ``chunk`` samples at a time (None: the
+    # whole batch at once), whatever the run boundaries; each client alone
+    # copies its batch unchunked
     rng = np.random.default_rng(seed)
     m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
     x = rng.standard_normal((n, 4, 4, 2)).astype(np.float32)
     w = rng.standard_normal((m, cout, 2, 3, 3)).astype(np.float32)
     b = rng.standard_normal((m, cout)).astype(np.float32)
-    out, cache = conv2d_forward(x, w, b, padding, runs)
-    g = rng.standard_normal(out.shape).astype(np.float32)
-    gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs)
-    for i, rows in client_rows(runs):
-        one, one_cache = conv2d_forward(x[rows], w[i : i + 1], b[i : i + 1], padding)
-        one_gx, one_gw, one_gb = conv2d_backward(g[rows], one_cache, w[i : i + 1], padding, True)
-        assert_same_bytes(
-            [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
-        )
+    g = rng.standard_normal((n, 2 + 2 * padding, 2 + 2 * padding, cout)).astype(np.float32)
+    sample_bytes = g[0, ..., 0].size * 2 * 3 * 3 * 4  # one sample's float32 columns
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "CHUNK_BYTES", (chunk or n) * sample_bytes)
+        out, cache = conv2d_forward(x, w, b, padding, runs)
+        gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "CHUNK_BYTES", 1 << 40)
+        for i, rows in client_rows(runs):
+            one, one_cache = conv2d_forward(x[rows], w[i : i + 1], b[i : i + 1], padding)
+            one_gx, one_gw, one_gb = conv2d_backward(g[rows], one_cache, w[i : i + 1], padding, True)
+            assert_same_bytes(
+                [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
+            )
 
 
 @settings(max_examples=40, deadline=None)
