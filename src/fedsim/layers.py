@@ -261,8 +261,8 @@ def flatten_backward(gout, shape):
 
 
 def _chunks(n, sample_bytes):
-    """Slices of a batch of ``n`` samples that hold ``sample_bytes`` of
-    columns each, in order, each about CHUNK_BYTES (at least one sample)."""
+    """A batch of ``n`` samples, each with ``sample_bytes`` of columns, as
+    slices in order of about CHUNK_BYTES each (at least one sample)."""
     step = max(1, CHUNK_BYTES // sample_bytes)
     return [slice(s, s + step) for s in range(0, n, step)]
 

@@ -404,8 +404,9 @@ def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, se
     x = rng.standard_normal((n, 4, 4, 2)).astype(np.float32)
     w = rng.standard_normal((m, cout, 2, 3, 3)).astype(np.float32)
     b = rng.standard_normal((m, cout)).astype(np.float32)
-    g = rng.standard_normal((n, 2 + 2 * padding, 2 + 2 * padding, cout)).astype(np.float32)
-    sample_bytes = g[0, ..., 0].size * 2 * 3 * 3 * 4  # one sample's float32 columns
+    side = 2 + 2 * padding  # of the output
+    g = rng.standard_normal((n, side, side, cout)).astype(np.float32)
+    sample_bytes = side * side * 2 * 3 * 3 * 4  # one sample's float32 columns
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "CHUNK_BYTES", (chunk or n) * sample_bytes)
         out, cache = conv2d_forward(x, w, b, padding, runs)
