@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,18 +123,22 @@ def _json_kind(value) -> str:
 
 
 def _check(dotted: str, value, kind: str, rule=None) -> None:
-    """``value`` has JSON type ``kind`` and keeps ``rule``, or a ConfigError
-    names ``dotted``."""
+    """``value`` has JSON type ``kind``, holds no NaN or infinity (which
+    Python's json reads), and keeps ``rule``, or a ConfigError names
+    ``dotted``."""
     got = _json_kind(value)
     if got != kind and (got, kind) not in (("integer", "number"), ("list of integers", "list")):
         article = "an" if kind[0] in "aeiou" else "a"
         shown = json.dumps(value, default=repr)
         raise ConfigError(f"config key {dotted!r} must be {article} {kind}, not {shown}")
     shown = json.dumps(value)
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"config key {dotted!r} must be finite, not {shown}")
     if isinstance(rule, tuple):
         if value not in rule:
             raise ConfigError(f"config key {dotted!r} must be one of {', '.join(rule)}, not {shown}")
-    elif rule is not None and any(v < rule for v in (value if isinstance(value, list) else [value])):
+    elif rule is not None and any(v < rule for v in items):
         raise ConfigError(f"config key {dotted!r} must be at least {rule}, not {shown}")
 
 

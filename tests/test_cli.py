@@ -404,6 +404,16 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["train", "--config", str(cfg_path2)]) == 2
 
 
+def test_config_file_with_a_nan_literal_exits_2_before_any_output(tmp_path, capsys):
+    cfg_path, out = tiny_config(tmp_path)
+    text = cfg_path.read_text().replace('"spread": 0.5', '"spread": NaN')
+    assert "NaN" in text
+    cfg_path.write_text(text)
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "'dataset.spread'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

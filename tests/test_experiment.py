@@ -66,6 +66,24 @@ def test_unknown_key_rejected():
         ExperimentConfig.from_dict({"nonsense": 1})
 
 
+NUMBER_KEYS = [
+    (section, key)
+    for section, entries in _SCHEMA.items()
+    if isinstance(entries, dict)
+    for key, (_, kind, _) in entries.items()
+    if kind == "number"
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section, key", NUMBER_KEYS)
+def test_non_finite_number_rejected_naming_the_key(section, key, value):
+    # Python's json reads NaN and Infinity, and every comparison with NaN is
+    # False, so no least-value rule would catch it
+    with pytest.raises(ConfigError, match=repr(f"{section}.{key}")):
+        minimal(**{section: {key: value}})
+
+
 def test_hash_ignores_name_out_and_eval():
     a = minimal()
     b = ExperimentConfig.from_dict(
