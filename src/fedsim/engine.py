@@ -198,8 +198,8 @@ def _joint_step(net: Network, ds: LabeledDataset, batch: list[np.ndarray]):
     """Step rule of plain SGD: (losses, grads) of the minibatch ``batch``,
     one (clients, b) array of sample indices per run of the stack's rows."""
     idx = np.concatenate(batch, axis=None)
-    _, cache = forward(net, ds.samples[idx], [run.shape for run in batch])
-    return backward(net, cache, ds.labels[idx])
+    _, cache = forward(net, np.take(ds.samples, idx, axis=0), [run.shape for run in batch])
+    return backward(net, cache, np.take(ds.labels, idx, axis=0))
 
 
 def _perfedavg_step(alpha: float):

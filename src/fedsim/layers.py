@@ -30,6 +30,17 @@ streaming through memory k² times. Chunks change only the order in which
 memory is visited, so no bit can move: the GEMMs get the same C-contiguous
 (N*Ho*Wo, Cin*k*k) matrix, and each input-gradient element adds its k²
 terms in the same (i, j) order.
+
+Ownership: a kernel writes into no array its caller keeps, except one the
+caller hands it to fill. ``relu_forward`` writes into ``out``, which the
+network passes as the input itself only where that input is the fresh
+output of a dense or conv2d layer of the same pass: no cache holds such an
+array, while flatten's output may be a view of the caller's batch.
+``dense_backward`` and ``conv2d_backward`` write their parameter gradients
+into ``out``, the layer's views of the network's gradient stack.
+``softmax_cross_entropy`` takes exp and the gradient in its own buffer of
+shifted logits. These choose only where a result is stored: each element
+is the same IEEE operation on the same operands, so no bit can move.
 """
 
 from __future__ import annotations
@@ -206,25 +217,30 @@ def _client_affine(x, wt, b, runs, per):
     return out
 
 
-def _client_backward(g, x, w, runs, per, need_gx, bias_sum):
+def _client_backward(g, x, w, runs, per, need_gx, bias_sum, out=None):
     """The gradients of ``_client_affine`` from ``g`` (rows, C), its input
     ``x`` (rows, K) and ``w`` (M, C, K): (each client's g @ w, or None
-    unless ``need_gx``; each client's g.T @ x, (M, C, K); ``bias_sum`` of
-    each run's (clients, rows, C) view of ``g``, (M, C))."""
+    unless ``need_gx``; each client's g.T @ x, (M, C, K); ``bias_sum(gs,
+    out)`` of each run's (clients, rows, C) view of ``g``, (M, C)). The
+    two parameter gradients are written into ``out``, a (weight, bias)
+    pair of arrays of those shapes, when it is given."""
     m, cout, k = w.shape
+    if out is None:
+        out = np.empty((m, cout, k), dtype=g.dtype), np.empty((m, cout), dtype=g.dtype)
+    gw, gb = out
     if runs is None or len(runs) == 1:
         gs = g.reshape(m, -1, cout)
         gx = (gs @ w).reshape(-1, k) if need_gx else None
-        return gx, gs.transpose(0, 2, 1) @ x.reshape(m, -1, k), bias_sum(gs)
+        np.matmul(gs.transpose(0, 2, 1), x.reshape(m, -1, k), out=gw)
+        bias_sum(gs, gb)
+        return gx, gw, gb
     gx = np.empty((len(g), k), dtype=g.dtype) if need_gx else None
-    gw = np.empty((m, cout, k), dtype=g.dtype)
-    gb = np.empty((m, cout), dtype=g.dtype)
     for c, r, rows in _spans(runs, per):
         gs = g[r].reshape(-1, rows, cout)
         if need_gx:
             np.matmul(gs, w[c], out=gx[r].reshape(-1, rows, k))
         np.matmul(gs.transpose(0, 2, 1), x[r].reshape(-1, rows, k), out=gw[c])
-        gb[c] = bias_sum(gs)
+        bias_sum(gs, gb[c])
     return gx, gw, gb
 
 
@@ -234,15 +250,20 @@ def dense_forward(x, w, b, runs=None):
     return _client_affine(x, w.transpose(0, 2, 1), b, runs, 1), x
 
 
-def dense_backward(gout, cache, w, need_gx=True, runs=None):
+def dense_backward(gout, cache, w, need_gx=True, runs=None, out=None):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
-    the parameter gradients with the weights' client axis."""
-    return _client_backward(gout, cache, w, runs, 1, need_gx, lambda g: g.sum(axis=1))
+    the parameter gradients with the weights' client axis, written into
+    ``out``, a (weight, bias) pair of arrays of their shapes, if given."""
+    # sum, not the conv's einsum, which raised peak memory here
+    bias_sum = lambda g, o: g.sum(axis=1, out=o)
+    return _client_backward(gout, cache, w, runs, 1, need_gx, bias_sum, out)
 
 
-def relu_forward(x):
+def relu_forward(x, out=None):
+    """(max(x, 0) as x * (x > 0), the mask), the product written into
+    ``out`` if given; ``out=x`` is for an ``x`` no one else holds."""
     mask = x > 0
-    return x * mask, mask
+    return np.multiply(x, mask, out=out), mask
 
 
 def relu_backward(gout, mask):
@@ -295,16 +316,20 @@ def conv2d_forward(x, w, b, padding, runs=None):
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
 
 
-def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None):
+def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None, out=None):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
-    the parameter gradients with the weights' client axis. Gradients of
-    activations are channels-last, like the activations. The col2im adds
-    run one chunk of samples at a time, each element's k² terms in (i, j)
-    order whatever the chunk."""
+    the parameter gradients with the weights' client axis, written into
+    ``out``, a (weight, bias) pair of arrays of their shapes, if given.
+    Gradients of activations are channels-last, like the activations. The
+    col2im adds run one chunk of samples at a time, each element's k²
+    terms in (i, j) order whatever the chunk."""
     cols, padded_shape, (n, ho, wo) = cache
     m, cout, cin, k, _ = w.shape
+    if out is not None:
+        out = out[0].reshape(m, cout, -1), out[1]
     gcols, gw, gb = _client_backward(
-        gout.reshape(-1, cout), cols, w.reshape(m, cout, -1), runs, ho * wo, need_gx, _conv_bias_sum
+        gout.reshape(-1, cout), cols, w.reshape(m, cout, -1), runs, ho * wo, need_gx,
+        _conv_bias_sum, out,
     )
     if not need_gx:
         return None, gw.reshape(w.shape), gb
@@ -319,11 +344,11 @@ def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None):
     return gx, gw.reshape(w.shape), gb
 
 
-def _conv_bias_sum(g):
+def _conv_bias_sum(g, out):
     # einsum adds each client's rows in order, as sum(axis=1) does for two
     # or more columns, and is several times faster; one column is a
     # contiguous reduction, which sum(axis=1) adds pairwise
-    return np.einsum("mij->mj", g) if g.shape[2] > 1 else g.sum(axis=1)
+    return np.einsum("mij->mj", g, out=out) if g.shape[2] > 1 else g.sum(axis=1, out=out)
 
 
 def maxpool2d_forward(x, window):
@@ -393,12 +418,15 @@ def softmax_cross_entropy(logits, labels, clients=None):
     # a +0.0/-0.0 tie may settle on the other zero than a row-wise max;
     # the tie makes denom >= 2, so subtracting log(denom) erases that sign
     shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    picked = log_probs[np.arange(n), labels]
-    grad = exp / denom
-    grad[np.arange(n), labels] -= 1
+    # each row's label entry, by flat index, taken before exp overwrites
+    # ``shifted``; the gradient is then divided into the exp buffer
+    flat = np.arange(n) * c + labels
+    picked = shifted.reshape(-1)[flat]
+    grad = np.exp(shifted, out=shifted)
+    denom = grad.sum(axis=1, keepdims=True)
+    picked -= np.log(denom).reshape(-1)
+    grad /= denom
+    grad.reshape(-1)[flat] -= 1
     if clients is None or isinstance(clients, int):
         if clients is not None:
             picked = picked.reshape(clients, -1)

@@ -243,33 +243,51 @@ def _conv2d_forward(net: Network, i: int, x, runs):
     return conv2d_forward(x, *net._bound[i][:2], spec.padding, runs)
 
 
+def _grad_views(net: Network, i: int, stack):
+    """(weight, bias) views of layer ``i``'s segment in the (M, P) gradient
+    ``stack``, shaped as the layer's weight and bias views."""
+    w, b, wslice, bslice = net._bound[i]
+    return stack[:, wslice].reshape(w.shape), stack[:, bslice]
+
+
+def _relu_forward(net: Network, i: int, x, runs):
+    # the output of a dense or conv2d layer of this pass is held by no cache
+    # and no caller, so relu may overwrite it; any other input (the caller's
+    # batch, or a view of it through flatten) it must not
+    fresh = i > 0 and net.layers[i - 1].parameterized
+    return relu_forward(x, x if fresh else None)
+
+
 # kind -> (forward(net, i, x, runs) -> (out, cache),
-#          backward(net, i, gout, cache, runs) -> (gin, weight grad, bias grad)),
-# ``runs`` as the kernels take them (layers.py, "Stacks").
+#          backward(net, i, gout, cache, runs, stack) -> (gin, weight grad, bias grad)),
+# ``runs`` as the kernels take them (layers.py, "Stacks"); a parameterized
+# layer writes its gradients into its segment of the (M, P) gradient ``stack``.
 # The adapters name the kernels as module globals, looked up at call time.
 # Layer 0's input gradient would be discarded, so it is not computed.
 _LAYER_OPS = {
     "dense": (
         _dense_forward,
-        lambda net, i, g, c, runs: dense_backward(g, c, net._bound[i][0], i > 0, runs),
+        lambda net, i, g, c, runs, stack: dense_backward(
+            g, c, net._bound[i][0], i > 0, runs, _grad_views(net, i, stack)
+        ),
     ),
     "conv2d": (
         _conv2d_forward,
-        lambda net, i, g, c, runs: conv2d_backward(
-            g, c, net._bound[i][0], net.layers[i].padding, i > 0, runs
+        lambda net, i, g, c, runs, stack: conv2d_backward(
+            g, c, net._bound[i][0], net.layers[i].padding, i > 0, runs, _grad_views(net, i, stack)
         ),
     ),
     "relu": (
-        lambda net, i, x, runs: relu_forward(x),
-        lambda net, i, g, c, runs: (relu_backward(g, c), None, None),
+        _relu_forward,
+        lambda net, i, g, c, runs, stack: (relu_backward(g, c), None, None),
     ),
     "maxpool2d": (
         lambda net, i, x, runs: maxpool2d_forward(x, net.layers[i].window),
-        lambda net, i, g, c, runs: (maxpool2d_backward(g, c), None, None),
+        lambda net, i, g, c, runs, stack: (maxpool2d_backward(g, c), None, None),
     ),
     "flatten": (
         lambda net, i, x, runs: flatten_forward(x),
-        lambda net, i, g, c, runs: (flatten_backward(g, c), None, None),
+        lambda net, i, g, c, runs, stack: (flatten_backward(g, c), None, None),
     ),
 }
 
@@ -322,15 +340,11 @@ def backward(net: Network, cache, labels):
     clients = runs or (len(net.params.data) if net.params.data.ndim == 2 else None)
     loss, gout = softmax_cross_entropy(logits, labels, clients)
 
-    # every segment is overwritten below, since each layer is visited
+    # every segment is written below, since each layer is visited
     grads = ParamVector(np.empty_like(net.params.data), net.params.bounds)
     stack = grads.data.reshape(-1, grads.data.shape[-1])
     for i in range(len(net.layers) - 1, -1, -1):
-        gout, gw, gb = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i], runs)
-        if gw is not None:
-            _, _, wslice, bslice = net._bound[i]
-            stack[:, wslice] = gw.reshape(len(stack), -1)
-            stack[:, bslice] = gb
+        gout = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i], runs, stack)[0]
     return loss, grads
 
 

@@ -70,19 +70,24 @@ def sgd_step(
     params.require_same_segmentation(grads)
     part = mask.scalars(params)
     at = (..., part) if rows is None else (rows, part)
-    lr32 = np.asarray(lr, dtype=FLOAT)
-    if lr32.min() < 0:
+    # a Python rate is converted once; a column's lowest entry is checked
+    lr32 = FLOAT(lr) if isinstance(lr, (int, float)) else np.asarray(lr, dtype=FLOAT)
+    if (lr32 if lr32.ndim == 0 else lr32.min()) < 0:
         raise ValueError("learning rate must be non-negative")
     m32 = FLOAT(opt.momentum)
     p = params.data[at]
     g = grads.data[at]
+    buf = opt.buffers.data[at]
+    scratch = None
     if prox is not None:
         mu, anchor = prox
         if mu < 0:
             raise ValueError("proximal coefficient must be non-negative")
         params.require_same_segmentation(anchor)
-        g = g + FLOAT(mu) * (p - anchor.data[..., part])
-    buf = opt.buffers.data[at]
+        # g + mu * (p - anchor), and later lr * buf, in one scratch buffer
+        scratch = np.subtract(p, anchor.data[..., part])
+        scratch *= FLOAT(mu)
+        g = np.add(scratch, g, out=scratch)
     buf *= m32
     buf += g
-    p -= lr32 * buf
+    p -= np.multiply(buf, lr32, out=scratch)

@@ -368,17 +368,37 @@ def assert_same_bytes(got, want):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def gradient_views(w_shape):
+    """(weight, bias) views into one row-strided (M, P) array, laid out as
+    ``network.backward`` hands them to a kernel: a segment with a column of
+    padding on either side."""
+    m, cout = w_shape[:2]
+    size = int(np.prod(w_shape[1:]))
+    wide = np.full((m, 1 + size + cout + 1), np.nan, dtype=np.float32)
+    return wide[:, 1 : 1 + size].reshape(w_shape), wide[:, 1 + size : -1]
+
+
+def check_gradient_views(out, gw, gb):
+    """With ``out``, the kernel returned its views, and they are not copies."""
+    if out is not None:
+        assert gw.base is out[0].base and gb.base is out[1].base
+
+
 @settings(max_examples=40, deadline=None)
-@given(runs=RUNS, seed=st.integers(0, 2**16))
-def test_dense_over_runs_equals_one_client_calls(runs, seed):
+@given(runs=RUNS, into_views=st.booleans(), seed=st.integers(0, 2**16))
+def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
+    # with ``into_views`` the stacked call writes its parameter gradients
+    # into views of a wider array, as network.backward has it do
     rng = np.random.default_rng(seed)
     m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
     x = rng.standard_normal((n, 5)).astype(np.float32)
     w = rng.standard_normal((m, 3, 5)).astype(np.float32)
     b = rng.standard_normal((m, 3)).astype(np.float32)
     g = rng.standard_normal((n, 3)).astype(np.float32)
+    views = gradient_views(w.shape) if into_views else None
     out, cache = dense_forward(x, w, b, runs)
-    gx, gw, gb = dense_backward(g, cache, w, True, runs)
+    gx, gw, gb = dense_backward(g, cache, w, True, runs, views)
+    check_gradient_views(views, gw, gb)
     for i, rows in client_rows(runs):
         one, one_cache = dense_forward(x[rows], w[i : i + 1], b[i : i + 1])
         one_gx, one_gw, one_gb = dense_backward(g[rows], one_cache, w[i : i + 1], True)
@@ -393,12 +413,15 @@ def test_dense_over_runs_equals_one_client_calls(runs, seed):
     padding=st.integers(0, 1),
     cout=st.sampled_from([1, 4]),
     chunk=st.sampled_from([1, 2, 3, None]),
+    into_views=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, seed):
+def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, into_views, seed):
     # the stacked call copies columns ``chunk`` samples at a time (None: the
-    # whole batch at once), whatever the run boundaries; each client alone
-    # copies its batch unchunked
+    # whole batch at once), whatever the run boundaries, and with
+    # ``into_views`` writes its parameter gradients into views of a wider
+    # array, as network.backward has it do; each client alone copies its
+    # batch unchunked
     rng = np.random.default_rng(seed)
     m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
     x = rng.standard_normal((n, 4, 4, 2)).astype(np.float32)
@@ -409,8 +432,10 @@ def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, se
     sample_bytes = side * side * 2 * 3 * 3 * 4  # one sample's float32 columns
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "CHUNK_BYTES", (chunk or n) * sample_bytes)
+        views = gradient_views(w.shape) if into_views else None
         out, cache = conv2d_forward(x, w, b, padding, runs)
-        gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs)
+        gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs, views)
+        check_gradient_views(views, gw, gb)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "CHUNK_BYTES", 1 << 40)
         for i, rows in client_rows(runs):
