@@ -418,8 +418,7 @@ def softmax_cross_entropy(logits, labels, clients=None):
     # a +0.0/-0.0 tie may settle on the other zero than a row-wise max;
     # the tie makes denom >= 2, so subtracting log(denom) erases that sign
     shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
-    # each row's label entry, by flat index, taken before exp overwrites
-    # ``shifted``; the gradient is then divided into the exp buffer
+    # each row's label entry, by flat index, before exp overwrites ``shifted``
     flat = np.arange(n) * c + labels
     picked = shifted.reshape(-1)[flat]
     grad = np.exp(shifted, out=shifted)
