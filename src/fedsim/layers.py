@@ -31,6 +31,18 @@ memory is visited, so no bit can move: the GEMMs get the same C-contiguous
 (N*Ho*Wo, Cin*k*k) matrix, and each input-gradient element adds its k²
 terms in the same (i, j) order.
 
+Fused relu and max-pool: ``maxpool2d_forward(x, window, relu=True)`` gives
+the bits of pooling ``relu_forward(x)``'s output without building it or its
+mask. Relu keeps every positive input and sends the rest to a zero, so a
+window whose max ``top`` is positive outputs ``top`` from its first entry
+equal to ``top``; any other window holds only relu's zeros, which tie, so
+it outputs its first entry times 0, -0.0 where that entry is negative. A
+mask is set only where the winner is positive, so ``maxpool2d_backward``
+gives relu's gradient of the pool's gradient bit for bit: each is ``gout``
+times 1 or 0, and one factor of 0 leaves what two do. A relu turns -inf
+into a NaN, so a batch holding a NaN or -inf is pooled after a plain relu,
+whose mask is ANDed into the pool's masks.
+
 Ownership: a kernel writes into no array its caller keeps, except one the
 caller hands it to fill. ``relu_forward`` writes into ``out``, which the
 network passes as the input itself only where that input is the fresh
@@ -207,14 +219,27 @@ def _client_affine(x, wt, b, runs, per):
     m, k, cout = wt.shape
     if runs is None or len(runs) == 1:
         out = x.reshape(m, -1, k) @ wt
-        out += b[:, None]
+        _add_bias(out, b, per)
         return out.reshape(-1, cout)
     out = np.empty((len(x), cout), dtype=x.dtype)
     for c, r, rows in _spans(runs, per):
         part = out[r].reshape(-1, rows, cout)
         np.matmul(x[r].reshape(-1, rows, k), wt[c], out=part)
-        part += b[c, None]
+        _add_bias(part, b[c], per)
     return out
+
+
+def _add_bias(out, b, per):
+    """Adds each client's row of ``b`` (M, C) to its rows of ``out``
+    (M, rows, C), a C-contiguous array whose samples span ``per`` rows
+    each. A conv adds the bias tiled over each sample's per*C entries, the
+    same adds as broadcasting the (1, C) row over every row, several times
+    faster."""
+    if per == 1:
+        out += b[:, None]
+        return
+    samples = out.reshape(len(out), -1, per * out.shape[2])
+    samples += np.tile(b, per)[:, None]
 
 
 def _client_backward(g, x, w, runs, per, need_gx, bias_sum, out=None):
@@ -351,18 +376,26 @@ def _conv_bias_sum(g, out):
     return np.einsum("mij->mj", g, out=out) if g.shape[2] > 1 else g.sum(axis=1, out=out)
 
 
-def maxpool2d_forward(x, window):
+def maxpool2d_forward(x, window, relu=False):
     """Max over each ``window``-square tile, stride ``window``, of an
-    (N, H, W, C) batch.
+    (N, H, W, C) batch; with ``relu``, of ``relu_forward(x)``'s output.
 
     A tie goes to the first maximum in row-major window order, and a window
     that holds a NaN yields its first NaN, bits and all, as argmax picks
     them. The cache holds one boolean mask per in-window offset, stacked
-    as (window**2, N, Ho, Wo, C), marking where that offset won.
+    as (window**2, N, Ho, Wo, C), marking where that offset won; with
+    ``relu`` a mask is set only where the winning input is positive
+    ("Fused relu and max-pool" above).
     """
     n, h, w, c = x.shape
     if h % window or w % window:
         raise ShapeError(f"maxpool2d window {window} does not divide ({h}, {w})")
+    relu_mask = None
+    if relu and not x.min(initial=np.inf) > -np.inf:
+        # relu turns a -inf into a NaN (-inf * 0), which the fused path
+        # never sees; with a NaN or -inf, pool relu's output instead
+        x, relu_mask = relu_forward(x)
+        relu = False
     # one contiguous copy per in-window offset, so the strided reads happen once
     tiles = np.empty((window * window, n, h // window, w // window, c), dtype=x.dtype)
     for k in range(window * window):
@@ -372,7 +405,10 @@ def maxpool2d_forward(x, window):
     for t in tiles[1:]:
         np.maximum(top, t, out=top)
     masks = tiles == top
-    if np.isnan(top.max(initial=0)):
+    if relu:
+        positive = top > 0
+        masks &= positive
+    elif np.isnan(top.max(initial=0)):
         # np.maximum carries a NaN into top, and a NaN equals nothing, so
         # its window has no mask yet; marking every NaN lets the first one
         # win, as argmax picks it (windows without a NaN have none to mark)
@@ -381,11 +417,24 @@ def maxpool2d_forward(x, window):
     for m in masks[1:]:
         np.greater(m, seen, out=m)  # m and not seen
         seen |= m
-    # np.maximum may settle a -0.0/+0.0 tie either way, so the output takes
-    # the bits of the first maximum itself
-    bits = tiles.view(f"u{x.itemsize}")
-    bits *= masks
-    out = np.bitwise_or.reduce(bits, axis=0).view(x.dtype)
+    if relu:
+        # a window of relu's zeros outputs its first entry times 0: top * 0
+        # is that where top < 0, but a zero top may be either zero, so
+        # those windows, few, take a masked copy (slow over a dense mask)
+        zero = top == 0
+        out = np.multiply(top, positive, out=top)
+        if zero.any():
+            np.copyto(out, tiles[0] * 0, where=zero)
+    else:
+        # np.maximum may settle a -0.0/+0.0 tie either way, so the output
+        # takes the bits of the first maximum itself
+        bits = tiles.view(f"u{x.itemsize}")
+        bits *= masks
+        out = np.bitwise_or.reduce(bits, axis=0).view(x.dtype)
+    if relu_mask is not None:
+        for k, m in enumerate(masks):
+            i, j = divmod(k, window)
+            m &= relu_mask[:, i::window, j::window]
     return out, (masks, x.shape, window)
 
 

@@ -250,7 +250,15 @@ def _grad_views(net: Network, i: int, stack):
     return stack[:, wslice].reshape(w.shape), stack[:, bslice]
 
 
+def _feeds_pool(net: Network, i: int) -> bool:
+    """Whether layer ``i`` is a relu whose output a max-pool takes, the
+    pair that runs as one kernel (layers.py, "Fused relu and max-pool")."""
+    return net.layers[i].kind == "relu" and net.layers[i + 1].kind == "maxpool2d"
+
+
 def _relu_forward(net: Network, i: int, x, runs):
+    if _feeds_pool(net, i):
+        return x, None  # the max-pool applies it
     # the output of a dense or conv2d layer of this pass is held by no cache
     # and no caller, so relu may overwrite it; any other input (the caller's
     # batch, or a view of it through flatten) it must not
@@ -279,10 +287,12 @@ _LAYER_OPS = {
     ),
     "relu": (
         _relu_forward,
-        lambda net, i, g, c, runs, stack: (relu_backward(g, c), None, None),
+        lambda net, i, g, c, runs, stack: (g if c is None else relu_backward(g, c), None, None),
     ),
     "maxpool2d": (
-        lambda net, i, x, runs: maxpool2d_forward(x, net.layers[i].window),
+        lambda net, i, x, runs: maxpool2d_forward(
+            x, net.layers[i].window, relu=i > 0 and _feeds_pool(net, i - 1)
+        ),
         lambda net, i, g, c, runs, stack: (maxpool2d_backward(g, c), None, None),
     ),
     "flatten": (

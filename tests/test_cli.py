@@ -611,19 +611,22 @@ def idx_config(tmp_path, name, train_images=None, **overrides):
     return cfg_path, out, Path(ti)
 
 
-def test_nan_conv_weight_exits_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_non_finite_conv_weight_exits_3(tmp_path, monkeypatch, bad):
+    # a relu feeding a max-pool runs fused, unless its input holds a NaN or
+    # -inf, which it must then carry on as a plain relu would
     import warnings
 
     import fedsim.experiment
 
     init = fedsim.experiment.init_network
 
-    def init_with_nan_conv_weight(layers, scheme):
+    def init_with_bad_conv_weight(layers, scheme):
         net = init(layers, scheme)
-        net.layer_params(0)[0][0, 0, 0, 0] = np.nan
+        net.layer_params(0)[0][0, 0, 0, 0] = bad
         return net
 
-    monkeypatch.setattr(fedsim.experiment, "init_network", init_with_nan_conv_weight)
+    monkeypatch.setattr(fedsim.experiment, "init_network", init_with_bad_conv_weight)
     cfg_path, out, _ = idx_config(tmp_path, "nan_conv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

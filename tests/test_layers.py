@@ -17,8 +17,11 @@ from fedsim.layers import (
     conv2d_forward,
     dense_backward,
     dense_forward,
+    flatten_backward,
+    flatten_forward,
     maxpool2d_backward,
     maxpool2d_forward,
+    relu_backward,
     relu_forward,
     runs_of,
     softmax_cross_entropy,
@@ -133,17 +136,28 @@ def nan_with(payload):
     return np.array(payload, dtype=np.uint32).view(np.float32)
 
 
-def tie_heavy_pool_inputs(rng, window):
+def tie_heavy_pool_inputs(rng, window, pre_relu=False):
     """Post-ReLU activations (negatives become -0.0) with whole samples of
     exact +0.0, all-equal windows, windows mixing -0.0 and +0.0, small
-    integers that tie often, and windows holding NaNs of distinct bits."""
+    integers that tie often, and windows holding NaNs of distinct bits.
+    ``pre_relu`` keeps the negatives, as a relu's input, and adds windows
+    whose negative or -0.0 first entry ties relu's later +0.0, and -inf
+    and +inf among positives and among zeros."""
     side = 4 * window
     x = rng.normal(size=(6, 3, side, side)).astype(np.float32)
     x[1] = 0.0
     x[2] = 1.5
     x[3, :, ::2] = 0.0
     x[4] = np.round(x[4])
-    x, _ = relu_forward(x)
+    if pre_relu:
+        x[1, 0, 0, 0] = -2.0
+        x[1, 1, 0, 0] = -0.0
+        x[2, 0, 0, 0] = -np.inf
+        x[2, 1, 0, 1] = np.inf
+        x[3, 2, 0, 0] = -np.inf
+        x[3, 2, 0, 2 * window] = np.inf
+    else:
+        x, _ = relu_forward(x)
     x[5] = -np.abs(x[5]) - 1.0  # all-negative windows
     # one NaN after other values; two NaNs, the first in the window's second
     # row; a negative NaN among ties; a whole window of NaNs; a NaN in an
@@ -184,6 +198,102 @@ def test_maxpool_routes_each_window_to_exactly_one_input(rng, window):
     gx = nchw(maxpool2d_backward(np.ones_like(out), cache))
     per_window = gx.reshape(6, 3, 4, window, 4, window).sum(axis=(3, 5))
     np.testing.assert_array_equal(per_window, np.ones_like(nchw(out)))
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("finite", [True, False])
+def test_fused_relu_maxpool_equals_relu_then_maxpool_bit_for_bit(rng, window, finite):
+    # without a NaN or -inf the fused kernel runs; with them it falls back
+    # to a plain relu, and must still give the composition's bits
+    x = nhwc(tie_heavy_pool_inputs(rng, window, pre_relu=True))
+    if finite:
+        x = np.where(np.isnan(x) | (x == -np.inf), np.float32(-3.0), x)
+        assert np.isposinf(x).any()
+    gout = rng.normal(size=(6, 4, 4, 3)).astype(np.float32)
+    gout[0, 0] = 0.0
+    gout[0, 1] = -0.0
+    gout[1, :, :, 0] = np.inf
+    gout[1, :, :, 1] = -np.inf
+    gout[2, :, :, 1] = nan_with(0x7FC00011)
+    gout[3, :, :, 2] = nan_with(0xFFC00012)
+    with np.errstate(invalid="ignore"):  # relu's -inf * 0, and inf * 0 in backward
+        r, relu_mask = relu_forward(x)
+        ref_out, ref_cache = maxpool2d_forward(r, window)
+        ref_gx = relu_backward(maxpool2d_backward(gout, ref_cache), relu_mask)
+        out, cache = maxpool2d_forward(x, window, relu=True)
+        gx = maxpool2d_backward(gout, cache)
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    assert out.tobytes() == ref_out.tobytes()
+    assert cache[0].dtype == ref_cache[0].dtype and cache[0].shape == ref_cache[0].shape
+    assert gx.dtype == ref_gx.dtype and gx.shape == ref_gx.shape
+    assert gx.tobytes() == ref_gx.tobytes()
+
+
+def counted_relu_calls(monkeypatch):
+    """A list that grows by one at each ``network.relu_forward`` call."""
+    calls = []
+    relu = fs.network.relu_forward
+    monkeypatch.setattr(fs.network, "relu_forward", lambda *a: calls.append(1) or relu(*a))
+    return calls
+
+
+def test_ragged_conv_stack_equals_hand_composed_reference_kernels(monkeypatch):
+    # two conv-relu-pool blocks over M = 3 clients in runs of 4, 4 and 2
+    # samples: the network fuses each relu into its pool, and its loss and
+    # gradient stack must equal, byte for byte, the plain kernels composed
+    # by hand. Biases start at zero and sample 0 is all zeros, so relu's
+    # zeros tie in whole windows
+    layers = [
+        fs.conv2d(2, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2),
+        fs.conv2d(3, 4, 3, padding=1), fs.relu(), fs.maxpool2d(2),
+        fs.flatten(), fs.dense(4 * 2 * 2, 5),
+    ]
+    nets = [fs.init_network(layers, fs.InitScheme("he_uniform", s)) for s in (1, 2, 3)]
+    net = nets[0].with_params(fs.ParamVector.stack([n.params for n in nets]))
+    runs = [(2, 4), (1, 2)]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(10, 2, 8, 8)).astype(np.float32)
+    x[0] = 0.0
+    labels = rng.integers(0, 5, size=10)
+
+    relu_calls = counted_relu_calls(monkeypatch)
+    logits, cache = fs.forward(net, x, runs)
+    loss, grads = fs.backward(net, cache, labels)
+    assert relu_calls == []
+
+    (w0, b0), (w1, b1), (w2, b2) = (net.layer_params(i) for i in (0, 3, 7))
+    h, conv0 = conv2d_forward(nhwc(x), w0, b0, 1, runs)
+    h, relu0 = relu_forward(h)
+    h, pool0 = maxpool2d_forward(h, 2)
+    h, conv1 = conv2d_forward(h, w1, b1, 1, runs)
+    h, relu1 = relu_forward(h)
+    h, pool1 = maxpool2d_forward(h, 2)
+    h, flat = flatten_forward(h)
+    ref_logits, dense_cache = dense_forward(h, w2, b2, runs)
+    ref_loss, g = softmax_cross_entropy(ref_logits, labels, runs)
+    g, gw2, gb2 = dense_backward(g, dense_cache, w2, True, runs)
+    g = relu_backward(maxpool2d_backward(flatten_backward(g, flat), pool1), relu1)
+    g, gw1, gb1 = conv2d_backward(g, conv1, w1, 1, True, runs)
+    g = relu_backward(maxpool2d_backward(g, pool0), relu0)
+    _, gw0, gb0 = conv2d_backward(g, conv0, w0, 1, False, runs)
+    ref_grads = np.concatenate([a.reshape(3, -1) for a in (gw0, gb0, gw1, gb1, gw2, gb2)], axis=1)
+    assert_same_bytes([logits, loss, grads.data], [ref_logits, ref_loss, ref_grads])
+
+
+@pytest.mark.parametrize(
+    "specs, shape",
+    [
+        ([fs.dense(6, 5), fs.relu(), fs.dense(5, 3)], (6,)),
+        ([fs.conv2d(1, 2, 3), fs.relu(), fs.flatten(), fs.dense(2 * 4 * 4, 3)], (1, 6, 6)),
+    ],
+)
+def test_relu_not_feeding_a_pool_runs_its_own_kernel(monkeypatch, specs, shape):
+    net = fs.init_network(specs, fs.InitScheme("he_uniform", 0))
+    relu_calls = counted_relu_calls(monkeypatch)
+    x = np.random.default_rng(0).normal(size=(4, *shape)).astype(np.float32)
+    _, cache = fs.forward(net, x)
+    fs.backward(net, cache, np.arange(4) % 3)
+    assert len(relu_calls) == 1
 
 
 def test_network_forward_matches_composed_loop_oracle():
@@ -421,7 +531,8 @@ def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, in
     # whole batch at once), whatever the run boundaries, and with
     # ``into_views`` writes its parameter gradients into views of a wider
     # array, as network.backward has it do; each client alone copies its
-    # batch unchunked
+    # batch unchunked. Both add the bias tiled over each sample, which must
+    # equal broadcasting it over every row of each client's GEMM
     rng = np.random.default_rng(seed)
     m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
     x = rng.standard_normal((n, 4, 4, 2)).astype(np.float32)
@@ -436,6 +547,7 @@ def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, in
         out, cache = conv2d_forward(x, w, b, padding, runs)
         gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs, views)
         check_gradient_views(views, gw, gb)
+    wt = w.reshape(m, cout, -1).transpose(0, 2, 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "CHUNK_BYTES", 1 << 40)
         for i, rows in client_rows(runs):
@@ -444,6 +556,8 @@ def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, in
             assert_same_bytes(
                 [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
             )
+            broadcast = one_cache[0][None] @ wt[i : i + 1] + b[i : i + 1, None]
+            assert_same_bytes([out[rows], one], [broadcast.reshape(one.shape)] * 2)
 
 
 @settings(max_examples=40, deadline=None)
