@@ -421,13 +421,13 @@ def local_update(
     indices: list[np.ndarray] | None = None,
     personal: tuple[float, ParamVector, list] | None = None,
     on_epoch=None,
-) -> tuple[ParamVector, float | list[float]]:
+) -> tuple[ParamVector, list[float]]:
     """One client's local pass under ``alg``'s local rule; returns (final
-    params, mean minibatch loss). The one place a local rule becomes
-    ``train_epochs`` calls, for federated rounds and for evaluation's
-    fine-tunes alike. Given a lockstep group (see ``train_epochs``: an
-    (M, P) stack, ``indices`` and M generators, and ``lr_fn`` shared or one
-    per client), it returns the group's stack and one mean loss per client.
+    params, one mean minibatch loss per client). The one place a local rule
+    becomes ``train_epochs`` calls, for federated rounds and for
+    evaluation's fine-tunes alike. Given a lockstep group (see
+    ``train_epochs``: an (M, P) stack, ``indices`` and M generators, and
+    ``lr_fn`` shared or one per client), it returns the group's stack.
     Each row reads its client's samples in place, with no per-round copy.
 
     'sequential_head_then_body' (FedRep) trains the head for every epoch,
@@ -479,8 +479,7 @@ def local_update(
         )[:clients]
     else:
         raise FederationError(f"unknown local rule {alg.local_rule!r}")
-    means = [float(np.mean(client)) if client else float("nan") for client in losses]
-    return params, means if params.data.ndim == 2 else means[0]
+    return params, [float(np.mean(client)) if client else float("nan") for client in losses]
 
 
 # --- aggregation -------------------------------------------------------------

@@ -57,16 +57,16 @@ class EvalReport:
         return cls(list(client_ids), acc, finetune_epochs, part, mean, std)
 
 
-def accuracy(net: Network, ds: LabeledDataset, sizes: list[int] | None = None):
-    """Share of correct argmax predictions; ties go to the lowest class.
-    A network over an (M, P) stack takes M clients' sets one after another,
-    ``sizes`` samples each, and returns each client's share, an (M,) array."""
+def accuracy(net: Network, ds: LabeledDataset, sizes: list[int] | None = None) -> np.ndarray:
+    """Share of correct argmax predictions per set, an (M,) array; ties go
+    to the lowest class. A network over an (M, P) stack takes M clients'
+    sets one after another, ``sizes`` samples each; ``sizes=None`` means
+    one set, all of ``ds``."""
     if len(ds) == 0:
         raise EvalError("empty evaluation set")
     logits, _ = forward(net, ds.samples, None if sizes is None else runs_of(sizes))
     correct = logits.argmax(axis=1) == ds.labels
-    if sizes is None:
-        return float(correct.mean())
+    sizes = [len(ds)] if sizes is None else sizes
     # sums of zeros and ones are exact, so these are np.mean's bits
     return np.add.reduceat(correct, np.cumsum(sizes) - sizes, dtype=np.float64) / sizes
 
@@ -153,17 +153,16 @@ def personalized_models(
     template: Network,
     data: FederatedData,
     part: str,
-    finetune_epochs: int | list[int],
+    finetune_epochs: list[int],
     lr: float,
     seed: int,
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
-) -> list:
+) -> list[list[ParamVector]]:
     """Each client's model fine-tuned on its own train data, in lockstep
     groups, for each τ_f of the list ``finetune_epochs``: one list of
-    models per τ_f, or the one list for a single τ_f. τ_f = 0 gives the
-    input models themselves.
+    models per τ_f. τ_f = 0 gives the input models themselves.
 
     Under the joint rule a group fine-tunes once, to the largest τ_f, and
     a client's row is copied as it ends each requested epoch: a shorter
@@ -172,9 +171,7 @@ def personalized_models(
     FederationError names its client and the smallest requested τ_f whose
     epochs hold the failure.
     """
-    single = np.ndim(finetune_epochs) == 0
-    tfs = [finetune_epochs] if single else list(finetune_epochs)
-    positive = sorted(set(tfs) - {0})
+    positive = sorted(set(finetune_epochs) - {0})
     out = {tf: [None] * len(models) for tf in positive}
     out[0] = models
     # each pass: the τ_f it snapshots, ending at the last
@@ -207,8 +204,7 @@ def personalized_models(
             for tf, stack in [*early.items(), (snaps[-1], tuned)]:
                 for cid, params in zip(ids, stack.rows()):
                     out[tf][cid] = params
-    every = [out[tf] for tf in tfs]
-    return every[0] if single else every
+    return [out[tf] for tf in finetune_epochs]
 
 
 def personalized_accuracy(
@@ -216,33 +212,30 @@ def personalized_accuracy(
     template: Network,
     data: FederatedData,
     part: str,
-    finetune_epochs: int | list[int],
+    finetune_epochs: list[int],
     lr: float,
     seed: int,
     batch_size: int = 50,
     momentum: float = 0.9,
     rule: str = "joint",
     initial: EvalReport | None = None,
-):
+) -> list[EvalReport]:
     """Fine-tune each client independently (``personalized_models``), then
     evaluate on its test split: one report per τ_f of the list
-    ``finetune_epochs``, or the one report for a single τ_f. ``initial``,
-    the models' ``initial_accuracy`` report where given, serves τ_f = 0."""
-    single = np.ndim(finetune_epochs) == 0
-    tfs = [finetune_epochs] if single else list(finetune_epochs)
+    ``finetune_epochs``. ``initial``, the models' ``initial_accuracy``
+    report where given, serves τ_f = 0."""
     tuned = personalized_models(
-        models, template, data, part, tfs, lr, seed, batch_size, momentum, rule
+        models, template, data, part, finetune_epochs, lr, seed, batch_size, momentum, rule
     )
-    reports = [
+    return [
         EvalReport.from_accuracies(
             list(range(len(models))),
             initial.accuracies.copy() if tf == 0 and initial is not None
             else _test_accuracies(tf_models, template, data),
             tf, part,
         )
-        for tf, tf_models in zip(tfs, tuned)
+        for tf, tf_models in zip(finetune_epochs, tuned)
     ]
-    return reports[0] if single else reports
 
 
 # --- template (without-head) evaluation --------------------------------------
@@ -255,12 +248,6 @@ class TemplateSet:
 
     classes: np.ndarray
     templates: np.ndarray  # (len(classes), d)
-
-    @classmethod
-    def build(cls, net: Network, client_ds: LabeledDataset) -> "TemplateSet":
-        if len(client_ds) == 0:
-            raise EvalError("cannot build templates from an empty train split")
-        return cls.of(representations(net, client_ds.samples), client_ds.labels)
 
     @classmethod
     def of(cls, reps: np.ndarray, labels: np.ndarray) -> "TemplateSet":
@@ -381,6 +368,6 @@ def centralized_train(
     curve: list[float] = []
     train_epochs(
         train_ds, params, net, part, epochs, batch_size, momentum, sched.lr_at, rng,
-        on_epoch=lambda *_: curve.append(accuracy(working, test_ds)),
+        on_epoch=lambda *_: curve.append(accuracy(working, test_ds)[0]),
     )
     return curve

@@ -281,6 +281,11 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
         test = load_idx(paths[2], paths[3])
     except (DatasetError, OSError) as e:  # both messages name the file
         raise ConfigError(f"cannot load idx dataset: {e}") from e
+    shapes = ["x".join(map(str, ds.samples.shape[2:])) for ds in (train, test)]  # rows x cols
+    if shapes[0] != shapes[1]:
+        raise ConfigError(
+            f"idx images differ in shape: {paths[0]} holds {shapes[0]}, {paths[2]} holds {shapes[1]}"
+        )
     classes = max(train.num_classes, test.num_classes)
     train.num_classes = test.num_classes = classes
     return train, test

@@ -131,16 +131,42 @@ def _cell_summary(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _holds_cell(record, cfg: ExperimentConfig) -> bool:
+    """Whether a stored result is this cell's whole record: its summary,
+    the initial mean and std, and a mean and std for each of its τ_f."""
+    if not isinstance(record, dict) or not isinstance(record.get("personalized"), dict):
+        return False
+    tfs = record["personalized"]
+    return (
+        _cell_summary(cfg).items() <= record.items()
+        and _is_number(record.get("initial_mean"))
+        and _is_number(record.get("initial_std"))
+        and tfs.keys() == {str(tf) for tf in cfg["eval"]["finetune_epochs"]}
+        and all(
+            isinstance(stats, dict) and _is_number(stats.get("mean")) and _is_number(stats.get("std"))
+            for stats in tfs.values()
+        )
+    )
+
+
 def run_cell(raw_config: dict) -> dict:
     """Train + evaluate one cell; returns (and persists) its result record.
-    Top-level so process pools can pick it up."""
+    A stored record is reused only if it holds the whole cell; any other
+    is rerun. Top-level so process pools can pick it up."""
     cfg = ExperimentConfig(raw_config)
     result_path = cfg.out_dir / "result.json"
     if result_path.exists():
         try:
-            return json.loads(result_path.read_text())
-        except json.JSONDecodeError:
-            log.warning("cell %s: corrupt result, rerunning", cfg.config_hash())
+            record = json.loads(result_path.read_text())
+        except ValueError:  # not UTF-8, or not JSON
+            record = None
+        if _holds_cell(record, cfg):
+            return record
+        log.warning("cell %s: corrupt result, rerunning", cfg.config_hash())
     run_train(cfg)
     reports = run_eval(cfg)
     record = _cell_summary(cfg)
@@ -170,18 +196,20 @@ def run_sweep(sweep: dict, jobs: int = 1) -> Path:
     else:
         records = [run_cell(raw) for raw in raws]
 
+    rows = []
+    for record in records:
+        for tf, stats in sorted(record["personalized"].items(), key=lambda kv: int(kv[0])):
+            row = {
+                **record, "tau_f": tf,
+                "personalized_mean": stats["mean"], "personalized_std": stats["std"],
+            }
+            rows.append(
+                [f"{row[c]:.6f}" if c.endswith(("_mean", "_std")) else row[c] for c in RESULT_COLUMNS]
+            )
     results_path = out_root / "results.csv"
     with open(results_path, "w", newline="") as fh:
         fh.write(f"# schema={SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        for record in records:
-            for tf, stats in sorted(record["personalized"].items(), key=lambda kv: int(kv[0])):
-                row = {
-                    **record, "tau_f": tf,
-                    "personalized_mean": stats["mean"], "personalized_std": stats["std"],
-                }
-                writer.writerow(
-                    [f"{row[c]:.6f}" if c.endswith(("_mean", "_std")) else row[c] for c in RESULT_COLUMNS]
-                )
+        writer.writerows(rows)
     return results_path

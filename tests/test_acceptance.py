@@ -304,8 +304,8 @@ def desk_runs():
             state, _ = fs.run_federation(cfg, data, net)
             models = client_models(state, net, fs.get_algorithm(alg), 20)
             initial = fs.initial_accuracy(models, net, data)
-            p1 = fs.personalized_accuracy(models, net, data, "full", 1, ft_lr, seed, batch_size=50)
-            p5 = fs.personalized_accuracy(models, net, data, "full", 5, ft_lr, seed, batch_size=50)
+            (p1,) = fs.personalized_accuracy(models, net, data, "full", [1], ft_lr, seed, batch_size=50)
+            (p5,) = fs.personalized_accuracy(models, net, data, "full", [5], ft_lr, seed, batch_size=50)
             per_seed.append((initial.mean, p1.mean, p5.mean))
             if seed == 0:
                 models_seed0[alg] = (net, data, models)
@@ -376,9 +376,10 @@ def test_criterion_9_template_constraints():
     models = client_models(state, net, fs.get_algorithm("fedbabu"), 10)
     for cid in range(10):
         working = net.with_params(models[cid])
-        tset = fs.TemplateSet.build(working, data.client_train(cid))
+        train_ds = data.client_train(cid)
+        tset = fs.TemplateSet.of(fs.representations(working, train_ds.samples), train_ds.labels)
         preds = tset.classify(fs.representations(working, data.client_test(cid).samples))
-        train_classes = set(np.unique(data.client_train(cid).labels).tolist())
+        train_classes = set(np.unique(train_ds.labels).tolist())
         assert set(preds.tolist()) <= train_classes
 
     # single-class clients with matched tests: template accuracy is exactly 1
@@ -415,7 +416,7 @@ def test_criterion_10_tauf0_identity():
             else "joint"
         )
         initial = fs.initial_accuracy(models, net, data)
-        tf0 = fs.personalized_accuracy(models, net, data, "full", 0, 0.001, 10, batch_size=50, rule=rule)
+        (tf0,) = fs.personalized_accuracy(models, net, data, "full", [0], 0.001, 10, batch_size=50, rule=rule)
         assert tf0.accuracies.tobytes() == initial.accuracies.tobytes()
         checked.append(alg_name)
     report(10, f"tau_f=0 personalized report bit-equals initial report for {', '.join(checked)}")

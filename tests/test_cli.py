@@ -641,6 +641,29 @@ def test_missing_idx_file_exits_2_naming_it(tmp_path, capsys):
     assert not (out / "checkpoint.pv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "partition"])
+def test_idx_train_and_test_image_shapes_differ_exits_2(tmp_path, capsys, command):
+    # 8x8 train and 10x10 test images: a network sized for one fails on the
+    # other, so set-up stops before any work, naming both files and shapes
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (ti, tl), _ = make_idx_dataset(tmp_path / "a", side=8)
+    _, (vi, vl) = make_idx_dataset(tmp_path / "b", side=10)
+    cfg_path, out = tiny_config(
+        tmp_path, name="shapes",
+        **{
+            "dataset": {"kind": "idx", "train_images": ti, "train_labels": tl,
+                        "test_images": vi, "test_labels": vl},
+            "network": {"kind": "conv2", "channels": [4], "kernel": 3, "padding": 1, "pool": 2},
+        },
+    )
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ti} holds 8x8" in err and f"{vi} holds 10x10" in err
+    assert not (out / "checkpoint.pv").exists()
+    assert not (out / "splits.json").exists()
+
+
 def test_truncated_idx_header_exits_2_naming_it(tmp_path, capsys):
     cfg_path, _, train_images = idx_config(tmp_path, "short_idx")
     train_images.write_bytes(train_images.read_bytes()[:10])
@@ -872,14 +895,31 @@ def test_sweep_eval_settings_key_the_cells(tmp_path):
     assert sorted(r["tau_f"] for r in read_results(out)) == ["2", "2"]
 
 
-def test_sweep_corrupt_cell_rerun(tmp_path):
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda record: "{corrupt",
+        lambda record: "{}",
+        lambda record: "[1]",
+        lambda record: json.dumps({**record, "personalized": {"0": record["personalized"]["0"]}}),
+    ],
+    ids=["unparsable", "empty-object", "list", "missing-tau-f"],
+)
+def test_sweep_corrupt_cell_rerun(tmp_path, caplog, corrupt):
+    # a stored result that is not the whole cell's record is rerun, not served
     sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
-    main(["sweep", "--config", str(sweep_path)])
+    sweep = json.loads(sweep_path.read_text())
+    sweep["base"]["eval"]["finetune_epochs"] = [0, 1]
+    sweep_path.write_text(json.dumps(sweep))
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
     results = (out / "results.csv").read_bytes()
     cell_result = next(out.glob("cells/*/result.json"))
-    cell_result.write_text("{corrupt")
+    stored = cell_result.read_text()
+    cell_result.write_text(corrupt(json.loads(stored)))
     assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert "corrupt result, rerunning" in caplog.text
     assert (out / "results.csv").read_bytes() == results
+    assert cell_result.read_text() == stored
 
 
 @pytest.mark.parametrize("key", ["federation.init", "partition.test_mode"])

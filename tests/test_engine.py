@@ -143,7 +143,7 @@ def lr_const(value):
 def test_local_update_zero_epochs_returns_start(small_fed_data):
     net = small_net()
     alg = fs.get_algorithm("fedavg")
-    out, loss = fs.local_update(
+    out, (loss,) = fs.local_update(
         small_fed_data.client_train(0), net.params, net, alg, 0, 10, 0.9,
         lr_const(0.1), stream(0, 1, 1, 0),
     )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fedsim as fs
 import fedsim.evaluation as evaluation
-from fedsim.engine import GROUP_BYTES, NumericError, client_groups, eval_stream
+from fedsim.engine import GROUP_BYTES, NumericError, client_groups, eval_stream, train_epochs
 from fedsim.evaluation import (
     EvalError,
     EvalReport,
@@ -69,8 +69,8 @@ def test_finetune_zero_epochs_identity():
             else "joint"
         )
         initial = fs.initial_accuracy(models, net, data)
-        personalized = fs.personalized_accuracy(
-            models, net, data, "full", 0, 0.01, seed=3, batch_size=10, rule=rule
+        (personalized,) = fs.personalized_accuracy(
+            models, net, data, "full", [0], 0.01, seed=3, batch_size=10, rule=rule
         )
         assert personalized.accuracies.tobytes() == initial.accuracies.tobytes()
 
@@ -96,15 +96,15 @@ def test_finetune_overfits_tiny_client():
     tuned = fs.fine_tune(
         net.params, net, "full", 60, 0.05, data.client_train(0), eval_stream(4, 0), batch_size=10
     )
-    train_acc = accuracy(net.with_params(tuned), data.client_train(0))
+    train_acc = accuracy(net.with_params(tuned), data.client_train(0))[0]
     assert train_acc == 1.0
 
 
 def test_personalization_improves_on_heterogeneous_clients():
     net, data, state, models = run_small(rounds=10, seed=6)
     initial = fs.initial_accuracy(models, net, data)
-    personalized = fs.personalized_accuracy(
-        models, net, data, "full", 5, 0.05, seed=6, batch_size=10
+    (personalized,) = fs.personalized_accuracy(
+        models, net, data, "full", [5], 0.05, seed=6, batch_size=10
     )
     assert personalized.mean > initial.mean
 
@@ -127,8 +127,8 @@ def test_personalization_gap_grows_with_heterogeneity():
         state, _ = fs.run_federation(cfg, data, net)
         models = client_models(state, net, fs.get_algorithm("fedavg"), 20)
         init = fs.initial_accuracy(models, net, data).mean
-        pers = fs.personalized_accuracy(models, net, data, "full", 5, 0.005, seed, batch_size=50).mean
-        return pers - init
+        (pers,) = fs.personalized_accuracy(models, net, data, "full", [5], 0.005, seed, batch_size=50)
+        return pers.mean - init
 
     heterogeneous = np.mean([gap(2, s) for s in (0, 1)])
     homogeneous = np.mean([gap(10, s) for s in (0, 1)])
@@ -151,17 +151,17 @@ def test_fedbabu_head_only_finetune_matches_full():
     )
     state, _ = fs.run_federation(cfg, data, net)
     models = client_models(state, net, fs.get_algorithm("fedbabu"), 20)
-    full = fs.personalized_accuracy(models, net, data, "full", 5, 0.005, 30, batch_size=50)
-    head = fs.personalized_accuracy(models, net, data, "head", 5, 0.005, 30, batch_size=50)
-    body = fs.personalized_accuracy(models, net, data, "body", 5, 0.005, 30, batch_size=50)
+    (full,) = fs.personalized_accuracy(models, net, data, "full", [5], 0.005, 30, batch_size=50)
+    (head,) = fs.personalized_accuracy(models, net, data, "head", [5], 0.005, 30, batch_size=50)
+    (body,) = fs.personalized_accuracy(models, net, data, "body", [5], 0.005, 30, batch_size=50)
     assert abs(head.mean - full.mean) < 0.02
     assert body.mean < head.mean - 0.05
 
 
 def test_personalized_accuracy_deterministic():
     net, data, state, models = run_small()
-    a = fs.personalized_accuracy(models, net, data, "full", 2, 0.05, seed=9, batch_size=10)
-    b = fs.personalized_accuracy(models, net, data, "full", 2, 0.05, seed=9, batch_size=10)
+    (a,) = fs.personalized_accuracy(models, net, data, "full", [2], 0.05, seed=9, batch_size=10)
+    (b,) = fs.personalized_accuracy(models, net, data, "full", [2], 0.05, seed=9, batch_size=10)
     assert a.accuracies.tobytes() == b.accuracies.tobytes()
 
 
@@ -281,12 +281,12 @@ def one_client_reports(models, net, data, tuned):
         working = net.with_params(params)
         train_ds, test_ds = data.client_train(cid), data.client_test(cid)
         reps = fs.representations(working, test_ds.samples)
-        tset = fs.TemplateSet.build(working, train_ds)
+        tset = fs.TemplateSet.of(fs.representations(working, train_ds.samples), train_ds.labels)
         correct = fs.forward(working, test_ds.samples)[0].argmax(axis=1) == test_ds.labels
         seen = np.isin(test_ds.labels, train_ds.labels)
         rows.append([
-            accuracy(working, test_ds),
-            accuracy(net.with_params(tuned[cid]), test_ds),
+            accuracy(working, test_ds)[0],
+            accuracy(net.with_params(tuned[cid]), test_ds)[0],
             float((tset.classify(reps) == test_ds.labels).mean()),
             correct[seen].mean() if seen.any() else np.nan,
             correct[~seen].mean() if (~seen).any() else np.nan,
@@ -356,10 +356,11 @@ def test_template_predictions_stay_in_train_classes():
     net, data, state, models = run_small(algorithm="fedbabu", seed=7)
     for cid, params in enumerate(models):
         working = net.with_params(params)
-        tset = fs.TemplateSet.build(working, data.client_train(cid))
+        train_ds = data.client_train(cid)
+        tset = fs.TemplateSet.of(fs.representations(working, train_ds.samples), train_ds.labels)
         reps = fs.representations(working, data.client_test(cid).samples)
         preds = tset.classify(reps)
-        train_classes = set(np.unique(data.client_train(cid).labels).tolist())
+        train_classes = set(np.unique(train_ds.labels).tolist())
         assert set(preds.tolist()) <= train_classes
 
 
@@ -453,7 +454,7 @@ def test_finetune_error_names_the_client_and_epochs():
     models = [net.params.copy() for _ in range(4)]
     models[2].data[:] = np.float32(3e38)
     with np.errstate(all="ignore"), pytest.raises(fs.NumericError) as exc:
-        fs.evaluation.personalized_models(models, net, data, "full", 2, 0.01, seed=0, batch_size=10)
+        fs.evaluation.personalized_models(models, net, data, "full", [2], 0.01, seed=0, batch_size=10)
     assert str(exc.value) == "fine-tune tf=2, client 2: non-finite loss at local update 0"
 
 
@@ -530,7 +531,7 @@ def test_accuracy_tie_breaks_to_lowest_class():
     net = fs.init_network([fs.dense(2, 3)], fs.InitScheme("he_uniform", 0))
     net.params.data[:] = 0  # all logits identical -> argmax picks class 0
     ds = fs.LabeledDataset(np.ones((4, 2), dtype=np.float32), np.array([0, 0, 1, 2]), 3)
-    assert accuracy(net, ds) == pytest.approx(0.5)
+    assert accuracy(net, ds)[0] == pytest.approx(0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -548,7 +549,55 @@ def test_accuracy_over_mixed_set_sizes_equals_one_client_calls(sizes, seed):
     got = accuracy(net.with_params(stack), ds, sizes)
     first = np.cumsum(sizes) - sizes
     want = [
-        accuracy(net.with_params(row), ds.subset(np.arange(start, start + n)))
+        accuracy(net.with_params(row), ds.subset(np.arange(start, start + n)))[0]
         for row, start, n in zip(stack.rows(), first, sizes)
     ]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+# --- one result type per call ------------------------------------------------------
+
+
+def test_one_client_as_vector_or_one_row_stack_gives_one_result_type():
+    # the same client as a single vector and as a one-row stack: every call
+    # returns one entry per client (or per listed tau_f) for both, with the
+    # bits of a plain mean over the client
+    data = make_federated_data(clients=1, shards_per_client=4, seed=21)
+    net = small_net(seed=21)
+    vector = net.params.copy()
+    stack = ParamVector.stack([vector])
+    train_ds, test_ds = data.client_train(0), data.client_test(0)
+    lr = lambda _u: 0.05
+
+    correct = fs.forward(net, test_ds.samples)[0].argmax(axis=1) == test_ds.labels
+    accs = [accuracy(net, test_ds), accuracy(net.with_params(stack), test_ds, [len(test_ds)])]
+    for acc in accs:
+        assert acc.shape == (1,)
+        assert acc.tobytes() == np.array([float(correct.mean())]).tobytes()
+
+    step_losses = train_epochs(
+        train_ds, vector.copy(), net, "full", 2, 10, 0.9, lr, eval_stream(21, 0)
+    )
+    fedavg = fs.get_algorithm("fedavg")
+    (tuned_v, loss_v), (tuned_s, loss_s) = (
+        fs.local_update(train_ds, vector, net, fedavg, 2, 10, 0.9, lr, eval_stream(21, 0)),
+        fs.local_update(train_ds, stack, net, fedavg, 2, 10, 0.9, [lr], [eval_stream(21, 0)]),
+    )
+    assert tuned_v.data.tobytes() == tuned_s.data[0].tobytes()
+    for loss in (loss_v, loss_s):
+        assert isinstance(loss, list) and len(loss) == 1
+        assert np.array(loss).tobytes() == np.array([np.mean(step_losses[0])]).tobytes()
+
+    tfs = [0, 2]
+    for models in ([vector], stack.rows()):
+        tuned = personalized_models(models, net, data, "full", tfs, 0.05, 21, batch_size=10)
+        reports = fs.personalized_accuracy(models, net, data, "full", tfs, 0.05, 21, batch_size=10)
+        assert len(tuned) == len(reports) == len(tfs)
+        assert all(a is b for a, b in zip(tuned[0], models))
+        assert [rep.finetune_epochs for rep in reports] == tfs
+        for tf_models, rep in zip(tuned, reports):
+            assert len(tf_models) == 1
+            want = accuracy(net.with_params(tf_models[0]), test_ds)
+            assert rep.accuracies.tobytes() == want.tobytes()
+        (alone,) = personalized_models(models, net, data, "full", [2], 0.05, 21, batch_size=10)
+        assert alone[0].data.tobytes() == tuned[1][0].data.tobytes()

@@ -24,3 +24,12 @@ def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert "1 failed, 1 passed" in run.stdout, run.stdout + run.stderr
+
+
+def test_readme_library_use_runs():
+    # the README's Library use block runs as written
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library use")) + len("```python\n")
+    code = readme[start : readme.index("```", start)]
+    # blank lines ahead of the block, so a traceback names README's own line
+    exec(compile("\n" * readme.count("\n", 0, start) + code, "README.md", "exec"), {})
