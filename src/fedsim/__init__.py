@@ -25,7 +25,6 @@ from .evaluation import (
     EvalReport,
     TemplateSet,
     centralized_train,
-    fine_tune,
     in_out_class_accuracy,
     initial_accuracy,
     interclient_cosine,
@@ -49,9 +48,7 @@ from .params import ParamMask, ParamVector
 from .partition import (
     ClientSplit,
     PartitionSpec,
-    dirichlet_partition,
     partition,
-    shard_partition,
     split_client_test,
 )
 

@@ -1,10 +1,12 @@
 """Command-line front end: partition | train | eval | sweep.
 
 Exit codes: 0 ok, 2 invalid config (a config value of the wrong type, out of
-range or not among its choices, a checkpoint round out of range), a
-federation that cannot be trained (Per-FedAvg batch split, empty server
-pool) or a client that cannot be evaluated, 3 numeric failure. FEDSIM_LOG
-sets verbosity (debug/info/warning).
+range or not among its choices, a checkpoint round out of range, an output
+directory that cannot be created), a federation that cannot be trained
+(Per-FedAvg batch split, empty server pool) or a client that cannot be
+evaluated, 3 numeric failure (a non-finite loss, or non-finite parameters
+after a client's last update). FEDSIM_LOG sets verbosity
+(debug/info/warning).
 """
 
 from __future__ import annotations

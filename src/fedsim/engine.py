@@ -283,7 +283,9 @@ def train_epochs(
     grads); ``on_epoch(row, params, momentum)`` is called as the caller's
     row ``row`` ends an epoch, with views of its parameter and momentum
     vectors. Momentum starts at zero and carries across the epochs of one
-    call. Returns each client's per-step losses.
+    call. Returns each client's per-step losses. A non-finite step loss,
+    or a row its last update leaves non-finite, raises NumericError naming
+    the caller's row.
     """
     stack = params.as_stack()
     m = len(stack.data)
@@ -401,6 +403,14 @@ def train_epochs(
         if on_epoch is not None:
             for i in ends.get(s, ()):
                 on_epoch(int(order[i]), work[i], buf[i])
+    # no step's loss follows the last update: check the parameters it left
+    finite = np.isfinite(work).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        r = int(order[i])
+        raise NumericError(
+            f"non-finite parameters after local update {offsets[r] + int(steps[i]) - 1}", r
+        )
     if not in_place:
         stack.data[order] = work
     return [losses[i] for i in np.argsort(order)]

@@ -32,10 +32,10 @@ class EvalError(RuntimeError):
 
 @dataclass
 class EvalReport:
-    """Per-client accuracies with their across-client mean and population
-    std. Absent entries (empty subsets) are NaN and excluded from both."""
+    """Accuracies of clients 0..M-1, in client order, with their
+    across-client mean and population std. Absent entries (empty subsets)
+    are NaN and excluded from both."""
 
-    client_ids: list[int]
     accuracies: np.ndarray
     finetune_epochs: int
     part: str | None
@@ -45,7 +45,6 @@ class EvalReport:
     @classmethod
     def from_accuracies(
         cls,
-        client_ids: list[int],
         accuracies,
         finetune_epochs: int = 0,
         part: str | None = None,
@@ -54,7 +53,7 @@ class EvalReport:
         present = acc[~np.isnan(acc)]
         mean = float(present.mean()) if len(present) else float("nan")
         std = float(present.std()) if len(present) else float("nan")
-        return cls(list(client_ids), acc, finetune_epochs, part, mean, std)
+        return cls(acc, finetune_epochs, part, mean, std)
 
 
 def accuracy(net: Network, ds: LabeledDataset, sizes: list[int] | None = None) -> np.ndarray:
@@ -114,38 +113,7 @@ def initial_accuracy(
     """Accuracy of each client's broadcast model on its own test split.
     Read-only: evaluating twice yields byte-identical reports."""
     accs = _test_accuracies(models, template, data)
-    return EvalReport.from_accuracies(list(range(len(models))), accs, 0, None)
-
-
-def fine_tune(
-    client_params: ParamVector,
-    template: Network,
-    part: str,
-    finetune_epochs: int,
-    lr: float,
-    client_ds: LabeledDataset,
-    rng,
-    batch_size: int = 50,
-    momentum: float = 0.9,
-    rule: str = "joint",
-    indices: list[np.ndarray] | None = None,
-    on_epoch=None,
-) -> ParamVector:
-    """Personalization epochs on the client's train data at the constant
-    rate ``lr``: ``local_update`` under the local rule ``rule``, 'joint'
-    (updating ``part``) or 'sequential_head_then_body' (the head for every
-    epoch, then the body for one more, as FedRep's local training does).
-    Momentum buffers start fresh; finetune_epochs=0 returns a copy of the
-    input. Fine-tunes a lockstep group as ``train_epochs`` does, reading
-    its clients' samples in place through ``indices``, with no copy, and
-    calling ``on_epoch`` under the joint rule.
-    """
-    params, _ = local_update(
-        client_ds, client_params, template, AlgorithmSpec("fine-tune", part, part, rule),
-        finetune_epochs, batch_size, momentum, lambda _u: lr, rng, indices=indices,
-        on_epoch=on_epoch,
-    )
-    return params
+    return EvalReport.from_accuracies(accs, 0, None)
 
 
 def personalized_models(
@@ -162,7 +130,11 @@ def personalized_models(
 ) -> list[list[ParamVector]]:
     """Each client's model fine-tuned on its own train data, in lockstep
     groups, for each τ_f of the list ``finetune_epochs``: one list of
-    models per τ_f. τ_f = 0 gives the input models themselves.
+    models per τ_f. τ_f = 0 gives the input models themselves. A
+    fine-tune is ``local_update`` at the constant rate ``lr`` under the
+    local rule ``rule``: 'joint' (updating ``part``) or
+    'sequential_head_then_body' (the head for every epoch, then the body
+    for one more, as FedRep's local training does), with fresh momentum.
 
     Under the joint rule a group fine-tunes once, to the largest τ_f, and
     a client's row is copied as it ends each requested epoch: a shorter
@@ -171,6 +143,7 @@ def personalized_models(
     FederationError names its client and the smallest requested τ_f whose
     epochs hold the failure.
     """
+    spec = AlgorithmSpec("fine-tune", part, part, rule)
     positive = sorted(set(finetune_epochs) - {0})
     out = {tf: [None] * len(models) for tf in positive}
     out[0] = models
@@ -192,14 +165,15 @@ def personalized_models(
                     early[done[row]].data[row] = params
 
             try:
-                tuned = fine_tune(
-                    start, template, part, snaps[-1], lr, data.train,
-                    [eval_stream(seed, cid) for cid in ids], batch_size, momentum, rule,
-                    [data.splits[cid].train_indices for cid in ids], on_epoch=keep,
+                tuned, _ = local_update(
+                    data.train, start, template, spec, snaps[-1], batch_size, momentum,
+                    lambda _u: lr, [eval_stream(seed, cid) for cid in ids],
+                    indices=[data.splits[cid].train_indices for cid in ids], on_epoch=keep,
                 )
             except FederationError as e:
                 epoch = 1 + (min(done) if e.member is None else done[e.member])
-                tf = next(tf for tf in snaps if tf >= epoch)
+                # the parameter check after the last epoch fails past every τ_f
+                tf = next((tf for tf in snaps if tf >= epoch), snaps[-1])
                 raise e.in_group(ids, f"fine-tune tf={tf}") from e
             for tf, stack in [*early.items(), (snaps[-1], tuned)]:
                 for cid, params in zip(ids, stack.rows()):
@@ -229,7 +203,6 @@ def personalized_accuracy(
     )
     return [
         EvalReport.from_accuracies(
-            list(range(len(models))),
             initial.accuracies.copy() if tf == 0 and initial is not None
             else _test_accuracies(tf_models, template, data),
             tf, part,
@@ -295,7 +268,7 @@ def template_accuracy(
             ids, sizes, representations(net, test_ds.samples, runs_of(sizes)), test_ds.labels
         ):
             accs[cid] = float((tsets[cid].classify(reps) == labels).mean())
-    return EvalReport.from_accuracies(list(range(len(models))), accs, 0, "template")
+    return EvalReport.from_accuracies(accs, 0, "template")
 
 
 # --- in-class / out-of-class -------------------------------------------------
@@ -316,10 +289,9 @@ def in_out_class_accuracy(
             correct = preds == labels
             in_accs[cid] = correct[in_mask].mean() if in_mask.any() else np.nan
             out_accs[cid] = correct[~in_mask].mean() if (~in_mask).any() else np.nan
-    ids = list(range(len(models)))
     return (
-        EvalReport.from_accuracies(ids, in_accs, 0, "in-class"),
-        EvalReport.from_accuracies(ids, out_accs, 0, "out-of-class"),
+        EvalReport.from_accuracies(in_accs, 0, "in-class"),
+        EvalReport.from_accuracies(out_accs, 0, "out-of-class"),
     )
 
 

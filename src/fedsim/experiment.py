@@ -214,6 +214,8 @@ class ExperimentConfig:
         ConfigError."""
         self.fl_config()
         self.partition_spec()
+        if not self.raw["eval"]["finetune_epochs"]:  # a sweep cell would write no row
+            raise ConfigError("config key 'eval.finetune_epochs' must list at least one value")
 
     # hash covers everything that determines the trained model and splits;
     # eval settings are recorded in reports instead. ``with_eval`` adds them,
@@ -370,8 +372,7 @@ def write_round_csv(path: Path, logs: list[RoundLog], config_hash: str, append: 
 
 def write_eval_report(out_dir: Path, stem: str, report: EvalReport, config_hash: str) -> None:
     rows = [
-        [cid, "" if np.isnan(acc) else f"{acc:.6f}"]
-        for cid, acc in zip(report.client_ids, report.accuracies)
+        [cid, "" if np.isnan(acc) else f"{acc:.6f}"] for cid, acc in enumerate(report.accuracies)
     ]
     _write_csv(out_dir / f"{stem}.csv", ["client_id", "accuracy"], rows, config_hash)
     summary = {
@@ -380,7 +381,7 @@ def write_eval_report(out_dir: Path, stem: str, report: EvalReport, config_hash:
         "std": None if np.isnan(report.std) else report.std,
         "finetune_epochs": report.finetune_epochs,
         "part": report.part,
-        "clients": len(report.client_ids),
+        "clients": len(report.accuracies),
     }
     (out_dir / f"{stem}.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
@@ -484,13 +485,23 @@ def _check_round_log(path: Path, round_: int) -> None:
 # --- drivers -------------------------------------------------------------------
 
 
+def make_out_dir(path: Path) -> Path:
+    """``path``, created with its parents before any work is done; one that
+    cannot be created is a ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+    return path
+
+
 def run_train(
     cfg: ExperimentConfig,
     resume: bool = False,
     stop_after: int | None = None,
 ) -> FederationState:
+    out = make_out_dir(cfg.out_dir)
     fl_cfg, data, template = prepare(cfg)
-    out = cfg.out_dir
     state = None
     append = False
     if resume:
@@ -511,10 +522,9 @@ def run_train(
 
 
 def run_partition(cfg: ExperimentConfig) -> None:
+    out = make_out_dir(cfg.out_dir)
     train, test = build_datasets(cfg)
     splits = build_splits(cfg, train, test)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     save_splits(splits, out / "splits.json")
     meta = {
         "config_hash": cfg.config_hash(),
@@ -538,13 +548,13 @@ def run_partition(cfg: ExperimentConfig) -> None:
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[str, EvalReport]:
+    out = make_out_dir(cfg.out_dir / "eval")
     fl_cfg, data, template = prepare(cfg)
     state = _checked_checkpoint(cfg, checkpoint_dir or cfg.out_dir, template)
     chash = cfg.config_hash()
     alg = get_algorithm(cfg["federation"]["algorithm"])
     models = client_models(state, template, alg, fl_cfg.clients)
     ev = cfg["eval"]
-    out = cfg.out_dir / "eval"
     lr = cfg.eval_lr()
     rule = "sequential_head_then_body" if alg.local_rule == "sequential_head_then_body" else "joint"
 

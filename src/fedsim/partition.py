@@ -56,14 +56,12 @@ class PartitionSpec:
             raise PartitionError("beta must be positive")
 
 
-def shard_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
+def _shard_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
     """Label-sorted contiguous shards, s per client, without replacement.
 
     Shard size is floor(|D| / (N*s)); trailing remainder samples after the
     label sort are dropped so every shard has the same size.
     """
-    if spec.mode != "shard":
-        raise PartitionError("spec.mode must be 'shard'")
     n_shards = spec.clients * spec.shards_per_client
     if n_shards > len(ds):
         raise PartitionError(f"{n_shards} shards demanded from {len(ds)} samples")
@@ -96,11 +94,9 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     return counts
 
 
-def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
+def _dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
     """Per-class Dirichlet(beta) proportions over clients; exact conservation
     via largest-remainder rounding. Lower beta, larger heterogeneity."""
-    if spec.mode != "dirichlet":
-        raise PartitionError("spec.mode must be 'dirichlet'")
     rng = np.random.default_rng(spec.seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(spec.clients)]
     for c in range(ds.num_classes):
@@ -124,10 +120,8 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientS
     return splits
 
 
-def iid_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
+def _iid_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
     """Uniform random equal split (remainder dropped)."""
-    if spec.mode != "iid":
-        raise PartitionError("spec.mode must be 'iid'")
     rng = np.random.default_rng(spec.seed)
     per = len(ds) // spec.clients
     order = rng.permutation(len(ds))[: per * spec.clients]
@@ -138,11 +132,12 @@ def iid_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
 
 
 def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
+    """``ds`` scattered over ``spec.clients`` clients by ``spec.mode``."""
     if spec.mode == "shard":
-        return shard_partition(ds, spec)
+        return _shard_partition(ds, spec)
     if spec.mode == "dirichlet":
-        return dirichlet_partition(ds, spec)
-    return iid_partition(ds, spec)
+        return _dirichlet_partition(ds, spec)
+    return _iid_partition(ds, spec)
 
 
 def split_client_test(
@@ -215,21 +210,6 @@ def splits_to_json(splits: list[ClientSplit]) -> str:
     return json.dumps(payload, indent=0, sort_keys=True)
 
 
-def splits_from_json(text: str) -> list[ClientSplit]:
-    payload = json.loads(text)
-    return [
-        ClientSplit(
-            rec["client_id"],
-            np.asarray(rec["train_indices"], dtype=np.int64),
-            np.asarray(rec.get("test_indices", []), dtype=np.int64),
-        )
-        for rec in payload
-    ]
-
-
 def save_splits(splits: list[ClientSplit], path) -> None:
     Path(path).write_text(splits_to_json(splits))
 
-
-def load_splits(path) -> list[ClientSplit]:
-    return splits_from_json(Path(path).read_text())

@@ -15,6 +15,7 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     _check,
+    make_out_dir,
     run_eval,
     run_train,
 )
@@ -82,13 +83,15 @@ def load_sweep(path) -> dict:
 
 
 def expand_cells(sweep: dict) -> list[ExperimentConfig]:
-    """Cartesian product of the grid axes and the seed list."""
+    """Cartesian product of the grid axes and the seed list. Two cells of
+    one cell directory (a repeated seed or grid value) are a ConfigError,
+    as they would train it twice and count it twice."""
     grid = sweep["grid"]
     if "seed" in grid:
         raise ConfigError("a sweep sets seeds through its 'seeds' list, not a 'seed' grid axis")
     axes = sorted(grid)
     combos = list(itertools.product(*(grid[a] for a in axes)))
-    cells = []
+    cells: dict[Path, ExperimentConfig] = {}
     out_root = Path(sweep["out"])
     for combo in combos:
         for seed in sweep["seeds"]:
@@ -100,23 +103,26 @@ def expand_cells(sweep: dict) -> list[ExperimentConfig]:
             cfg = ExperimentConfig.from_dict(raw)
             # eval settings are part of the key: an eval-only change is a new cell
             cell_dir = out_root / "cells" / cfg.config_hash(with_eval=True)
-            cells.append(cfg.with_overrides(out=str(cell_dir)))
+            if cell_dir in cells:
+                shown = "".join(f", {a}={json.dumps(v)}" for a, v in zip(axes, combo))
+                raise ConfigError(f"sweep repeats a cell: seed {seed}{shown}")
+            cells[cell_dir] = cfg.with_overrides(out=str(cell_dir))
     budgets = {
-        c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells
+        c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells.values()
     }
     if len(budgets) > 1:
         raise ConfigError(
             f"sweep cells disagree on the rounds*local_epochs budget: {sorted(budgets)}"
         )
-    return cells
+    return list(cells.values())
 
 
 def _cell_summary(cfg: ExperimentConfig) -> dict:
     fed = cfg["federation"]
     part_cfg = cfg["partition"]
-    s_or_beta = (
-        part_cfg["shards_per_client"] if part_cfg["mode"] == "shard" else part_cfg.get("beta")
-    )
+    s_or_beta = {"shard": part_cfg["shards_per_client"], "dirichlet": part_cfg["beta"]}.get(
+        part_cfg["mode"]
+    )  # None for iid, an empty CSV field
     return {
         "config_hash": cfg.config_hash(),
         "algorithm": fed["algorithm"],
@@ -187,8 +193,7 @@ def run_sweep(sweep: dict, jobs: int = 1) -> Path:
     """Run every cell (in parallel when jobs > 1) and consolidate one CSV
     row per (cell, finetune-epoch) pair."""
     cells = expand_cells(sweep)
-    out_root = Path(sweep["out"])
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = make_out_dir(Path(sweep["out"]))
     raws = [cell.raw for cell in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -49,7 +49,7 @@ def make_federated_data(
     train = pooled.subset(np.array(train_idx))
     test = pooled.subset(np.array(test_idx))
     spec = fs.PartitionSpec("shard", clients=clients, shards_per_client=shards_per_client, seed=seed)
-    splits = fs.shard_partition(train, spec)
+    splits = fs.partition(train, spec)
     splits = fs.split_client_test(train, test, splits, test_mode, seed=seed)
     return fs.FederatedData(train, test, splits)
 

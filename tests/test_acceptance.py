@@ -14,7 +14,7 @@ import pytest
 
 import fedsim as fs
 from fedsim.engine import client_schedule, init_state, stream
-from fedsim.evaluation import client_models
+from fedsim.evaluation import client_models, personalized_models
 from fedsim.params import ParamMask, ParamVector
 from tests.conftest import replay_clients_descending
 
@@ -38,7 +38,7 @@ def split_train_test(classes, per_class, test_per_class, dim, spread, seed):
 
 def desk_data(seed, per_class=1000, dim=48, spread=0.6, clients=20, shards=2):
     train, test = split_train_test(10, per_class, per_class // 5, dim, spread, seed)
-    splits = fs.shard_partition(
+    splits = fs.partition(
         train, fs.PartitionSpec("shard", clients=clients, shards_per_client=shards, seed=seed)
     )
     splits = fs.split_client_test(train, test, splits, "matched", seed=seed)
@@ -189,22 +189,22 @@ def test_criterion_4_aggregation_matches_brute_force():
 def test_criterion_5_partition_invariants():
     ds = fs.synthetic_gaussian(10, 5000, 10, 0.0, seed=0)  # |D| = 50_000
     spec = fs.PartitionSpec("shard", clients=100, shards_per_client=2, seed=7)
-    splits = fs.shard_partition(ds, spec)
+    splits = fs.partition(ds, spec)
     sizes = {len(s.train_indices) for s in splits}
     assert sizes == {2 * (50_000 // 200)}
     all_idx = np.concatenate([s.train_indices for s in splits])
     assert len(np.unique(all_idx)) == len(all_idx)
     max_classes = max(len(np.unique(ds.labels[s.train_indices])) for s in splits)
     assert max_classes <= 2
-    again = fs.shard_partition(ds, spec)
+    again = fs.partition(ds, spec)
     assert all(np.array_equal(a.train_indices, b.train_indices) for a, b in zip(splits, again))
 
     dspec = fs.PartitionSpec("dirichlet", clients=30, beta=0.4, seed=11)
-    dsplits = fs.dirichlet_partition(ds, dspec)
+    dsplits = fs.partition(ds, dspec)
     for c in range(10):
         total_c = sum(int((ds.labels[s.train_indices] == c).sum()) for s in dsplits)
         assert total_c == 5000
-    dagain = fs.dirichlet_partition(ds, dspec)
+    dagain = fs.partition(ds, dspec)
     assert all(np.array_equal(a.train_indices, b.train_indices) for a, b in zip(dsplits, dagain))
     report(5, "shard splits disjoint/size-exact/<=s classes; Dirichlet conserves per class; both deterministic")
 
@@ -344,11 +344,7 @@ def test_criterion_11_interclient_head_cosine(desk_runs):
     before = fs.interclient_cosine(models)
     assert before[net.head_segment] == 1.0
 
-    tuned = [
-        fs.fine_tune(models[cid], net, "full", 5, ft_lr, data.client_train(cid),
-                     fs.engine.eval_stream(0, cid), batch_size=50)
-        for cid in range(20)
-    ]
+    (tuned,) = personalized_models(models, net, data, "full", [5], ft_lr, 0, batch_size=50)
     after = fs.interclient_cosine(tuned)
     head_cos = after[net.head_segment]
     body_cos = float(np.mean([c for i, c in enumerate(after) if i != net.head_segment]))
@@ -384,7 +380,7 @@ def test_criterion_9_template_constraints():
 
     # single-class clients with matched tests: template accuracy is exactly 1
     train, test = split_train_test(10, 100, 20, 16, 0.5, 91)
-    splits = fs.shard_partition(train, fs.PartitionSpec("shard", clients=10, shards_per_client=1, seed=91))
+    splits = fs.partition(train, fs.PartitionSpec("shard", clients=10, shards_per_client=1, seed=91))
     splits = fs.split_client_test(train, test, splits, "matched", seed=91)
     single = fs.FederatedData(train, test, splits)
     net1 = fs.init_network(

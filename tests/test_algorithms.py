@@ -35,9 +35,9 @@ def test_fedrep_sequential_matches_manual_replay(small_fed_data):
         lr_const(0.05), stream(3, 1, 1, 0),
     )
     # evaluation's fine-tune under FedRep's rule, at a constant rate
-    tuned = fs.fine_tune(
-        net.params, net, "full", tau, 0.05, ds, stream(3, 1, 1, 0),
-        batch_size=10, momentum=0.9, rule="sequential_head_then_body",
+    tuned, _ = fs.local_update(
+        ds, net.params, net, fs.AlgorithmSpec("fine-tune", "full", "full", "sequential_head_then_body"),
+        tau, 10, 0.9, lr_const(0.05), stream(3, 1, 1, 0),
     )
 
     # manual replay: same rng, head mask for tau epochs, then body for one

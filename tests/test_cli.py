@@ -960,3 +960,101 @@ def test_sweep_seed_axis_exits_2_pointing_to_seeds(tmp_path, capsys):
     assert main(["sweep", "--config", str(sweep_path)]) == 2
     assert "'seeds'" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
+
+
+# --- failures found before, or after, the work -----------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_parameters_after_the_last_train_update_exit_3(tmp_path, capsys):
+    # 1e41 is a finite config value but inf in float32; with one update per
+    # client no step's loss follows the update that overflows
+    cfg_path, out = tiny_config(
+        tmp_path,
+        **{"federation.base_lr": 1e41, "federation.rounds": 1, "federation.batch_size": 50},
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert "round 1, client 0: non-finite parameters after local update 0" in capsys.readouterr().err
+    assert not (out / "checkpoint.pv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_parameters_after_the_last_finetune_update_exit_3(tmp_path, capsys):
+    cfg_path, out = tiny_config(tmp_path, **{"federation.batch_size": 50, "eval.lr": 1e41})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "fine-tune tf=1, client 0: non-finite parameters after local update 0" in err
+    assert not list((out / "eval").glob("*"))
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_empty_finetune_epochs_exits_2_naming_the_key(tmp_path, capsys, command):
+    # a sweep cell would train and evaluate, then write no results.csv row
+    if command == "sweep":
+        cfg_path, out = sweep_config(tmp_path)
+        sweep = json.loads(cfg_path.read_text())
+        sweep["base"]["eval"]["finetune_epochs"] = []
+        cfg_path.write_text(json.dumps(sweep))
+    else:
+        cfg_path, out = tiny_config(tmp_path, **{"eval.finetune_epochs": []})
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'eval.finetune_epochs' must list at least one value" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, seeds, named",
+    [
+        (None, (0, 0), 'seed 0, federation.algorithm="fedavg", partition.shards_per_client=1'),
+        ({"federation.algorithm": ["fedavg", "fedbabu", "fedavg"]}, (0, 1),
+         'seed 0, federation.algorithm="fedavg"'),
+    ],
+    ids=["seed", "grid-value"],
+)
+def test_sweep_repeated_cell_exits_2_before_any_cell(tmp_path, capsys, grid, seeds, named):
+    # two cells of one directory would train it at once and count it twice
+    sweep_path, out = sweep_config(tmp_path, grid=grid, seeds=seeds)
+    assert main(["sweep", "--config", str(sweep_path), "--jobs", "2"]) == 2
+    assert f"sweep repeats a cell: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "partition", "sweep"])
+def test_output_directory_that_cannot_be_created_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    import fedsim.experiment
+
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    bad = blocker / "out"
+    if command == "sweep":
+        cfg_path, _ = sweep_config(tmp_path)
+    else:
+        cfg_path, trained = tiny_config(tmp_path)
+    argv = [command, "--config", str(cfg_path), "--out", str(bad)]
+    if command == "eval":
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        argv += ["--checkpoint", str(trained)]
+    reached = []
+    for name in ("build_datasets", "run_federation"):
+        def record(*args, _name=name, _fn=getattr(fedsim.experiment, name), **kwargs):
+            reached.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim.experiment, name, record)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cannot create output directory {bad}" in capsys.readouterr().err
+    assert reached == []
+
+
+def test_sweep_iid_cell_reports_no_beta(tmp_path):
+    sweep_path, out = sweep_config(tmp_path, grid={"partition.mode": ["iid", "shard"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert {r["partition_mode"]: r["s_or_beta"] for r in read_results(out)} == {
+        "iid": "", "shard": "2"
+    }

@@ -627,3 +627,21 @@ def test_numeric_error_names_the_group_member():
     assert client_groups(data, range(4), net, 60) == [(0, 1, 2, 3)]
     with pytest.raises(NumericError, match=r"^round 1, client 2: non-finite loss"):
         fs.run_federation(cfg, data, net)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_parameters_after_the_last_update_name_the_callers_row():
+    # one update each, so no step's loss follows the update that overflows;
+    # rows are reordered by size, so the caller's row 2 trains at position 1
+    data = make_federated_data()
+    net = small_net(seed=3)
+    own = [data.splits[0].train_indices[:n] for n in (5, 12, 8)]
+    stack = ParamVector.stack([net.params] * 3)
+    rates = [lambda _u: 0.1, lambda _u: 0.1, lambda _u: 1e41]  # inf in float32
+    rngs = [stream(3, cid) for cid in range(3)]
+    with pytest.raises(NumericError, match=r"^non-finite parameters after local update 9$") as exc:
+        train_epochs(
+            data.train, stack, net, "full", 1, 20, 0.9, rates, rngs,
+            update_offset=[0, 4, 9], indices=own,
+        )
+    assert exc.value.member == 2

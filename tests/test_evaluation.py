@@ -39,14 +39,24 @@ def run_small(algorithm="fedavg", seed=0, data=None, rounds=6, **kw):
     return net, data, state, models
 
 
+def tune_alone(params, net, part, tf, lr, ds, rng, rule="joint"):
+    """One client's fine-tune alone, as ``personalized_models`` runs each
+    of its rows: ``local_update`` at the constant rate ``lr``, B=10."""
+    tuned, _ = fs.local_update(
+        ds, params, net, fs.AlgorithmSpec("fine-tune", part, part, rule), tf, 10, 0.9,
+        lambda _u: lr, rng,
+    )
+    return tuned
+
+
 def test_report_mean_std_consistency():
-    rep = EvalReport.from_accuracies([0, 1, 2], [0.5, 0.75, 1.0])
+    rep = EvalReport.from_accuracies([0.5, 0.75, 1.0])
     assert abs(np.mean(rep.accuracies) - rep.mean) < 1e-9
     assert abs(np.std(rep.accuracies) - rep.std) < 1e-9  # population std
 
 
 def test_report_handles_absent_entries():
-    rep = EvalReport.from_accuracies([0, 1, 2], [0.5, float("nan"), 1.0])
+    rep = EvalReport.from_accuracies([0.5, float("nan"), 1.0])
     assert rep.mean == pytest.approx(0.75)
     assert not np.isnan(rep.std)
 
@@ -79,9 +89,7 @@ def test_finetune_body_keeps_head_bits():
     net, data, state, models = run_small()
     from fedsim.engine import eval_stream
 
-    tuned = fs.fine_tune(
-        models[0], net, "body", 3, 0.05, data.client_train(0), eval_stream(1, 0), batch_size=10
-    )
+    tuned = tune_alone(models[0], net, "body", 3, 0.05, data.client_train(0), eval_stream(1, 0))
     head = net.head_segment
     assert tuned.segment(head).tobytes() == models[0].segment(head).tobytes()
     assert not np.array_equal(tuned.segment(0), models[0].segment(0))
@@ -93,9 +101,7 @@ def test_finetune_overfits_tiny_client():
     net = small_net(seed=4, classes=3)
     from fedsim.engine import eval_stream
 
-    tuned = fs.fine_tune(
-        net.params, net, "full", 60, 0.05, data.client_train(0), eval_stream(4, 0), batch_size=10
-    )
+    tuned = tune_alone(net.params, net, "full", 60, 0.05, data.client_train(0), eval_stream(4, 0))
     train_acc = accuracy(net.with_params(tuned), data.client_train(0))[0]
     assert train_acc == 1.0
 
@@ -181,7 +187,7 @@ def dirichlet_data(test_sizes=None, seed=0, image=False):
             for ds in (data.train, data.test)
         )
     spec = fs.PartitionSpec("dirichlet", clients=6, beta=0.5, seed=seed)
-    splits = fs.dirichlet_partition(data.train, spec)
+    splits = fs.partition(data.train, spec)
     if test_sizes is None:
         splits = fs.split_client_test(data.train, data.test, splits, "matched", seed=seed)
     else:
@@ -212,9 +218,8 @@ def test_one_pass_snapshots_equal_separate_finetunes(part, sizes):
     snapshots = personalized_models(models, net, data, part, tfs, 0.05, seed=5, batch_size=10)
     for tf, tuned in zip(tfs, snapshots):
         for cid in range(n):
-            alone = fs.fine_tune(
-                models[cid], net, part, tf, 0.05, data.client_train(cid), eval_stream(5, cid),
-                batch_size=10,
+            alone = tune_alone(
+                models[cid], net, part, tf, 0.05, data.client_train(cid), eval_stream(5, cid)
             )
             assert tuned[cid].data.tobytes() == alone.data.tobytes(), (tf, cid)
 
@@ -226,22 +231,22 @@ def test_sequential_rule_finetunes_once_per_tf(monkeypatch):
     net = small_net(seed=21)
     models = noisy_models(net, 4, seed=21)
     calls = []
-    fine_tune = evaluation.fine_tune
+    local_update = evaluation.local_update
 
     def counting(*args, **kwargs):
-        calls.append(args[3])
-        return fine_tune(*args, **kwargs)
+        calls.append(args[4])  # the epoch count
+        return local_update(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "fine_tune", counting)
+    monkeypatch.setattr(evaluation, "local_update", counting)
     rule = "sequential_head_then_body"
     tfs = [2, 0, 1]
     tuned = personalized_models(models, net, data, "full", tfs, 0.05, 6, batch_size=10, rule=rule)
     assert calls == [1, 2]  # one group, one fine-tune per positive tau_f
     for tf, models_tf in zip(tfs, tuned):
         for cid in range(4):
-            alone = fine_tune(
+            alone = tune_alone(
                 models[cid], net, "full", tf, 0.05, data.client_train(cid), eval_stream(6, cid),
-                batch_size=10, rule=rule,
+                rule=rule,
             )
             assert models_tf[cid].data.tobytes() == alone.data.tobytes(), (tf, cid)
     calls.clear()
@@ -253,7 +258,7 @@ def test_finetune_error_names_the_tf_whose_epochs_hold_it(monkeypatch):
     # client 1 fails in its second epoch: within tau_f 3, not 1
     data = make_federated_data(seed=22)
     net = small_net(seed=22)
-    fine_tune = evaluation.fine_tune
+    local_update = evaluation.local_update
 
     def failing(*args, on_epoch, **kwargs):
         def end(row, params, momentum):
@@ -261,9 +266,9 @@ def test_finetune_error_names_the_tf_whose_epochs_hold_it(monkeypatch):
             if row == 1:
                 raise NumericError("non-finite loss", row)
 
-        return fine_tune(*args, on_epoch=end, **kwargs)
+        return local_update(*args, on_epoch=end, **kwargs)
 
-    monkeypatch.setattr(evaluation, "fine_tune", failing)
+    monkeypatch.setattr(evaluation, "local_update", failing)
     models = [net.params.copy() for _ in range(4)]
     with pytest.raises(NumericError) as exc:
         personalized_models(models, net, data, "full", [5, 1, 3], 0.05, 0, batch_size=10)
@@ -336,8 +341,7 @@ def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
     template = fs.template_accuracy(models, net, data)
     in_class, out_class = fs.in_out_class_accuracy(models, net, data)
     tuned = [
-        fs.fine_tune(models[cid], net, "full", 2, 0.05, data.client_train(cid),
-                     eval_stream(7, cid), batch_size=10)
+        tune_alone(models[cid], net, "full", 2, 0.05, data.client_train(cid), eval_stream(7, cid))
         for cid in range(6)
     ]
     want = one_client_reports(models, net, data, tuned)
@@ -462,11 +466,7 @@ def test_out_of_class_degrades_with_finetuning():
     data = make_federated_data(clients=4, classes=4, shards_per_client=1, test_mode="global", spread=0.4, seed=12)
     net, _, state, models = run_small(algorithm="fedavg", seed=12, data=data, rounds=10)
     _, out_before = fs.in_out_class_accuracy(models, net, data)
-    tuned = [
-        fs.fine_tune(models[cid], net, "full", 8, 0.05, data.client_train(cid),
-                     fs.engine.eval_stream(12, cid), batch_size=10)
-        for cid in range(4)
-    ]
+    (tuned,) = personalized_models(models, net, data, "full", [8], 0.05, 12, batch_size=10)
     _, out_after = fs.in_out_class_accuracy(tuned, net, data)
     assert out_after.mean < out_before.mean
 
@@ -495,11 +495,7 @@ def test_fedbabu_head_cosine_exactly_one_before_finetune():
 
 def test_head_cosine_drops_below_body_after_finetune():
     net, data, state, models = run_small(algorithm="fedbabu", seed=16, rounds=8)
-    tuned = [
-        fs.fine_tune(models[cid], net, "full", 5, 0.05, data.client_train(cid),
-                     fs.engine.eval_stream(16, cid), batch_size=10)
-        for cid in range(4)
-    ]
+    (tuned,) = personalized_models(models, net, data, "full", [5], 0.05, 16, batch_size=10)
     cosines = fs.interclient_cosine(tuned)
     head_cos = cosines[net.head_segment]
     body_cos = np.mean([c for i, c in enumerate(cosines) if i != net.head_segment])
