@@ -244,10 +244,9 @@ def train_epochs(
     epochs: int,
     batch_size: int,
     momentum: float,
-    lr_fn,
+    rates,
     rng,
     prox: tuple[float, ParamVector] | None = None,
-    update_offset: int | list[int] = 0,
     step=_joint_step,
     on_epoch=None,
     indices: list[np.ndarray] | None = None,
@@ -273,8 +272,8 @@ def train_epochs(
     its epoch starts, and has its own momentum buffer and losses, so its
     bits do not depend on its group.
 
-    ``lr_fn`` maps a client's update counter, which starts at
-    ``update_offset``, to its rate; either may be one per client.
+    ``rates`` as a list holds one entry per row; anything else serves every
+    row. An entry is a rate, or an array of one rate per step of the call.
     ``prox=(mu, anchor)`` pulls the last len(anchor) rows toward their rows
     of ``anchor``; rows before them (Ditto's global track) take no prox
     term, and each pulled row is ordered right after the row len(anchor)
@@ -285,19 +284,21 @@ def train_epochs(
     vectors. Momentum starts at zero and carries across the epochs of one
     call. Returns each client's per-step losses. A non-finite step loss,
     or a row its last update leaves non-finite, raises NumericError naming
-    the caller's row.
+    the caller's row and the update, counted from the start of the call.
     """
     stack = params.as_stack()
     m = len(stack.data)
     rngs = list(rng) if params.data.ndim == 2 else [rng]
     own = [np.arange(len(ds))] if indices is None else list(indices)
     n = np.array([len(idx) for idx in own], dtype=np.int64)
-    if len(rngs) != m or len(n) != m:
-        raise ValueError(f"{len(n)} index arrays and {len(rngs)} generators do not fit {m} clients")
+    rates = list(rates) if isinstance(rates, list) else [rates] * m
+    if len(rngs) != m or len(n) != m or len(rates) != m:
+        raise ValueError(
+            f"{len(n)} index arrays, {len(rngs)} generators and {len(rates)} rates "
+            f"do not fit {m} clients"
+        )
     if (n == 0).any():
         raise FederationError("client has no training data", int(np.argmin(n)))
-    lr_fns = [lr_fn] * m if callable(lr_fn) else list(lr_fn)
-    offsets = np.broadcast_to(update_offset, m).tolist()
     mask = template.mask_for(part)
     anchor = None if prox is None else prox[1].as_stack().data
     free = m if prox is None else m - len(anchor)
@@ -327,13 +328,8 @@ def train_epochs(
     live = index < steps
     size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
     rate = np.zeros(size.shape, FLOAT)
-    rates: dict[tuple, np.ndarray] = {}  # clients that share a rate function share its calls
     for i, r in enumerate(order.tolist()):
-        key = (lr_fns[r], offsets[r], int(steps[i]))
-        if key not in rates:
-            fn, offset, count = key
-            rates[key] = np.array([fn(offset + s) for s in range(count)], FLOAT)
-        rate[: key[2], i] = rates[key]
+        rate[: steps[i], i] = rates[r]
     # per step, -1 unless every live row has one rate (a scalar, which
     # sgd_step applies faster than a column)
     low = np.where(live, rate, np.inf).min(axis=1)
@@ -393,7 +389,7 @@ def train_epochs(
         values = loss.tolist()
         if not all(map(math.isfinite, values)):
             r = int(order[next(i for i, v in enumerate(values) if not math.isfinite(v))])
-            raise NumericError(f"non-finite loss at local update {offsets[r] + s}", r)
+            raise NumericError(f"non-finite loss at local update {s}", r)
         column = None if one_rate[s] >= 0 else rate[s, :k, None]
         for rows, pull in updates:
             lr = one_rate[s] if column is None else column[rows]
@@ -407,9 +403,8 @@ def train_epochs(
     finite = np.isfinite(work).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        r = int(order[i])
         raise NumericError(
-            f"non-finite parameters after local update {offsets[r] + int(steps[i]) - 1}", r
+            f"non-finite parameters after local update {int(steps[i]) - 1}", int(order[i])
         )
     if not in_place:
         stack.data[order] = work
@@ -424,63 +419,61 @@ def local_update(
     local_epochs: int,
     batch_size: int,
     momentum: float,
-    lr_fn,
+    rates,
     rng,
     mu: float = 0.0,
     perfedavg_alpha: float = 0.01,
     indices: list[np.ndarray] | None = None,
-    personal: tuple[float, ParamVector, list] | None = None,
     on_epoch=None,
 ) -> tuple[ParamVector, list[float]]:
     """One client's local pass under ``alg``'s local rule; returns (final
     params, one mean minibatch loss per client). The one place a local rule
     becomes ``train_epochs`` calls, for federated rounds and for
     evaluation's fine-tunes alike. Given a lockstep group (see
-    ``train_epochs``: an (M, P) stack, ``indices`` and M generators, and
-    ``lr_fn`` shared or one per client), it returns the group's stack.
-    Each row reads its client's samples in place, with no per-round copy.
+    ``train_epochs``: an (M, P) stack, with ``indices``, ``rates`` and
+    ``rng`` per row or shared), it returns the group's stack. Each row
+    reads its client's samples in place, with no per-round copy; with
+    ``indices`` None every row reads all of ``client_ds``.
 
     'sequential_head_then_body' (FedRep) trains the head for every epoch,
-    then the body for one more epoch that reuses the final head epoch's
-    schedule positions, (tau - 1) * I of each client. Under 'ditto', a
-    group's ``personal=(lam, theta_personal, rngs)`` runs the personal track
-    in the same stack: M more rows after the global ones, reading the same
-    index arrays, each pulled toward its client's start with weight
-    ``lam``. The stack returned then holds both tracks, global rows first;
-    the mean losses stay the global track's. ``on_epoch`` goes to ``train_epochs`` under
+    then the body for one more epoch at the final head epoch's rates, the
+    last I of each row's tau * I. Under 'ditto' the stack holds 2M rows
+    for M clients: the global rows, trained as FedAvg, then the personal
+    rows, each pulled with weight ``mu`` (Ditto's lambda) toward its
+    client's global start, the first M rows of ``theta_start``. The mean
+    losses are the global rows'. ``on_epoch`` goes to ``train_epochs`` under
     every rule but FedRep's, whose epochs are not one pass. Momentum
     buffers are created fresh here: optimizer state is never communicated
     between rounds.
     """
     params = theta_start.copy()
-    indices = [np.arange(len(client_ds))] if indices is None else list(indices)
-    args = (batch_size, momentum, lr_fn, rng)
+    m = len(params.as_stack().data)
+    indices = [np.arange(len(client_ds))] * m if indices is None else list(indices)
+    args = (batch_size, momentum)
     if alg.local_rule == "sequential_head_then_body":
         losses = train_epochs(
-            client_ds, params, template, "head", local_epochs, *args, indices=indices
+            client_ds, params, template, "head", local_epochs, *args, rates, rng, indices=indices
         )
-        if local_epochs > 0:  # the body epoch starts at offset (tau - 1) * I
+        if local_epochs > 0:  # the body epoch reuses the final head epoch's rates
+            last = []
+            for r, idx in zip(rates if isinstance(rates, list) else [rates] * m, indices):
+                ipe = iterations_per_epoch(len(idx), batch_size)
+                last.append(np.broadcast_to(r, (local_epochs * ipe,))[-ipe:])
             body = train_epochs(
-                client_ds, params, template, "body", 1, *args, indices=indices,
-                update_offset=[(local_epochs - 1) * iterations_per_epoch(len(idx), batch_size)
-                               for idx in indices],
+                client_ds, params, template, "body", 1, *args, last, rng, indices=indices
             )
             losses = [head + tail for head, tail in zip(losses, body)]
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
         prox = (mu, theta_start) if alg.local_rule == "proximal" else None
-        clients = len(indices)
-        if alg.local_rule == "ditto" and personal is not None:
-            lam, theta_personal, personal_rng = personal
-            params = ParamVector(
-                np.concatenate([theta_start.data, theta_personal.data]), params.bounds
-            )
-            indices = indices * 2
-            lr_fn = list(lr_fn) * 2
-            rng = [*rng, *personal_rng]
-            prox = (lam, theta_start)
+        clients = m
+        if alg.local_rule == "ditto":
+            if m % 2:
+                raise ValueError(f"a Ditto stack needs two rows per client, not {m} rows")
+            clients = m // 2
+            prox = (mu, ParamVector(theta_start.data[:clients], theta_start.bounds))
         losses = train_epochs(
-            client_ds, params, template, alg.update_part, local_epochs,
-            batch_size, momentum, lr_fn, rng, prox=prox, indices=indices, on_epoch=on_epoch,
+            client_ds, params, template, alg.update_part, local_epochs, *args, rates, rng,
+            prox=prox, indices=indices, on_epoch=on_epoch,
             step=(
                 _perfedavg_step(perfedavg_alpha)
                 if alg.local_rule == "perfedavg_fo"
@@ -565,14 +558,11 @@ def init_state(template: Network) -> FederationState:
     return FederationState(template.params.copy(), template.params.copy())
 
 
-def _round_rate(cfg: FLConfig, k: int, n_samples: int):
-    """Rate function of a client of ``n_samples`` in round k: its schedule,
-    from where its earlier rounds left off."""
-    sched = client_schedule(cfg, n_samples)
-    offset = (min(k, cfg.rounds) - 1) * cfg.local_epochs * iterations_per_epoch(
-        n_samples, cfg.batch_size
-    )
-    return lambda u: sched.lr_at(offset + u)
+def _round_rates(cfg: FLConfig, k: int, n_samples: int) -> np.ndarray:
+    """Rates of a client of ``n_samples`` in round k, one per local update:
+    its schedule, from where its earlier rounds left off."""
+    count = cfg.local_epochs * iterations_per_epoch(n_samples, cfg.batch_size)
+    return client_schedule(cfg, n_samples).rates((min(k, cfg.rounds) - 1) * count, count)
 
 
 def _round_end_lr(cfg: FLConfig, k: int) -> float:
@@ -624,42 +614,32 @@ def run_federation(
         ditto = round_alg.local_rule == "ditto"
 
         def run_group(ids: tuple[int, ...]):
-            """Train a lockstep group; one (cid, theta, personal, n, loss) per client."""
+            """Train a lockstep group; one (cid, theta, resident, n, loss) per
+            client. Under Ditto the stack holds M copies of the global model,
+            the global track, then the clients' resident personal models."""
             try:
                 indices = [data.splits[cid].train_indices for cid in ids]
-                if ditto:
-                    # the global track is plain FedAvg: broadcast the global
-                    # model; the personal models run beside it in one stack
-                    starts = ParamVector.stack([state.global_params] * len(ids))
-                    personal = (
-                        cfg.lam,
-                        ParamVector.stack(
-                            [state.client_params.get(cid, state.initial_params) for cid in ids]
-                        ),
-                        [stream(cfg.seed, _CLIENT, k, cid, 1) for cid in ids],
-                    )
-                else:
-                    starts = ParamVector.stack(
-                        [assemble_client_params(state, template, round_alg, cid) for cid in ids]
-                    )
-                    personal = None
+                starts = [assemble_client_params(state, template, round_alg, cid) for cid in ids]
                 by_size = {
-                    n: _round_rate(cfg, k, n) if lr_mode == "schedule" else lambda _u: LG_LR
+                    n: _round_rates(cfg, k, n) if lr_mode == "schedule" else LG_LR
                     for n in set(map(len, indices))
                 }
-                lr_fns = [by_size[len(idx)] for idx in indices]
+                rates = [by_size[len(idx)] for idx in indices]
                 rngs = [stream(cfg.seed, _CLIENT, k, cid) for cid in ids]
+                if ditto:
+                    starts = [state.global_params] * len(ids) + starts
+                    rngs += [stream(cfg.seed, _CLIENT, k, cid, 1) for cid in ids]
+                    indices, rates = indices * 2, rates * 2
                 thetas, losses = local_update(
-                    data.train, starts, template, round_alg,
-                    cfg.local_epochs, cfg.batch_size, cfg.momentum,
-                    lr_fns, rngs, mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
-                    indices=indices, personal=personal,
+                    data.train, ParamVector.stack(starts), template, round_alg,
+                    cfg.local_epochs, cfg.batch_size, cfg.momentum, rates, rngs,
+                    mu=cfg.lam if ditto else cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
+                    indices=indices,
                 )
             except FederationError as e:
                 raise e.in_group(ids, f"round {k}") from e
             rows = thetas.rows()
-            personals = rows[len(ids) :] if ditto else [None] * len(ids)
-            return list(zip(ids, rows[: len(ids)], personals, map(len, indices), losses))
+            return list(zip(ids, rows, rows[-len(ids) :], map(len, indices), losses))
 
         # client_groups cuts ascending ids, so results come in ascending ids
         results = [
@@ -678,18 +658,15 @@ def run_federation(
             )
 
         if round_alg.persistent_part is not None:
-            for cid, theta_out, personal, _, _ in results:
-                state.client_params[cid] = (
-                    personal if personal is not None else theta_out
-                ).copy()
+            for cid, _, resident, _, _ in results:
+                state.client_params[cid] = resident.copy()
 
         if pool_idx is not None and round_alg.federated:
             # one server epoch on the shared pool, in place on the fresh
             # aggregate, at the rate the schedule has reached so far
-            round_lr = _round_end_lr(cfg, k)
             train_epochs(
                 data.train, state.global_params, template, cfg.server_update_part, 1,
-                cfg.batch_size, cfg.momentum, lambda _u: round_lr, stream(cfg.seed, _SERVER, k),
+                cfg.batch_size, cfg.momentum, _round_end_lr(cfg, k), stream(cfg.seed, _SERVER, k),
                 indices=[pool_idx],
             )
 

@@ -167,7 +167,7 @@ def personalized_models(
             try:
                 tuned, _ = local_update(
                     data.train, start, template, spec, snaps[-1], batch_size, momentum,
-                    lambda _u: lr, [eval_stream(seed, cid) for cid in ids],
+                    lr, [eval_stream(seed, cid) for cid in ids],
                     indices=[data.splits[cid].train_indices for cid in ids], on_epoch=keep,
                 )
             except FederationError as e:
@@ -339,7 +339,7 @@ def centralized_train(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     curve: list[float] = []
     train_epochs(
-        train_ds, params, net, part, epochs, batch_size, momentum, sched.lr_at, rng,
+        train_ds, params, net, part, epochs, batch_size, momentum, sched.rates(0, epochs * ipe), rng,
         on_epoch=lambda *_: curve.append(accuracy(working, test_ds)[0]),
     )
     return curve

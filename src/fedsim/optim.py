@@ -17,16 +17,18 @@ class LRSchedule:
     base_lr: float = 0.1
     total_updates: int = 1
 
-    def lr_at(self, update_index: int) -> float:
-        if not 0 <= update_index < self.total_updates:
+    def rates(self, start: int, count: int) -> np.ndarray:
+        """The float64 rates of updates start .. start + count - 1."""
+        if count < 0 or start < 0 or start + count > self.total_updates:
             raise ValueError(
-                f"update index {update_index} outside [0, {self.total_updates})"
+                f"updates {start}..{start + count - 1} outside [0, {self.total_updates})"
             )
-        if update_index < self.total_updates // 2:
-            return self.base_lr
-        if update_index < (3 * self.total_updates) // 4:
-            return self.base_lr * 0.1
-        return self.final_lr
+        u = np.arange(start, start + count)
+        decayed = np.where(u < (3 * self.total_updates) // 4, self.base_lr * 0.1, self.final_lr)
+        return np.where(u < self.total_updates // 2, self.base_lr, decayed)
+
+    def lr_at(self, update_index: int) -> float:
+        return float(self.rates(update_index, 1)[0])
 
     @property
     def final_lr(self) -> float:

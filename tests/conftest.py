@@ -63,8 +63,9 @@ def replay_clients_descending(cfg, data, template):
     """Reference for run_federation: each round's sampled clients are replayed
     one at a time through local_update in descending id order, then
     aggregated in ascending order; for Ditto, each client's personal pass
-    runs after its global one as a train_epochs call of its own, pulled
-    toward the broadcast model, rather than in local_update's shared stack.
+    runs after its global one, a FedAvg update, as a train_epochs call of
+    its own, pulled toward the broadcast model, rather than in
+    local_update's shared stack.
     Covers single-phase federated algorithms without a server pool."""
     from fedsim.engine import (
         assemble_client_params,
@@ -85,18 +86,17 @@ def replay_clients_descending(cfg, data, template):
         updates, personals = {}, {}
         for cid in sorted(sampled, reverse=True):
             ds = data.client_train(cid)
-            sched = client_schedule(cfg, len(ds))
-            offset = (k - 1) * cfg.local_epochs * iterations_per_epoch(len(ds), cfg.batch_size)
-            lr_fn = lambda u: sched.lr_at(offset + u)
+            count = cfg.local_epochs * iterations_per_epoch(len(ds), cfg.batch_size)
+            rates = client_schedule(cfg, len(ds)).rates((k - 1) * count, count)
             start = (
                 state.global_params
                 if ditto
                 else assemble_client_params(state, template, alg, cid)
             )
             theta, _ = fs.local_update(
-                ds, start, template, alg,
+                ds, start, template, fs.get_algorithm("fedavg") if ditto else alg,
                 cfg.local_epochs, cfg.batch_size, cfg.momentum,
-                lr_fn, stream(cfg.seed, 1, k, cid),
+                rates, stream(cfg.seed, 1, k, cid),
                 mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
             )
             updates[cid] = (theta, len(ds))
@@ -104,7 +104,7 @@ def replay_clients_descending(cfg, data, template):
                 personal = state.client_params.get(cid, state.initial_params).copy()
                 train_epochs(
                     ds, personal, template, "full", cfg.local_epochs, cfg.batch_size,
-                    cfg.momentum, lr_fn, stream(cfg.seed, 1, k, cid, 1),
+                    cfg.momentum, rates, stream(cfg.seed, 1, k, cid, 1),
                     prox=(cfg.lam, start),
                 )
                 personals[cid] = personal

@@ -119,12 +119,11 @@ def test_criterion_2_fedbabu_head_freeze():
         # replay this round's local updates and check their heads too
         for cid in logs[-1].client_ids:
             ds = data.client_train(cid)
-            sched = client_schedule(cfg, len(ds))
-            ipe = int(np.ceil(len(ds) / cfg.batch_size))
-            offset = (k - 1) * cfg.local_epochs * ipe
+            count = cfg.local_epochs * int(np.ceil(len(ds) / cfg.batch_size))
+            rates = client_schedule(cfg, len(ds)).rates((k - 1) * count, count)
             out, _ = fs.local_update(
                 ds, pre_global, net, alg, cfg.local_epochs, cfg.batch_size,
-                cfg.momentum, lambda u: sched.lr_at(offset + u), stream(3, 1, k, cid),
+                cfg.momentum, rates, stream(3, 1, k, cid),
             )
             assert out.segment(head).tobytes() == init_head
             checked_locals += 1

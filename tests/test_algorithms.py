@@ -19,10 +19,6 @@ def small_net(seed=0, dim=8, classes=4):
     )
 
 
-def lr_const(value):
-    return lambda u: value
-
-
 # --- FedRep: head epochs then one body epoch -----------------------------------
 
 
@@ -32,12 +28,12 @@ def test_fedrep_sequential_matches_manual_replay(small_fed_data):
     tau = 2
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedrep"), tau, 10, 0.9,
-        lr_const(0.05), stream(3, 1, 1, 0),
+        0.05, stream(3, 1, 1, 0),
     )
     # evaluation's fine-tune under FedRep's rule, at a constant rate
     tuned, _ = fs.local_update(
         ds, net.params, net, fs.AlgorithmSpec("fine-tune", "full", "full", "sequential_head_then_body"),
-        tau, 10, 0.9, lr_const(0.05), stream(3, 1, 1, 0),
+        tau, 10, 0.9, 0.05, stream(3, 1, 1, 0),
     )
 
     # manual replay: same rng, head mask for tau epochs, then body for one
@@ -63,6 +59,48 @@ def test_fedrep_sequential_matches_manual_replay(small_fed_data):
     assert tuned.data.tobytes() == params.data.tobytes()
 
 
+def fedrep_by_hand(ds, idx, start, net, tau, rates, rng):
+    """FedRep's local rule replayed with an explicit array of rates, one per
+    update of the call: tau head epochs at rates[: tau * I], then the body
+    epoch at the final head epoch's rates, rates[(tau - 1) * I :]."""
+    params = start.copy()
+    working = net.with_params(params)
+    opt = OptState.for_params(params, 0.9)
+    n = len(idx)
+    ipe = -(-n // 10)
+    for part, epoch in [*(("head", e) for e in range(tau)), ("body", tau - 1)]:
+        order = idx[rng.permutation(n)]
+        for t in range(ipe):
+            b = order[t * 10 : (t + 1) * 10]
+            _, cache = fs.forward(working, ds.samples[b])
+            _, grads = fs.backward(working, cache, ds.labels[b])
+            sgd_step(params, grads, opt, float(rates[epoch * ipe + t]), net.mask_for(part))
+    return params
+
+
+def test_fedrep_body_epoch_reads_each_rows_last_head_epoch_rates(small_fed_data):
+    # two clients of 37 and 23 samples, B=10: I = 4 and 3. Each row's
+    # schedule spans 3 * I updates, so its first decay, at 1.5 * I, falls
+    # inside the second head epoch of this 2 * I update call
+    net = small_net(seed=14)
+    ds = small_fed_data.train
+    indices = [np.arange(37), np.arange(37, 60)]
+    tau = 2
+    rates = []
+    for idx in indices:
+        ipe = -(-len(idx) // 10)
+        rates.append(fs.LRSchedule(0.1, 3 * ipe).rates(0, tau * ipe))
+        assert len(set(rates[-1][-ipe:].tolist())) == 2  # the decay is in the last epoch
+    starts = ParamVector.stack([net.params, net.params])
+    out, _ = fs.local_update(
+        ds, starts, net, fs.get_algorithm("fedrep"), tau, 10, 0.9, rates,
+        [stream(8, 1, 1, i) for i in range(2)], indices=indices,
+    )
+    for i, idx in enumerate(indices):
+        want = fedrep_by_hand(ds, idx, net.params, net, tau, rates[i], stream(8, 1, 1, i))
+        assert out.data[i].tobytes() == want.data.tobytes()
+
+
 def test_fedrep_aggregates_body_only(small_fed_data):
     net = small_net(seed=2)
     cfg = fs.FLConfig(
@@ -80,14 +118,14 @@ def test_fedrep_aggregates_body_only(small_fed_data):
 # --- Ditto -----------------------------------------------------------------------
 
 
-def ditto_personal(ds, theta_g, theta_v, lam, epochs, lr_fn, rng, template, batch_size, momentum):
+def ditto_personal(ds, theta_g, theta_v, lam, epochs, rate, rng, template, batch_size, momentum):
     """The personal row of a one-client Ditto stack, as federated rounds
-    train it: ``local_update`` with ``personal=``, whose global row starts
-    at ``theta_g`` and anchors the personal row's prox term."""
+    train it: ``local_update`` on the two-row stack [global, personal],
+    whose global row starts at ``theta_g`` and anchors the personal row's
+    prox term of weight ``mu=lam``."""
     stack, _ = fs.local_update(
-        ds, ParamVector.stack([theta_g]), template, fs.get_algorithm("ditto"),
-        epochs, batch_size, momentum, [lr_fn], [stream(0, 1, 0, 0)],
-        personal=(lam, ParamVector.stack([theta_v]), [rng]),
+        ds, ParamVector.stack([theta_g, theta_v]), template, fs.get_algorithm("ditto"),
+        epochs, batch_size, momentum, rate, [stream(0, 1, 0, 0), rng], mu=lam,
     )
     return stack.rows()[1]
 
@@ -99,12 +137,12 @@ def test_ditto_lambda_zero_is_plain_finetune(small_fed_data):
     theta_g = ParamVector(net.params.data + np.float32(0.5), net.params.bounds)
 
     personal = ditto_personal(
-        ds, theta_g, theta_v, 0.0, 2, lr_const(0.05), stream(5, 1, 1, 1),
+        ds, theta_g, theta_v, 0.0, 2, 0.05, stream(5, 1, 1, 1),
         batch_size=10, momentum=0.9, template=net,
     )
     plain, _ = fs.local_update(
         ds, theta_v, net, fs.get_algorithm("fedavg"), 2, 10, 0.9,
-        lr_const(0.05), stream(5, 1, 1, 1),
+        0.05, stream(5, 1, 1, 1),
     )
     assert personal.data.tobytes() == plain.data.tobytes()
 
@@ -122,7 +160,7 @@ def test_ditto_single_step_closed_form(small_fed_data):
     _, grads = fs.backward(net, cache, ds.labels[order])
 
     out = ditto_personal(
-        ds, theta_g, theta_g.copy(), 1e6, 1, lr_const(0.1), stream(6, 1, 1, 0),
+        ds, theta_g, theta_g.copy(), 1e6, 1, 0.1, stream(6, 1, 1, 0),
         batch_size=len(ds), momentum=0.9, template=net,
     )
     predicted = theta_g.data - np.float32(0.1) * grads.data
@@ -137,14 +175,29 @@ def test_ditto_large_lambda_tracks_global(small_fed_data):
     ds = small_fed_data.client_train(2)
     theta_g = net.params.copy()
     free = ditto_personal(
-        ds, theta_g, theta_g.copy(), 0.0, 3, lr_const(0.05), stream(7, 1, 1, 2),
+        ds, theta_g, theta_g.copy(), 0.0, 3, 0.05, stream(7, 1, 1, 2),
         batch_size=10, momentum=0.9, template=net,
     )
     pinned = ditto_personal(
-        ds, theta_g, theta_g.copy(), 50.0, 3, lr_const(0.05), stream(7, 1, 1, 2),
+        ds, theta_g, theta_g.copy(), 50.0, 3, 0.05, stream(7, 1, 1, 2),
         batch_size=10, momentum=0.9, template=net,
     )
     assert fs.param_distance(pinned, theta_g) < fs.param_distance(free, theta_g)
+
+
+def test_ditto_stack_of_odd_rows_raises(small_fed_data):
+    # a Ditto stack holds a global and a personal row per client; a stack of
+    # one row (or a single vector) would otherwise train no global row
+    net = small_net(seed=6)
+    ds = small_fed_data.client_train(0)
+    ditto = fs.get_algorithm("ditto")
+    for start, rngs in [
+        (net.params, stream(0, 1, 1, 0)),
+        (ParamVector.stack([net.params]), [stream(0, 1, 1, 0)]),
+        (ParamVector.stack([net.params] * 3), [stream(0, 1, 1, i) for i in range(3)]),
+    ]:
+        with pytest.raises(ValueError, match="two rows per client"):
+            fs.local_update(ds, start, net, ditto, 1, 10, 0.9, 0.05, rngs, mu=0.5)
 
 
 def test_ditto_federation_keeps_global_track_fedavg(small_fed_data):
@@ -193,7 +246,7 @@ def test_perfedavg_single_meta_step_closed_form():
 
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 2, 0.9,
-        lr_const(beta), stream(11, 1, 1, 0), perfedavg_alpha=alpha,
+        beta, stream(11, 1, 1, 0), perfedavg_alpha=alpha,
     )
     np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-7)
 
@@ -203,7 +256,7 @@ def test_perfedavg_alpha_zero_is_sgd_on_query_halves(small_fed_data):
     ds = small_fed_data.client_train(3)
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 10, 0.9,
-        lr_const(0.05), stream(13, 1, 1, 3), perfedavg_alpha=0.0,
+        0.05, stream(13, 1, 1, 3), perfedavg_alpha=0.0,
     )
     # manual: same permutation, step on the query half of each batch
     rng = stream(13, 1, 1, 3)
@@ -227,7 +280,7 @@ def test_perfedavg_batch_of_one_rejected():
     with pytest.raises(fs.FederationError):
         fs.local_update(
             ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 50, 0.9,
-            lr_const(0.1), stream(1, 1, 1, 0), perfedavg_alpha=0.01,
+            0.1, stream(1, 1, 1, 0), perfedavg_alpha=0.01,
         )
 
 
@@ -237,7 +290,7 @@ def test_perfedavg_deterministic(small_fed_data):
     a, b = (
         fs.local_update(
             ds, net.params, net, fs.get_algorithm("perfedavg"), 2, 10, 0.9,
-            lr_const(0.05), stream(2, 1, 1, 0), perfedavg_alpha=0.01,
+            0.05, stream(2, 1, 1, 0), perfedavg_alpha=0.01,
         )[0]
         for _ in range(2)
     )

@@ -136,16 +136,12 @@ def test_aggregate_rejects_empty_and_zero_weight():
 # --- local updates ----------------------------------------------------------------
 
 
-def lr_const(value):
-    return lambda u: value
-
-
 def test_local_update_zero_epochs_returns_start(small_fed_data):
     net = small_net()
     alg = fs.get_algorithm("fedavg")
     out, (loss,) = fs.local_update(
         small_fed_data.client_train(0), net.params, net, alg, 0, 10, 0.9,
-        lr_const(0.1), stream(0, 1, 1, 0),
+        0.1, stream(0, 1, 1, 0),
     )
     assert out.data.tobytes() == net.params.data.tobytes()
     assert np.isnan(loss)
@@ -156,7 +152,7 @@ def test_fedbabu_local_update_freezes_head(small_fed_data):
     alg = fs.get_algorithm("fedbabu")
     out, _ = fs.local_update(
         small_fed_data.client_train(1), net.params, net, alg, 3, 10, 0.9,
-        lr_const(0.1), stream(0, 1, 1, 1),
+        0.1, stream(0, 1, 1, 1),
     )
     head = net.head_segment
     assert out.segment(head).tobytes() == net.params.segment(head).tobytes()
@@ -169,12 +165,12 @@ def test_fedprox_mu_zero_equals_fedavg(small_fed_data):
     a, _ = fs.local_update(
         small_fed_data.client_train(2), net.params, net, fs.get_algorithm("fedprox"),
         kw["local_epochs"], kw["batch_size"], kw["momentum"],
-        lr_const(0.1), stream(0, 1, 1, 2), mu=0.0,
+        0.1, stream(0, 1, 1, 2), mu=0.0,
     )
     b, _ = fs.local_update(
         small_fed_data.client_train(2), net.params, net, fs.get_algorithm("fedavg"),
         kw["local_epochs"], kw["batch_size"], kw["momentum"],
-        lr_const(0.1), stream(0, 1, 1, 2),
+        0.1, stream(0, 1, 1, 2),
     )
     assert a.data.tobytes() == b.data.tobytes()
 
@@ -184,11 +180,11 @@ def test_fedprox_mu_positive_shrinks_drift(small_fed_data):
     ds = small_fed_data.client_train(0)
     out_plain, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedavg"), 3, 10, 0.9,
-        lr_const(0.1), stream(0, 1, 1, 0),
+        0.1, stream(0, 1, 1, 0),
     )
     out_prox, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedprox"), 3, 10, 0.9,
-        lr_const(0.1), stream(0, 1, 1, 0), mu=1.0,
+        0.1, stream(0, 1, 1, 0), mu=1.0,
     )
     drift_plain = fs.param_distance(out_plain, net.params)
     drift_prox = fs.param_distance(out_prox, net.params)
@@ -200,13 +196,13 @@ def test_fedprox_babu_freezes_head_and_regularizes(small_fed_data):
     ds = small_fed_data.client_train(1)
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedprox-babu"), 3, 10, 0.9,
-        lr_const(0.1), stream(0, 1, 1, 1), mu=1.0,
+        0.1, stream(0, 1, 1, 1), mu=1.0,
     )
     head = net.head_segment
     assert out.segment(head).tobytes() == net.params.segment(head).tobytes()
     out_babu, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedbabu"), 3, 10, 0.9,
-        lr_const(0.1), stream(0, 1, 1, 1),
+        0.1, stream(0, 1, 1, 1),
     )
     # the proximal term keeps the body closer to the broadcast model
     assert fs.param_distance(out, net.params) < fs.param_distance(out_babu, net.params)
@@ -217,7 +213,7 @@ def test_local_update_empty_client_raises():
     empty = fs.LabeledDataset(np.zeros((0, 8), dtype=np.float32), np.zeros(0, dtype=np.int64), 4)
     with pytest.raises(FederationError):
         fs.local_update(empty, net.params, net, fs.get_algorithm("fedavg"), 1, 10, 0.9,
-                        lr_const(0.1), stream(0, 1, 1, 0))
+                        0.1, stream(0, 1, 1, 0))
 
 
 # --- schedule plumbing ----------------------------------------------------------
@@ -253,7 +249,7 @@ def test_one_round_fedavg_is_mean_of_local_models():
         sched = client_schedule(cfg, len(data.client_train(cid)))
         out, _ = fs.local_update(
             data.client_train(cid), net.params, net, fs.get_algorithm("fedavg"),
-            1, 10, 0.9, lambda u: sched.lr_at(u), stream(5, 1, 1, cid),
+            1, 10, 0.9, sched.rates(0, sched.total_updates), stream(5, 1, 1, cid),
         )
         outs.append((out, len(data.client_train(cid))))
     expected = fs.aggregate(outs, net.params, net.mask_for("full"))
@@ -422,7 +418,7 @@ def test_total_rounds_lg_extension():
 
 def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, meta, seed):
     """train_epochs on an (m, P) stack of clients of ``sizes`` samples, each
-    with its own rate function and update offset and the last ``pulled``
+    with its own array of step rates and the last ``pulled``
     with a prox term, and on each client alone: (stacked, separate) lists
     of (params bytes, momentum bytes per epoch, losses) per client. The
     stack reads its clients' samples in place through scattered, unsorted
@@ -445,14 +441,17 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     stack = ParamVector(net.params.data + 0.1 * noise, net.params.bounds)
     anchors = ParamVector(net.params.data + 0.1 * np.roll(noise, 1, axis=0), net.params.bounds)
     offsets = rng.integers(0, 4, size=m).tolist()
-    lr_fns = [lambda u, i=i: 0.05 * (1 + i) * 0.5 ** (u // 3) for i in range(m)]
+    rates = [
+        0.05 * (1 + i) * 0.5 ** ((offsets[i] + np.arange(epochs * -(-n // batch_size))) // 3)
+        for i, n in enumerate(sizes)
+    ]
     step = _perfedavg_step(0.01) if meta else _joint_step
 
-    def run(ds, params, prox, rngs, lr_fn, offset, indices):
+    def run(ds, params, prox, rngs, rates, indices):
         momenta = [[] for _ in range(len(rngs) if isinstance(rngs, list) else 1)]
         losses = train_epochs(
-            ds, params, net, part, epochs, batch_size, 0.9, lr_fn, rngs,
-            prox=prox, update_offset=offset, step=step, indices=indices,
+            ds, params, net, part, epochs, batch_size, 0.9, rates, rngs,
+            prox=prox, step=step, indices=indices,
             on_epoch=lambda row, _params, momentum: momenta[row].append(momentum.copy()),
         )
         return losses, momenta
@@ -460,7 +459,7 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     free = m - pulled
     prox = (0.3, ParamVector(anchors.data[free:], anchors.bounds)) if pulled else None
     streams = [stream(seed, 1, 1, i) for i in range(m)]
-    losses, momenta = run(ds, stack, prox, streams, lr_fns, offsets, indices)
+    losses, momenta = run(ds, stack, prox, streams, rates, indices)
     stacked = [
         (stack.data[i].tobytes(), [mom.tobytes() for mom in momenta[i]], losses[i])
         for i in range(m)
@@ -471,7 +470,7 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
         client_ds = ds.subset(indices[i])
         (client_losses,), (client_momenta,) = run(
             client_ds, params, (0.3, row) if i >= free else None, stream(seed, 1, 1, i),
-            lr_fns[i], offsets[i], None,
+            rates[i], None,
         )
         separate.append(
             (params.data.tobytes(), [mom.tobytes() for mom in client_momenta], client_losses)
@@ -637,11 +636,10 @@ def test_non_finite_parameters_after_the_last_update_name_the_callers_row():
     net = small_net(seed=3)
     own = [data.splits[0].train_indices[:n] for n in (5, 12, 8)]
     stack = ParamVector.stack([net.params] * 3)
-    rates = [lambda _u: 0.1, lambda _u: 0.1, lambda _u: 1e41]  # inf in float32
+    rates = [0.1, 0.1, 1e41]  # inf in float32
     rngs = [stream(3, cid) for cid in range(3)]
-    with pytest.raises(NumericError, match=r"^non-finite parameters after local update 9$") as exc:
+    with pytest.raises(NumericError, match=r"^non-finite parameters after local update 0$") as exc:
         train_epochs(
-            data.train, stack, net, "full", 1, 20, 0.9, rates, rngs,
-            update_offset=[0, 4, 9], indices=own,
+            data.train, stack, net, "full", 1, 20, 0.9, rates, rngs, indices=own,
         )
     assert exc.value.member == 2

@@ -44,7 +44,7 @@ def tune_alone(params, net, part, tf, lr, ds, rng, rule="joint"):
     of its rows: ``local_update`` at the constant rate ``lr``, B=10."""
     tuned, _ = fs.local_update(
         ds, params, net, fs.AlgorithmSpec("fine-tune", part, part, rule), tf, 10, 0.9,
-        lambda _u: lr, rng,
+        lr, rng,
     )
     return tuned
 
@@ -563,7 +563,7 @@ def test_one_client_as_vector_or_one_row_stack_gives_one_result_type():
     vector = net.params.copy()
     stack = ParamVector.stack([vector])
     train_ds, test_ds = data.client_train(0), data.client_test(0)
-    lr = lambda _u: 0.05
+    lr = 0.05
 
     correct = fs.forward(net, test_ds.samples)[0].argmax(axis=1) == test_ds.labels
     accs = [accuracy(net, test_ds), accuracy(net.with_params(stack), test_ds, [len(test_ds)])]

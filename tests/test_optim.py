@@ -43,6 +43,35 @@ def test_schedule_rejects_out_of_range():
         sched.lr_at(-1)
 
 
+@given(
+    st.integers(min_value=1, max_value=5000),
+    st.floats(min_value=0, max_value=10, allow_nan=False),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_rates_equal_lr_at_elementwise(total, base_lr, data):
+    sched = LRSchedule(base_lr, total)
+    start = data.draw(st.integers(min_value=0, max_value=total))
+    count = data.draw(st.integers(min_value=0, max_value=total - start))
+    rates = sched.rates(start, count)
+    assert rates.dtype == np.float64 and rates.shape == (count,)
+    assert rates.tolist() == [sched.lr_at(u) for u in range(start, start + count)]
+    # the step-decay rule, written out per update
+    rule = [
+        base_lr if u < total // 2 else base_lr * 0.1 if u < 3 * total // 4 else base_lr * 0.1**2
+        for u in range(start, start + count)
+    ]
+    assert rates.tolist() == rule
+
+
+def test_rates_reject_updates_outside_the_budget():
+    sched = LRSchedule(0.1, 10)
+    for start, count in [(-1, 1), (10, 1), (0, 11), (9, 2), (3, -1)]:
+        with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+            sched.rates(start, count)
+    assert sched.rates(0, 10).shape == (10,)
+
+
 def test_plain_step_subtracts_gradient_exactly():
     params = vec([1.0, 2.0, 3.0])
     grads = vec([0.5, -1.0, 0.25])
