@@ -612,6 +612,10 @@ def run_federation(
             sampled = list(range(cfg.clients))
 
         ditto = round_alg.local_rule == "ditto"
+        if round_alg.two_phase_lg and k == cfg.rounds + 1:
+            # LG-FedAvg's own phase starts every client's body from the
+            # FedAvg-trained model, kept in the checkpoint for a resume
+            state.client_params = {cid: state.global_params.copy() for cid in range(cfg.clients)}
 
         def run_group(ids: tuple[int, ...]):
             """Train a lockstep group; one (cid, theta, resident, n, loss) per

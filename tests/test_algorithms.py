@@ -326,6 +326,36 @@ def test_lg_fedavg_runs_two_phases(small_fed_data):
     assert [l.lr for l in lg_logs[8:]] == [0.001, 0.001]
 
 
+def test_lg_fedavg_second_phase_starts_every_client_from_the_fedavg_trained_body(
+    small_fed_data, monkeypatch
+):
+    net = small_net(seed=12)
+    cfg = fs.FLConfig(
+        clients=4, fraction=0.5, local_epochs=1, rounds=4, batch_size=10,
+        algorithm="lg-fedavg", seed=15,
+    )
+    state, _ = fs.run_federation(cfg, small_fed_data, net, until_round=4)
+    body = net.mask_for("body").scalars(net.params)
+    trained_body = state.global_params.data[body].tobytes()
+    assert trained_body != net.params.data[body].tobytes()
+    starts = []
+    local_update = fs.engine.local_update
+
+    def spy(ds, theta_start, *args, **kwargs):
+        starts.extend(row.copy() for row in theta_start.rows())
+        return local_update(ds, theta_start, *args, **kwargs)
+
+    monkeypatch.setattr(fs.engine, "local_update", spy)
+    state, logs = fs.run_federation(cfg, small_fed_data, net, state=state, until_round=5)
+    assert len(starts) == len(logs[-1].client_ids) == 2
+    for start in starts:
+        assert start.data[body].tobytes() == trained_body
+    # a client the phase never samples keeps the FedAvg-trained body too
+    assert sorted(state.client_params) == [0, 1, 2, 3]
+    for cid in set(range(4)) - set(logs[-1].client_ids):
+        assert state.client_params[cid].data[body].tobytes() == trained_body
+
+
 # --- persistent parts -------------------------------------------------------------------
 
 
