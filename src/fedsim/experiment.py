@@ -345,6 +345,17 @@ def prepare(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network]:
     return cfg.fl_config(), FederatedData(train, test, splits), template
 
 
+def data_digest(train: LabeledDataset, test: LabeledDataset) -> str:
+    """sha256 of the train and test samples and labels, with their types and
+    shapes: the data a run trained on, which ``config_hash()`` names only by
+    path for IDX files."""
+    digest = hashlib.sha256()
+    for array in (train.samples, train.labels, test.samples, test.labels):
+        digest.update(f"{array.dtype}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()
+
+
 # --- artifact IO --------------------------------------------------------------
 
 
@@ -386,7 +397,9 @@ def write_eval_report(out_dir: Path, stem: str, report: EvalReport, config_hash:
     (out_dir / f"{stem}.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
 
-def save_checkpoint(out_dir: Path, state: FederationState, cfg: ExperimentConfig) -> None:
+def save_checkpoint(
+    out_dir: Path, state: FederationState, cfg: ExperimentConfig, digest: str
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "checkpoint.pv").write_bytes(state.global_params.to_blob())
     for cid, params in sorted(state.client_params.items()):
@@ -395,6 +408,7 @@ def save_checkpoint(out_dir: Path, state: FederationState, cfg: ExperimentConfig
         "round": state.round,
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
+        "data_digest": digest,
         "algorithm": cfg["federation"]["algorithm"],
         "persistent_clients": sorted(state.client_params),
         "schema": SCHEMA_VERSION,
@@ -448,17 +462,26 @@ def load_checkpoint(out_dir: Path, template: Network) -> tuple[FederationState, 
 
 
 def _checked_checkpoint(
-    cfg: ExperimentConfig, ckpt_dir: Path, template: Network
+    cfg: ExperimentConfig, ckpt_dir: Path, template: Network, digest: str
 ) -> FederationState:
-    """The checkpoint in ``ckpt_dir``, checked against ``cfg`` before any
-    training or evaluation starts: trained under the same config hash, at
-    a round in [0, total_rounds]. Either failure is a ConfigError."""
+    """The checkpoint in ``ckpt_dir``, checked against ``cfg`` and the data
+    digest ``digest`` before any training or evaluation starts: trained
+    under the same config hash, on the same data, at a round in
+    [0, total_rounds]. Each failure is a ConfigError; a sidecar that
+    records no digest (an older run) loads with a warning."""
     state, sidecar = load_checkpoint(ckpt_dir, template)
     chash = sidecar["config_hash"]
     if chash != cfg.config_hash():
         raise ConfigError(
             "checkpoint was trained under a different config "
             f"(hash {chash} vs {cfg.config_hash()})"
+        )
+    if "data_digest" not in sidecar:
+        log.warning("%s records no data digest; its data is not checked", ckpt_dir)
+    elif sidecar["data_digest"] != digest:
+        raise ConfigError(
+            f"checkpoint was trained on other data (data digest {sidecar['data_digest']} "
+            f"vs {digest})"
         )
     last = total_rounds(cfg.fl_config())
     if not 0 <= state.round <= last:
@@ -502,10 +525,11 @@ def run_train(
 ) -> FederationState:
     out = make_out_dir(cfg.out_dir)
     fl_cfg, data, template = prepare(cfg)
+    digest = data_digest(data.train, data.test)
     state = None
     append = False
     if resume:
-        state = _checked_checkpoint(cfg, out, template)
+        state = _checked_checkpoint(cfg, out, template, digest)
         if stop_after is not None and stop_after < state.round:
             raise ConfigError(
                 f"--stop-after {stop_after} is below the checkpoint's round {state.round}"
@@ -517,7 +541,7 @@ def run_train(
         fl_cfg, data, template, state=state, until_round=stop_after
     )
     write_round_csv(out / "rounds.csv", logs, cfg.config_hash(), append=append)
-    save_checkpoint(out, state, cfg)
+    save_checkpoint(out, state, cfg, digest)
     return state
 
 
@@ -550,7 +574,8 @@ def run_partition(cfg: ExperimentConfig) -> None:
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[str, EvalReport]:
     out = make_out_dir(cfg.out_dir / "eval")
     fl_cfg, data, template = prepare(cfg)
-    state = _checked_checkpoint(cfg, checkpoint_dir or cfg.out_dir, template)
+    digest = data_digest(data.train, data.test)
+    state = _checked_checkpoint(cfg, checkpoint_dir or cfg.out_dir, template, digest)
     chash = cfg.config_hash()
     alg = get_algorithm(cfg["federation"]["algorithm"])
     models = client_models(state, template, alg, fl_cfg.clients)

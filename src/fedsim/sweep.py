@@ -15,6 +15,8 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     _check,
+    build_datasets,
+    data_digest,
     make_out_dir,
     run_eval,
     run_train,
@@ -161,21 +163,30 @@ def _holds_cell(record, cfg: ExperimentConfig) -> bool:
 
 def run_cell(raw_config: dict) -> dict:
     """Train + evaluate one cell; returns (and persists) its result record.
-    A stored record is reused only if it holds the whole cell; any other
-    is rerun. Top-level so process pools can pick it up."""
+    A stored record is reused only if it holds the whole cell and names the
+    data the cell reads now by its digest; any other is rerun. Top-level
+    so process pools can pick it up."""
     cfg = ExperimentConfig(raw_config)
     result_path = cfg.out_dir / "result.json"
+    digest = data_digest(*build_datasets(cfg))
     if result_path.exists():
         try:
             record = json.loads(result_path.read_text())
         except ValueError:  # not UTF-8, or not JSON
             record = None
-        if _holds_cell(record, cfg):
+        if not _holds_cell(record, cfg):
+            why = "corrupt result"
+        elif "data_digest" not in record:
+            why = "result records no data digest"
+        elif record["data_digest"] != digest:
+            why = f"result is of other data (data digest {record['data_digest']} vs {digest})"
+        else:
             return record
-        log.warning("cell %s: corrupt result, rerunning", cfg.config_hash())
+        log.warning("cell %s: %s, rerunning", cfg.config_hash(), why)
     run_train(cfg)
     reports = run_eval(cfg)
     record = _cell_summary(cfg)
+    record["data_digest"] = digest
     record["initial_mean"] = reports["initial"].mean
     record["initial_std"] = reports["initial"].std
     record["personalized"] = {

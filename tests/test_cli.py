@@ -10,7 +10,7 @@ import pytest
 
 from fedsim.cli import main
 from fedsim.engine import total_rounds
-from fedsim.experiment import ConfigError, ExperimentConfig
+from fedsim.experiment import ConfigError, ExperimentConfig, build_datasets, data_digest
 from fedsim.params import ParamVector
 from fedsim.sweep import expand_cells, load_sweep
 
@@ -664,6 +664,46 @@ def test_idx_train_and_test_image_shapes_differ_exits_2(tmp_path, capsys, comman
     assert not (out / "splits.json").exists()
 
 
+def overwrite_idx_images(path: Path) -> None:
+    """Other images under the same path and header: every pixel inverted."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[:16] + bytes(255 - b for b in blob[16:]))
+
+
+def current_digest(cfg_path) -> str:
+    return data_digest(*build_datasets(ExperimentConfig.load(cfg_path)))
+
+
+def test_overwritten_idx_file_makes_eval_and_resume_exit_2_naming_both_digests(tmp_path, capsys):
+    # config_hash() names IDX data by path only; the checkpoint's data
+    # digest catches other images written under the same path
+    cfg_path, out, train_images = idx_config(tmp_path, "digest", **{"federation.rounds": 2})
+    assert main(["train", "--config", str(cfg_path), "--stop-after", "1"]) == 0
+    recorded = json.loads((out / "checkpoint.json").read_text())["data_digest"]
+    assert recorded == current_digest(cfg_path)
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    overwrite_idx_images(train_images)
+    now = current_digest(cfg_path)
+    assert now != recorded
+    capsys.readouterr()
+    for command in (["eval"], ["train", "--resume"]):
+        assert main([*command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "trained on other data" in err and recorded in err and now in err
+    assert json.loads((out / "checkpoint.json").read_text())["round"] == 1
+
+
+def test_sidecar_without_data_digest_loads_with_a_warning(tmp_path, caplog):
+    cfg_path, out = tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--stop-after", "1"]) == 0
+    sidecar = json.loads((out / "checkpoint.json").read_text())
+    del sidecar["data_digest"]
+    (out / "checkpoint.json").write_text(json.dumps(sidecar))
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--resume"]) == 0
+    assert caplog.text.count("records no data digest") == 2
+
+
 def test_truncated_idx_header_exits_2_naming_it(tmp_path, capsys):
     cfg_path, _, train_images = idx_config(tmp_path, "short_idx")
     train_images.write_bytes(train_images.read_bytes()[:10])
@@ -918,6 +958,42 @@ def test_sweep_corrupt_cell_rerun(tmp_path, caplog, corrupt):
     cell_result.write_text(corrupt(json.loads(stored)))
     assert main(["sweep", "--config", str(sweep_path)]) == 0
     assert "corrupt result, rerunning" in caplog.text
+    assert (out / "results.csv").read_bytes() == results
+    assert cell_result.read_text() == stored
+
+
+def test_sweep_reruns_a_cell_whose_idx_data_changed(tmp_path, caplog):
+    (ti, tl), (vi, vl) = make_idx_dataset(tmp_path)
+    sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
+    sweep = json.loads(sweep_path.read_text())
+    sweep["base"]["dataset"] = {
+        "kind": "idx", "train_images": ti, "train_labels": tl,
+        "test_images": vi, "test_labels": vl,
+    }
+    sweep["base"]["network"] = {"kind": "conv2", "channels": [4], "kernel": 3, "padding": 1, "pool": 2}
+    sweep_path.write_text(json.dumps(sweep))
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    cell_result = next(out.glob("cells/*/result.json"))
+    first = json.loads(cell_result.read_text())
+    overwrite_idx_images(Path(ti))
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert f"result is of other data (data digest {first['data_digest']}" in caplog.text
+    second = json.loads(cell_result.read_text())
+    assert second["data_digest"] != first["data_digest"]
+    assert second["initial_mean"] != first["initial_mean"]
+
+
+def test_sweep_reruns_a_cell_whose_record_has_no_data_digest(tmp_path, caplog):
+    sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    results = (out / "results.csv").read_bytes()
+    cell_result = next(out.glob("cells/*/result.json"))
+    stored = cell_result.read_text()
+    record = json.loads(stored)
+    del record["data_digest"]
+    cell_result.write_text(json.dumps(record))
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert "result records no data digest, rerunning" in caplog.text
     assert (out / "results.csv").read_bytes() == results
     assert cell_result.read_text() == stored
 
