@@ -335,11 +335,11 @@ def centralized_train(
     params = net.params.copy()
     working = net.with_params(params)
     ipe = iterations_per_epoch(len(train_ds), batch_size)
-    sched = LRSchedule(base_lr, max(epochs * ipe, 1))
+    rates = LRSchedule(base_lr, max(epochs * ipe, 1)).rates(0, epochs * ipe)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     curve: list[float] = []
     train_epochs(
-        train_ds, params, net, part, epochs, batch_size, momentum, sched.rates(0, epochs * ipe), rng,
+        train_ds, params, net, part, epochs, batch_size, momentum, rates, rng,
         on_epoch=lambda *_: curve.append(accuracy(working, test_ds)[0]),
     )
     return curve

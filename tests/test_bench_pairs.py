@@ -71,23 +71,22 @@ def test_pairs_alternate_and_compare_against_the_bounds(tmp_path, monkeypatch):
     monkeypatch.setenv("STUB_LOG", str(log))
     monkeypatch.chdir(repo / "benchmarks")  # anywhere inside the repo
 
-    assert load_tool().main([parent, change, "--workload", "w", "--pairs", "2", "--seed", "5",
-                             "--label", "t"]) == 0
+    assert load_tool().main([parent, change, "--workload", "w", "--pairs", "2", "--label", "t"]) == 0
 
     # committed files ran, never the edited one; the first side alternates
-    assert log.read_text().split("\n")[:-1] == ["2.0 w 5", "1.0 w 5", "1.0 w 6", "2.0 w 6"]
+    assert log.read_text().split("\n")[:-1] == ["2.0 w 0", "1.0 w 0", "1.0 w 1", "2.0 w 1"]
     report = json.loads((repo / "BENCH_t.json").read_text())
     assert (report["parent"], report["change"], report["pairs"]) == (parent, change, 2)
     assert report["machine"] == [{"nproc": 2}]
     w = report["workloads"]["w"]
-    assert w["seeds"] == [5, 6] and w["first"] == ["parent", "change"]
+    assert w["seeds"] == [0, 1] and w["first"] == ["parent", "change"]
     assert w["runs_failed"] == {"parent": 0, "change": 0} and w["errors"] == []
     assert w["checkpoint_sha256_equal"] == [True, True]
     assert sorted(w["metrics"]) == ["peak_rss_mb", "train_s"]
 
     train = w["metrics"]["train_s"]
     assert (train["better"], train["bound"]) == ("lower", 0.25)
-    assert train["scaled"]["parent"] == [2.0 * 1.05, 2.0 * 1.06]
+    assert train["scaled"]["parent"] == [2.0, 2.0 * 1.01]
     assert train["scaled"]["ratios"] == [0.5, 0.5]
     assert train["scaled"]["wins"] == 2 and train["scaled"]["verdict"] == "within"
     assert train["raw"]["parent"] == [2.0, 2.0] and train["raw"]["change"] == [1.0, 1.0]

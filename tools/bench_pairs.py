@@ -7,7 +7,8 @@ Run from inside the git repository. Each revision is exported with
 of ``BENCHMARK.json`` runs there, so each side measures only its committed
 files. A pair runs both sides on one seed; which side runs first
 alternates from pair to pair, so a drift of the host's speed does not
-favour one side. ``--workload`` may be given more than once.
+favour one side; pair i runs seed i. ``--workload`` may be given more
+than once.
 
 The benchmark prints two JSON lines last: an info line (machine facts, the
 raw wall times, the checkpoint hash, failures) and a result line (the
@@ -62,7 +63,8 @@ def run_side(tree: Path, command: list[str], workload: str, seed: int, seconds: 
         *_, info_line, result_line = proc.stdout.strip().splitlines()
         return {"info": json.loads(info_line)["info"], "result": json.loads(result_line)}
     except (ValueError, KeyError) as e:  # too few lines, or not the benchmark's JSON
-        return {"error": f"exit {proc.returncode}: {e!r}", "stderr": proc.stderr.strip().splitlines()[-3:]}
+        tail = proc.stderr.strip().splitlines()[-3:]
+        return {"error": f"exit {proc.returncode}: {e!r}", "stderr": tail}
 
 
 def raw_value(metric: str, info: dict, scaled: float) -> float:
@@ -140,13 +142,10 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
         sides = [r[s]["result"]["metrics"] for r in both for s in ("parent", "change")]
         if not sides or any(name not in metrics for metrics in sides):
             continue
-        values = {
-            s: [r[s]["result"]["metrics"][name]["value"] for r in both] for s in ("parent", "change")
-        }
-        raw = {
-            s: [raw_value(name, r[s]["info"], r[s]["result"]["metrics"][name]["value"]) for r in both]
-            for s in ("parent", "change")
-        }
+        values, raw = {}, {}
+        for s in ("parent", "change"):
+            values[s] = [r[s]["result"]["metrics"][name]["value"] for r in both]
+            raw[s] = [raw_value(name, r[s]["info"], v) for r, v in zip(both, values[s])]
         out["metrics"][name] = {
             "better": better,
             "bound": bound,
@@ -172,8 +171,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True, help="repeatable")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0, help="passed to the benchmark")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the first pair; one more per pair")
-    parser.add_argument("--label", default=None, help="names BENCH_<label>.json (default: CHANGE's short hash)")
+    parser.add_argument(
+        "--label", default=None, help="names BENCH_<label>.json (default: CHANGE's short hash)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -200,22 +200,22 @@ def main(argv=None) -> int:
             export(repo, revs[side], tree)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+        machines = set()  # each run's machine facts, as JSON
         for workload in args.workload:
             runs = []
-            for i in range(args.pairs):
-                seed = args.seed + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for seed in range(args.pairs):
+                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_side(trees[side], spec["command"], workload, seed, args.seconds)
+                    if "info" in pair[side]:
+                        machines.add(json.dumps(pair[side]["info"]["machine"], sort_keys=True))
                 runs.append(pair)
                 report["workloads"][workload] = summarize(runs, bounds)
-                machines = {json.dumps(r[s]["info"]["machine"], sort_keys=True)
-                            for r in runs for s in revs if "info" in r[s]}
                 report["machine"] = [json.loads(m) for m in sorted(machines)]
                 report["host"]["loadavg_end"] = os.getloadavg()
                 path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-                print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+                print(f"{workload} pair {seed + 1}/{args.pairs} done", file=sys.stderr)
     print(path)
     return 0
 
