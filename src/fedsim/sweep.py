@@ -168,7 +168,6 @@ def run_cell(raw_config: dict) -> dict:
     so process pools can pick it up."""
     cfg = ExperimentConfig(raw_config)
     result_path = cfg.out_dir / "result.json"
-    digest = data_digest(*build_datasets(cfg))
     if result_path.exists():
         try:
             record = json.loads(result_path.read_text())
@@ -178,15 +177,15 @@ def run_cell(raw_config: dict) -> dict:
             why = "corrupt result"
         elif "data_digest" not in record:
             why = "result records no data digest"
-        elif record["data_digest"] != digest:
+        elif record["data_digest"] != (digest := data_digest(*build_datasets(cfg))):
             why = f"result is of other data (data digest {record['data_digest']} vs {digest})"
         else:
             return record
         log.warning("cell %s: %s, rerunning", cfg.config_hash(), why)
     run_train(cfg)
-    reports = run_eval(cfg)
+    reports = run_eval(cfg)  # checks the checkpoint's data digest against the data
     record = _cell_summary(cfg)
-    record["data_digest"] = digest
+    record["data_digest"] = json.loads((cfg.out_dir / "checkpoint.json").read_text())["data_digest"]
     record["initial_mean"] = reports["initial"].mean
     record["initial_std"] = reports["initial"].std
     record["personalized"] = {
