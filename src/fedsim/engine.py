@@ -19,7 +19,7 @@ from .datasets import LabeledDataset
 from .layers import L2_BYTES, infer_shapes
 from .network import Network, backward, forward
 from .optim import LRSchedule, OptState, sgd_step
-from .params import FLOAT, ParamVector
+from .params import FLOAT, ParamMask, ParamVector
 from .partition import ClientSplit
 
 log = logging.getLogger("fedsim")
@@ -194,22 +194,25 @@ def client_groups(
     return [tuple(ids[i : i + cap]) for i in range(0, len(ids), cap)]
 
 
-def _joint_step(net: Network, ds: LabeledDataset, batch: list[np.ndarray]):
+def _joint_step(net: Network, ds: LabeledDataset, batch: list[np.ndarray], mask: ParamMask):
     """Step rule of plain SGD: (losses, grads) of the minibatch ``batch``,
-    one (clients, b) array of sample indices per run of the stack's rows."""
+    one (clients, b) array of sample indices per run of the stack's rows;
+    the gradients of ``mask``'s segments only (``network.backward``)."""
     idx = np.concatenate(batch, axis=None)
-    _, cache = forward(net, np.take(ds.samples, idx, axis=0), [run.shape for run in batch])
-    return backward(net, cache, np.take(ds.labels, idx, axis=0))
+    _, cache = forward(net, ds.samples.take(idx, axis=0), [run.shape for run in batch])
+    return backward(net, cache, ds.labels.take(idx, axis=0), mask)
 
 
 def _perfedavg_step(alpha: float):
     """First-order Per-FedAvg step rule: an inner SGD step of rate ``alpha``
     on each client's first half of the batch (support), then the loss and
-    gradient on its second half (query) at the adapted point. A run whose
-    batch cannot be split raises, naming its first row."""
+    gradient on its second half (query) at the adapted point. The inner
+    step moves every segment the support gradient holds, which is all of
+    them only under a full mask. A run whose batch cannot be split raises,
+    naming its first row."""
     a32 = FLOAT(alpha)
 
-    def step(net: Network, ds: LabeledDataset, batch: list[np.ndarray]):
+    def step(net: Network, ds: LabeledDataset, batch: list[np.ndarray], mask: ParamMask):
         row = 0
         for run in batch:
             if run.shape[1] < 2:
@@ -218,11 +221,11 @@ def _perfedavg_step(alpha: float):
                 )
             row += len(run)
         halves = [run.shape[1] // 2 for run in batch]
-        _, g_sup = _joint_step(net, ds, [run[:, :h] for run, h in zip(batch, halves)])
+        _, g_sup = _joint_step(net, ds, [run[:, :h] for run, h in zip(batch, halves)], mask)
         adapted = net.params.copy()
         adapted.data -= a32 * g_sup.data
         query = [run[:, h:] for run, h in zip(batch, halves)]
-        return _joint_step(net.with_params(adapted), ds, query)
+        return _joint_step(net.with_params(adapted), ds, query, mask)
 
     return step
 
@@ -234,6 +237,58 @@ def _slices(rows: np.ndarray) -> list[slice]:
     if len(rows) and len(gaps) <= 1:
         return [slice(int(rows[0]), int(rows[-1]) + 1, gaps.pop() if gaps else 1)]
     return [slice(r, r + 1) for r in rows.tolist()]
+
+
+def _plan(n: np.ndarray, steps: np.ndarray, batch_size: int, rates: list, ends: bool) -> list:
+    """The schedule of a group whose rows, in training order, hold ``n``
+    samples and take ``steps`` steps: one (draws, k, runs, rate, ends)
+    record per step index. The live rows are the first k; ``draws`` are the
+    rows whose epoch starts at the step, and ``ends`` (if asked for) those
+    whose epoch ends there. ``runs`` holds one (rows, column, b) per run of
+    equal batch sizes, whose rows read their batches of b from their epoch
+    permutations at ``column``: a slice and an int, or, in a step where some
+    run's rows start at different columns, (rows, 1) arrays of both.
+    ``rate`` is a float where every live row has one rate (a scalar,
+    which ``sgd_step`` applies faster than a column), else a (k, 1) float32
+    column. The tables behind it are (steps, M), with no per-sample entry.
+    """
+    ipe = -(-n // batch_size)
+    index = np.arange(steps.max(initial=0))[:, None]
+    live = index < steps
+    col = index % ipe * batch_size  # where each row's batch starts in its permutation
+    size = np.minimum(batch_size, n - col)  # of the live rows
+    rate = np.zeros(live.shape, FLOAT)
+    for i, r in enumerate(rates):
+        rate[: steps[i], i] = r
+    rate = np.where(live, rate, rate[:, :1])  # row 0 is live at every step
+    one = (rate == rate[:, :1]).all(axis=1).tolist()
+    width = live.sum(axis=1).tolist()
+    rate_at = [
+        lr if same else rate[s, :k, None]
+        for s, (lr, same, k) in enumerate(zip(rate[:, 0].tolist(), one, width))
+    ]
+
+    # a run starts at row 0 and where the batch size changes; a step whose
+    # runs each start their rows' batches at one column reads views
+    head = np.ones(live.shape, bool)
+    head[:, 1:] = size[:, 1:] != size[:, :-1]
+    moved = (col[:, 1:] != col[:, :-1]) & ~head[:, 1:] & live[:, 1:]
+    views = (~moved.any(axis=1)).tolist()
+    s_at, a_at = np.nonzero(head & live)
+    runs: list[list] = [[] for _ in width]
+    heads = list(zip(*(v.tolist() for v in (s_at, a_at, col[s_at, a_at], size[s_at, a_at]))))
+    for (s, a, c, b), after in zip(heads, heads[1:] + [(-1, 0)]):
+        z = after[1] if after[0] == s else width[s]  # the run's rows are a..z-1
+        rows = slice(a, z) if views[s] else np.arange(a, z)[:, None]
+        runs[s].append((rows, c if views[s] else col[s, a:z, None], b))
+
+    draws, epoch_ends = [[] for _ in width], [[] for _ in width]
+    for i, (count, per) in enumerate(zip(steps.tolist(), ipe.tolist())):
+        for start in range(0, count, per):
+            draws[start].append(i)
+            if ends:
+                epoch_ends[start + per - 1].append(i)
+    return list(zip(draws, width, runs, rate_at, epoch_ends))
 
 
 def train_epochs(
@@ -272,19 +327,27 @@ def train_epochs(
     its epoch starts, and has its own momentum buffer and losses, so its
     bits do not depend on its group.
 
+    The call first plans the whole schedule from the group's sizes, the
+    epochs, the batch size, the rates and the prox layout (``_plan``, plus
+    the prefix views of each width), and then its loop only indexes that
+    plan: per step the epoch-start draws, one step, one loss check and
+    write, the ``sgd_step`` calls and the epoch-end ``on_epoch`` calls.
+
     ``rates`` as a list holds one entry per row; anything else serves every
     row. An entry is a rate, or an array of one rate per step of the call.
     ``prox=(mu, anchor)`` pulls the last len(anchor) rows toward their rows
     of ``anchor``; rows before them (Ditto's global track) take no prox
     term, and each pulled row is ordered right after the row len(anchor)
     before it (its client's global row, under Ditto). ``step`` maps (net,
-    ds, one (clients, b) array of batch indices per run) to (losses,
-    grads); ``on_epoch(row, params, momentum)`` is called as the caller's
-    row ``row`` ends an epoch, with views of its parameter and momentum
-    vectors. Momentum starts at zero and carries across the epochs of one
-    call. Returns each client's per-step losses. A non-finite step loss,
-    or a row its last update leaves non-finite, raises NumericError naming
-    the caller's row and the update, counted from the start of the call.
+    ds, one (clients, b) array of batch indices per run, the mask of
+    ``part``) to (losses, grads), where only the mask's segments of the
+    gradient need to hold gradients; ``on_epoch(row, params, momentum)`` is
+    called as the caller's row ``row`` ends an epoch, with views of its
+    parameter and momentum vectors. Momentum starts at zero and carries
+    across the epochs of one call. Returns each client's per-step losses. A
+    non-finite step loss, or a row its last update leaves non-finite,
+    raises NumericError naming the caller's row and the update, counted
+    from the start of the call.
     """
     stack = params.as_stack()
     m = len(stack.data)
@@ -314,42 +377,11 @@ def train_epochs(
     work = stack.data if in_place else stack.data[order]
     buf = np.zeros_like(work)
     n, steps, pulled = n[order], steps[order], pulled[order]
-    rngs = [rngs[r] for r in order.tolist()]
-    own = [own[r] for r in order.tolist()]
+    rngs, own, rates = ([x[r] for r in order.tolist()] for x in (rngs, own, rates))
     if anchor is not None:  # the pulled rows' anchors, in row order
         src = order[pulled] - free
         anchor = anchor if (src == np.arange(len(src))).all() else anchor[src]
-
-    # the whole schedule, as (steps, M) tables: a row with no step left has
-    # batch size 0
-    ipe = -(-n // batch_size)
-    index = np.arange(steps.max())[:, None]
-    t = index % ipe
-    live = index < steps
-    size = np.where(live, np.minimum(batch_size, n - t * batch_size), 0)
-    rate = np.zeros(size.shape, FLOAT)
-    for i, r in enumerate(order.tolist()):
-        rate[: steps[i], i] = rates[r]
-    # per step, -1 unless every live row has one rate (a scalar, which
-    # sgd_step applies faster than a column)
-    low = np.where(live, rate, np.inf).min(axis=1)
-    one_rate = np.where(low == np.where(live, rate, -np.inf).max(axis=1), low, -1).tolist()
-    width = live.sum(axis=1).tolist()  # live rows per step, a prefix
-    # a run starts where the batch size changes; a ragged step has several
-    cut = np.ones(size.shape, bool)
-    cut[:, 1:] = (size[:, 1:] != size[:, :-1]) & live[:, 1:]
-    ragged = cut[:, 1:].any(axis=1).tolist()
-    col = t * batch_size  # where each row's batch starts in its permutation
-    sizes_at, cols_at = size.tolist(), col.tolist()
-    within = np.arange(batch_size)
-
-    def rows_by_step(where) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for s, r in zip(*(a.tolist() for a in np.nonzero(live & where))):
-            out.setdefault(s, []).append(r)
-        return out
-
-    draws, ends = rows_by_step(t == 0), rows_by_step(t == ipe - 1)  # epoch starts, ends
+    plan = _plan(n, steps, batch_size, rates, on_epoch is not None)
 
     def prefix(k: int):
         """(network, momentum, updates) of the first k rows: views, and one
@@ -364,41 +396,33 @@ def train_epochs(
         opt = OptState(ParamVector(buf[:k], stack.bounds), momentum)
         return template.with_params(rows), opt, updates
 
-    prefixes: dict[int, tuple] = {}
-    perm = np.empty((m, n.max()), np.int64)  # each row's epoch permutation, as ds rows
-    losses: list[list[float]] = [[] for _ in range(m)]
-    for s in range(len(index)):
-        for i in draws.get(s, ()):
-            perm[i, : n[i]] = own[i][rngs[i].permutation(n[i])]
-        k = width[s]
-        if k not in prefixes:
-            prefixes[k] = prefix(k)
+    prefixes = {k: prefix(k) for k in {record[1] for record in plan}}
+    sizes = n.tolist()
+    perm = np.empty((m, max(sizes)), np.int64)  # each row's epoch permutation, as ds rows
+    within = np.arange(batch_size)
+    table = np.empty((m, len(plan)))  # the step losses, as the float64 of each float32
+    for s, (draws, k, runs, rate, ends) in enumerate(plan):
+        for i in draws:  # own[i][rngs[i].permutation(n)], bytes and generator state alike
+            perm[i, : sizes[i]] = own[i]
+            rngs[i].shuffle(perm[i, : sizes[i]])
+        batch = [
+            perm[rows, c : c + b] if type(c) is int else perm[rows, c + within[:b]]
+            for rows, c, b in runs
+        ]
         net, opt, updates = prefixes[k]
-        heads = np.flatnonzero(cut[s, :k]).tolist() if ragged[s] else [0]
-        batch = []
-        for a, z in zip(heads, heads[1:] + [k]):
-            c, b = cols_at[s][a], sizes_at[s][a]
-            if cols_at[s][a:z].count(c) == z - a:  # one batch index: a view
-                batch.append(perm[a:z, c : c + b])
-            else:
-                batch.append(perm[np.arange(a, z)[:, None], col[s, a:z, None] + within[:b]])
         try:
-            loss, grads = step(net, ds, batch)
+            loss, grads = step(net, ds, batch, mask)
         except FederationError as e:  # name the caller's row
             raise type(e)(str(e), None if e.member is None else int(order[e.member])) from e
-        values = loss.tolist()
-        if not all(map(math.isfinite, values)):
-            r = int(order[next(i for i, v in enumerate(values) if not math.isfinite(v))])
-            raise NumericError(f"non-finite loss at local update {s}", r)
-        column = None if one_rate[s] >= 0 else rate[s, :k, None]
+        if not np.isfinite(loss).all():
+            row = int(order[np.argmin(np.isfinite(loss))])
+            raise NumericError(f"non-finite loss at local update {s}", row)
+        table[:k, s] = loss
         for rows, pull in updates:
-            lr = one_rate[s] if column is None else column[rows]
+            lr = rate if type(rate) is float else rate[rows]
             sgd_step(net.params, grads, opt, lr, mask, pull, rows)
-        for row_losses, value in zip(losses, values):
-            row_losses.append(value)
-        if on_epoch is not None:
-            for i in ends.get(s, ()):
-                on_epoch(int(order[i]), work[i], buf[i])
+        for i in ends:
+            on_epoch(int(order[i]), work[i], buf[i])
     # no step's loss follows the last update: check the parameters it left
     finite = np.isfinite(work).all(axis=1)
     if not finite.all():
@@ -408,7 +432,7 @@ def train_epochs(
         )
     if not in_place:
         stack.data[order] = work
-    return [losses[i] for i in np.argsort(order)]
+    return [table[i, : steps[i]].tolist() for i in np.argsort(order).tolist()]
 
 
 def local_update(
@@ -464,6 +488,8 @@ def local_update(
             )
             losses = [head + tail for head, tail in zip(losses, body)]
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
+        if alg.local_rule == "perfedavg_fo" and alg.update_part != "full":
+            raise ValueError(f"Per-FedAvg trains 'full', not {alg.update_part!r}")
         prox = (mu, theta_start) if alg.local_rule == "proximal" else None
         clients = m
         if alg.local_rule == "ditto":

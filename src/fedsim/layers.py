@@ -20,7 +20,11 @@ equal batches. The weight-free kernels see the batch as any other.
 by its own weights, one batched GEMM per run; their bias gradients sum per
 client, and ``softmax_cross_entropy`` takes one mean per client. Each
 client's GEMM has the shape it has alone, so its result equals, bit for
-bit, the same kernel run on that client alone.
+bit, the same kernel run on that client alone. Their backward computes
+the input gradient only with ``need_gx`` and the parameter gradients only
+with ``need_gw``: a network's masked backward asks for a layer's weight
+and bias gradients only where its mask trains that layer, and leaves the
+gradient of an untrained segment zero.
 
 Column copies: a conv builds its im2col matrix with k² strided copies, and
 its input gradient (col2im) with k² strided adds. Both work on the batch
@@ -242,30 +246,33 @@ def _add_bias(out, b, per):
     samples += np.tile(b, per)[:, None]
 
 
-def _client_backward(g, x, w, runs, per, need_gx, bias_sum, out=None):
+def _client_backward(g, x, w, runs, per, need_gx, bias_sum, out=None, need_gw=True):
     """The gradients of ``_client_affine`` from ``g`` (rows, C), its input
     ``x`` (rows, K) and ``w`` (M, C, K): (each client's g @ w, or None
     unless ``need_gx``; each client's g.T @ x, (M, C, K); ``bias_sum(gs,
     out)`` of each run's (clients, rows, C) view of ``g``, (M, C)). The
     two parameter gradients are written into ``out``, a (weight, bias)
-    pair of arrays of those shapes, when it is given."""
+    pair of arrays of those shapes, when it is given; without
+    ``need_gw`` neither is computed, and both come back as None."""
     m, cout, k = w.shape
-    if out is None:
+    if out is None and need_gw:
         out = np.empty((m, cout, k), dtype=g.dtype), np.empty((m, cout), dtype=g.dtype)
-    gw, gb = out
+    gw, gb = out if need_gw else (None, None)
     if runs is None or len(runs) == 1:
         gs = g.reshape(m, -1, cout)
         gx = (gs @ w).reshape(-1, k) if need_gx else None
-        np.matmul(gs.transpose(0, 2, 1), x.reshape(m, -1, k), out=gw)
-        bias_sum(gs, gb)
+        if need_gw:
+            np.matmul(gs.transpose(0, 2, 1), x.reshape(m, -1, k), out=gw)
+            bias_sum(gs, gb)
         return gx, gw, gb
     gx = np.empty((len(g), k), dtype=g.dtype) if need_gx else None
     for c, r, rows in _spans(runs, per):
         gs = g[r].reshape(-1, rows, cout)
         if need_gx:
             np.matmul(gs, w[c], out=gx[r].reshape(-1, rows, k))
-        np.matmul(gs.transpose(0, 2, 1), x[r].reshape(-1, rows, k), out=gw[c])
-        bias_sum(gs, gb[c])
+        if need_gw:
+            np.matmul(gs.transpose(0, 2, 1), x[r].reshape(-1, rows, k), out=gw[c])
+            bias_sum(gs, gb[c])
     return gx, gw, gb
 
 
@@ -275,13 +282,14 @@ def dense_forward(x, w, b, runs=None):
     return _client_affine(x, w.transpose(0, 2, 1), b, runs, 1), x
 
 
-def dense_backward(gout, cache, w, need_gx=True, runs=None, out=None):
+def dense_backward(gout, cache, w, need_gx=True, runs=None, out=None, need_gw=True):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis, written into
-    ``out``, a (weight, bias) pair of arrays of their shapes, if given."""
+    ``out``, a (weight, bias) pair of arrays of their shapes, if given, and
+    both None unless ``need_gw``."""
     # sum, not the conv's einsum, which raised peak memory here
     bias_sum = lambda g, o: g.sum(axis=1, out=o)
-    return _client_backward(gout, cache, w, runs, 1, need_gx, bias_sum, out)
+    return _client_backward(gout, cache, w, runs, 1, need_gx, bias_sum, out, need_gw)
 
 
 def relu_forward(x, out=None):
@@ -341,23 +349,25 @@ def conv2d_forward(x, w, b, padding, runs=None):
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
 
 
-def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None, out=None):
+def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None, out=None, need_gw=True):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis, written into
-    ``out``, a (weight, bias) pair of arrays of their shapes, if given.
-    Gradients of activations are channels-last, like the activations. The
-    col2im adds run one chunk of samples at a time, each element's k²
-    terms in (i, j) order whatever the chunk."""
+    ``out``, a (weight, bias) pair of arrays of their shapes, if given, and
+    both None unless ``need_gw``. Gradients of activations are
+    channels-last, like the activations. The col2im adds run one chunk of
+    samples at a time, each element's k² terms in (i, j) order whatever
+    the chunk."""
     cols, padded_shape, (n, ho, wo) = cache
     m, cout, cin, k, _ = w.shape
     if out is not None:
         out = out[0].reshape(m, cout, -1), out[1]
     gcols, gw, gb = _client_backward(
         gout.reshape(-1, cout), cols, w.reshape(m, cout, -1), runs, ho * wo, need_gx,
-        _conv_bias_sum, out,
+        _conv_bias_sum, out, need_gw,
     )
+    gw = gw.reshape(w.shape) if need_gw else None
     if not need_gx:
-        return None, gw.reshape(w.shape), gb
+        return None, gw, gb
     gcols = gcols.reshape(n, ho, wo, cin, k, k)
     gx = np.zeros(padded_shape, dtype=gout.dtype)
     for s in _chunks(n, gcols[0].nbytes):
@@ -366,7 +376,7 @@ def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None, out=None):
                 gx[s, i : i + ho, j : j + wo] += gcols[s, ..., i, j]
     if padding:
         gx = np.ascontiguousarray(gx[:, padding:-padding, padding:-padding])
-    return gx, gw.reshape(w.shape), gb
+    return gx, gw, gb
 
 
 def _conv_bias_sum(g, out):

@@ -267,37 +267,39 @@ def _relu_forward(net: Network, i: int, x, runs):
 
 
 # kind -> (forward(net, i, x, runs) -> (out, cache),
-#          backward(net, i, gout, cache, runs, stack) -> (gin, weight grad, bias grad)),
-# ``runs`` as the kernels take them (layers.py, "Stacks"); a parameterized
-# layer writes its gradients into its segment of the (M, P) gradient ``stack``.
+#          backward(net, i, gout, cache, runs, need_gx, out) -> (gin, weight grad, bias grad)),
+# ``runs`` as the kernels take them (layers.py, "Stacks"). A parameterized
+# layer that is trained writes its gradients into ``out``, its views of the
+# (M, P) gradient stack; one that is not gets None and computes none.
+# ``need_gx`` holds above the lowest trained layer: below it no gradient is
+# read, so the lowest one computes no input gradient.
 # The adapters name the kernels as module globals, looked up at call time.
-# Layer 0's input gradient would be discarded, so it is not computed.
 _LAYER_OPS = {
     "dense": (
         _dense_forward,
-        lambda net, i, g, c, runs, stack: dense_backward(
-            g, c, net._bound[i][0], i > 0, runs, _grad_views(net, i, stack)
+        lambda net, i, g, c, runs, need_gx, out: dense_backward(
+            g, c, net._bound[i][0], need_gx, runs, out, out is not None
         ),
     ),
     "conv2d": (
         _conv2d_forward,
-        lambda net, i, g, c, runs, stack: conv2d_backward(
-            g, c, net._bound[i][0], net.layers[i].padding, i > 0, runs, _grad_views(net, i, stack)
+        lambda net, i, g, c, runs, need_gx, out: conv2d_backward(
+            g, c, net._bound[i][0], net.layers[i].padding, need_gx, runs, out, out is not None
         ),
     ),
     "relu": (
         _relu_forward,
-        lambda net, i, g, c, runs, stack: (g if c is None else relu_backward(g, c), None, None),
+        lambda net, i, g, c, *_: (g if c is None else relu_backward(g, c), None, None),
     ),
     "maxpool2d": (
         lambda net, i, x, runs: maxpool2d_forward(
             x, net.layers[i].window, relu=i > 0 and _feeds_pool(net, i - 1)
         ),
-        lambda net, i, g, c, runs, stack: (maxpool2d_backward(g, c), None, None),
+        lambda net, i, g, c, *_: (maxpool2d_backward(g, c), None, None),
     ),
     "flatten": (
         lambda net, i, x, runs: flatten_forward(x),
-        lambda net, i, g, c, runs, stack: (flatten_backward(g, c), None, None),
+        lambda net, i, g, c, *_: (flatten_backward(g, c), None, None),
     ),
 }
 
@@ -338,23 +340,36 @@ def representations(net: Network, batch: np.ndarray, runs=None) -> np.ndarray:
     return _run_layers(net, batch, net.head_index, None, runs)
 
 
-def backward(net: Network, cache, labels):
+def backward(net: Network, cache, labels, mask: ParamMask | None = None):
     """Softmax cross-entropy loss (mean over the batch) and parameter grads.
 
     Must be called with the cache of a matching forward; the returned
     gradient vector shares the params' segmentation. A network over an
     (M, P) stack returns an (M,) loss, each client's mean over its own
     batch, and an (M, P) gradient stack.
+
+    Only what ``mask`` (None: every segment) trains is computed: the weight
+    and bias gradients of the layers it trains, and input gradients only
+    above the lowest of them; no layer below it runs. The segments outside
+    the mask come back as exact zeros, and the trained ones hold the bytes
+    a full backward gives them.
     """
     caches, logits, runs = cache
     clients = runs or (len(net.params.data) if net.params.data.ndim == 2 else None)
     loss, gout = softmax_cross_entropy(logits, labels, clients)
 
-    # every segment is written below, since each layer is visited
+    mask = ParamMask.full(net.params.n_segments) if mask is None else mask
+    part = mask.scalars(net.params)
+    trained = {net.param_layers[s] for s in mask.selected()}
+    lowest = min(trained, default=len(net.layers))
     grads = ParamVector(np.empty_like(net.params.data), net.params.bounds)
     stack = grads.data.reshape(-1, grads.data.shape[-1])
-    for i in range(len(net.layers) - 1, -1, -1):
-        gout = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i], runs, stack)[0]
+    # the trained layers write every scalar of ``part``
+    stack[:, : part.start] = 0
+    stack[:, part.stop :] = 0
+    for i in range(len(net.layers) - 1, lowest - 1, -1):
+        out = _grad_views(net, i, stack) if i in trained else None
+        gout = _LAYER_OPS[net.layers[i].kind][1](net, i, gout, caches[i], runs, i > lowest, out)[0]
     return loss, grads
 
 

@@ -284,6 +284,19 @@ def test_perfedavg_batch_of_one_rejected():
         )
 
 
+@pytest.mark.parametrize("part", ["body", "head"])
+def test_perfedavg_under_a_partial_mask_raises_naming_the_part(small_fed_data, part):
+    # the inner step reads the whole support gradient, and a masked backward
+    # leaves the segments outside the mask at zero
+    net = small_net(seed=10)
+    spec = fs.AlgorithmSpec(f"perfedavg-{part}", part, part, "perfedavg_fo")
+    with pytest.raises(ValueError, match=f"not '{part}'"):
+        fs.local_update(
+            small_fed_data.client_train(0), net.params, net, spec, 1, 10, 0.9,
+            0.05, stream(1, 1, 1, 0), perfedavg_alpha=0.01,
+        )
+
+
 def test_perfedavg_deterministic(small_fed_data):
     net = small_net(seed=11)
     ds = small_fed_data.client_train(0)

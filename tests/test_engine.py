@@ -12,6 +12,7 @@ from fedsim.engine import (
     NumericError,
     _joint_step,
     _perfedavg_step,
+    _plan,
     client_groups,
     client_schedule,
     iterations_per_epoch,
@@ -493,6 +494,8 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
 @example(sizes=[17, 17, 17, 17], batch_size=4, epochs=1, part="body", pulled=0, meta=True, seed=2)
 @example(sizes=[3, 23, 10, 14], batch_size=5, epochs=2, part="full", pulled=2, meta=False, seed=3)
 @example(sizes=[8, 22, 12, 6], batch_size=4, epochs=2, part="head", pulled=1, meta=True, seed=4)
+# a step whose full batches start at two columns, beside a partial batch
+@example(sizes=[20, 10, 7], batch_size=5, epochs=2, part="body", pulled=1, meta=False, seed=5)
 def test_train_epochs_stack_equals_separate_runs(
     request, net_name, sizes, batch_size, epochs, part, pulled, meta, seed
 ):
@@ -503,6 +506,45 @@ def test_train_epochs_stack_equals_separate_runs(
         net, sizes, batch_size, epochs, part, min(pulled, len(sizes)), meta, seed
     )
     assert stacked == separate
+
+
+def test_plan_of_a_ragged_group_by_hand():
+    # rows of 20, 10 and 7 samples, batch 5, two epochs: 8, 4 and 4 steps.
+    # At step 2 rows 1 and 2 start their second epoch, so full batches
+    # start at columns 10, 0 and 0; at step 3 at 15 and 5, beside row 2's
+    # partial batch of 2. Such a step reads every run by index arrays.
+    n = np.array([20, 10, 7])
+    rates = [0.1, 0.1, np.array([0.1, 0.1, 0.2, 0.2])]
+    plan = _plan(n, 2 * -(-n // 5), 5, rates, True)
+
+    def rows(r):
+        return list(range(3))[r] if isinstance(r, slice) else r.ravel().tolist()
+
+    def cols(c, count):
+        return [c] * count if isinstance(c, int) else c.ravel().tolist()
+
+    got = [
+        (
+            draws, k,
+            [(rows(r), cols(c, len(rows(r))), b) for r, c, b in runs],
+            rate if isinstance(rate, float) else rate.ravel().tolist(),
+            ends,
+        )
+        for draws, k, runs, rate, ends in plan
+    ]
+    r1, r2 = float(np.float32(0.1)), float(np.float32(0.2))
+    assert got == [
+        ([0, 1, 2], 3, [([0, 1, 2], [0, 0, 0], 5)], r1, []),
+        ([], 3, [([0, 1], [5, 5], 5), ([2], [5], 2)], r1, [1, 2]),
+        ([1, 2], 3, [([0, 1, 2], [10, 0, 0], 5)], [r1, r1, r2], []),
+        ([], 3, [([0, 1], [15, 5], 5), ([2], [5], 2)], [r1, r1, r2], [0, 1, 2]),
+        ([0], 1, [([0], [0], 5)], r1, []),
+        ([], 1, [([0], [5], 5)], r1, []),
+        ([], 1, [([0], [10], 5)], r1, []),
+        ([], 1, [([0], [15], 5)], r1, [0]),
+    ]
+    # views where a run's rows agree on the column
+    assert all(isinstance(c, int) for _, _, runs, _, _ in plan[:2] + plan[4:] for _, c, _ in runs)
 
 
 @pytest.mark.parametrize("alg", ["fedavg", "ditto"])

@@ -494,7 +494,7 @@ def check_gradient_views(out, gw, gb):
         assert gw.base is out[0].base and gb.base is out[1].base
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, print_blob=True)
 @given(runs=RUNS, into_views=st.booleans(), seed=st.integers(0, 2**16))
 def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
     # with ``into_views`` the stacked call writes its parameter gradients
@@ -517,7 +517,7 @@ def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
         )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, print_blob=True)
 @given(
     runs=RUNS,
     padding=st.integers(0, 1),
@@ -571,6 +571,104 @@ def test_softmax_over_runs_equals_one_client_calls(runs, seed):
     for i, rows in client_rows(runs):
         one_loss, one_grad = softmax_cross_entropy(logits[rows], labels[rows], 1)
         assert_same_bytes([loss[i : i + 1], grad[rows]], [one_loss, one_grad])
+
+
+# --- masked backward: only what the mask trains -------------------------------
+
+# an MLP, and a conv2 network whose relus run inside their max-pools, over
+# (N, 5) and (N, 2, 4, 4) batches
+MASKED_NETS = {
+    "mlp": ([fs.dense(5, 6), fs.relu(), fs.dense(6, 4), fs.relu(), fs.dense(4, 3)], (5,)),
+    "conv2": (
+        [
+            fs.conv2d(2, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2),
+            fs.conv2d(3, 4, 3, padding=1), fs.relu(), fs.maxpool2d(2),
+            fs.flatten(), fs.dense(4, 3),
+        ],
+        (2, 4, 4),
+    ),
+}
+
+
+def stacked_net(kind, m, seed):
+    """A network over an (m, P) stack of differently drawn clients."""
+    specs, _ = MASKED_NETS[kind]
+    nets = [fs.init_network(specs, fs.InitScheme("he_uniform", seed + i)) for i in range(m)]
+    return nets[0].with_params(fs.ParamVector.stack([n.params for n in nets]))
+
+
+@settings(max_examples=20, deadline=None, print_blob=True)
+@given(
+    runs=RUNS,
+    kind=st.sampled_from(sorted(MASKED_NETS)),
+    part=st.sampled_from(["full", "body", "head"]),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_backward_equals_full_backward_on_trained_segments(runs, kind, part, seed):
+    # the trained segments hold the full backward's bytes, the others exact
+    # (+0.0) zeros; the loss does not depend on the mask
+    m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
+    net = stacked_net(kind, m, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, *MASKED_NETS[kind][1])).astype(np.float32)
+    labels = rng.integers(0, 3, size=n)
+    _, cache = fs.forward(net, x, runs)
+    full_loss, full = fs.backward(net, cache, labels)
+    mask = net.mask_for(part)
+    loss, grads = fs.backward(net, cache, labels, mask)
+    part = mask.scalars(net.params)
+    outside = np.concatenate([grads.data[:, : part.start], grads.data[:, part.stop :]], axis=1)
+    assert_same_bytes([loss, grads.data[:, part]], [full_loss, full.data[:, part]])
+    assert outside.tobytes() == bytes(outside.nbytes)
+
+
+def counted_backward_kernels(monkeypatch):
+    """A list that grows by one (kernel, input grad computed, weight grad
+    computed) at each backward kernel call of ``network.backward``."""
+    calls = []
+    for name in ("dense", "conv2d", "relu", "maxpool2d", "flatten"):
+        kernel = getattr(fs.network, f"{name}_backward")
+
+        def counted(*args, _name=name, _kernel=kernel):
+            out = _kernel(*args)
+            weighted = _name in ("dense", "conv2d")
+            calls.append((_name, out[0] is not None, out[1] is not None) if weighted else (_name,))
+            return out
+
+        monkeypatch.setattr(fs.network, f"{name}_backward", counted)
+    return calls
+
+
+# (kernel, input grad, weight grad) per backward kernel call, head first
+DENSE, DENSE_NO_GX, DENSE_NO_GW = ("dense", True, True), ("dense", False, True), ("dense", True, False)
+CONV, CONV_NO_GX = ("conv2d", True, True), ("conv2d", False, True)
+POOL, FLAT, RELU = ("maxpool2d",), ("flatten",), ("relu",)
+
+
+@pytest.mark.parametrize(
+    "kind, segments, want",
+    [
+        # full: every layer, and no input gradient of the first
+        ("mlp", (0, 3), [DENSE, RELU, DENSE, RELU, DENSE_NO_GX]),
+        ("conv2", (0, 3), [DENSE, FLAT, POOL, CONV, POOL, CONV_NO_GX]),
+        # body: the frozen head's input gradient only
+        ("mlp", (0, 2), [DENSE_NO_GW, RELU, DENSE, RELU, DENSE_NO_GX]),
+        ("conv2", (0, 2), [DENSE_NO_GW, FLAT, POOL, CONV, POOL, CONV_NO_GX]),
+        # head: one call, with no input gradient, and nothing below it
+        ("mlp", (2, 3), [DENSE_NO_GX]),
+        ("conv2", (2, 3), [DENSE_NO_GX]),
+        # the middle layer and the head: nothing below the middle layer
+        ("mlp", (1, 3), [DENSE, RELU, DENSE_NO_GX]),
+        ("conv2", (1, 3), [DENSE, FLAT, POOL, CONV_NO_GX]),
+    ],
+)
+def test_masked_backward_runs_no_kernel_whose_result_is_not_read(monkeypatch, kind, segments, want):
+    net = stacked_net(kind, 3, 0)
+    x = np.random.default_rng(5).standard_normal((12, *MASKED_NETS[kind][1])).astype(np.float32)
+    _, cache = fs.forward(net, x, [(2, 5), (1, 2)])
+    calls = counted_backward_kernels(monkeypatch)
+    fs.backward(net, cache, np.arange(12) % 3, fs.ParamMask(*segments))
+    assert calls == want
 
 
 def test_runs_of_groups_neighbouring_equal_sizes():
