@@ -64,8 +64,13 @@ def accuracy(net: Network, ds: LabeledDataset, sizes: list[int] | None = None) -
     if len(ds) == 0:
         raise EvalError("empty evaluation set")
     logits, _ = forward(net, ds.samples, None if sizes is None else runs_of(sizes))
-    correct = logits.argmax(axis=1) == ds.labels
-    sizes = [len(ds)] if sizes is None else sizes
+    return _shares(logits, ds.labels, [len(ds)] if sizes is None else sizes)
+
+
+def _shares(logits: np.ndarray, labels: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Share of the rows of each set of ``sizes`` rows whose argmax is
+    their label."""
+    correct = logits.argmax(axis=1) == labels
     # sums of zeros and ones are exact, so these are np.mean's bits
     return np.add.reduceat(correct, np.cumsum(sizes) - sizes, dtype=np.float64) / sizes
 
@@ -87,11 +92,17 @@ def _stacked(models: list[ParamVector], template: Network, data: FederatedData, 
         yield ids, net, sets, [len(index[cid]) for cid in ids]
 
 
-def _test_accuracies(models: list[ParamVector], template: Network, data: FederatedData):
-    accs = np.empty(len(models))
+def forward_test_sets(models: list[ParamVector], template: Network, data: FederatedData) -> list:
+    """One forward pass of the models over their clients' test sets, in
+    lockstep groups, for the reports that read it: per group (ids, sizes,
+    labels, logits, representations). Of the pass's layer caches only the
+    head's input, the representations, is kept."""
+    groups = []
     for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
-        accs[list(ids)] = accuracy(net, test_ds, sizes)
-    return accs
+        logits, (caches, _, _) = forward(net, test_ds.samples, runs_of(sizes))
+        groups.append((ids, sizes, test_ds.labels, logits, caches[net.head_index]))
+        del caches  # before the next group's pass
+    return groups
 
 
 def client_models(
@@ -108,11 +119,14 @@ def client_models(
 
 
 def initial_accuracy(
-    models: list[ParamVector], template: Network, data: FederatedData
+    models: list[ParamVector], template: Network, data: FederatedData, test: list | None = None
 ) -> EvalReport:
-    """Accuracy of each client's broadcast model on its own test split.
-    Read-only: evaluating twice yields byte-identical reports."""
-    accs = _test_accuracies(models, template, data)
+    """Accuracy of each client's broadcast model on its own test split,
+    from the models' ``forward_test_sets`` pass ``test`` (run here unless
+    given). Read-only: evaluating twice yields byte-identical reports."""
+    accs = np.empty(len(models))
+    for ids, sizes, labels, logits, _ in test or forward_test_sets(models, template, data):
+        accs[list(ids)] = _shares(logits, labels, sizes)
     return EvalReport.from_accuracies(accs, 0, None)
 
 
@@ -204,7 +218,7 @@ def personalized_accuracy(
     return [
         EvalReport.from_accuracies(
             initial.accuracies.copy() if tf == 0 and initial is not None
-            else _test_accuracies(tf_models, template, data),
+            else initial_accuracy(tf_models, template, data).accuracies,
             tf, part,
         )
         for tf, tf_models in zip(finetune_epochs, tuned)
@@ -252,10 +266,12 @@ def _by_client(ids, sizes, *arrays):
 
 
 def template_accuracy(
-    models: list[ParamVector], template: Network, data: FederatedData
+    models: list[ParamVector], template: Network, data: FederatedData, test: list | None = None
 ) -> EvalReport:
     """Classify each client's test samples to its nearest per-class mean
-    representation (cosine similarity); the trained head plays no part."""
+    representation (cosine similarity); the trained head plays no part.
+    The test representations come from the models' ``forward_test_sets``
+    pass ``test`` (run here unless given)."""
     tsets = {}
     for ids, net, train_ds, sizes in _stacked(models, template, data, "train"):
         for cid, reps, labels in _by_client(
@@ -263,11 +279,9 @@ def template_accuracy(
         ):
             tsets[cid] = TemplateSet.of(reps, labels)
     accs = np.empty(len(models))
-    for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
-        for cid, reps, labels in _by_client(
-            ids, sizes, representations(net, test_ds.samples, runs_of(sizes)), test_ds.labels
-        ):
-            accs[cid] = float((tsets[cid].classify(reps) == labels).mean())
+    for ids, sizes, labels, _, test_reps in test or forward_test_sets(models, template, data):
+        for cid, reps, client_labels in _by_client(ids, sizes, test_reps, labels):
+            accs[cid] = float((tsets[cid].classify(reps) == client_labels).mean())
     return EvalReport.from_accuracies(accs, 0, "template")
 
 
@@ -275,15 +289,15 @@ def template_accuracy(
 
 
 def in_out_class_accuracy(
-    models: list[ParamVector], template: Network, data: FederatedData
+    models: list[ParamVector], template: Network, data: FederatedData, test: list | None = None
 ) -> tuple[EvalReport, EvalReport]:
     """Accuracy split by whether a test label appears in the client's train
-    split. Meant for global-mode test splits; an empty subset becomes NaN,
-    an empty test split an EvalError."""
+    split, from the models' ``forward_test_sets`` pass ``test`` (run here
+    unless given). Meant for global-mode test splits; an empty subset
+    becomes NaN, an empty test split an EvalError."""
     in_accs, out_accs = np.empty(len(models)), np.empty(len(models))
-    for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
-        logits, _ = forward(net, test_ds.samples, runs_of(sizes))
-        for cid, preds, labels in _by_client(ids, sizes, logits.argmax(axis=1), test_ds.labels):
+    for ids, sizes, test_labels, logits, _ in test or forward_test_sets(models, template, data):
+        for cid, preds, labels in _by_client(ids, sizes, logits.argmax(axis=1), test_labels):
             train_classes = np.unique(data.train.labels[data.splits[cid].train_indices])
             in_mask = np.isin(labels, train_classes)
             correct = preds == labels

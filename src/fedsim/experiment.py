@@ -28,6 +28,7 @@ from .engine import (
 from .evaluation import (
     EvalReport,
     client_models,
+    forward_test_sets,
     in_out_class_accuracy,
     initial_accuracy,
     personalized_accuracy,
@@ -584,7 +585,8 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     rule = "sequential_head_then_body" if alg.local_rule == "sequential_head_then_body" else "joint"
 
     reports: dict[str, EvalReport] = {}
-    reports["initial"] = initial_accuracy(models, template, data)
+    test = forward_test_sets(models, template, data)
+    reports["initial"] = initial_accuracy(models, template, data, test)
     personalized = personalized_accuracy(
         models, template, data, ev["part"], ev["finetune_epochs"], lr, cfg.seed,
         fl_cfg.batch_size, fl_cfg.momentum, rule, initial=reports["initial"],
@@ -592,9 +594,9 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     for rep in personalized:
         reports[f"personalized_tf{rep.finetune_epochs}"] = rep
     if ev["template"]:
-        reports["template"] = template_accuracy(models, template, data)
+        reports["template"] = template_accuracy(models, template, data, test)
     if cfg["partition"]["test_mode"] == "global":  # the one mode with out-of-class samples
-        reports["in_class"], reports["out_class"] = in_out_class_accuracy(models, template, data)
+        reports["in_class"], reports["out_class"] = in_out_class_accuracy(models, template, data, test)
     # the directory holds this evaluation's reports only: every report
     # carries the same training hash, which leaves out the eval section
     for stale in [*out.glob("*.csv"), *out.glob("*.json")]:

@@ -16,6 +16,7 @@ from fedsim.evaluation import (
     client_models,
     personalized_models,
 )
+from fedsim.experiment import ExperimentConfig, prepare, run_eval, run_train
 from fedsim.params import ParamVector
 from tests.conftest import make_federated_data
 
@@ -351,6 +352,35 @@ def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
     ):
         assert got.accuracies.tobytes() == expected.tobytes()
     assert reports[0].accuracies.tobytes() == want[0].tobytes()
+
+
+def test_run_eval_runs_one_body_pass_per_test_group(tmp_path, monkeypatch):
+    # the initial, template and in/out reports all read one forward pass
+    # over the test sets; only the train-set templates run representations
+    cfg = ExperimentConfig.from_dict({
+        "out": str(tmp_path / "run"),
+        "dataset": {"classes": 4, "per_class": 30, "test_per_class": 10, "dim": 8},
+        "partition": {"mode": "shard", "shards_per_client": 2, "test_mode": "global"},
+        "federation": {"clients": 4, "rounds": 1, "local_epochs": 1, "batch_size": 10},
+        "eval": {"finetune_epochs": [0], "template": True},
+    })
+    run_train(cfg)
+    monkeypatch.setattr(fs.engine, "GROUP_BYTES", 1)  # one client per group
+    passes = {"forward": [], "representations": []}
+    for name, calls in passes.items():
+
+        def counted(net, batch, runs=None, _run=getattr(evaluation, name), _calls=calls):
+            _calls.append(len(batch))
+            return _run(net, batch, runs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    reports = run_eval(cfg)
+    assert {"initial", "template", "in_class", "out_class"} <= set(reports)
+    _, data, _ = prepare(cfg)
+    assert passes == {
+        "forward": [len(s.test_indices) for s in data.splits],
+        "representations": [len(s.train_indices) for s in data.splits],
+    }
 
 
 # --- templates ------------------------------------------------------------------
