@@ -92,17 +92,17 @@ def _stacked(models: list[ParamVector], template: Network, data: FederatedData, 
         yield ids, net, sets, [len(index[cid]) for cid in ids]
 
 
-def forward_test_sets(models: list[ParamVector], template: Network, data: FederatedData) -> list:
+def forward_test_sets(models: list[ParamVector], template: Network, data: FederatedData):
     """One forward pass of the models over their clients' test sets, in
-    lockstep groups, for the reports that read it: per group (ids, sizes,
-    labels, logits, representations). Of the pass's layer caches only the
-    head's input, the representations, is kept."""
-    groups = []
+    lockstep groups, for the reports that read it: yields per group (ids,
+    sizes, labels, logits, representations). Of the pass's layer caches
+    only the head's input, the representations, is kept; a caller that
+    hands one pass to several reports keeps it as a list."""
     for ids, net, test_ds, sizes in _stacked(models, template, data, "test"):
         logits, (caches, _, _) = forward(net, test_ds.samples, runs_of(sizes))
-        groups.append((ids, sizes, test_ds.labels, logits, caches[net.head_index]))
-        del caches  # before the next group's pass
-    return groups
+        reps = caches[net.head_index]
+        del caches  # not held while the caller reads the group
+        yield ids, sizes, test_ds.labels, logits, reps
 
 
 def client_models(

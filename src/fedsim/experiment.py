@@ -585,7 +585,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     rule = "sequential_head_then_body" if alg.local_rule == "sequential_head_then_body" else "joint"
 
     reports: dict[str, EvalReport] = {}
-    test = forward_test_sets(models, template, data)
+    test = list(forward_test_sets(models, template, data))
     reports["initial"] = initial_accuracy(models, template, data, test)
     personalized = personalized_accuracy(
         models, template, data, ev["part"], ev["finetune_epochs"], lr, cfg.seed,
