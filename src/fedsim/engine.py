@@ -183,7 +183,7 @@ def client_groups(
     counts stacked rows, ``tracks`` per client (Ditto stacks two). A row's
     step is counted from the shapes at a full batch: every layer's output
     plus each conv's im2col column matrix."""
-    shapes = infer_shapes(template.layers, data.train.sample_shape)
+    shapes = infer_shapes(template.layers, template.sample_shape)
     per_sample = sum(math.prod(s) for s in shapes)
     for spec, out in zip(template.layers, shapes):
         if spec.kind == "conv2d":

@@ -336,7 +336,7 @@ def build_network(cfg: ExperimentConfig, sample_shape: tuple[int, ...], classes:
         except ShapeError as e:
             raise ConfigError(str(e)) from e
         layers.append(dense(shapes[-1][0], classes))
-    return init_network(layers, InitScheme(cfg["federation"]["init"], cfg.seed))
+    return init_network(layers, sample_shape, InitScheme(cfg["federation"]["init"], cfg.seed))
 
 
 def prepare(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network]:

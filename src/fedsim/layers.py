@@ -7,8 +7,10 @@ holds exactly what the matching backward needs.
 Layout: callers hand a network (N, C, H, W) batches and per-sample shapes
 are (C, H, W), but inside the network every activation with more than two
 axes is stored channels-last, (N, H, W, C), which is the layout the im2col
-matmul reads and writes. The network converts a batch once, with
-``channels_last``; ``flatten`` emits features in (C, H, W) order.
+matmul reads and writes. A network checks a batch's per-sample shape
+once, in the caller's axis order, and converts the batch once, with
+``channels_last``; no dense or conv2d kernel checks a shape. ``flatten``
+emits features in (C, H, W) order.
 
 Stacks: a group of M clients that train in lockstep runs as one batch,
 client by client (client-major). Clients may differ in batch size: the

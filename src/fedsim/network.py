@@ -10,7 +10,6 @@ import numpy as np
 from .layers import (
     LayerSpec,
     ShapeError,
-    channels_first,
     channels_last,
     conv2d_backward,
     conv2d_forward,
@@ -18,6 +17,7 @@ from .layers import (
     dense_forward,
     flatten_backward,
     flatten_forward,
+    infer_shapes,
     maxpool2d_backward,
     maxpool2d_forward,
     relu_backward,
@@ -58,10 +58,13 @@ class Network:
     Their segments partition the ParamVector. With an (M, P) stack of
     params the network is M clients at once: it runs client-major batches
     of M*B samples, and each client's rows see only its own weights.
+    ``sample_shape``, in the caller's axis order, is what ``init_network``
+    checked the chain against and what each pass checks its batch against.
     """
 
     layers: tuple[LayerSpec, ...]
     params: ParamVector
+    sample_shape: tuple[int, ...]
     # indices into `layers` of the parameterized layers, in segment order
     param_layers: tuple[int, ...] = field(default=())
     # layer index -> (weight view, bias view, weight slice, bias slice);
@@ -120,7 +123,7 @@ class Network:
 
     def with_params(self, params: ParamVector) -> "Network":
         self.params.require_same_segmentation(params)
-        return Network(self.layers, params, self.param_layers)
+        return Network(self.layers, params, self.sample_shape, self.param_layers)
 
 
 def _segment_bounds(layers: tuple[LayerSpec, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -134,31 +137,6 @@ def _segment_bounds(layers: tuple[LayerSpec, ...]) -> tuple[tuple[int, ...], tup
             bounds.append((offset, offset + n))
             offset += n
     return tuple(param_layers), tuple(bounds)
-
-
-def validate_layers(layers: tuple[LayerSpec, ...]) -> None:
-    if not layers or layers[-1].kind != "dense":
-        raise ShapeError("network must end in exactly one dense layer (the head)")
-    # static chain check: known kinds, dense->dense fans and conv channel chaining
-    prev_dense_out = None
-    prev_conv_out = None
-    for spec in layers:
-        if spec.kind not in _LAYER_OPS:
-            raise ShapeError(f"unknown layer kind {spec.kind!r}")
-        if spec.kind == "dense":
-            if prev_dense_out is not None and spec.fan_in != prev_dense_out:
-                raise ShapeError(
-                    f"dense fan_in {spec.fan_in} does not match previous fan_out {prev_dense_out}"
-                )
-            prev_dense_out = spec.fan_out
-            prev_conv_out = None
-        elif spec.kind == "conv2d":
-            if prev_conv_out is not None and spec.in_channels != prev_conv_out:
-                raise ShapeError(
-                    f"conv in_channels {spec.in_channels} does not match previous out_channels {prev_conv_out}"
-                )
-            prev_conv_out = spec.out_channels
-            prev_dense_out = None
 
 
 def _draw_weights(spec: LayerSpec, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -194,18 +172,22 @@ def _draw_weights(spec: LayerSpec, scheme: str, rng: np.random.Generator) -> np.
     raise ValueError(f"unknown init scheme {scheme!r}")
 
 
-def init_network(layers, scheme: InitScheme) -> Network:
-    """Build a network with freshly drawn parameters.
+def init_network(layers, sample_shape: tuple[int, ...], scheme: InitScheme) -> Network:
+    """Build a network for samples of ``sample_shape``, with freshly drawn
+    parameters.
 
-    Deterministic for a fixed seed. Biases are zero. Under ``similar``
+    Raises ShapeError unless the chain ends in a dense head and
+    ``infer_shapes`` accepts it. Deterministic for a fixed seed. Biases are zero. Under ``similar``
     only the head weights get the near-parallel rows; body layers use
     he_uniform.
     """
-    layers = tuple(layers)
-    validate_layers(layers)
+    layers, sample_shape = tuple(layers), tuple(sample_shape)
+    if not layers or layers[-1].kind != "dense":
+        raise ShapeError("network must end in exactly one dense layer (the head)")
+    infer_shapes(layers, sample_shape)
     param_layers, bounds = _segment_bounds(layers)
     params = ParamVector(np.zeros(bounds[-1][1], dtype=FLOAT), bounds)
-    net = Network(layers, params, param_layers)
+    net = Network(layers, params, sample_shape, param_layers)
     rng = np.random.default_rng(scheme.seed)
     for i in param_layers:
         layer_scheme = scheme.scheme
@@ -217,30 +199,6 @@ def init_network(layers, scheme: InitScheme) -> Network:
 
 
 # --- forward / backward ----------------------------------------------------
-
-
-def _batch_shape(x) -> tuple[int, ...]:
-    """Shape of a channels-last activation in the caller's axis order."""
-    return channels_first(x).shape if x.ndim > 2 else x.shape
-
-
-def _dense_forward(net: Network, i: int, x, runs):
-    spec = net.layers[i]
-    if x.ndim != 2 or x.shape[1] != spec.fan_in:
-        raise ShapeError(
-            f"layer {i}: dense expects (N, {spec.fan_in}), got {_batch_shape(x)}"
-        )
-    return dense_forward(x, *net._bound[i][:2], runs)
-
-
-def _conv2d_forward(net: Network, i: int, x, runs):
-    spec = net.layers[i]
-    if x.ndim != 4 or x.shape[3] != spec.in_channels:
-        raise ShapeError(
-            f"layer {i}: conv2d expects (N, {spec.in_channels}, H, W), "
-            f"got {_batch_shape(x)}"
-        )
-    return conv2d_forward(x, *net._bound[i][:2], spec.padding, runs)
 
 
 def _grad_views(net: Network, i: int, stack):
@@ -276,13 +234,13 @@ def _relu_forward(net: Network, i: int, x, runs):
 # The adapters name the kernels as module globals, looked up at call time.
 _LAYER_OPS = {
     "dense": (
-        _dense_forward,
+        lambda net, i, x, runs: dense_forward(x, *net._bound[i][:2], runs),
         lambda net, i, g, c, runs, need_gx, out: dense_backward(
             g, c, net._bound[i][0], need_gx, runs, out, out is not None
         ),
     ),
     "conv2d": (
-        _conv2d_forward,
+        lambda net, i, x, runs: conv2d_forward(x, *net._bound[i][:2], net.layers[i].padding, runs),
         lambda net, i, g, c, runs, need_gx, out: conv2d_backward(
             g, c, net._bound[i][0], net.layers[i].padding, need_gx, runs, out, out is not None
         ),
@@ -306,9 +264,13 @@ _LAYER_OPS = {
 
 def _run_layers(net: Network, batch, stop: int, caches: list | None, runs=None):
     """Apply layers [0, stop) in the params' dtype, appending each layer's
-    cache to ``caches`` unless it is None. A batch with more than two axes
-    enters the layers channels-last."""
+    cache to ``caches`` unless it is None. A batch whose samples are not of
+    the network's sample shape raises ShapeError, naming the batch's shape;
+    one with more than two axes enters the layers channels-last."""
     x = np.asarray(batch)
+    if x.shape[1:] != net.sample_shape:
+        dims = ", ".join(map(str, ("N", *net.sample_shape)))
+        raise ShapeError(f"network expects ({dims}) batches, got {x.shape}")
     if x.dtype != net.params.data.dtype:
         x = x.astype(net.params.data.dtype)
     if x.ndim > 2:

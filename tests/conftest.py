@@ -12,7 +12,7 @@ def rng():
 @pytest.fixture
 def mlp_net():
     layers = [fs.dense(6, 10), fs.relu(), fs.dense(10, 8), fs.relu(), fs.dense(8, 4)]
-    return fs.init_network(layers, fs.InitScheme("he_uniform", 7))
+    return fs.init_network(layers, (6,), fs.InitScheme("he_uniform", 7))
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def conv_net():
         fs.flatten(),
         fs.dense(3 * 2 * 2, 3),
     ]
-    return fs.init_network(layers, fs.InitScheme("he_uniform", 3))
+    return fs.init_network(layers, (2, 4, 4), fs.InitScheme("he_uniform", 3))
 
 
 def make_federated_data(

@@ -47,7 +47,7 @@ def desk_data(seed, per_class=1000, dim=48, spread=0.6, clients=20, shards=2):
 
 def desk_net(seed, dim=48, hidden=64, classes=10, scheme="he_uniform"):
     return fs.init_network(
-        [fs.dense(dim, hidden), fs.relu(), fs.dense(hidden, classes)],
+        [fs.dense(dim, hidden), fs.relu(), fs.dense(hidden, classes)], (dim,),
         fs.InitScheme(scheme, seed + 500),
     )
 
@@ -59,7 +59,7 @@ def desk_net(seed, dim=48, hidden=64, classes=10, scheme="he_uniform"):
 def test_criterion_1_gradient_oracle():
     t0 = time.time()
     layers = [fs.dense(12, 24), fs.relu(), fs.dense(24, 16), fs.relu(), fs.dense(16, 8)]
-    net64 = fs.init_network(layers, fs.InitScheme("he_uniform", 0))
+    net64 = fs.init_network(layers, (12,), fs.InitScheme("he_uniform", 0))
     net64 = net64.with_params(ParamVector(net64.params.data.astype(np.float64), net64.params.bounds))
     n_params = net64.params.total_len
     assert n_params <= 5000
@@ -216,7 +216,7 @@ def test_criterion_6_head_orthogonality():
     t0 = time.time()
 
     def head_mean(d, scheme, seed):
-        net = fs.init_network([fs.dense(d, 10)], fs.InitScheme(scheme, seed))
+        net = fs.init_network([fs.dense(d, 10)], (d,), fs.InitScheme(scheme, seed))
         return fs.head_orthogonality_stats(net)[0]
 
     at_1024 = np.mean([head_mean(1024, "he_uniform", s) for s in range(30)])
@@ -229,7 +229,7 @@ def test_criterion_6_head_orthogonality():
 
     sims = []
     for s in range(10):
-        net = fs.init_network([fs.dense(64, 10)], fs.InitScheme("similar", s))
+        net = fs.init_network([fs.dense(64, 10)], (64,), fs.InitScheme("similar", s))
         w = net.head_weights().astype(np.float64)
         iu = np.triu_indices(10, k=1)
         sims.append(float((w @ w.T)[iu].mean()))
@@ -256,7 +256,7 @@ def test_criterion_7_centralized_update_parts():
         for seed in SEEDS:
             train, test = split_train_test(10, 400, 100, dim, spread, seed)
             net = fs.init_network(
-                [fs.dense(dim, hidden), fs.relu(), fs.dense(hidden, 10)],
+                [fs.dense(dim, hidden), fs.relu(), fs.dense(hidden, 10)], (dim,),
                 fs.InitScheme(scheme, seed + 1000),
             )
             curve = fs.centralized_train(net, train, test, part, epochs, 0.1, seed=seed, batch_size=50)
@@ -383,7 +383,7 @@ def test_criterion_9_template_constraints():
     splits = fs.split_client_test(train, test, splits, "matched", seed=91)
     single = fs.FederatedData(train, test, splits)
     net1 = fs.init_network(
-        [fs.dense(16, 24), fs.relu(), fs.dense(24, 10)], fs.InitScheme("he_uniform", 91)
+        [fs.dense(16, 24), fs.relu(), fs.dense(24, 10)], (16,), fs.InitScheme("he_uniform", 91)
     )
     rep = fs.template_accuracy([net1.params.copy() for _ in range(10)], net1, single)
     assert np.all(rep.accuracies == 1.0)

@@ -14,7 +14,7 @@ from tests.conftest import make_federated_data
 
 def small_net(seed=0, dim=8, classes=4):
     return fs.init_network(
-        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)],
+        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
         fs.InitScheme("he_uniform", seed),
     )
 
@@ -221,7 +221,7 @@ def softmax64(z):
 
 def test_perfedavg_single_meta_step_closed_form():
     # one dense layer, 1 feature, 2 classes; support/query of one sample each
-    net = fs.init_network([fs.dense(1, 2)], fs.InitScheme("he_uniform", 8))
+    net = fs.init_network([fs.dense(1, 2)], (1,), fs.InitScheme("he_uniform", 8))
     x = np.array([[1.0], [2.0]], dtype=np.float32)
     y = np.array([0, 1])
     ds = fs.LabeledDataset(x, y, 2)

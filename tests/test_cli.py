@@ -621,8 +621,8 @@ def test_non_finite_conv_weight_exits_3(tmp_path, monkeypatch, bad):
 
     init = fedsim.experiment.init_network
 
-    def init_with_bad_conv_weight(layers, scheme):
-        net = init(layers, scheme)
+    def init_with_bad_conv_weight(layers, sample_shape, scheme):
+        net = init(layers, sample_shape, scheme)
         net.layer_params(0)[0][0, 0, 0, 0] = bad
         return net
 

@@ -31,7 +31,7 @@ def vec(values, bounds=None):
 
 def small_net(seed=0, dim=8, classes=4):
     return fs.init_network(
-        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)],
+        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
         fs.InitScheme("he_uniform", seed),
     )
 
@@ -637,7 +637,7 @@ def test_nan_conv_weight_in_the_template_raises_numeric_error():
     for ds in (data.train, data.test):
         ds.samples = ds.samples.reshape(-1, 2, 4, 4)
     layers = [fs.conv2d(2, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2), fs.flatten(), fs.dense(12, 4)]
-    net = fs.init_network(layers, fs.InitScheme("he_uniform", 3))
+    net = fs.init_network(layers, (2, 4, 4), fs.InitScheme("he_uniform", 3))
     net.layer_params(0)[0][0, 0, 0, 0] = np.nan
     cfg = fs.FLConfig(clients=4, fraction=1.0, local_epochs=1, rounds=2, batch_size=10, seed=3)
     with pytest.raises(NumericError, match=r"^round 1, client 0: non-finite loss"):

@@ -23,7 +23,7 @@ from tests.conftest import make_federated_data
 
 def small_net(seed=0, dim=8, classes=4):
     return fs.init_network(
-        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)],
+        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
         fs.InitScheme("he_uniform", seed),
     )
 
@@ -125,7 +125,7 @@ def test_personalization_gap_grows_with_heterogeneity():
             clients=20, shards_per_client=shards, seed=seed,
         )
         net = fs.init_network(
-            [fs.dense(48, 64), fs.relu(), fs.dense(64, 10)], fs.InitScheme("he_uniform", seed + 40)
+            [fs.dense(48, 64), fs.relu(), fs.dense(64, 10)], (48,), fs.InitScheme("he_uniform", seed + 40)
         )
         cfg = fs.FLConfig(
             clients=20, fraction=0.5, local_epochs=2, rounds=32, batch_size=50,
@@ -150,7 +150,7 @@ def test_fedbabu_head_only_finetune_matches_full():
         clients=20, shards_per_client=2, seed=30,
     )
     net = fs.init_network(
-        [fs.dense(48, 64), fs.relu(), fs.dense(64, 10)], fs.InitScheme("he_uniform", 530)
+        [fs.dense(48, 64), fs.relu(), fs.dense(64, 10)], (48,), fs.InitScheme("he_uniform", 530)
     )
     cfg = fs.FLConfig(
         clients=20, fraction=0.5, local_epochs=2, rounds=32, batch_size=50,
@@ -304,7 +304,7 @@ def conv_net(seed):
     return fs.init_network(
         [fs.conv2d(1, 3, 3, padding=1), fs.relu(), fs.maxpool2d(2), fs.flatten(),
          fs.dense(3 * 2 * 2, 4)],
-        fs.InitScheme("he_uniform", seed),
+        (1, 4, 4), fs.InitScheme("he_uniform", seed),
     )
 
 
@@ -319,7 +319,7 @@ def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
     else:  # a hidden layer so wide that one client's test pass fills the cap
         wide = GROUP_BYTES // (4 * 2 * min(test_sizes)) + 1
         net = fs.init_network(
-            [fs.dense(8, wide), fs.relu(), fs.dense(wide, 4)], fs.InitScheme("he_uniform", 23)
+            [fs.dense(8, wide), fs.relu(), fs.dense(wide, 4)], (8,), fs.InitScheme("he_uniform", 23)
         )
     models = noisy_models(net, 6, seed=23)
     # clients of every size stack together, capped at the largest set
@@ -414,7 +414,7 @@ def test_untrained_single_class_clients_chance_vs_template():
     data = make_federated_data(classes=8, clients=8, shards_per_client=1, per_class=80,
                                dim=16, spread=0.4, seed=21)
     net = fs.init_network(
-        [fs.dense(16, 24), fs.relu(), fs.dense(24, 8)], fs.InitScheme("he_uniform", 21)
+        [fs.dense(16, 24), fs.relu(), fs.dense(24, 8)], (16,), fs.InitScheme("he_uniform", 21)
     )
     models = [net.params.copy() for _ in range(8)]
     initial = fs.initial_accuracy(models, net, data)
@@ -427,7 +427,7 @@ def test_template_identity_body_zero_spread():
     # head-only network: the representation is the raw input; zero spread
     # makes per-class templates exact, so matched tests classify perfectly
     data = make_federated_data(classes=4, clients=4, shards_per_client=2, spread=0.0, seed=9)
-    net = fs.init_network([fs.dense(8, 4)], fs.InitScheme("he_uniform", 9))
+    net = fs.init_network([fs.dense(8, 4)], (8,), fs.InitScheme("he_uniform", 9))
     models = [net.params.copy() for _ in range(4)]
     rep = fs.template_accuracy(models, net, data)
     assert np.all(rep.accuracies == 1.0)
@@ -554,7 +554,7 @@ def test_centralized_training_learns():
 
 
 def test_accuracy_tie_breaks_to_lowest_class():
-    net = fs.init_network([fs.dense(2, 3)], fs.InitScheme("he_uniform", 0))
+    net = fs.init_network([fs.dense(2, 3)], (2,), fs.InitScheme("he_uniform", 0))
     net.params.data[:] = 0  # all logits identical -> argmax picks class 0
     ds = fs.LabeledDataset(np.ones((4, 2), dtype=np.float32), np.array([0, 0, 1, 2]), 3)
     assert accuracy(net, ds)[0] == pytest.approx(0.5)

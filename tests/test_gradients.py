@@ -70,7 +70,7 @@ def test_conv_gradients_match_finite_differences(conv_net, rng):
 
 
 def test_uniform_logits_loss_is_log_c():
-    net = fs.init_network([fs.dense(5, 10)], fs.InitScheme("he_uniform", 2))
+    net = fs.init_network([fs.dense(5, 10)], (5,), fs.InitScheme("he_uniform", 2))
     net.params.data[:] = 0
     x = np.random.default_rng(0).normal(size=(8, 5)).astype(np.float32)
     y = np.arange(8) % 10

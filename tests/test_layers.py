@@ -248,7 +248,7 @@ def test_ragged_conv_stack_equals_hand_composed_reference_kernels(monkeypatch):
         fs.conv2d(3, 4, 3, padding=1), fs.relu(), fs.maxpool2d(2),
         fs.flatten(), fs.dense(4 * 2 * 2, 5),
     ]
-    nets = [fs.init_network(layers, fs.InitScheme("he_uniform", s)) for s in (1, 2, 3)]
+    nets = [fs.init_network(layers, (2, 8, 8), fs.InitScheme("he_uniform", s)) for s in (1, 2, 3)]
     net = nets[0].with_params(fs.ParamVector.stack([n.params for n in nets]))
     runs = [(2, 4), (1, 2)]
     rng = np.random.default_rng(4)
@@ -288,7 +288,7 @@ def test_ragged_conv_stack_equals_hand_composed_reference_kernels(monkeypatch):
     ],
 )
 def test_relu_not_feeding_a_pool_runs_its_own_kernel(monkeypatch, specs, shape):
-    net = fs.init_network(specs, fs.InitScheme("he_uniform", 0))
+    net = fs.init_network(specs, shape, fs.InitScheme("he_uniform", 0))
     relu_calls = counted_relu_calls(monkeypatch)
     x = np.random.default_rng(0).normal(size=(4, *shape)).astype(np.float32)
     _, cache = fs.forward(net, x)
@@ -299,7 +299,7 @@ def test_relu_not_feeding_a_pool_runs_its_own_kernel(monkeypatch, specs, shape):
 def test_network_forward_matches_composed_loop_oracle():
     net = fs.init_network(
         [fs.conv2d(1, 2, 3, padding=1), fs.relu(), fs.maxpool2d(2), fs.flatten(), fs.dense(8, 3)],
-        fs.InitScheme("he_uniform", 11),
+        (1, 4, 4), fs.InitScheme("he_uniform", 11),
     )
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 1, 4, 4)).astype(np.float32)
@@ -325,7 +325,7 @@ def test_conv_representations_equal_composed_loop_oracle_exactly():
         fs.conv2d(3, 4, 3, padding=1), fs.relu(), fs.maxpool2d(2),
         fs.flatten(), fs.dense(4 * 2 * 3, 5),
     ]
-    net = fs.init_network(layers, fs.InitScheme("he_uniform", 3))
+    net = fs.init_network(layers, (2, 8, 12), fs.InitScheme("he_uniform", 3))
     rng = np.random.default_rng(8)
     net.params.data[:] = rng.integers(-3, 4, size=net.params.total_len)
     x = rng.integers(-4, 5, size=(5, 2, 8, 12)).astype(np.float32)
@@ -347,9 +347,9 @@ def test_conv_representations_equal_composed_loop_oracle_exactly():
 def test_conv_shape_error_names_the_callers_batch_shape():
     net = fs.init_network(
         [fs.conv2d(1, 2, 3), fs.relu(), fs.flatten(), fs.dense(2 * 4, 3)],
-        fs.InitScheme("he_uniform", 0),
+        (1, 4, 4), fs.InitScheme("he_uniform", 0),
     )
-    with pytest.raises(ShapeError, match=r"expects \(N, 1, H, W\), got \(2, 3, 6, 5\)"):
+    with pytest.raises(ShapeError, match=r"expects \(N, 1, 4, 4\) batches, got \(2, 3, 6, 5\)"):
         fs.forward(net, np.ones((2, 3, 6, 5), dtype=np.float32))
 
 
@@ -371,14 +371,14 @@ def test_conv_bias_grad_equals_row_sum_bytes(rows, cols):
 
 
 def test_zero_weight_network_gives_zero_logits():
-    net = fs.init_network([fs.dense(5, 4), fs.relu(), fs.dense(4, 3)], fs.InitScheme("he_uniform", 0))
+    net = fs.init_network([fs.dense(5, 4), fs.relu(), fs.dense(4, 3)], (5,), fs.InitScheme("he_uniform", 0))
     net.params.data[:] = 0
     logits, _ = fs.forward(net, np.ones((6, 5), dtype=np.float32))
     assert np.all(logits == 0)
 
 
 def test_identity_dense_layer_passes_input_through():
-    net = fs.init_network([fs.dense(4, 4)], fs.InitScheme("he_uniform", 0))
+    net = fs.init_network([fs.dense(4, 4)], (4,), fs.InitScheme("he_uniform", 0))
     w, b = net.layer_params(0)
     w[:] = np.eye(4, dtype=np.float32)
     b[:] = 0
@@ -592,8 +592,8 @@ MASKED_NETS = {
 
 def stacked_net(kind, m, seed):
     """A network over an (m, P) stack of differently drawn clients."""
-    specs, _ = MASKED_NETS[kind]
-    nets = [fs.init_network(specs, fs.InitScheme("he_uniform", seed + i)) for i in range(m)]
+    specs, shape = MASKED_NETS[kind]
+    nets = [fs.init_network(specs, shape, fs.InitScheme("he_uniform", seed + i)) for i in range(m)]
     return nets[0].with_params(fs.ParamVector.stack([n.params for n in nets]))
 
 

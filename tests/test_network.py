@@ -1,16 +1,20 @@
-"""Initializers, head diagnostics, distances, and the checkpoint blob."""
+"""Initializers, shape checks, head diagnostics, distances, and the
+checkpoint blob."""
+
+import re
 
 import numpy as np
 import pytest
 
 import fedsim as fs
-from fedsim.layers import ShapeError
-from fedsim.network import INIT_SCHEMES
+from fedsim.evaluation import accuracy
+from fedsim.layers import ShapeError, channels_first, infer_shapes
+from fedsim.network import INIT_SCHEMES, _run_layers
 from fedsim.params import BlobError, ParamVector
 
 
 def head_only(d, c, scheme, seed):
-    return fs.init_network([fs.dense(d, c)], fs.InitScheme(scheme, seed))
+    return fs.init_network([fs.dense(d, c)], (d,), fs.InitScheme(scheme, seed))
 
 
 def test_orthogonal_head_rows_are_orthogonal():
@@ -30,8 +34,8 @@ def test_similar_head_rows_unit_norm_nonnegative():
 
 def test_similar_leaves_body_he_uniform():
     layers = [fs.dense(6, 12), fs.relu(), fs.dense(12, 4)]
-    similar = fs.init_network(layers, fs.InitScheme("similar", 5))
-    he = fs.init_network(layers, fs.InitScheme("he_uniform", 5))
+    similar = fs.init_network(layers, (6,), fs.InitScheme("similar", 5))
+    he = fs.init_network(layers, (6,), fs.InitScheme("he_uniform", 5))
     # body segment identical draws, head differs
     np.testing.assert_array_equal(similar.params.segment(0), he.params.segment(0))
     assert not np.array_equal(similar.params.segment(1), he.params.segment(1))
@@ -39,17 +43,17 @@ def test_similar_leaves_body_he_uniform():
 
 def test_init_deterministic_per_seed():
     layers = [fs.dense(5, 7), fs.relu(), fs.dense(7, 3)]
-    a = fs.init_network(layers, fs.InitScheme("he_normal", 42))
-    b = fs.init_network(layers, fs.InitScheme("he_normal", 42))
+    a = fs.init_network(layers, (5,), fs.InitScheme("he_normal", 42))
+    b = fs.init_network(layers, (5,), fs.InitScheme("he_normal", 42))
     assert a.params.data.tobytes() == b.params.data.tobytes()
-    c = fs.init_network(layers, fs.InitScheme("he_normal", 43))
+    c = fs.init_network(layers, (5,), fs.InitScheme("he_normal", 43))
     assert a.params.data.tobytes() != c.params.data.tobytes()
 
 
 def test_biases_start_at_zero():
     net = fs.init_network(
         [fs.conv2d(1, 4, 3, padding=1), fs.relu(), fs.flatten(), fs.dense(4 * 16, 3)],
-        fs.InitScheme("xavier_normal", 1),
+        (1, 4, 4), fs.InitScheme("xavier_normal", 1),
     )
     for layer_idx in net.param_layers:
         _, b = net.layer_params(layer_idx)
@@ -66,7 +70,8 @@ INIT_CHAINS = {
 @pytest.mark.parametrize("layers", INIT_CHAINS.values(), ids=INIT_CHAINS.keys())
 @pytest.mark.parametrize("scheme", INIT_SCHEMES)
 def test_init_scheme_draws_on_each_layer_shape(scheme, layers):
-    net, again, other = (fs.init_network(layers, fs.InitScheme(scheme, s)) for s in (3, 3, 4))
+    shape = (layers[0].fan_in,) if layers[0].kind == "dense" else (2, 4, 4)
+    net, again, other = (fs.init_network(layers, shape, fs.InitScheme(scheme, s)) for s in (3, 3, 4))
     assert net.params.data.tobytes() == again.params.data.tobytes()
     assert net.params.data.tobytes() != other.params.data.tobytes()
     for layer_idx in net.param_layers:
@@ -92,9 +97,69 @@ def test_init_scheme_draws_on_each_layer_shape(scheme, layers):
 
 def test_invalid_layer_chain_rejected():
     with pytest.raises(ShapeError):
-        fs.init_network([fs.dense(4, 5), fs.dense(6, 3)], fs.InitScheme())
+        fs.init_network([fs.dense(4, 5), fs.dense(6, 3)], (4,), fs.InitScheme())
     with pytest.raises(ShapeError):
-        fs.init_network([fs.dense(4, 5), fs.relu()], fs.InitScheme())  # no dense head
+        fs.init_network([fs.dense(4, 5), fs.relu()], (4,), fs.InitScheme())  # no dense head
+
+
+# --- one shape check at build, one per pass -------------------------------
+
+SHAPED_NETS = {
+    "mlp": ([fs.dense(6, 5), fs.relu(), fs.dense(5, 4), fs.relu(), fs.dense(4, 3)], (6,)),
+    **{
+        f"conv2-padding{p}": (
+            [
+                fs.conv2d(2, 3, 3, padding=p), fs.relu(), fs.maxpool2d(2),
+                fs.conv2d(3, 4, 3, padding=p), fs.relu(), fs.maxpool2d(2),
+                fs.flatten(), fs.dense(4 * 2 * 2, 3),
+            ],
+            (2, side, side),
+        )
+        for p, side in ((0, 14), (1, 8))
+    },
+}
+
+
+@pytest.mark.parametrize("kind", SHAPED_NETS)
+@pytest.mark.parametrize("runs", [None, [(2, 3), (1, 2)]], ids=["vector", "ragged-stack"])
+def test_each_layer_output_has_the_inferred_shape(kind, runs):
+    # no layer checks its input any more: infer_shapes at build is the
+    # only account of each layer's output, in the caller's axis order
+    layers, shape = SHAPED_NETS[kind]
+    net = fs.init_network(layers, shape, fs.InitScheme("he_uniform", 0))
+    n = 1
+    if runs is not None:
+        m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
+        net = net.with_params(fs.ParamVector.stack([net.params] * m))
+    x = np.random.default_rng(0).normal(size=(n, *shape)).astype(np.float32)
+    want = infer_shapes(net.layers, shape)
+    for stop in range(1, len(layers) + 1):
+        out = _run_layers(net, x, stop, None, runs)
+        if out.ndim > 2:
+            out = channels_first(out)
+        assert out.shape == (n, *want[stop - 1]), layers[stop - 1].kind
+
+
+def test_flatten_to_dense_fan_mismatch_is_rejected_at_build():
+    layers = [fs.conv2d(1, 2, 3), fs.relu(), fs.flatten(), fs.dense(7, 3)]  # flatten gives 8
+    with pytest.raises(ShapeError, match=r"dense layer expects \(7,\), got \(8,\)"):
+        fs.init_network(layers, (1, 4, 4), fs.InitScheme())
+
+
+@pytest.mark.parametrize("kind", SHAPED_NETS)
+@pytest.mark.parametrize("entry", ["forward", "representations", "accuracy"])
+def test_every_pass_rejects_a_batch_of_another_sample_shape(kind, entry):
+    layers, shape = SHAPED_NETS[kind]
+    net = fs.init_network(layers, shape, fs.InitScheme("he_uniform", 0))
+    other = (4, *shape[:-1], shape[-1] + 1)
+    samples = np.zeros(other, dtype=np.float32)
+    run = {
+        "forward": lambda: fs.forward(net, samples),
+        "representations": lambda: fs.representations(net, samples),
+        "accuracy": lambda: accuracy(net, fs.LabeledDataset(samples, np.zeros(4, dtype=int), 3)),
+    }[entry]
+    with pytest.raises(ShapeError, match=re.escape(f"got {other}")):
+        run()
 
 
 def test_unknown_scheme_rejected():

@@ -30,7 +30,7 @@ NETWORKS = {
 @pytest.mark.parametrize("name", NETWORKS)
 def test_passes_leave_the_samples_byte_equal(name):
     layers, shape = NETWORKS[name]
-    net = fs.init_network(layers(), fs.InitScheme("he_uniform", 1))
+    net = fs.init_network(layers(), shape, fs.InitScheme("he_uniform", 1))
     ds = dataset(shape)
     before = ds.samples.copy()
     forward(net, ds.samples)
