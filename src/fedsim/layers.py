@@ -218,10 +218,14 @@ def _spans(runs, per):
         c, r = c + clients, r + clients * rows
 
 
+@np.errstate(invalid="ignore")
 def _client_affine(x, wt, b, runs, per):
     """Each client's rows of ``x`` (rows, K) times its matrix of ``wt``
     (M, K, C), plus its row of ``b`` (M, C): (rows, C), one batched GEMM
-    per run."""
+    per run. numpy runs a GEMM of one row or one column as an OpenBLAS
+    GEMV, whose kernels may compute on lanes an earlier call left, which
+    never reach the output: a signalling NaN there raises a spurious
+    invalid flag, ignored here (the loss checks catch non-finite results)."""
     m, k, cout = wt.shape
     if runs is None or len(runs) == 1:
         out = x.reshape(m, -1, k) @ wt

@@ -6,7 +6,7 @@ kernel boundary with ``nhwc`` and ``nchw``."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
@@ -496,6 +496,7 @@ def check_gradient_views(out, gw, gb):
 
 @settings(max_examples=40, deadline=None, print_blob=True)
 @given(runs=RUNS, into_views=st.booleans(), seed=st.integers(0, 2**16))
+@example(runs=[(1, 1)], into_views=False, seed=0)  # where a stale GEMV flag showed
 def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
     # with ``into_views`` the stacked call writes its parameter gradients
     # into views of a wider array, as network.backward has it do
@@ -515,6 +516,25 @@ def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
         assert_same_bytes(
             [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
         )
+
+
+@pytest.mark.parametrize("runs", [[(1, 1)], [(3, 1)], [(1, 2)]], ids=["one-row", "three-clients", "one-column"])
+def test_dense_forward_after_a_gemv_on_signalling_nans_raises_no_flag(runs):
+    # a 64x64 GEMV on signalling NaNs leaves OpenBLAS lanes that its small
+    # GEMV kernels, run for a one-row or one-column GEMM, compute on after;
+    # the output keeps a clean call's bits, and the invalid flag must not
+    # surface as a warning (an error under filterwarnings = error)
+    rng = np.random.default_rng(0)
+    m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
+    x = rng.standard_normal((n, 5)).astype(np.float32)
+    w = rng.standard_normal((m, 1 if n == 2 else 3, 5)).astype(np.float32)
+    b = rng.standard_normal((m, w.shape[1])).astype(np.float32)
+    clean, _ = dense_forward(x, w, b)
+    signalling = np.full((64, 64), nan_with(0x7F800001))
+    with np.errstate(invalid="ignore"):
+        signalling @ signalling[:, :1]
+    out, _ = dense_forward(x, w, b)
+    assert out.tobytes() == clean.tobytes()
 
 
 @settings(max_examples=25, deadline=None, print_blob=True)
