@@ -93,3 +93,37 @@ def test_pairs_alternate_and_compare_against_the_bounds(tmp_path, monkeypatch):
 
     rss = w["metrics"]["peak_rss_mb"]["scaled"]
     assert rss["median_ratio"] == 1.5 and rss["wins"] == 0 and rss["verdict"] == "worse"
+
+
+def test_scaled_verdicts_are_unresolved_when_the_reference_task_slows_on_one_side(
+    tmp_path, monkeypatch
+):
+    # both sides run the code at one speed, but the change's reference task
+    # runs 20% slower, so its scaled times would read better by that gap
+    repo = tmp_path / "repo"
+    (repo / "benchmarks").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    with_reference = STUB.replace('"local_steps": 100}}', '"local_steps": 100, "reference_s": {ref}}}')
+    revs = []
+    for ref in ([1.0, 1.01, 0.99], [1.2, 1.21, 1.19]):
+        (repo / "benchmarks" / "run.py").write_text(with_reference.format(speed=1.0, rss=100.0, ref=ref))
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "add", "-A"], check=True, capture_output=True)
+        subprocess.run([*git, "commit", "-q", "-m", f"ref {ref}"], check=True, capture_output=True)
+        revs.append(subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip())
+    monkeypatch.setenv("STUB_LOG", str(tmp_path / "stub.log"))
+    monkeypatch.chdir(repo)
+
+    assert load_tool().main([*revs, "--workload", "w", "--pairs", "3", "--label", "t"]) == 0
+
+    w = json.loads((repo / "BENCH_t.json").read_text())["workloads"]["w"]
+    gap = w["host_gap"]
+    assert gap["reference_s"]["parent"] == [[1.0, 1.01, 0.99]] * 3
+    assert gap["reference_s"]["change"] == [[1.2, 1.21, 1.19]] * 3
+    assert gap["gap"] == 1.2 and gap["band"] == 0.03 and gap["outside"]
+    train = w["metrics"]["train_s"]
+    assert train["scaled"]["verdict"] == "unresolved" and train["raw"]["verdict"] == "within"
+    assert train["agree"] and not train["gain"]  # equal speeds: neither side wins
+    # peak RSS is not scaled by the host's speed, so the gap leaves it alone
+    assert w["metrics"]["peak_rss_mb"]["scaled"]["verdict"] == "within"

@@ -21,6 +21,17 @@ worse than the bound, ``unresolved`` when the parent's own interquartile
 range exceeds it, else ``within``. It also records per pair whether both
 sides wrote the same checkpoint, and how many runs failed. The file is
 rewritten after every pair, so an interrupted session keeps what it ran.
+
+Scaling by the reference task steadies each side, but the task itself can
+run slower on one side than on the other, and then the scaled times differ
+by that gap and not by the code. So each run's reference-task times
+(``reference_s``) are copied per side, and ``host_gap`` is the median over
+pairs of the change's reference-task median over the parent's. When it
+lies outside the band of one plus or minus the parent's own reference-task
+spread (at least ``GAP_FLOOR``), every host-scaled verdict of the workload
+reads ``unresolved``. Each metric also records whether its raw and scaled
+median ratios point the same way (``agree``), and ``gain``: whether both
+are better and neither verdict is ``unresolved``.
 """
 
 from __future__ import annotations
@@ -39,6 +50,12 @@ import time
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
+
+# the least host gap band: the reference task's own run-to-run noise
+GAP_FLOOR = 0.03
+
+# the metrics the benchmark scales by the reference task
+HOST_SCALED = ("train_s", "eval_s", "setup_s", "local_steps_per_s")
 
 
 def git(repo: Path, *args: str) -> bytes:
@@ -78,6 +95,25 @@ def raw_value(metric: str, info: dict, scaled: float) -> float:
     return scaled  # peak_rss_mb, personalized_acc: no scaling applies
 
 
+def host_gap(runs: list[dict]) -> dict:
+    """Each side's reference-task times per pair, the median over pairs of
+    the change's median over the parent's (``gap``), and the band around 1
+    it must lie in: the parent's spread of its medians, at least GAP_FLOOR.
+    ``gap`` is None unless every run reported its reference times."""
+    times = {
+        side: [r[side].get("info", {}).get("reference_s") for r in runs]
+        for side in ("parent", "change")
+    }
+    out = {"reference_s": times, "gap": None, "band": None, "outside": False}
+    if not runs or any(t is None for side in times.values() for t in side):
+        return out
+    medians = {side: [statistics.median(t) for t in times[side]] for side in times}
+    out["gap"] = statistics.median(c / p for p, c in zip(medians["parent"], medians["change"]))
+    out["band"] = max(GAP_FLOOR, spread(medians["parent"]) or 0.0)
+    out["outside"] = abs(out["gap"] - 1) > out["band"]
+    return out
+
+
 def spread(values: list[float]) -> float | None:
     """Interquartile range over the median."""
     if len(values) < 2:
@@ -112,10 +148,18 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     return out
 
 
+def direction(result: dict) -> int:
+    """+1 if the change's median ratio is better than the parent's, -1 if
+    worse, 0 if equal or unknown."""
+    worse_by = result.get("worse_by")
+    return 0 if not worse_by else (-1 if worse_by > 0 else 1)
+
+
 def summarize(runs: list[dict], bounds: dict) -> dict:
     """One workload's pairs, metric by metric, over the pairs where both
     sides produced metrics."""
     both = [r for r in runs if all("result" in r[side] for side in ("parent", "change"))]
+    gap = host_gap(both)
     out = {
         "seeds": [r["seed"] for r in runs],
         "first": [r["first"] for r in runs],
@@ -136,6 +180,7 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
             side: runs[-1][side]["info"]["src_lines"] if "info" in runs[-1][side] else None
             for side in ("parent", "change")
         },
+        "host_gap": gap,
         "metrics": {},
     }
     for name, (better, bound) in bounds.items():
@@ -146,11 +191,18 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
         for s in ("parent", "change"):
             values[s] = [r[s]["result"]["metrics"][name]["value"] for r in both]
             raw[s] = [raw_value(name, r[s]["info"], v) for r, v in zip(both, values[s])]
+        scaled = compare(values["parent"], values["change"], better, bound)
+        if gap["outside"] and name in HOST_SCALED:
+            scaled["verdict"] = "unresolved"
+        raw_cmp = compare(raw["parent"], raw["change"], better, bound)
+        verdicts = (scaled["verdict"], raw_cmp["verdict"])
         out["metrics"][name] = {
             "better": better,
             "bound": bound,
-            "scaled": compare(values["parent"], values["change"], better, bound),
-            "raw": compare(raw["parent"], raw["change"], better, bound),
+            "scaled": scaled,
+            "raw": raw_cmp,
+            "agree": direction(scaled) == direction(raw_cmp),
+            "gain": direction(scaled) == direction(raw_cmp) == 1 and "unresolved" not in verdicts,
         }
     return out
 
