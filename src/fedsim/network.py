@@ -177,9 +177,9 @@ def init_network(layers, sample_shape: tuple[int, ...], scheme: InitScheme) -> N
     parameters.
 
     Raises ShapeError unless the chain ends in a dense head and
-    ``infer_shapes`` accepts it. Deterministic for a fixed seed. Biases are zero. Under ``similar``
-    only the head weights get the near-parallel rows; body layers use
-    he_uniform.
+    ``infer_shapes`` accepts it. Deterministic for a fixed seed. Biases
+    are zero. Under ``similar`` only the head weights get the
+    near-parallel rows; body layers use he_uniform.
     """
     layers, sample_shape = tuple(layers), tuple(sample_shape)
     if not layers or layers[-1].kind != "dense":

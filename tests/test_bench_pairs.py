@@ -127,3 +127,15 @@ def test_scaled_verdicts_are_unresolved_when_the_reference_task_slows_on_one_sid
     assert train["agree"] and not train["gain"]  # equal speeds: neither side wins
     # peak RSS is not scaled by the host's speed, so the gap leaves it alone
     assert w["metrics"]["peak_rss_mb"]["scaled"]["verdict"] == "within"
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread():
+    tool = load_tool()
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
+    faster = [p * 0.9 for p in parent]
+    assert tool.meets_claim(tool.compare(parent, faster, "lower", 0.25))
+    # eight wins of ten are too few, however large the gain
+    assert not tool.meets_claim(tool.compare(parent, faster[:8] + parent[8:], "lower", 0.25))
+    # a gain inside the parent's own spread is noise
+    assert not tool.meets_claim(tool.compare(parent, [p * 0.995 for p in parent], "lower", 0.25))
+    assert not tool.meets_claim(tool.compare(parent, [p * 1.1 for p in parent], "lower", 0.25))

@@ -30,8 +30,9 @@ pairs of the change's reference-task median over the parent's. When it
 lies outside the band of one plus or minus the parent's own reference-task
 spread (at least ``GAP_FLOOR``), every host-scaled verdict of the workload
 reads ``unresolved``. Each metric also records whether its raw and scaled
-median ratios point the same way (``agree``), and ``gain``: whether both
-are better and neither verdict is ``unresolved``.
+median ratios point the same way (``agree``), and ``gain``: whether raw
+and scaled values each meet the rule for claiming a gain (``meets_claim``)
+and neither verdict is ``unresolved``.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def host_gap(runs: list[dict]) -> dict:
     it must lie in: the parent's spread of its medians, at least GAP_FLOOR.
     ``gap`` is None unless every run reported its reference times."""
     times = {
-        side: [r[side].get("info", {}).get("reference_s") for r in runs]
+        side: [r[side]["info"].get("reference_s") for r in runs]
         for side in ("parent", "change")
     }
     out = {"reference_s": times, "gap": None, "band": None, "outside": False}
@@ -155,6 +156,19 @@ def direction(result: dict) -> int:
     return 0 if not worse_by else (-1 if worse_by > 0 else 1)
 
 
+def meets_claim(result: dict) -> bool:
+    """Whether the change wins at least nine tenths of the pairs and its
+    median differs from the parent's by more than the parent's
+    interquartile range, in the better direction."""
+    spread = result["parent_spread"]
+    return (
+        direction(result) == 1
+        and 10 * result["wins"] >= 9 * len(result["parent"])
+        and spread is not None
+        and abs(result["change_median"] / result["parent_median"] - 1) > spread
+    )
+
+
 def summarize(runs: list[dict], bounds: dict) -> dict:
     """One workload's pairs, metric by metric, over the pairs where both
     sides produced metrics."""
@@ -202,7 +216,7 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
             "scaled": scaled,
             "raw": raw_cmp,
             "agree": direction(scaled) == direction(raw_cmp),
-            "gain": direction(scaled) == direction(raw_cmp) == 1 and "unresolved" not in verdicts,
+            "gain": meets_claim(scaled) and meets_claim(raw_cmp) and "unresolved" not in verdicts,
         }
     return out
 
