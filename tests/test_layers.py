@@ -518,8 +518,10 @@ def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
         )
 
 
-@pytest.mark.parametrize("runs", [[(1, 1)], [(3, 1)], [(1, 2)]], ids=["one-row", "three-clients", "one-column"])
-def test_dense_forward_after_a_gemv_on_signalling_nans_raises_no_flag(runs):
+@pytest.mark.parametrize(
+    "runs, cout", [([(1, 1)], 3), ([(3, 1)], 3), ([(1, 2)], 1)], ids=["one-row", "three-clients", "one-column"]
+)
+def test_dense_forward_after_a_gemv_on_signalling_nans_raises_no_flag(runs, cout):
     # a 64x64 GEMV on signalling NaNs leaves OpenBLAS lanes that its small
     # GEMV kernels, run for a one-row or one-column GEMM, compute on after;
     # the output keeps a clean call's bits, and the invalid flag must not
@@ -527,8 +529,8 @@ def test_dense_forward_after_a_gemv_on_signalling_nans_raises_no_flag(runs):
     rng = np.random.default_rng(0)
     m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
     x = rng.standard_normal((n, 5)).astype(np.float32)
-    w = rng.standard_normal((m, 1 if n == 2 else 3, 5)).astype(np.float32)
-    b = rng.standard_normal((m, w.shape[1])).astype(np.float32)
+    w = rng.standard_normal((m, cout, 5)).astype(np.float32)
+    b = rng.standard_normal((m, cout)).astype(np.float32)
     clean, _ = dense_forward(x, w, b)
     signalling = np.full((64, 64), nan_with(0x7F800001))
     with np.errstate(invalid="ignore"):

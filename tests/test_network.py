@@ -127,7 +127,7 @@ def test_each_layer_output_has_the_inferred_shape(kind, runs):
     # only account of each layer's output, in the caller's axis order
     layers, shape = SHAPED_NETS[kind]
     net = fs.init_network(layers, shape, fs.InitScheme("he_uniform", 0))
-    n = 1
+    n = 5
     if runs is not None:
         m, n = sum(c for c, _ in runs), sum(c * b for c, b in runs)
         net = net.with_params(fs.ParamVector.stack([net.params] * m))
