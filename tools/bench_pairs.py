@@ -160,12 +160,12 @@ def meets_claim(result: dict) -> bool:
     """Whether the change wins at least nine tenths of the pairs and its
     median differs from the parent's by more than the parent's
     interquartile range, in the better direction."""
-    spread = result["parent_spread"]
+    iqr = result["parent_spread"]  # None where the parent's median is 0
     return (
         direction(result) == 1
         and 10 * result["wins"] >= 9 * len(result["parent"])
-        and spread is not None
-        and abs(result["change_median"] / result["parent_median"] - 1) > spread
+        and iqr is not None
+        and abs(result["change_median"] / result["parent_median"] - 1) > iqr
     )
 
 
