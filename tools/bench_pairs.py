@@ -160,7 +160,7 @@ def meets_claim(result: dict) -> bool:
     """Whether the change wins at least nine tenths of the pairs and its
     median differs from the parent's by more than the parent's
     interquartile range, in the better direction."""
-    iqr = result["parent_spread"]  # None where the parent's median is 0
+    iqr = result["parent_spread"]  # None for one pair or a zero median
     return (
         direction(result) == 1
         and 10 * result["wins"] >= 9 * len(result["parent"])
