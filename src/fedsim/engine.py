@@ -176,7 +176,7 @@ GROUP_BYTES = L2_BYTES
 
 
 def client_groups(
-    data: FederatedData, client_ids, template: Network, batch_size: int, tracks: int = 1
+    client_ids, template: Network, batch_size: int, tracks: int = 1
 ) -> list[tuple[int, ...]]:
     """Lockstep groups of ``client_ids``, of any train-set sizes: ascending
     ids, cut into runs of as many clients as fit in GROUP_BYTES. The cap
@@ -306,9 +306,9 @@ def train_epochs(
     on_epoch=None,
     indices: list[np.ndarray] | None = None,
 ) -> list[list[float]]:
-    """Minibatch momentum SGD over `epochs`, updating `part` of `params` in
-    place: the one training loop behind every local, server-side,
-    fine-tuning and centralized update.
+    """Minibatch momentum SGD over `epochs`, updating `part` of `params`:
+    the one training loop behind every local, server-side, fine-tuning and
+    centralized update.
 
     ``params`` is an (M, P) stack of a lockstep group, M clients whose rows
     read their samples in place, with no copy, through ``indices``, one
@@ -320,9 +320,10 @@ def train_epochs(
     this the rows are ordered by step count, descending, so that a step's
     live rows are a prefix of the stack, and then by size, so that equal
     partial batches sit side by side: a step's batch is a list of runs of
-    one batch size (layers.py, "Stacks"). The caller's order is restored
-    on return; a group already in that order (one client, or equal sizes
-    without Ditto's two tracks) trains in place.
+    one batch size (layers.py, "Stacks"). The call trains a stack of its
+    own, the group's rows copied into that order, and writes it back to
+    ``params``, in the caller's order, once, on return; a call that raises
+    leaves ``params`` as it was.
     Each client draws an epoch's permutation from its own generator when
     its epoch starts, and has its own momentum buffer and losses, so its
     bits do not depend on its group.
@@ -343,7 +344,8 @@ def train_epochs(
     ``part``) to (losses, grads), where only the mask's segments of the
     gradient need to hold gradients; ``on_epoch(row, params, momentum)`` is
     called as the caller's row ``row`` ends an epoch, with views of its
-    parameter and momentum vectors. Momentum starts at zero and carries
+    parameter and momentum vectors in the call's own stack, the only view
+    of a row before the call returns. Momentum starts at zero and carries
     across the epochs of one call. Returns each client's per-step losses. A
     non-finite step loss, or a row its last update leaves non-finite,
     raises NumericError naming the caller's row and the update, counted
@@ -373,14 +375,12 @@ def train_epochs(
     # global row). From here on a row is a position in this order.
     steps = epochs * -(-n // batch_size)
     order = np.lexsort((pulled, np.arange(m) - free * pulled, -n, -steps))
-    in_place = bool((order == np.arange(m)).all())
-    work = stack.data if in_place else stack.data[order]
+    work = stack.data[order]  # the stack this call trains, written back on return
     buf = np.zeros_like(work)
     n, steps, pulled = n[order], steps[order], pulled[order]
     rngs, own, rates = ([x[r] for r in order.tolist()] for x in (rngs, own, rates))
     if anchor is not None:  # the pulled rows' anchors, in row order
-        src = order[pulled] - free
-        anchor = anchor if (src == np.arange(len(src))).all() else anchor[src]
+        anchor = anchor[order[pulled] - free]
     plan = _plan(n, steps, batch_size, rates, on_epoch is not None)
 
     def prefix(k: int):
@@ -430,8 +430,7 @@ def train_epochs(
         raise NumericError(
             f"non-finite parameters after local update {int(steps[i]) - 1}", int(order[i])
         )
-    if not in_place:
-        stack.data[order] = work
+    stack.data[order] = work
     return [table[i, : steps[i]].tolist() for i in np.argsort(order).tolist()]
 
 
@@ -473,6 +472,7 @@ def local_update(
     params = theta_start.copy()
     m = len(params.as_stack().data)
     indices = [np.arange(len(client_ds))] * m if indices is None else list(indices)
+    rates = list(rates) if isinstance(rates, list) else [rates] * m
     args = (batch_size, momentum)
     if alg.local_rule == "sequential_head_then_body":
         losses = train_epochs(
@@ -480,7 +480,7 @@ def local_update(
         )
         if local_epochs > 0:  # the body epoch reuses the final head epoch's rates
             last = []
-            for r, idx in zip(rates if isinstance(rates, list) else [rates] * m, indices):
+            for r, idx in zip(rates, indices):
                 ipe = iterations_per_epoch(len(idx), batch_size)
                 last.append(np.broadcast_to(r, (local_epochs * ipe,))[-ipe:])
             body = train_epochs(
@@ -673,7 +673,7 @@ def run_federation(
 
         # client_groups cuts ascending ids, so results come in ascending ids
         results = [
-            r for ids in client_groups(data, sampled, template, cfg.batch_size, 1 + ditto)
+            r for ids in client_groups(sampled, template, cfg.batch_size, 1 + ditto)
             for r in run_group(ids)
         ]
 

@@ -86,7 +86,7 @@ def _stacked(models: list[ParamVector], template: Network, data: FederatedData, 
     for cid, idx in enumerate(index):
         if len(idx) == 0:
             raise EvalError(f"client {cid}: empty {split} split")
-    for ids in client_groups(data, range(len(models)), template, max(map(len, index))):
+    for ids in client_groups(range(len(models)), template, max(map(len, index))):
         net = template.with_params(ParamVector.stack([models[cid] for cid in ids]))
         sets = base.subset(np.concatenate([index[cid] for cid in ids]))
         yield ids, net, sets, [len(index[cid]) for cid in ids]
@@ -167,7 +167,7 @@ def personalized_models(
     else:
         passes = [positive] if positive else []
     for snaps in passes:
-        for ids in client_groups(data, range(len(models)), template, batch_size):
+        for ids in client_groups(range(len(models)), template, batch_size):
             start = ParamVector.stack([models[cid] for cid in ids])
             done = [0] * len(ids)  # epochs each row has ended
             # one stack per earlier τ_f; the last is the pass's result
@@ -347,13 +347,14 @@ def centralized_train(
     over the whole run; returns test accuracy after each epoch. Momentum is
     carried across epochs: one long run, not a federation."""
     params = net.params.copy()
-    working = net.with_params(params)
     ipe = iterations_per_epoch(len(train_ds), batch_size)
     rates = LRSchedule(base_lr, max(epochs * ipe, 1)).rates(0, epochs * ipe)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     curve: list[float] = []
     train_epochs(
         train_ds, params, net, part, epochs, batch_size, momentum, rates, rng,
-        on_epoch=lambda *_: curve.append(accuracy(working, test_ds)[0]),
+        on_epoch=lambda _row, row_params, _momentum: curve.append(
+            accuracy(net.with_params(ParamVector(row_params, net.params.bounds)), test_ds)[0]
+        ),
     )
     return curve

@@ -20,7 +20,8 @@ equal batches. The weight-free kernels see the batch as any other.
 ``dense`` and ``conv2d`` take weights with a leading client axis,
 (M, Cout, ...), M=1 for a single network, and multiply each client's rows
 by its own weights, one batched GEMM per run; their bias gradients sum per
-client, and ``softmax_cross_entropy`` takes one mean per client. Each
+client, and ``softmax_cross_entropy`` takes one mean per client, from a run
+list even for one run. Each
 client's GEMM has the shape it has alone, so its result equals, bit for
 bit, the same kernel run on that client alone. Their backward computes
 the input gradient only with ``need_gx`` and the parameter gradients only
@@ -465,12 +466,12 @@ def maxpool2d_backward(gout, cache):
     return gx
 
 
-def softmax_cross_entropy(logits, labels, clients=None):
+def softmax_cross_entropy(logits, labels, clients):
     """Mean softmax cross-entropy and its gradient w.r.t. the logits.
 
-    logits: (N, C). With ``clients`` the N rows are client batches, client
-    by client: M clients of one batch size, or a run list
-    ``[(clients, b), ...]``. The loss is then one mean per client, an (M,)
+    logits: (N, C), the batches of M clients one after another, in the
+    run list ``clients``, ``[(clients, b), ...]`` ("Stacks"; one client
+    alone is ``[(1, N)]``). The loss is one mean per client, an (M,)
     array, and each client's gradient rows divide by its own b, not N.
     Labels are class indices in [0, C); raises on out-of-range labels.
     """
@@ -491,17 +492,10 @@ def softmax_cross_entropy(logits, labels, clients=None):
     picked -= np.log(denom).reshape(-1)
     grad /= denom
     grad.reshape(-1)[flat] -= 1
-    if clients is None or isinstance(clients, int):
-        if clients is not None:
-            picked = picked.reshape(clients, -1)
-        b = np.asarray(picked.shape[-1], dtype=logits.dtype)
-        # the float32 sum and division np.mean does, without its Python wrapper
-        loss = -(np.add.reduce(picked, axis=-1) / b)
-        grad /= b
-        return loss.astype(logits.dtype), grad.astype(logits.dtype, copy=False)
     loss = np.empty(sum(k for k, _ in clients), dtype=logits.dtype)
     for c, r, b in _spans(clients, 1):
         b32 = np.asarray(b, dtype=logits.dtype)
+        # the float32 sum and division np.mean does, without its Python wrapper
         loss[c] = -(np.add.reduce(picked[r].reshape(-1, b), axis=-1) / b32)
         grad[r] /= b32
     return loss, grad.astype(logits.dtype, copy=False)

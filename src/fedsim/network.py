@@ -286,10 +286,10 @@ def forward(net: Network, batch: np.ndarray, runs=None):
     """Run the network on a batch; returns (logits, cache).
 
     A network over a stack runs its clients' batches one after another, in
-    ``runs`` of one batch size (layers.py, "Stacks"). The cache holds
-    per-layer records sufficient for backward, plus the logits and runs.
+    ``runs`` of one batch size (layers.py, "Stacks"), passed to the kernels
+    as given. The cache holds per-layer records sufficient for backward,
+    plus the logits and runs.
     """
-    runs = runs if runs and len(runs) > 1 else None  # one run: the plain stacked path
     caches: list = []
     x = _run_layers(net, batch, len(net.layers), caches, runs)
     return x, (caches, x, runs)
@@ -303,12 +303,14 @@ def representations(net: Network, batch: np.ndarray, runs=None) -> np.ndarray:
 
 
 def backward(net: Network, cache, labels, mask: ParamMask | None = None):
-    """Softmax cross-entropy loss (mean over the batch) and parameter grads.
+    """Softmax cross-entropy loss and parameter grads.
 
     Must be called with the cache of a matching forward; the returned
-    gradient vector shares the params' segmentation. A network over an
-    (M, P) stack returns an (M,) loss, each client's mean over its own
-    batch, and an (M, P) gradient stack.
+    gradient vector shares the params' segmentation. The loss is an (M,)
+    array, each client's mean over its own batch, for a network over an
+    (M, P) stack, which returns an (M, P) gradient stack, and for a single
+    vector, a stack of M = 1. The loss reads the batch layout as a run
+    list: the forward's runs, or one run of M equal batches.
 
     Only what ``mask`` (None: every segment) trains is computed: the weight
     and bias gradients of the layers it trains, and input gradients only
@@ -317,8 +319,8 @@ def backward(net: Network, cache, labels, mask: ParamMask | None = None):
     a full backward gives them.
     """
     caches, logits, runs = cache
-    clients = runs or (len(net.params.data) if net.params.data.ndim == 2 else None)
-    loss, gout = softmax_cross_entropy(logits, labels, clients)
+    m = len(net.params.data) if net.params.data.ndim == 2 else 1
+    loss, gout = softmax_cross_entropy(logits, labels, runs or [(m, len(labels) // m)])
 
     mask = ParamMask.full(net.params.n_segments) if mask is None else mask
     part = mask.scalars(net.params)

@@ -139,3 +139,22 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread()
     # a gain inside the parent's own spread is noise
     assert not tool.meets_claim(tool.compare(parent, [p * 0.995 for p in parent], "lower", 0.25))
     assert not tool.meets_claim(tool.compare(parent, [p * 1.1 for p in parent], "lower", 0.25))
+
+
+def test_agree_pairs_counts_the_pairs_whose_raw_and_scaled_values_move_alike():
+    # the scaled times read 5% worse in every pair, as a reference task
+    # biased against the change would make them; the raw ones read better
+    # in six pairs and worse in four
+    def side(scaled, raw):
+        info = {"runs_failed": 0, "checkpoint_sha256": "same", "src_lines": 10, "train_s": [raw]}
+        return {"info": info, "result": {"metrics": {"train_s": {"value": scaled}}}}
+
+    raw = [0.98] * 6 + [1.01] * 4
+    runs = [
+        {"seed": i, "first": "parent", "parent": side(1.0, 1.0), "change": side(1.05, r)}
+        for i, r in enumerate(raw)
+    ]
+    train = load_tool().summarize(runs, {"train_s": ("lower", 0.25)})["metrics"]["train_s"]
+    assert train["scaled"]["wins"] == 0 and train["raw"]["wins"] == 6
+    assert not train["agree"]  # the medians point apart
+    assert train["agree_pairs"] == 4

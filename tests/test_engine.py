@@ -307,7 +307,7 @@ def test_run_federation_mixed_size_groups_match_descending_client_replay(alg):
     # one group of every size: the 20-sample client has run both its epochs
     # by step index 4, and the 45-sample clients end each epoch on a partial
     # batch of 5, which steps as a subgroup of its own
-    assert client_groups(data, range(7), net, 10) == [tuple(range(7))]
+    assert client_groups(range(7), net, 10) == [tuple(range(7))]
     cfg = fs.FLConfig(
         clients=7, fraction=1.0, local_epochs=2, rounds=3, batch_size=10,
         algorithm=alg, mu=0.05, seed=19,
@@ -421,7 +421,8 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     """train_epochs on an (m, P) stack of clients of ``sizes`` samples, each
     with its own array of step rates and the last ``pulled``
     with a prox term, and on each client alone: (stacked, separate) lists
-    of (params bytes, momentum bytes per epoch, losses) per client. The
+    of (params bytes, (params bytes, momentum bytes) per epoch as
+    ``on_epoch`` sees them, losses) per client. The
     stack reads its clients' samples in place through scattered, unsorted
     index arrays into one shared set, where the first two clients share a
     sample; each client alone trains on a copy of its samples."""
@@ -449,33 +450,28 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     step = _perfedavg_step(0.01) if meta else _joint_step
 
     def run(ds, params, prox, rngs, rates, indices):
-        momenta = [[] for _ in range(len(rngs) if isinstance(rngs, list) else 1)]
+        seen = [[] for _ in range(len(rngs) if isinstance(rngs, list) else 1)]
         losses = train_epochs(
             ds, params, net, part, epochs, batch_size, 0.9, rates, rngs,
             prox=prox, step=step, indices=indices,
-            on_epoch=lambda row, _params, momentum: momenta[row].append(momentum.copy()),
+            on_epoch=lambda row, p, mom: seen[row].append((p.tobytes(), mom.tobytes())),
         )
-        return losses, momenta
+        return losses, seen
 
     free = m - pulled
     prox = (0.3, ParamVector(anchors.data[free:], anchors.bounds)) if pulled else None
     streams = [stream(seed, 1, 1, i) for i in range(m)]
-    losses, momenta = run(ds, stack, prox, streams, rates, indices)
-    stacked = [
-        (stack.data[i].tobytes(), [mom.tobytes() for mom in momenta[i]], losses[i])
-        for i in range(m)
-    ]
+    losses, seen = run(ds, stack, prox, streams, rates, indices)
+    stacked = [(stack.data[i].tobytes(), seen[i], losses[i]) for i in range(m)]
     separate = []
     for i, row in enumerate(anchors.rows()):
         params = ParamVector(net.params.data + 0.1 * noise[i], net.params.bounds)
         client_ds = ds.subset(indices[i])
-        (client_losses,), (client_momenta,) = run(
+        (client_losses,), (client_seen,) = run(
             client_ds, params, (0.3, row) if i >= free else None, stream(seed, 1, 1, i),
             rates[i], None,
         )
-        separate.append(
-            (params.data.tobytes(), [mom.tobytes() for mom in client_momenta], client_losses)
-        )
+        separate.append((params.data.tobytes(), client_seen, client_losses))
     return stacked, separate
 
 
@@ -556,7 +552,7 @@ def test_ragged_group_runs_one_forward_and_one_update_per_track_per_step_index(m
     cfg = fs.FLConfig(
         clients=7, fraction=1.0, local_epochs=2, rounds=1, batch_size=10, algorithm=alg, seed=5,
     )
-    assert client_groups(data, range(7), net, 10, 1 + (alg == "ditto")) == [tuple(range(7))]
+    assert client_groups(range(7), net, 10, 1 + (alg == "ditto")) == [tuple(range(7))]
     runs, updates = [], []
     forward, sgd_step = fs.engine.forward, fs.engine.sgd_step
 
@@ -602,8 +598,8 @@ def test_client_groups_cap_counts_stacked_rows(monkeypatch):
     net = small_net(seed=3)
     # small_net holds 12 + 12 + 4 floats of activations per sample
     monkeypatch.setattr(fs.engine, "GROUP_BYTES", 4 * 10 * 28 * 3)
-    assert client_groups(data, [6, 0, 3, 1, 5, 2, 4], net, 10) == [(0, 1, 2), (3, 4, 5), (6,)]
-    assert client_groups(data, range(7), net, 10, tracks=2) == [(i,) for i in range(7)]
+    assert client_groups([6, 0, 3, 1, 5, 2, 4], net, 10) == [(0, 1, 2), (3, 4, 5), (6,)]
+    assert client_groups(range(7), net, 10, tracks=2) == [(i,) for i in range(7)]
 
 
 @pytest.mark.parametrize("alg", ["fedavg", "ditto"])
@@ -625,7 +621,7 @@ def test_meta_step_error_names_the_client_whose_batch_is_too_small():
         clients=4, fraction=1.0, local_epochs=1, rounds=1, batch_size=10,
         algorithm="perfedavg", seed=3,
     )
-    assert client_groups(data, range(4), net, 10) == [(0, 1, 2, 3)]
+    assert client_groups(range(4), net, 10) == [(0, 1, 2, 3)]
     with pytest.raises(FederationError, match=r"^round 1, client 2: meta step needs a batch"):
         fs.run_federation(cfg, data, net)
 
@@ -665,7 +661,7 @@ def test_numeric_error_names_the_group_member():
     data.train.samples[data.splits[2].train_indices[:3]] = np.inf
     net = small_net(seed=3)
     cfg = fs.FLConfig(clients=4, fraction=1.0, local_epochs=1, rounds=1, batch_size=60, seed=3)
-    assert client_groups(data, range(4), net, 60) == [(0, 1, 2, 3)]
+    assert client_groups(range(4), net, 60) == [(0, 1, 2, 3)]
     with pytest.raises(NumericError, match=r"^round 1, client 2: non-finite loss"):
         fs.run_federation(cfg, data, net)
 
@@ -685,3 +681,21 @@ def test_non_finite_parameters_after_the_last_update_name_the_callers_row():
             data.train, stack, net, "full", 1, 20, 0.9, rates, rngs, indices=own,
         )
     assert exc.value.member == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sizes", [(12,), (12, 12, 12)])
+def test_numeric_error_leaves_an_in_order_group_untouched(sizes):
+    # one client, or equal sizes: a group already in training order; the
+    # last row's rate is inf in float32, so its second step's loss is not
+    # finite, after every row has taken a step
+    data = make_federated_data()
+    net = small_net(seed=3)
+    own = [data.splits[0].train_indices[:n] for n in sizes]
+    stack = ParamVector.stack([net.params] * len(sizes))
+    before = stack.data.tobytes()
+    rates = [0.1] * (len(sizes) - 1) + [1e41]
+    rngs = [stream(3, cid) for cid in range(len(sizes))]
+    with pytest.raises(NumericError, match=r"^non-finite loss at local update 1$"):
+        train_epochs(data.train, stack, net, "full", 1, 5, 0.9, rates, rngs, indices=own)
+    assert stack.data.tobytes() == before

@@ -214,7 +214,7 @@ def test_one_pass_snapshots_equal_separate_finetunes(part, sizes):
         assert len(train_sizes) > 1 and any(size % 10 for size in train_sizes)
     net = small_net(seed=20, dim=data.train.sample_shape[0])
     models = noisy_models(net, n, seed=20)
-    assert client_groups(data, range(n), net, 10) == [tuple(range(n))]  # one lockstep group
+    assert client_groups(range(n), net, 10) == [tuple(range(n))]  # one lockstep group
     tfs = [3, 0, 1, 4, 1]
     snapshots = personalized_models(models, net, data, part, tfs, 0.05, seed=5, batch_size=10)
     for tf, tuned in zip(tfs, snapshots):
@@ -323,7 +323,7 @@ def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
         )
     models = noisy_models(net, 6, seed=23)
     # clients of every size stack together, capped at the largest set
-    stacks = client_groups(data, range(6), net, max(test_sizes))
+    stacks = client_groups(range(6), net, max(test_sizes))
     if kind == "capped":
         assert all(len(ids) == 1 for ids in stacks)
     else:
@@ -551,6 +551,30 @@ def test_centralized_training_learns():
     net = small_net(seed=18)
     curve = fs.centralized_train(net, data.train, data.test, "full", 6, 0.1, seed=18, batch_size=20)
     assert curve[-1] > 0.8
+
+
+def test_centralized_curve_scores_each_epochs_trained_parameters(monkeypatch):
+    data = make_federated_data(spread=0.25, seed=18)
+    net = small_net(seed=18)
+    snapshots, calls = [], []
+
+    def recording(*args, on_epoch, **kwargs):
+        def record(row, params, momentum):
+            snapshots.append(params.copy())
+            on_epoch(row, params, momentum)
+
+        calls.append(args[1])
+        return train_epochs(*args, on_epoch=record, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_epochs", recording)
+    curve = fs.centralized_train(net, data.train, data.test, "full", 4, 0.1, seed=18, batch_size=20)
+    # the last epoch's parameters are the ones the call leaves
+    assert snapshots[-1].tobytes() == calls[0].data.tobytes()
+    assert curve == [
+        accuracy(net.with_params(ParamVector(p, net.params.bounds)), data.test)[0]
+        for p in snapshots
+    ]
+    assert len(set(curve)) > 1  # the curve moves with training
 
 
 def test_accuracy_tie_breaks_to_lowest_class():

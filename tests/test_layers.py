@@ -407,22 +407,21 @@ def test_maxpool_indivisible_raises(rng):
 def test_softmax_cross_entropy_rejects_bad_labels(rng):
     logits = rng.normal(size=(3, 4)).astype(np.float32)
     with pytest.raises(ValueError):
-        softmax_cross_entropy(logits, np.array([0, 1, 4]))
+        softmax_cross_entropy(logits, np.array([0, 1, 4]), [(1, 3)])
     with pytest.raises(ValueError):
-        softmax_cross_entropy(logits, np.array([0, -1, 2]))
+        softmax_cross_entropy(logits, np.array([0, -1, 2]), [(1, 3)])
 
 
-def softmax_xent_rowmax(logits, labels, clients=None):
-    """softmax_cross_entropy as it was written with the row max taken
-    across each row, ``logits.max(axis=1)``: the reference its
-    transposed-max form must equal byte for byte."""
+def softmax_xent_rowmax(logits, labels, m):
+    """softmax_cross_entropy over m clients of equal batches, as it was
+    written with the row max taken across each row, ``logits.max(axis=1)``:
+    the reference its transposed-max form must equal byte for byte."""
     n = len(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
     picked = (shifted - np.log(denom))[np.arange(n), labels]
-    if clients is not None:
-        picked = picked.reshape(clients, -1)
+    picked = picked.reshape(m, -1)
     b = np.asarray(picked.shape[-1], dtype=logits.dtype)
     loss = -(np.add.reduce(picked, axis=-1) / b)
     grad = exp / denom
@@ -432,30 +431,31 @@ def softmax_xent_rowmax(logits, labels, clients=None):
 
 
 def softmax_cases(rng):
-    """(logits, clients) pairs: random rows, tied rows, rows mixing +0.0 and
-    -0.0 with far larger magnitudes, and client stacks."""
-    yield rng.standard_normal((500, 10)).astype(np.float32), None
-    yield (rng.standard_normal((1200, 10)) * 30).astype(np.float32), None
+    """(logits, m) pairs, m clients of equal batches: random rows, tied
+    rows, rows mixing +0.0 and -0.0 with far larger magnitudes, and client
+    stacks."""
+    yield rng.standard_normal((500, 10)).astype(np.float32), 1
+    yield (rng.standard_normal((1200, 10)) * 30).astype(np.float32), 1
     yield rng.standard_normal((4 * 50, 10)).astype(np.float32), 4
     yield np.repeat(rng.standard_normal((60, 1)), 7, axis=1).astype(np.float32), 3
     signed_zeros = np.array([0.0, -0.0, -1.0, -3e38], dtype=np.float32)
     large = np.array([0.0, -0.0, 1.0, 3e38, -3e38, 1e-45], dtype=np.float32)
     for _ in range(100):  # a +0.0/-0.0 max tie settles either way in some shapes
         n, c = int(rng.integers(1, 400)), int(rng.integers(2, 20))
-        yield rng.choice(signed_zeros, size=(n, c)), None
+        yield rng.choice(signed_zeros, size=(n, c)), 1
         mixed = rng.standard_normal((n, c)).astype(np.float32)
-        yield np.where(rng.random((n, c)) < 0.5, rng.choice(large, size=(n, c)), mixed), None
+        yield np.where(rng.random((n, c)) < 0.5, rng.choice(large, size=(n, c)), mixed), 1
     zeros = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(6 * 25, 10))
     zeros[:, ::3] = -5.0
     yield zeros, 6
 
 
 def test_softmax_transposed_row_max_equals_row_max_bytes(rng):
-    for logits, clients in softmax_cases(rng):
+    for logits, m in softmax_cases(rng):
         labels = rng.integers(0, logits.shape[1], size=len(logits))
         with np.errstate(all="ignore"):  # +-3e38 rows overflow to inf alike
-            got = softmax_cross_entropy(logits, labels, clients)
-            want = softmax_xent_rowmax(logits, labels, clients)
+            got = softmax_cross_entropy(logits, labels, [(m, len(logits) // m)])
+            want = softmax_xent_rowmax(logits, labels, m)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -591,7 +591,8 @@ def test_softmax_over_runs_equals_one_client_calls(runs, seed):
     labels = rng.integers(0, 6, size=n)
     loss, grad = softmax_cross_entropy(logits, labels, runs)
     for i, rows in client_rows(runs):
-        one_loss, one_grad = softmax_cross_entropy(logits[rows], labels[rows], 1)
+        one = [(1, rows.stop - rows.start)]
+        one_loss, one_grad = softmax_cross_entropy(logits[rows], labels[rows], one)
         assert_same_bytes([loss[i : i + 1], grad[rows]], [one_loss, one_grad])
 
 

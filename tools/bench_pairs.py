@@ -30,9 +30,12 @@ pairs of the change's reference-task median over the parent's. When it
 lies outside the band of one plus or minus the parent's own reference-task
 spread (at least ``GAP_FLOOR``), every host-scaled verdict of the workload
 reads ``unresolved``. Each metric also records whether its raw and scaled
-median ratios point the same way (``agree``), and ``gain``: whether raw
-and scaled values each meet the rule for claiming a gain (``meets_claim``)
-and neither verdict is ``unresolved``.
+median ratios point the same way (``agree``), in how many pairs the raw
+and scaled ratios point the same way (``agree_pairs``), and ``gain``:
+whether raw and scaled values each meet the rule for claiming a gain
+(``meets_claim``) and neither verdict is ``unresolved``. A scaling bias
+that the host-gap band is too wide to catch shows as pairs that disagree:
+scaled values worse in every pair while raw ones split both ways.
 """
 
 from __future__ import annotations
@@ -156,6 +159,13 @@ def direction(result: dict) -> int:
     return 0 if not worse_by else (-1 if worse_by > 0 else 1)
 
 
+def agree_pairs(scaled: dict, raw: dict) -> int:
+    """The pairs whose raw and scaled values move the same way from the
+    parent to the change (both up, both down, or both equal)."""
+    sides = (scaled["parent"], scaled["change"], raw["parent"], raw["change"])
+    return sum((sc > sp) - (sc < sp) == (rc > rp) - (rc < rp) for sp, sc, rp, rc in zip(*sides))
+
+
 def meets_claim(result: dict) -> bool:
     """Whether the change wins at least nine tenths of the pairs and its
     median differs from the parent's by more than the parent's
@@ -216,6 +226,7 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
             "scaled": scaled,
             "raw": raw_cmp,
             "agree": direction(scaled) == direction(raw_cmp),
+            "agree_pairs": agree_pairs(scaled, raw_cmp),
             "gain": meets_claim(scaled) and meets_claim(raw_cmp) and "unresolved" not in verdicts,
         }
     return out
