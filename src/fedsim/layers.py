@@ -21,13 +21,12 @@ equal batches. The weight-free kernels see the batch as any other.
 (M, Cout, ...), M=1 for a single network, and multiply each client's rows
 by its own weights, one batched GEMM per run; their bias gradients sum per
 client, and ``softmax_cross_entropy`` takes one mean per client, from a run
-list even for one run. Each
-client's GEMM has the shape it has alone, so its result equals, bit for
-bit, the same kernel run on that client alone. Their backward computes
-the input gradient only with ``need_gx`` and the parameter gradients only
-with ``need_gw``: a network's masked backward asks for a layer's weight
-and bias gradients only where its mask trains that layer, and leaves the
-gradient of an untrained segment zero.
+list even for one run. Each client's GEMM has the shape it has alone, so
+its result equals, bit for bit, the same kernel run on that client alone.
+Their backward computes the input gradient only with ``need_gx`` and the
+parameter gradients only with ``need_gw``: a network's masked backward
+asks for a layer's weight and bias gradients only where its mask trains
+that layer, and leaves the gradient of an untrained segment zero.
 
 Column copies: a conv builds its im2col matrix with k² strided copies, and
 its input gradient (col2im) with k² strided adds. Both work on the batch

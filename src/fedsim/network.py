@@ -306,11 +306,11 @@ def backward(net: Network, cache, labels, mask: ParamMask | None = None):
     """Softmax cross-entropy loss and parameter grads.
 
     Must be called with the cache of a matching forward; the returned
-    gradient vector shares the params' segmentation. The loss is an (M,)
-    array, each client's mean over its own batch, for a network over an
-    (M, P) stack, which returns an (M, P) gradient stack, and for a single
-    vector, a stack of M = 1. The loss reads the batch layout as a run
-    list: the forward's runs, or one run of M equal batches.
+    gradient vector shares the params' segmentation. A network over an
+    (M, P) stack returns an (M,) loss, each client's mean over its own
+    batch, and an (M, P) gradient stack; a single vector is M = 1, with a
+    (1,) loss. The loss reads the batch layout as a run list: the
+    forward's runs, or one run of M equal batches.
 
     Only what ``mask`` (None: every segment) trains is computed: the weight
     and bias gradients of the layers it trains, and input gradients only

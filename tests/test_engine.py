@@ -594,7 +594,6 @@ def test_training_and_finetunes_read_client_samples_in_place(monkeypatch):
 
 
 def test_client_groups_cap_counts_stacked_rows(monkeypatch):
-    data = mixed_size_data()
     net = small_net(seed=3)
     # small_net holds 12 + 12 + 4 floats of activations per sample
     monkeypatch.setattr(fs.engine, "GROUP_BYTES", 4 * 10 * 28 * 3)
