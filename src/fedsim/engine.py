@@ -299,12 +299,12 @@ def train_epochs(
     epochs: int,
     batch_size: int,
     momentum: float,
-    rates,
-    rng,
+    rates: list,
+    rngs: list[np.random.Generator],
+    indices: list[np.ndarray],
     prox: tuple[float, ParamVector] | None = None,
     step=_joint_step,
     on_epoch=None,
-    indices: list[np.ndarray] | None = None,
 ) -> list[list[float]]:
     """Minibatch momentum SGD over `epochs`, updating `part` of `params`:
     the one training loop behind every local, server-side, fine-tuning and
@@ -312,18 +312,19 @@ def train_epochs(
 
     ``params`` is an (M, P) stack of a lockstep group, M clients whose rows
     read their samples in place, with no copy, through ``indices``, one
-    index array into ``ds`` per row; ``rng`` is a list of M generators. A
-    single vector with one generator is a group of one, over all of ``ds``
-    if ``indices`` is None. The clients step by step index: at step s
-    every client with a step left runs its own s-th step, and all of them
-    run as one forward, one backward and one ``sgd_step`` per track. For
-    this the rows are ordered by step count, descending, so that a step's
-    live rows are a prefix of the stack, and then by size, so that equal
-    partial batches sit side by side: a step's batch is a list of runs of
-    one batch size (layers.py, "Stacks"). The call trains a stack of its
-    own, the group's rows copied into that order, and writes it back to
-    ``params``, in the caller's order, once, on return; a call that raises
-    leaves ``params`` as it was.
+    index array into ``ds`` per row; ``rngs`` holds one generator and
+    ``rates`` one rate entry per row. A group of one is a (1, P) stack with
+    lists of one (``local_update`` takes the shorter forms), and lists that
+    do not fit M rows raise ValueError. The clients step by step index: at
+    step s every client with a step left runs its own s-th step, and all of
+    them run as one forward, one backward and one ``sgd_step`` per track.
+    For this the rows are ordered by step count, descending, so that a
+    step's live rows are a prefix of the stack, and then by size, so that
+    equal partial batches sit side by side: a step's batch is a list of
+    runs of one batch size (layers.py, "Stacks"). The call trains a stack
+    of its own, the group's rows copied into that order, and writes it back
+    to ``params``, in the caller's order, once, on return; a call that
+    raises leaves ``params`` as it was.
     Each client draws an epoch's permutation from its own generator when
     its epoch starts, and has its own momentum buffer and losses, so its
     bits do not depend on its group.
@@ -334,38 +335,32 @@ def train_epochs(
     plan: per step the epoch-start draws, one step, one loss check and
     write, the ``sgd_step`` calls and the epoch-end ``on_epoch`` calls.
 
-    ``rates`` as a list holds one entry per row; anything else serves every
-    row. An entry is a rate, or an array of one rate per step of the call.
-    ``prox=(mu, anchor)`` pulls the last len(anchor) rows toward their rows
-    of ``anchor``; rows before them (Ditto's global track) take no prox
-    term, and each pulled row is ordered right after the row len(anchor)
-    before it (its client's global row, under Ditto). ``step`` maps (net,
-    ds, one (clients, b) array of batch indices per run, the mask of
-    ``part``) to (losses, grads), where only the mask's segments of the
-    gradient need to hold gradients; ``on_epoch(row, params, momentum)`` is
-    called as the caller's row ``row`` ends an epoch, with views of its
-    parameter and momentum vectors in the call's own stack, the only view
-    of a row before the call returns. Momentum starts at zero and carries
-    across the epochs of one call. Returns each client's per-step losses. A
-    non-finite step loss, or a row its last update leaves non-finite,
-    raises NumericError naming the caller's row and the update, counted
-    from the start of the call.
+    A rate entry is a rate, or an array of one rate per step of the call.
+    ``prox=(mu, anchor)``, ``anchor`` an (A, P) stack, pulls the last A
+    rows toward their rows of ``anchor``; rows before them (Ditto's global
+    track) take no prox term, and each pulled row is ordered right after
+    the row A before it (its client's global row, under Ditto). ``step``
+    maps (net, ds, one (clients, b) array of batch indices per run, the
+    mask of ``part``) to (losses, grads), where only the mask's segments of
+    the gradient need to hold gradients; ``on_epoch(row, params,
+    momentum)`` is called as the caller's row ``row`` ends an epoch, with
+    views of its parameter and momentum vectors in the call's own stack,
+    the only view of a row before the call returns. Momentum starts at zero
+    and carries across the epochs of one call. Returns each client's
+    per-step losses. A non-finite step loss, or a row its last update
+    leaves non-finite, raises NumericError naming the caller's row and the
+    update, counted from the start of the call.
     """
-    stack = params.as_stack()
-    m = len(stack.data)
-    rngs = list(rng) if params.data.ndim == 2 else [rng]
-    own = [np.arange(len(ds))] if indices is None else list(indices)
-    n = np.array([len(idx) for idx in own], dtype=np.int64)
-    rates = list(rates) if isinstance(rates, list) else [rates] * m
-    if len(rngs) != m or len(n) != m or len(rates) != m:
-        raise ValueError(
-            f"{len(n)} index arrays, {len(rngs)} generators and {len(rates)} rates "
-            f"do not fit {m} clients"
-        )
+    m = len(params.data)
+    n = np.array([len(idx) for idx in indices], dtype=np.int64)
+    gens = sum(isinstance(g, np.random.Generator) for g in rngs) if isinstance(rngs, list) else 0
+    if not len(n) == gens == len(rates) == m:
+        counts = f"{len(n)} index arrays, {gens} generators and {len(rates)} rates"
+        raise ValueError(f"{counts} do not fit {m} clients")
     if (n == 0).any():
         raise FederationError("client has no training data", int(np.argmin(n)))
     mask = template.mask_for(part)
-    anchor = None if prox is None else prox[1].as_stack().data
+    anchor = None if prox is None else prox[1].data
     free = m if prox is None else m - len(anchor)
     pulled = np.arange(m) >= free
 
@@ -375,10 +370,10 @@ def train_epochs(
     # global row). From here on a row is a position in this order.
     steps = epochs * -(-n // batch_size)
     order = np.lexsort((pulled, np.arange(m) - free * pulled, -n, -steps))
-    work = stack.data[order]  # the stack this call trains, written back on return
+    work = params.data[order]  # the stack this call trains, written back on return
     buf = np.zeros_like(work)
     n, steps, pulled = n[order], steps[order], pulled[order]
-    rngs, own, rates = ([x[r] for r in order.tolist()] for x in (rngs, own, rates))
+    rngs, own, rates = ([x[r] for r in order.tolist()] for x in (rngs, indices, rates))
     if anchor is not None:  # the pulled rows' anchors, in row order
         anchor = anchor[order[pulled] - free]
     plan = _plan(n, steps, batch_size, rates, on_epoch is not None)
@@ -387,13 +382,13 @@ def train_epochs(
         """(network, momentum, updates) of the first k rows: views, and one
         (rows, prox) per ``sgd_step`` call, the free rows' and the pulled
         rows' apart, as mu = 0 could turn a gradient of -0.0 into 0.0."""
-        rows = ParamVector(work[:k], stack.bounds)
+        rows = ParamVector(work[:k], params.bounds)
         updates = [(sl, None) for sl in _slices(np.flatnonzero(~pulled[:k]))]
         for sl in _slices(np.flatnonzero(pulled[:k])):
             j = int(pulled[: sl.start].sum())
-            pull = ParamVector(anchor[j : j + len(range(k)[sl])], stack.bounds)
+            pull = ParamVector(anchor[j : j + len(range(k)[sl])], params.bounds)
             updates.append((sl, (prox[0], pull)))
-        opt = OptState(ParamVector(buf[:k], stack.bounds), momentum)
+        opt = OptState(ParamVector(buf[:k], params.bounds), momentum)
         return template.with_params(rows), opt, updates
 
     prefixes = {k: prefix(k) for k in {record[1] for record in plan}}
@@ -430,7 +425,7 @@ def train_epochs(
         raise NumericError(
             f"non-finite parameters after local update {int(steps[i]) - 1}", int(order[i])
         )
-    stack.data[order] = work
+    params.data[order] = work
     return [table[i, : steps[i]].tolist() for i in np.argsort(order).tolist()]
 
 
@@ -452,11 +447,11 @@ def local_update(
     """One client's local pass under ``alg``'s local rule; returns (final
     params, one mean minibatch loss per client). The one place a local rule
     becomes ``train_epochs`` calls, for federated rounds and for
-    evaluation's fine-tunes alike. Given a lockstep group (see
-    ``train_epochs``: an (M, P) stack, with ``indices``, ``rates`` and
-    ``rng`` per row or shared), it returns the group's stack. Each row
-    reads its client's samples in place, with no per-round copy; with
-    ``indices`` None every row reads all of ``client_ds``.
+    evaluation's fine-tunes alike, and the one entry that takes short forms
+    of their inputs: a single vector with one generator ``rng`` is a group
+    of one, ``rates`` that are no list serve every row, and ``indices``
+    None has every row read all of ``client_ds``; a vector with a list of
+    generators, or a stack with one, raises ValueError.
 
     'sequential_head_then_body' (FedRep) trains the head for every epoch,
     then the body for one more epoch at the final head epoch's rates, the
@@ -470,27 +465,26 @@ def local_update(
     between rounds.
     """
     params = theta_start.copy()
-    m = len(params.as_stack().data)
-    indices = [np.arange(len(client_ds))] * m if indices is None else list(indices)
-    rates = list(rates) if isinstance(rates, list) else [rates] * m
+    # the one form train_epochs takes: (M, P) stacks and M-long lists
+    stack = params.as_stack()
+    m = len(stack.data)
+    rngs = [rng] if params.data.ndim == 1 else rng
+    rates = rates if isinstance(rates, list) else [rates] * m
+    indices = [np.arange(len(client_ds))] * m if indices is None else indices
     args = (batch_size, momentum)
     if alg.local_rule == "sequential_head_then_body":
         losses = train_epochs(
-            client_ds, params, template, "head", local_epochs, *args, rates, rng, indices=indices
+            client_ds, stack, template, "head", local_epochs, *args, rates, rngs, indices
         )
         if local_epochs > 0:  # the body epoch reuses the final head epoch's rates
-            last = []
-            for r, idx in zip(rates, indices):
-                ipe = iterations_per_epoch(len(idx), batch_size)
-                last.append(np.broadcast_to(r, (local_epochs * ipe,))[-ipe:])
-            body = train_epochs(
-                client_ds, params, template, "body", 1, *args, last, rng, indices=indices
-            )
+            ipe = [iterations_per_epoch(len(idx), batch_size) for idx in indices]
+            last = [np.broadcast_to(r, (local_epochs * i,))[-i:] for r, i in zip(rates, ipe)]
+            body = train_epochs(client_ds, stack, template, "body", 1, *args, last, rngs, indices)
             losses = [head + tail for head, tail in zip(losses, body)]
     elif alg.local_rule in ("joint", "proximal", "ditto", "perfedavg_fo"):
         if alg.local_rule == "perfedavg_fo" and alg.update_part != "full":
             raise ValueError(f"Per-FedAvg trains 'full', not {alg.update_part!r}")
-        prox = (mu, theta_start) if alg.local_rule == "proximal" else None
+        prox = (mu, theta_start.as_stack()) if alg.local_rule == "proximal" else None
         clients = m
         if alg.local_rule == "ditto":
             if m % 2:
@@ -498,8 +492,8 @@ def local_update(
             clients = m // 2
             prox = (mu, ParamVector(theta_start.data[:clients], theta_start.bounds))
         losses = train_epochs(
-            client_ds, params, template, alg.update_part, local_epochs, *args, rates, rng,
-            prox=prox, indices=indices, on_epoch=on_epoch,
+            client_ds, stack, template, alg.update_part, local_epochs, *args, rates, rngs,
+            indices, prox=prox, on_epoch=on_epoch,
             step=(
                 _perfedavg_step(perfedavg_alpha)
                 if alg.local_rule == "perfedavg_fo"
@@ -694,11 +688,14 @@ def run_federation(
         if pool_idx is not None and round_alg.federated:
             # one server epoch on the shared pool, in place on the fresh
             # aggregate, at the rate the schedule has reached so far
-            train_epochs(
-                data.train, state.global_params, template, cfg.server_update_part, 1,
-                cfg.batch_size, cfg.momentum, _round_end_lr(cfg, k), stream(cfg.seed, _SERVER, k),
-                indices=[pool_idx],
-            )
+            try:
+                train_epochs(
+                    data.train, state.global_params.as_stack(), template,
+                    cfg.server_update_part, 1, cfg.batch_size, cfg.momentum,
+                    [_round_end_lr(cfg, k)], [stream(cfg.seed, _SERVER, k)], [pool_idx],
+                )
+            except FederationError as e:
+                raise type(e)(f"round {k}, server epoch: {e}", e.member) from e
 
         state.round = k
         lr_logged = LG_LR if lr_mode == "constant" else _round_end_lr(cfg, k)

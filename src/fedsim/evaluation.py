@@ -19,6 +19,7 @@ from .engine import (
     eval_stream,
     iterations_per_epoch,
     local_update,
+    stream,
     train_epochs,
 )
 from .layers import runs_of
@@ -63,8 +64,9 @@ def accuracy(net: Network, ds: LabeledDataset, sizes: list[int] | None = None) -
     one set, all of ``ds``."""
     if len(ds) == 0:
         raise EvalError("empty evaluation set")
-    logits, _ = forward(net, ds.samples, None if sizes is None else runs_of(sizes))
-    return _shares(logits, ds.labels, [len(ds)] if sizes is None else sizes)
+    sizes = [len(ds)] if sizes is None else sizes
+    logits, _ = forward(net, ds.samples, runs_of(sizes))
+    return _shares(logits, ds.labels, sizes)
 
 
 def _shares(logits: np.ndarray, labels: np.ndarray, sizes: list[int]) -> np.ndarray:
@@ -346,13 +348,12 @@ def centralized_train(
     """Plain pooled training updating only ``part``; step-decay schedule
     over the whole run; returns test accuracy after each epoch. Momentum is
     carried across epochs: one long run, not a federation."""
-    params = net.params.copy()
     ipe = iterations_per_epoch(len(train_ds), batch_size)
     rates = LRSchedule(base_lr, max(epochs * ipe, 1)).rates(0, epochs * ipe)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     curve: list[float] = []
     train_epochs(
-        train_ds, params, net, part, epochs, batch_size, momentum, rates, rng,
+        train_ds, ParamVector.stack([net.params]), net, part, epochs, batch_size, momentum,
+        [rates], [stream(seed, 9)], [np.arange(len(train_ds))],
         on_epoch=lambda _row, row_params, _momentum: curve.append(
             accuracy(net.with_params(ParamVector(row_params, net.params.bounds)), test_ds)[0]
         ),

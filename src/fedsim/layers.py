@@ -13,20 +13,21 @@ once, in the caller's axis order, and converts the batch once, with
 emits features in (C, H, W) order.
 
 Stacks: a group of M clients that train in lockstep runs as one batch,
-client by client (client-major). Clients may differ in batch size: the
-batch is then a list of runs, ``[(clients, b), ...]`` in client order, each
-a stretch of clients with b samples apiece; ``runs`` None is one run of M
-equal batches. The weight-free kernels see the batch as any other.
-``dense`` and ``conv2d`` take weights with a leading client axis,
-(M, Cout, ...), M=1 for a single network, and multiply each client's rows
-by its own weights, one batched GEMM per run; their bias gradients sum per
-client, and ``softmax_cross_entropy`` takes one mean per client, from a run
-list even for one run. Each client's GEMM has the shape it has alone, so
-its result equals, bit for bit, the same kernel run on that client alone.
-Their backward computes the input gradient only with ``need_gx`` and the
-parameter gradients only with ``need_gw``: a network's masked backward
-asks for a layer's weight and bias gradients only where its mask trains
-that layer, and leaves the gradient of an untrained segment zero.
+client by client (client-major), whose layout every dense, conv2d and loss
+kernel takes as a run list, ``[(clients, b), ...]`` in client order, each
+run a stretch of clients with b samples apiece (one client alone is
+``[(1, b)]``); ``network._run_layers`` is the one place where a pass given
+no list gets one, one run of M equal batches. The weight-free kernels see
+the batch as any other. ``dense`` and ``conv2d`` take weights with a
+leading client axis, (M, Cout, ...), M=1 for a single network, and multiply
+each client's rows by its own weights, one batched GEMM per run; their bias
+gradients sum per client, and ``softmax_cross_entropy`` takes one mean per
+client. Each client's GEMM has the shape it has alone, so its result
+equals, bit for bit, the same kernel run on that client alone. Their
+backward computes the input gradient only with ``need_gx`` and the
+parameter gradients only with ``need_gw``: a network's masked backward asks
+for a layer's weight and bias gradients only where its mask trains that
+layer, and leaves the gradient of an untrained segment zero.
 
 Column copies: a conv builds its im2col matrix with k² strided copies, and
 its input gradient (col2im) with k² strided adds. Both work on the batch
@@ -227,7 +228,7 @@ def _client_affine(x, wt, b, runs, per):
     never reach the output: a signalling NaN there raises a spurious
     invalid flag, ignored here (the loss checks catch non-finite results)."""
     m, k, cout = wt.shape
-    if runs is None or len(runs) == 1:
+    if len(runs) == 1:
         out = x.reshape(m, -1, k) @ wt
         _add_bias(out, b, per)
         return out.reshape(-1, cout)
@@ -264,7 +265,7 @@ def _client_backward(g, x, w, runs, per, need_gx, bias_sum, out=None, need_gw=Tr
     if out is None and need_gw:
         out = np.empty((m, cout, k), dtype=g.dtype), np.empty((m, cout), dtype=g.dtype)
     gw, gb = out if need_gw else (None, None)
-    if runs is None or len(runs) == 1:
+    if len(runs) == 1:
         gs = g.reshape(m, -1, cout)
         gx = (gs @ w).reshape(-1, k) if need_gx else None
         if need_gw:
@@ -282,13 +283,13 @@ def _client_backward(g, x, w, runs, per, need_gx, bias_sum, out=None, need_gw=Tr
     return gx, gw, gb
 
 
-def dense_forward(x, w, b, runs=None):
+def dense_forward(x, w, b, runs):
     """x: (N, K), the samples of M clients one after another, in ``runs``;
     w: (M, Cout, K); b: (M, Cout). Out: (N, Cout)."""
     return _client_affine(x, w.transpose(0, 2, 1), b, runs, 1), x
 
 
-def dense_backward(gout, cache, w, need_gx=True, runs=None, out=None, need_gw=True):
+def dense_backward(gout, cache, w, runs, need_gx=True, out=None, need_gw=True):
     """(input grad, or None unless ``need_gx``; weight grad; bias grad),
     the parameter gradients with the weights' client axis, written into
     ``out``, a (weight, bias) pair of arrays of their shapes, if given, and
@@ -327,7 +328,7 @@ def _chunks(n, sample_bytes):
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def conv2d_forward(x, w, b, padding, runs=None):
+def conv2d_forward(x, w, b, padding, runs):
     """Stride-1 2-D convolution via an im2col matmul.
 
     x: (N, H, W, Cin), the samples of M clients one after another, in
@@ -355,14 +356,11 @@ def conv2d_forward(x, w, b, padding, runs=None):
     return out.reshape(n, ho, wo, cout), (cols, xp.shape, (n, ho, wo))
 
 
-def conv2d_backward(gout, cache, w, padding, need_gx=True, runs=None, out=None, need_gw=True):
-    """(input grad, or None unless ``need_gx``; weight grad; bias grad),
-    the parameter gradients with the weights' client axis, written into
-    ``out``, a (weight, bias) pair of arrays of their shapes, if given, and
-    both None unless ``need_gw``. Gradients of activations are
-    channels-last, like the activations. The col2im adds run one chunk of
-    samples at a time, each element's k² terms in (i, j) order whatever
-    the chunk."""
+def conv2d_backward(gout, cache, w, padding, runs, need_gx=True, out=None, need_gw=True):
+    """The gradients ``dense_backward`` gives, of a conv. Gradients of
+    activations are channels-last, like the activations. The col2im adds
+    run one chunk of samples at a time, each element's k² terms in (i, j)
+    order whatever the chunk."""
     cols, padded_shape, (n, ho, wo) = cache
     m, cout, cin, k, _ = w.shape
     if out is not None:

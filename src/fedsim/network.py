@@ -236,13 +236,13 @@ _LAYER_OPS = {
     "dense": (
         lambda net, i, x, runs: dense_forward(x, *net._bound[i][:2], runs),
         lambda net, i, g, c, runs, need_gx, out: dense_backward(
-            g, c, net._bound[i][0], need_gx, runs, out, out is not None
+            g, c, net._bound[i][0], runs, need_gx, out, out is not None
         ),
     ),
     "conv2d": (
         lambda net, i, x, runs: conv2d_forward(x, *net._bound[i][:2], net.layers[i].padding, runs),
         lambda net, i, g, c, runs, need_gx, out: conv2d_backward(
-            g, c, net._bound[i][0], net.layers[i].padding, need_gx, runs, out, out is not None
+            g, c, net._bound[i][0], net.layers[i].padding, runs, need_gx, out, out is not None
         ),
     ),
     "relu": (
@@ -262,15 +262,19 @@ _LAYER_OPS = {
 }
 
 
-def _run_layers(net: Network, batch, stop: int, caches: list | None, runs=None):
+def _run_layers(net: Network, batch, stop: int, caches: list | None, runs):
     """Apply layers [0, stop) in the params' dtype, appending each layer's
-    cache to ``caches`` unless it is None. A batch whose samples are not of
-    the network's sample shape raises ShapeError, naming the batch's shape;
-    one with more than two axes enters the layers channels-last."""
+    cache to ``caches`` unless it is None; returns (output, runs). A batch
+    whose samples are not of the network's sample shape raises ShapeError,
+    naming the batch's shape; one with more than two axes enters the layers
+    channels-last. The one place where ``runs`` None becomes a run list,
+    one run of M equal batches."""
     x = np.asarray(batch)
     if x.shape[1:] != net.sample_shape:
         dims = ", ".join(map(str, ("N", *net.sample_shape)))
         raise ShapeError(f"network expects ({dims}) batches, got {x.shape}")
+    m = net.params.data.size // net.params.total_len  # rows of the stack
+    runs = runs or [(m, len(x) // m)]
     if x.dtype != net.params.data.dtype:
         x = x.astype(net.params.data.dtype)
     if x.ndim > 2:
@@ -279,19 +283,19 @@ def _run_layers(net: Network, batch, stop: int, caches: list | None, runs=None):
         x, cache = _LAYER_OPS[spec.kind][0](net, i, x, runs)
         if caches is not None:
             caches.append(cache)
-    return x
+    return x, runs
 
 
 def forward(net: Network, batch: np.ndarray, runs=None):
     """Run the network on a batch; returns (logits, cache).
 
     A network over a stack runs its clients' batches one after another, in
-    ``runs`` of one batch size (layers.py, "Stacks"), passed to the kernels
-    as given. The cache holds per-layer records sufficient for backward,
-    plus the logits and runs.
+    the run list ``runs`` (layers.py, "Stacks"); None is one run of M equal
+    batches, M = 1 for a single vector. The cache holds per-layer records
+    sufficient for backward, plus the logits and the run list.
     """
     caches: list = []
-    x = _run_layers(net, batch, len(net.layers), caches, runs)
+    x, runs = _run_layers(net, batch, len(net.layers), caches, runs)
     return x, (caches, x, runs)
 
 
@@ -299,7 +303,7 @@ def representations(net: Network, batch: np.ndarray, runs=None) -> np.ndarray:
     """Inputs to the head: the post-flatten, pre-head activations, of a
     batch in ``runs`` as ``forward`` takes it. Layer caches are dropped as
     the pass goes."""
-    return _run_layers(net, batch, net.head_index, None, runs)
+    return _run_layers(net, batch, net.head_index, None, runs)[0]
 
 
 def backward(net: Network, cache, labels, mask: ParamMask | None = None):
@@ -309,8 +313,7 @@ def backward(net: Network, cache, labels, mask: ParamMask | None = None):
     gradient vector shares the params' segmentation. A network over an
     (M, P) stack returns an (M,) loss, each client's mean over its own
     batch, and an (M, P) gradient stack; a single vector is M = 1, with a
-    (1,) loss. The loss reads the batch layout as a run list: the
-    forward's runs, or one run of M equal batches.
+    (1,) loss. The loss reads the batch layout from the forward's run list.
 
     Only what ``mask`` (None: every segment) trains is computed: the weight
     and bias gradients of the layers it trains, and input gradients only
@@ -319,8 +322,7 @@ def backward(net: Network, cache, labels, mask: ParamMask | None = None):
     a full backward gives them.
     """
     caches, logits, runs = cache
-    m = len(net.params.data) if net.params.data.ndim == 2 else 1
-    loss, gout = softmax_cross_entropy(logits, labels, runs or [(m, len(labels) // m)])
+    loss, gout = softmax_cross_entropy(logits, labels, runs)
 
     mask = ParamMask.full(net.params.n_segments) if mask is None else mask
     part = mask.scalars(net.params)

@@ -54,6 +54,19 @@ def make_federated_data(
     return fs.FederatedData(train, test, splits)
 
 
+def nan_aggregate(monkeypatch):
+    """Has ``engine.aggregate`` return NaNs, so the first step to see the
+    aggregate, the server epoch's, meets a non-finite loss."""
+    aggregate = fs.engine.aggregate
+
+    def nan(*args):
+        out = aggregate(*args)
+        out.data[:] = np.nan
+        return out
+
+    monkeypatch.setattr(fs.engine, "aggregate", nan)
+
+
 @pytest.fixture
 def small_fed_data():
     return make_federated_data()
@@ -103,9 +116,9 @@ def replay_clients_descending(cfg, data, template):
             if ditto:
                 personal = state.client_params.get(cid, state.initial_params).copy()
                 train_epochs(
-                    ds, personal, template, "full", cfg.local_epochs, cfg.batch_size,
-                    cfg.momentum, rates, stream(cfg.seed, 1, k, cid, 1),
-                    prox=(cfg.lam, start),
+                    ds, personal.as_stack(), template, "full", cfg.local_epochs,
+                    cfg.batch_size, cfg.momentum, [rates], [stream(cfg.seed, 1, k, cid, 1)],
+                    [np.arange(len(ds))], prox=(cfg.lam, start.as_stack()),
                 )
                 personals[cid] = personal
         state.global_params = fs.aggregate(

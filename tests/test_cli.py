@@ -13,6 +13,7 @@ from fedsim.engine import total_rounds
 from fedsim.experiment import ConfigError, ExperimentConfig, build_datasets, data_digest
 from fedsim.params import ParamVector
 from fedsim.sweep import expand_cells, load_sweep
+from tests.conftest import nan_aggregate
 
 
 def tiny_config(tmp_path, name="tiny", **overrides):
@@ -395,6 +396,20 @@ def test_numeric_failure_in_finetune_exits_3_naming_the_client(tmp_path, capsys)
         warnings.simplefilter("ignore")
         assert main(["eval", "--config", str(cfg_path)]) == 3
     assert "fine-tune tf=1, client 0: non-finite loss" in capsys.readouterr().err
+
+
+def test_numeric_failure_in_the_server_epoch_exits_3_naming_its_round(
+    tmp_path, capsys, monkeypatch
+):
+    nan_aggregate(monkeypatch)
+    cfg_path, _ = tiny_config(tmp_path, **{"federation.server_share": 0.3})
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: round 1, server epoch: non-finite loss at local update 0" in err
 
 
 def test_bad_config_exits_2(tmp_path):

@@ -21,7 +21,7 @@ from fedsim.engine import (
     train_epochs,
 )
 from fedsim.params import ParamMask, ParamVector
-from tests.conftest import make_federated_data, replay_clients_descending
+from tests.conftest import make_federated_data, nan_aggregate, replay_clients_descending
 
 
 def vec(values, bounds=None):
@@ -220,6 +220,20 @@ def test_local_update_empty_client_raises():
 # --- schedule plumbing ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["vector-with-a-list", "stack-with-one"])
+def test_local_update_rejects_a_mix_of_the_two_forms(small_fed_data, stacked):
+    # a single vector takes one generator and a stack a list of them: the
+    # other pairing fits no row
+    net = small_net(seed=2)
+    ds = small_fed_data.client_train(0)
+    start = ParamVector.stack([net.params]) if stacked else net.params
+    rng = stream(2, 0) if stacked else [stream(2, 0)]
+    with pytest.raises(
+        ValueError, match=r"^1 index arrays, 0 generators and 1 rates do not fit 1 clients$"
+    ):
+        fs.local_update(ds, start, net, fs.get_algorithm("fedavg"), 1, 10, 0.9, 0.05, rng)
+
+
 def test_budget_invariance_of_schedule_length():
     totals = set()
     for rounds, tau in [(64, 1), (32, 2), (16, 4), (8, 8)]:
@@ -395,6 +409,19 @@ def test_numeric_blowup_raises(small_fed_data):
         fs.run_federation(cfg, small_fed_data, net)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_server_epoch_failure_names_its_round(small_fed_data, monkeypatch):
+    nan_aggregate(monkeypatch)
+    cfg = fs.FLConfig(
+        clients=4, fraction=1.0, local_epochs=1, rounds=2, batch_size=10,
+        server_share=0.3, seed=5,
+    )
+    with pytest.raises(
+        NumericError, match=r"^round 1, server epoch: non-finite loss at local update 0$"
+    ):
+        fs.run_federation(cfg, small_fed_data, small_net(seed=5))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         fs.FLConfig(clients=4, fraction=0.0, local_epochs=1, rounds=1)
@@ -450,10 +477,10 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
     step = _perfedavg_step(0.01) if meta else _joint_step
 
     def run(ds, params, prox, rngs, rates, indices):
-        seen = [[] for _ in range(len(rngs) if isinstance(rngs, list) else 1)]
+        seen = [[] for _ in rngs]
         losses = train_epochs(
-            ds, params, net, part, epochs, batch_size, 0.9, rates, rngs,
-            prox=prox, step=step, indices=indices,
+            ds, params, net, part, epochs, batch_size, 0.9, rates, rngs, indices,
+            prox=prox, step=step,
             on_epoch=lambda row, p, mom: seen[row].append((p.tobytes(), mom.tobytes())),
         )
         return losses, seen
@@ -468,8 +495,8 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
         params = ParamVector(net.params.data + 0.1 * noise[i], net.params.bounds)
         client_ds = ds.subset(indices[i])
         (client_losses,), (client_seen,) = run(
-            client_ds, params, (0.3, row) if i >= free else None, stream(seed, 1, 1, i),
-            rates[i], None,
+            client_ds, params.as_stack(), (0.3, row.as_stack()) if i >= free else None,
+            [stream(seed, 1, 1, i)], [rates[i]], [np.arange(len(client_ds))],
         )
         separate.append((params.data.tobytes(), client_seen, client_losses))
     return stacked, separate

@@ -626,7 +626,8 @@ def test_one_client_as_vector_or_one_row_stack_gives_one_result_type():
         assert acc.tobytes() == np.array([float(correct.mean())]).tobytes()
 
     step_losses = train_epochs(
-        train_ds, vector.copy(), net, "full", 2, 10, 0.9, lr, eval_stream(21, 0)
+        train_ds, stack.copy(), net, "full", 2, 10, 0.9, [lr], [eval_stream(21, 0)],
+        [np.arange(len(train_ds))],
     )
     fedavg = fs.get_algorithm("fedavg")
     (tuned_v, loss_v), (tuned_s, loss_s) = (

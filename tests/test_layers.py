@@ -112,7 +112,7 @@ def test_dense_matches_loop_oracle(rng):
     x = rng.normal(size=(5, 7)).astype(np.float32)
     w = rng.normal(size=(4, 7)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out, _ = dense_forward(x, w[None], b[None])
+    out, _ = dense_forward(x, w[None], b[None], [(1, 5)])
     np.testing.assert_allclose(out, loop_dense(x, w, b), rtol=1e-5, atol=1e-6)
 
 
@@ -121,7 +121,7 @@ def test_conv2d_matches_loop_oracle(rng, padding):
     x = rng.normal(size=(3, 2, 5, 6)).astype(np.float32)
     w = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out, _ = conv2d_forward(nhwc(x), w[None], b[None], padding)
+    out, _ = conv2d_forward(nhwc(x), w[None], b[None], padding, [(1, 3)])
     np.testing.assert_allclose(nchw(out), loop_conv2d(x, w, b, padding), rtol=1e-4, atol=1e-5)
 
 
@@ -271,11 +271,11 @@ def test_ragged_conv_stack_equals_hand_composed_reference_kernels(monkeypatch):
     h, flat = flatten_forward(h)
     ref_logits, dense_cache = dense_forward(h, w2, b2, runs)
     ref_loss, g = softmax_cross_entropy(ref_logits, labels, runs)
-    g, gw2, gb2 = dense_backward(g, dense_cache, w2, True, runs)
+    g, gw2, gb2 = dense_backward(g, dense_cache, w2, runs, True)
     g = relu_backward(maxpool2d_backward(flatten_backward(g, flat), pool1), relu1)
-    g, gw1, gb1 = conv2d_backward(g, conv1, w1, 1, True, runs)
+    g, gw1, gb1 = conv2d_backward(g, conv1, w1, 1, runs, True)
     g = relu_backward(maxpool2d_backward(g, pool0), relu0)
-    _, gw0, gb0 = conv2d_backward(g, conv0, w0, 1, False, runs)
+    _, gw0, gb0 = conv2d_backward(g, conv0, w0, 1, runs, False)
     ref_grads = np.concatenate([a.reshape(3, -1) for a in (gw0, gb0, gw1, gb1, gw2, gb2)], axis=1)
     assert_same_bytes([logits, loss, grads.data], [ref_logits, ref_loss, ref_grads])
 
@@ -365,8 +365,8 @@ def test_conv_bias_grad_equals_row_sum_bytes(rows, cols):
         assert np.einsum("ij->j", gmat).tobytes() == gmat.sum(axis=0).tobytes()
     x = rng.normal(size=(1, 1, rows, 2)).astype(np.float32)
     w = rng.normal(size=(1, cols, 2, 1, 1)).astype(np.float32)
-    _, cache = conv2d_forward(x, w, np.zeros((1, cols), np.float32), 0)
-    _, _, gb = conv2d_backward(gmat.reshape(1, 1, rows, cols), cache, w, 0)
+    _, cache = conv2d_forward(x, w, np.zeros((1, cols), np.float32), 0, [(1, 1)])
+    _, _, gb = conv2d_backward(gmat.reshape(1, 1, rows, cols), cache, w, 0, [(1, 1)])
     assert gb[0].tobytes() == gmat.sum(axis=0).tobytes()
 
 
@@ -508,11 +508,12 @@ def test_dense_over_runs_equals_one_client_calls(runs, into_views, seed):
     g = rng.standard_normal((n, 3)).astype(np.float32)
     views = gradient_views(w.shape) if into_views else None
     out, cache = dense_forward(x, w, b, runs)
-    gx, gw, gb = dense_backward(g, cache, w, True, runs, views)
+    gx, gw, gb = dense_backward(g, cache, w, runs, True, views)
     check_gradient_views(views, gw, gb)
     for i, rows in client_rows(runs):
-        one, one_cache = dense_forward(x[rows], w[i : i + 1], b[i : i + 1])
-        one_gx, one_gw, one_gb = dense_backward(g[rows], one_cache, w[i : i + 1], True)
+        one_run = [(1, rows.stop - rows.start)]
+        one, one_cache = dense_forward(x[rows], w[i : i + 1], b[i : i + 1], one_run)
+        one_gx, one_gw, one_gb = dense_backward(g[rows], one_cache, w[i : i + 1], one_run, True)
         assert_same_bytes(
             [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
         )
@@ -531,11 +532,11 @@ def test_dense_forward_after_a_gemv_on_signalling_nans_raises_no_flag(runs, cout
     x = rng.standard_normal((n, 5)).astype(np.float32)
     w = rng.standard_normal((m, cout, 5)).astype(np.float32)
     b = rng.standard_normal((m, cout)).astype(np.float32)
-    clean, _ = dense_forward(x, w, b)
+    clean, _ = dense_forward(x, w, b, runs)
     signalling = np.full((64, 64), nan_with(0x7F800001))
     with np.errstate(invalid="ignore"):
         signalling @ signalling[:, :1]
-    out, _ = dense_forward(x, w, b)
+    out, _ = dense_forward(x, w, b, runs)
     assert out.tobytes() == clean.tobytes()
 
 
@@ -567,14 +568,17 @@ def test_conv2d_over_runs_equals_one_client_calls(runs, padding, cout, chunk, in
         mp.setattr(layers, "CHUNK_BYTES", (chunk or n) * sample_bytes)
         views = gradient_views(w.shape) if into_views else None
         out, cache = conv2d_forward(x, w, b, padding, runs)
-        gx, gw, gb = conv2d_backward(g, cache, w, padding, True, runs, views)
+        gx, gw, gb = conv2d_backward(g, cache, w, padding, runs, True, views)
         check_gradient_views(views, gw, gb)
     wt = w.reshape(m, cout, -1).transpose(0, 2, 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layers, "CHUNK_BYTES", 1 << 40)
         for i, rows in client_rows(runs):
-            one, one_cache = conv2d_forward(x[rows], w[i : i + 1], b[i : i + 1], padding)
-            one_gx, one_gw, one_gb = conv2d_backward(g[rows], one_cache, w[i : i + 1], padding, True)
+            one_run = [(1, rows.stop - rows.start)]
+            one, one_cache = conv2d_forward(x[rows], w[i : i + 1], b[i : i + 1], padding, one_run)
+            one_gx, one_gw, one_gb = conv2d_backward(
+                g[rows], one_cache, w[i : i + 1], padding, one_run, True
+            )
             assert_same_bytes(
                 [out[rows], gx[rows], gw[i], gb[i]], [one, one_gx, one_gw[0], one_gb[0]]
             )

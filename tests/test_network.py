@@ -120,6 +120,27 @@ SHAPED_NETS = {
 }
 
 
+@pytest.mark.parametrize("kind", ["mlp", "conv2-padding1"])
+def test_a_pass_without_runs_is_one_run_of_equal_batches(kind):
+    # a 3-row stack of distinct models: without a run list, forward,
+    # backward and representations give the bytes of [(3, N // 3)]
+    layers, shape = SHAPED_NETS[kind]
+    nets = [fs.init_network(layers, shape, fs.InitScheme("he_uniform", s)) for s in range(3)]
+    net = nets[0].with_params(fs.ParamVector.stack([n.params for n in nets]))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(12, *shape)).astype(np.float32)
+    labels = rng.integers(0, 3, size=12)
+    runs = [(3, 4)]
+    (logits, cache), (want, want_cache) = fs.forward(net, x), fs.forward(net, x, runs)
+    assert cache[2] == runs
+    loss, grads = fs.backward(net, cache, labels)
+    want_loss, want_grads = fs.backward(net, want_cache, labels)
+    assert [a.tobytes() for a in (logits, loss, grads.data)] == [
+        a.tobytes() for a in (want, want_loss, want_grads.data)
+    ]
+    assert fs.representations(net, x).tobytes() == fs.representations(net, x, runs).tobytes()
+
+
 @pytest.mark.parametrize("kind", SHAPED_NETS)
 @pytest.mark.parametrize("runs", [None, [(2, 3), (1, 2)]], ids=["vector", "ragged-stack"])
 def test_each_layer_output_has_the_inferred_shape(kind, runs):
@@ -134,7 +155,7 @@ def test_each_layer_output_has_the_inferred_shape(kind, runs):
     x = np.random.default_rng(0).normal(size=(n, *shape)).astype(np.float32)
     want = infer_shapes(net.layers, shape)
     for stop in range(1, len(layers) + 1):
-        out = _run_layers(net, x, stop, None, runs)
+        out, _ = _run_layers(net, x, stop, None, runs)
         if out.ndim > 2:
             out = channels_first(out)
         assert out.shape == (n, *want[stop - 1]), layers[stop - 1].kind
