@@ -66,21 +66,48 @@ def synthetic_gaussian(
     per-coordinate standard deviation around the mean. Class-balanced and
     deterministic per seed.
     """
+    (ds,) = synthetic_gaussian_parts(num_classes, (per_class,), dim, spread, seed, scale)
+    return ds
+
+
+def synthetic_gaussian_parts(
+    num_classes: int,
+    per_class: tuple[int, ...],
+    dim: int,
+    spread: float,
+    seed: int,
+    scale: float = 1.0,
+) -> list[LabeledDataset]:
+    """``synthetic_gaussian`` with ``sum(per_class)`` samples per class, each
+    class's samples dealt in order over the parts: its first ``per_class[0]``
+    to the first dataset, the next ``per_class[1]`` to the second, and so on.
+
+    Built in place: the noise is drawn one class block at a time, which
+    continues the one generator stream, and each block gets its class mean
+    added in float64 before it is rounded straight into the float32 parts.
+    """
     if num_classes < 2:
         raise DatasetError("need at least 2 classes")
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(dim, max(num_classes, 1)))
+    raw = rng.normal(size=(dim, num_classes))
     if num_classes <= dim:
-        q, r = np.linalg.qr(raw[:, :num_classes])
+        q, r = np.linalg.qr(raw)
         means = (q * np.sign(np.diag(r))).T * scale
     else:
-        means = raw.T[:num_classes]
-        means = means / np.linalg.norm(means, axis=1, keepdims=True) * scale
-    n = num_classes * per_class
-    labels = np.repeat(np.arange(num_classes), per_class)
-    noise = rng.normal(scale=spread, size=(n, dim)) if spread > 0 else np.zeros((n, dim))
-    samples = means[labels] + noise
-    return LabeledDataset(samples.astype(FLOAT), labels, num_classes)
+        means = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True) * scale
+    block = sum(per_class)
+    parts = [np.empty((num_classes * k, dim), dtype=FLOAT) for k in per_class]
+    for c in range(num_classes):
+        noise = rng.normal(scale=spread, size=(block, dim)) if spread > 0 else np.zeros((block, dim))
+        noise += means[c]
+        start = 0
+        for part, k in zip(parts, per_class):
+            part[c * k : (c + 1) * k] = noise[start : start + k]
+            start += k
+    return [
+        LabeledDataset(part, np.repeat(np.arange(num_classes), k), num_classes)
+        for part, k in zip(parts, per_class)
+    ]
 
 
 def _read_maybe_gz(path: Path) -> bytes:
@@ -125,7 +152,8 @@ def load_idx(path_images, path_labels) -> LabeledDataset:
         )
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n_images * rows * cols, offset=16)
-    samples = pixels.reshape(n_images, 1, rows, cols).astype(FLOAT) / FLOAT(255.0)
+    samples = pixels.reshape(n_images, 1, rows, cols).astype(FLOAT)
+    samples /= FLOAT(255.0)
     labels = np.frombuffer(lab_blob, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if n_labels else 0
     return LabeledDataset(samples, labels, num_classes)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import get_algorithm
-from .datasets import DatasetError, LabeledDataset, load_idx, synthetic_gaussian
+from .datasets import DatasetError, LabeledDataset, load_idx, synthetic_gaussian_parts
 from .engine import (
     FederatedData,
     FederationState,
@@ -264,18 +264,11 @@ class ExperimentConfig:
 def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        per_train, per_test = ds["per_class"], ds["test_per_class"]
-        pooled = synthetic_gaussian(
-            ds["classes"], per_train + per_test, ds["dim"], ds["spread"],
+        train, test = synthetic_gaussian_parts(
+            ds["classes"], (ds["per_class"], ds["test_per_class"]), ds["dim"], ds["spread"],
             seed=cfg.seed, scale=ds["scale"],
         )
-        block = per_train + per_test
-        train_idx, test_idx = [], []
-        for c in range(ds["classes"]):
-            start = c * block
-            train_idx.extend(range(start, start + per_train))
-            test_idx.extend(range(start + per_train, start + block))
-        return pooled.subset(np.array(train_idx)), pooled.subset(np.array(test_idx))
+        return train, test
     paths = [ds.get(k) for k in ("train_images", "train_labels", "test_images", "test_labels")]
     if any(p is None for p in paths):
         raise ConfigError("idx dataset needs train_images/train_labels/test_images/test_labels")
@@ -340,6 +333,8 @@ def build_network(cfg: ExperimentConfig, sample_shape: tuple[int, ...], classes:
 
 
 def prepare(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network]:
+    """The run's federation settings, data and template network, all built
+    afresh on every call."""
     train, test = build_datasets(cfg)
     splits = build_splits(cfg, train, test)
     template = build_network(cfg, train.sample_shape, train.num_classes)
@@ -355,6 +350,43 @@ def data_digest(train: LabeledDataset, test: LabeledDataset) -> str:
         digest.update(f"{array.dtype}{array.shape}".encode())
         digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
+
+
+# The last config-generated data run_train or run_eval built, under its
+# config_hash() (which covers every section prepare reads): at most one
+# entry, (data, digest), whose arrays are read-only.
+_data_memo: dict[str, tuple[FederatedData, str]] = {}
+
+
+def _rewrap(data: FederatedData) -> FederatedData:
+    """New wrappers over ``data``'s arrays, so that a holder that rebinds a
+    field leaves every other holder's data as it was."""
+    return FederatedData(
+        copy.copy(data.train), copy.copy(data.test), [copy.copy(s) for s in data.splits]
+    )
+
+
+def _run_inputs(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network, str]:
+    """``prepare``'s result and the data's digest, for one run. Data
+    generated from the config is built and hashed once per process for a
+    config hash and then shared read-only; a repeat call gets new wrappers
+    over it and a new network. Data read from IDX files is read and hashed
+    on every call, as the files can change under one path."""
+    key = cfg.config_hash()
+    if key in _data_memo:
+        shared, digest = _data_memo[key]
+        template = build_network(cfg, shared.train.sample_shape, shared.train.num_classes)
+        return cfg.fl_config(), _rewrap(shared), template, digest
+    fl_cfg, data, template = prepare(cfg)
+    digest = data_digest(data.train, data.test)
+    if cfg["dataset"]["kind"] == "synthetic":
+        arrays = [a for ds in (data.train, data.test) for a in (ds.samples, ds.labels)]
+        arrays += [a for s in data.splits for a in (s.train_indices, s.test_indices)]
+        for array in arrays:
+            array.flags.writeable = False
+        _data_memo.clear()
+        _data_memo[key] = _rewrap(data), digest
+    return fl_cfg, data, template, digest
 
 
 # --- artifact IO --------------------------------------------------------------
@@ -525,8 +557,7 @@ def run_train(
     stop_after: int | None = None,
 ) -> FederationState:
     out = make_out_dir(cfg.out_dir)
-    fl_cfg, data, template = prepare(cfg)
-    digest = data_digest(data.train, data.test)
+    fl_cfg, data, template, digest = _run_inputs(cfg)
     state = None
     append = False
     if resume:
@@ -574,8 +605,7 @@ def run_partition(cfg: ExperimentConfig) -> None:
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[str, EvalReport]:
     out = make_out_dir(cfg.out_dir / "eval")
-    fl_cfg, data, template = prepare(cfg)
-    digest = data_digest(data.train, data.test)
+    fl_cfg, data, template, digest = _run_inputs(cfg)
     state = _checked_checkpoint(cfg, checkpoint_dir or cfg.out_dir, template, digest)
     chash = cfg.config_hash()
     alg = get_algorithm(cfg["federation"]["algorithm"])

@@ -4,6 +4,14 @@ import pytest
 import fedsim as fs
 
 
+@pytest.fixture(autouse=True)
+def no_run_data_kept():
+    """Each test starts with no run data kept from an earlier one: data
+    built under a test's monkeypatched builder must not reach a later test
+    of the same config hash."""
+    fs.experiment._data_memo.clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -2,12 +2,17 @@
 
 import gzip
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedsim as fs
 from fedsim.datasets import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, DatasetError
+from fedsim.experiment import ExperimentConfig, build_datasets
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def nearest_centroid_accuracy(ds):
@@ -119,3 +124,84 @@ def test_dataset_validates_label_range():
         fs.LabeledDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 5]), 3)
     with pytest.raises(DatasetError):
         fs.LabeledDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1]), 3)
+
+
+# --- in-place builds against one-shot references -------------------------------
+
+
+def one_shot_gaussian(num_classes, per_class, dim, spread, seed, scale=1.0):
+    """Reference: synthetic_gaussian as one float64 draw of all the noise,
+    the class means added to it whole and the sum cast to float32 at once."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(dim, max(num_classes, 1)))
+    if num_classes <= dim:
+        q, r = np.linalg.qr(raw[:, :num_classes])
+        means = (q * np.sign(np.diag(r))).T * scale
+    else:
+        means = raw.T[:num_classes]
+        means = means / np.linalg.norm(means, axis=1, keepdims=True) * scale
+    n = num_classes * per_class
+    labels = np.repeat(np.arange(num_classes), per_class)
+    noise = rng.normal(scale=spread, size=(n, dim)) if spread > 0 else np.zeros((n, dim))
+    samples = means[labels] + noise
+    return fs.LabeledDataset(samples.astype(np.float32), labels, num_classes)
+
+
+SYNTHETIC_CASES = [
+    # classes, per class (train, test), dim, spread, scale, seed
+    (10, (1000, 200), 48, 0.6, 1.0, 0),
+    (10, (1000, 200), 48, 0.6, 1.0, 3),
+    (6, (7, 5), 4, 0.8, 2.5, 1),  # classes > dim: random directions
+    (4, (9, 3), 8, 0.0, 0.3, 2),  # no noise is drawn
+    (5, (6, 2), 3, 0.0, 1.0, 9),  # classes > dim, no noise
+]
+
+
+def same_bytes(a, b):
+    return (
+        a.samples.dtype == b.samples.dtype
+        and a.samples.shape == b.samples.shape
+        and a.samples.tobytes() == b.samples.tobytes()
+        and a.labels.tobytes() == b.labels.tobytes()
+        and a.num_classes == b.num_classes
+    )
+
+
+@pytest.mark.parametrize("classes,per_class,dim,spread,scale,seed", SYNTHETIC_CASES)
+def test_synthetic_bytes_equal_the_one_shot_formula(classes, per_class, dim, spread, scale, seed):
+    n = sum(per_class)
+    ref = one_shot_gaussian(classes, n, dim, spread, seed, scale)
+    assert same_bytes(fs.synthetic_gaussian(classes, n, dim, spread, seed, scale), ref)
+    cfg = ExperimentConfig.from_dict({
+        "seed": seed,
+        "dataset": {
+            "classes": classes, "per_class": per_class[0], "test_per_class": per_class[1],
+            "dim": dim, "spread": spread, "scale": scale,
+        },
+    })
+    train, test = build_datasets(cfg)
+    rows = np.arange(classes * n).reshape(classes, n)
+    assert same_bytes(train, ref.subset(rows[:, : per_class[0]].ravel()))
+    assert same_bytes(test, ref.subset(rows[:, per_class[0] :].ravel()))
+
+
+def test_build_datasets_peaks_below_twice_its_data():
+    # the parent formula's float64 temporaries, pooled copy and subset
+    # copies peaked near five times the data
+    cfg = ExperimentConfig.load(CONFIGS / "example.json")
+    tracemalloc.start()
+    try:
+        train, test = build_datasets(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = sum(a.nbytes for ds in (train, test) for a in (ds.samples, ds.labels))
+    assert data == 2_400_000
+    assert peak <= 2 * data
+
+
+def test_load_idx_pixels_equal_a_float32_division(tmp_path):
+    ip, lp, pixels = idx_pair(tmp_path, n=5, rows=3, cols=4)
+    ds = fs.load_idx(ip, lp)
+    ref = pixels.reshape(5, 1, 3, 4).astype(np.float32) / np.float32(255.0)
+    assert ds.samples.dtype == np.float32 and ds.samples.tobytes() == ref.tobytes()

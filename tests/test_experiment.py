@@ -11,6 +11,7 @@ import pytest
 import fedsim as fs
 from fedsim.cli import main
 from fedsim.engine import FLConfig
+from fedsim import experiment
 from fedsim.experiment import (
     _SCHEMA,
     ConfigError,
@@ -18,11 +19,13 @@ from fedsim.experiment import (
     build_datasets,
     build_network,
     build_splits,
+    data_digest,
     prepare,
     run_eval,
     run_train,
 )
 from fedsim.sweep import expand_cells, load_sweep
+from tests.test_cli import idx_config, tiny_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -203,3 +206,80 @@ def test_shipped_configs_pass_the_schema(tmp_path):
     assert len({c.out_dir for c in cells}) == len(cells)
     assert all(c.out_dir.parent == tmp_path / "sweep" / "cells" for c in cells)
     assert not any(tmp_path.iterdir())  # checked without building or writing anything
+
+
+# --- run data built once per process --------------------------------------------
+
+
+def count_builds(monkeypatch) -> list:
+    """Counts the calls of ``build_datasets``, the first step of ``prepare``."""
+    calls = []
+    build = experiment.build_datasets
+
+    def counted(cfg):
+        calls.append(cfg.config_hash())
+        return build(cfg)
+
+    monkeypatch.setattr(experiment, "build_datasets", counted)
+    return calls
+
+
+def eval_bytes(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted((out / "eval").iterdir())}
+
+
+def test_train_then_eval_builds_synthetic_data_once(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.load(tiny_config(tmp_path)[0])
+    calls = count_builds(monkeypatch)
+    run_train(cfg)
+    run_eval(cfg)
+    assert calls == [cfg.config_hash()]
+    shared = eval_bytes(cfg.out_dir)
+    experiment._data_memo.clear()
+    run_eval(cfg)
+    assert len(calls) == 2
+    assert eval_bytes(cfg.out_dir) == shared
+    assert {name[-4:] for name in shared} == {".csv", "json"}
+
+
+def test_idx_data_is_read_and_hashed_on_every_call(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.load(idx_config(tmp_path, "idx", **{"federation.rounds": 1})[0])
+    calls = count_builds(monkeypatch)
+    digests = []
+    monkeypatch.setattr(
+        experiment, "data_digest", lambda *ds: digests.append(data_digest(*ds)) or digests[-1]
+    )
+    run_train(cfg)
+    run_eval(cfg)
+    assert len(calls) == len(digests) == 2
+    assert not experiment._data_memo
+
+
+def test_shared_run_data_is_read_only_and_prepare_builds_it_afresh(tmp_path):
+    cfg = ExperimentConfig.load(tiny_config(tmp_path)[0])
+    first = experiment._run_inputs(cfg)
+    second = experiment._run_inputs(cfg)
+    assert list(experiment._data_memo) == [cfg.config_hash()]
+    assert first[3] == second[3]
+    assert first[2].params.data.tobytes() == second[2].params.data.tobytes()
+    assert first[2] is not second[2] and first[1] is not second[1]
+    for data in (first[1], second[1]):
+        split = data.splits[0]
+        arrays = [data.train.samples, data.train.labels, data.test.samples, data.test.labels,
+                  split.train_indices, split.test_indices]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+    # each call wraps the shared arrays anew
+    wrappers = [run[1] for run in (first, second, experiment._run_inputs(cfg))]
+    for part in (lambda d: d.train, lambda d: d.test, lambda d: d.splits[0]):
+        assert len({id(part(d)) for d in wrappers}) == 3
+    assert np.shares_memory(first[1].train.samples, wrappers[2].train.samples)
+    fresh = prepare(cfg)[1]
+    for array in (fresh.train.samples, fresh.test.labels, fresh.splits[0].train_indices):
+        assert array.flags.writeable
+        array[:1] = 0
+    assert data_digest(*build_datasets(cfg)) == first[3]
+    other = cfg.with_overrides(seed=1)
+    experiment._run_inputs(other)
+    assert list(experiment._data_memo) == [other.config_hash()]
