@@ -52,35 +52,23 @@ class LabeledDataset:
 
 def synthetic_gaussian(
     num_classes: int,
-    per_class: int,
-    dim: int,
-    spread: float,
-    seed: int,
-    scale: float = 1.0,
-) -> LabeledDataset:
-    """Gaussian clusters with one mean per class.
-
-    Means are mutually orthogonal unit directions (scaled by ``scale``)
-    when ``num_classes <= dim``, so the minimum inter-mean distance is
-    ``scale * sqrt(2)``; otherwise random directions. ``spread`` is the
-    per-coordinate standard deviation around the mean. Class-balanced and
-    deterministic per seed.
-    """
-    (ds,) = synthetic_gaussian_parts(num_classes, (per_class,), dim, spread, seed, scale)
-    return ds
-
-
-def synthetic_gaussian_parts(
-    num_classes: int,
     per_class: tuple[int, ...],
     dim: int,
     spread: float,
     seed: int,
     scale: float = 1.0,
 ) -> list[LabeledDataset]:
-    """``synthetic_gaussian`` with ``sum(per_class)`` samples per class, each
-    class's samples dealt in order over the parts: its first ``per_class[0]``
-    to the first dataset, the next ``per_class[1]`` to the second, and so on.
+    """Gaussian clusters with one mean per class, one dataset per entry of
+    ``per_class``: each class draws ``sum(per_class)`` samples and deals
+    them in order over the parts, its first ``per_class[0]`` to the first
+    dataset, the next ``per_class[1]`` to the second, and so on. One part
+    is ``(ds,) = synthetic_gaussian(c, (n,), ...)``.
+
+    Means are mutually orthogonal unit directions (scaled by ``scale``)
+    when ``num_classes <= dim``, so the minimum inter-mean distance is
+    ``scale * sqrt(2)``; otherwise random directions. ``spread`` is the
+    per-coordinate standard deviation around the mean. Class-balanced and
+    deterministic per seed.
 
     Built in place: the noise is drawn one class block at a time, which
     continues the one generator stream, and each block gets its class mean

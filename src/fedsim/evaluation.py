@@ -150,7 +150,9 @@ def personalized_models(
     fine-tune is ``local_update`` at the constant rate ``lr`` under the
     local rule ``rule``: 'joint' (updating ``part``) or
     'sequential_head_then_body' (the head for every epoch, then the body
-    for one more, as FedRep's local training does), with fresh momentum.
+    for one more, as FedRep's local training does, whatever ``part``
+    says; a report still names the ``part`` it was given), with fresh
+    momentum.
 
     Under the joint rule a group fine-tunes once, to the largest τ_f, and
     a client's row is copied as it ends each requested epoch: a shorter

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import get_algorithm
-from .datasets import DatasetError, LabeledDataset, load_idx, synthetic_gaussian_parts
+from .datasets import DatasetError, LabeledDataset, load_idx, synthetic_gaussian
 from .engine import (
     FederatedData,
     FederationState,
@@ -264,7 +264,7 @@ class ExperimentConfig:
 def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        train, test = synthetic_gaussian_parts(
+        train, test = synthetic_gaussian(
             ds["classes"], (ds["per_class"], ds["test_per_class"]), ds["dim"], ds["spread"],
             seed=cfg.seed, scale=ds["scale"],
         )
@@ -352,9 +352,10 @@ def data_digest(train: LabeledDataset, test: LabeledDataset) -> str:
     return digest.hexdigest()
 
 
-# The last config-generated data run_train or run_eval built, under its
-# config_hash() (which covers every section prepare reads): at most one
-# entry, (data, digest), whose arrays are read-only.
+# The last config-generated data _run_inputs built, for run_train, run_eval
+# or a sweep cell's stored-result check, under its config_hash() (which
+# covers every section prepare reads): at most one entry, (data, digest),
+# whose arrays are read-only.
 _data_memo: dict[str, tuple[FederatedData, str]] = {}
 
 

@@ -15,8 +15,7 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     _check,
-    build_datasets,
-    data_digest,
+    _run_inputs,
     make_out_dir,
     run_eval,
     run_train,
@@ -164,8 +163,9 @@ def _holds_cell(record, cfg: ExperimentConfig) -> bool:
 def run_cell(raw_config: dict) -> dict:
     """Train + evaluate one cell; returns (and persists) its result record.
     A stored record is reused only if it holds the whole cell and names the
-    data the cell reads now by its digest; any other is rerun. Top-level
-    so process pools can pick it up."""
+    data the cell reads now by its digest, taken from the run's own inputs,
+    so a rerun of generated data reuses the build; any other is rerun.
+    Top-level so process pools can pick it up."""
     cfg = ExperimentConfig(raw_config)
     result_path = cfg.out_dir / "result.json"
     if result_path.exists():
@@ -177,7 +177,7 @@ def run_cell(raw_config: dict) -> dict:
             why = "corrupt result"
         elif "data_digest" not in record:
             why = "result records no data digest"
-        elif record["data_digest"] != (digest := data_digest(*build_datasets(cfg))):
+        elif record["data_digest"] != (digest := _run_inputs(cfg)[3]):
             why = f"result is of other data (data digest {record['data_digest']} vs {digest})"
         else:
             return record

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fedsim as fs
+from fedsim.params import ParamVector
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +36,18 @@ def conv_net():
     return fs.init_network(layers, (2, 4, 4), fs.InitScheme("he_uniform", 3))
 
 
+def vec(values, bounds=None):
+    data = np.asarray(values, dtype=np.float32)
+    return ParamVector(data, bounds or ((0, len(data)),))
+
+
+def small_net(seed=0, dim=8, classes=4):
+    return fs.init_network(
+        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
+        fs.InitScheme("he_uniform", seed),
+    )
+
+
 def make_federated_data(
     classes=4,
     per_class=60,
@@ -47,15 +60,7 @@ def make_federated_data(
     test_mode="matched",
 ):
     """Small synthetic federation shared by the engine/eval tests."""
-    pooled = fs.synthetic_gaussian(classes, per_class + test_per_class, dim, spread, seed)
-    block = per_class + test_per_class
-    train_idx, test_idx = [], []
-    for c in range(classes):
-        start = c * block
-        train_idx.extend(range(start, start + per_class))
-        test_idx.extend(range(start + per_class, start + block))
-    train = pooled.subset(np.array(train_idx))
-    test = pooled.subset(np.array(test_idx))
+    train, test = fs.synthetic_gaussian(classes, (per_class, test_per_class), dim, spread, seed)
     spec = fs.PartitionSpec("shard", clients=clients, shards_per_client=shards_per_client, seed=seed)
     splits = fs.partition(train, spec)
     splits = fs.split_client_test(train, test, splits, test_mode, seed=seed)

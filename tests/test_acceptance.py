@@ -16,7 +16,7 @@ import fedsim as fs
 from fedsim.engine import client_schedule, init_state, stream
 from fedsim.evaluation import client_models, personalized_models
 from fedsim.params import ParamMask, ParamVector
-from tests.conftest import replay_clients_descending
+from tests.conftest import make_federated_data, replay_clients_descending
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -25,24 +25,8 @@ def report(criterion, detail):
     print(f"\nPASS criterion {criterion}: {detail}")
 
 
-def split_train_test(classes, per_class, test_per_class, dim, spread, seed):
-    pooled = fs.synthetic_gaussian(classes, per_class + test_per_class, dim, spread, seed)
-    block = per_class + test_per_class
-    tr, te = [], []
-    for c in range(classes):
-        s = c * block
-        tr.extend(range(s, s + per_class))
-        te.extend(range(s + per_class, s + block))
-    return pooled.subset(np.array(tr)), pooled.subset(np.array(te))
-
-
 def desk_data(seed, per_class=1000, dim=48, spread=0.6, clients=20, shards=2):
-    train, test = split_train_test(10, per_class, per_class // 5, dim, spread, seed)
-    splits = fs.partition(
-        train, fs.PartitionSpec("shard", clients=clients, shards_per_client=shards, seed=seed)
-    )
-    splits = fs.split_client_test(train, test, splits, "matched", seed=seed)
-    return fs.FederatedData(train, test, splits)
+    return make_federated_data(10, per_class, per_class // 5, dim, spread, clients, shards, seed)
 
 
 def desk_net(seed, dim=48, hidden=64, classes=10, scheme="he_uniform"):
@@ -186,7 +170,7 @@ def test_criterion_4_aggregation_matches_brute_force():
 
 
 def test_criterion_5_partition_invariants():
-    ds = fs.synthetic_gaussian(10, 5000, 10, 0.0, seed=0)  # |D| = 50_000
+    (ds,) = fs.synthetic_gaussian(10, (5000,), 10, 0.0, seed=0)  # |D| = 50_000
     spec = fs.PartitionSpec("shard", clients=100, shards_per_client=2, seed=7)
     splits = fs.partition(ds, spec)
     sizes = {len(s.train_indices) for s in splits}
@@ -254,7 +238,7 @@ def test_criterion_7_centralized_update_parts():
     def run_part(part, scheme):
         finals = []
         for seed in SEEDS:
-            train, test = split_train_test(10, 400, 100, dim, spread, seed)
+            train, test = fs.synthetic_gaussian(10, (400, 100), dim, spread, seed)
             net = fs.init_network(
                 [fs.dense(dim, hidden), fs.relu(), fs.dense(hidden, 10)], (dim,),
                 fs.InitScheme(scheme, seed + 1000),
@@ -378,10 +362,7 @@ def test_criterion_9_template_constraints():
         assert set(preds.tolist()) <= train_classes
 
     # single-class clients with matched tests: template accuracy is exactly 1
-    train, test = split_train_test(10, 100, 20, 16, 0.5, 91)
-    splits = fs.partition(train, fs.PartitionSpec("shard", clients=10, shards_per_client=1, seed=91))
-    splits = fs.split_client_test(train, test, splits, "matched", seed=91)
-    single = fs.FederatedData(train, test, splits)
+    single = make_federated_data(10, 100, 20, 16, 0.5, clients=10, shards_per_client=1, seed=91)
     net1 = fs.init_network(
         [fs.dense(16, 24), fs.relu(), fs.dense(24, 10)], (16,), fs.InitScheme("he_uniform", 91)
     )

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 import fedsim as fs
-from fedsim.engine import assemble_client_params, client_schedule, stream
+from fedsim.engine import assemble_client_params, stream
 from fedsim.optim import OptState, sgd_step
 from fedsim.params import ParamVector
-from tests.conftest import make_federated_data
-
-
-def small_net(seed=0, dim=8, classes=4):
-    return fs.init_network(
-        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
-        fs.InitScheme("he_uniform", seed),
-    )
+from tests.conftest import small_net
 
 
 # --- FedRep: head epochs then one body epoch -----------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from fedsim.cli import main
 from fedsim.engine import total_rounds
-from fedsim.experiment import ConfigError, ExperimentConfig, build_datasets, data_digest
+from fedsim.experiment import ExperimentConfig, build_datasets, data_digest
 from fedsim.params import ParamVector
 from fedsim.sweep import expand_cells, load_sweep
 from tests.conftest import nan_aggregate

@@ -25,14 +25,14 @@ def nearest_centroid_accuracy(ds):
 
 
 def test_synthetic_balanced_labels():
-    ds = fs.synthetic_gaussian(5, 30, 16, 0.4, seed=0)
+    (ds,) = fs.synthetic_gaussian(5, (30,), 16, 0.4, seed=0)
     counts = np.bincount(ds.labels)
     assert np.all(counts == 30)
     assert len(ds) == 150
 
 
 def test_synthetic_zero_spread_collapses_classes():
-    ds = fs.synthetic_gaussian(4, 10, 8, 0.0, seed=1)
+    (ds,) = fs.synthetic_gaussian(4, (10,), 8, 0.0, seed=1)
     for c in range(4):
         rows = ds.samples[ds.labels == c]
         assert np.all(rows == rows[0])
@@ -43,22 +43,22 @@ def test_synthetic_separable_at_low_spread():
     # min inter-mean distance is scale*sqrt(2); spread at 0.2x of it
     spread = 0.2 * np.sqrt(2.0)
     accs = [
-        nearest_centroid_accuracy(fs.synthetic_gaussian(10, 100, 32, spread, seed=s))
+        nearest_centroid_accuracy(fs.synthetic_gaussian(10, (100,), 32, spread, seed=s)[0])
         for s in range(5)
     ]
     assert np.mean(accs) >= 0.95
 
 
 def test_synthetic_deterministic():
-    a = fs.synthetic_gaussian(3, 20, 8, 0.5, seed=7)
-    b = fs.synthetic_gaussian(3, 20, 8, 0.5, seed=7)
+    (a,) = fs.synthetic_gaussian(3, (20,), 8, 0.5, seed=7)
+    (b,) = fs.synthetic_gaussian(3, (20,), 8, 0.5, seed=7)
     assert a.samples.tobytes() == b.samples.tobytes()
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_synthetic_needs_two_classes():
     with pytest.raises(DatasetError):
-        fs.synthetic_gaussian(1, 10, 4, 0.1, seed=0)
+        fs.synthetic_gaussian(1, (10,), 4, 0.1, seed=0)
 
 
 # --- IDX ingestion -----------------------------------------------------------
@@ -171,7 +171,7 @@ def same_bytes(a, b):
 def test_synthetic_bytes_equal_the_one_shot_formula(classes, per_class, dim, spread, scale, seed):
     n = sum(per_class)
     ref = one_shot_gaussian(classes, n, dim, spread, seed, scale)
-    assert same_bytes(fs.synthetic_gaussian(classes, n, dim, spread, seed, scale), ref)
+    assert same_bytes(fs.synthetic_gaussian(classes, (n,), dim, spread, seed, scale)[0], ref)
     cfg = ExperimentConfig.from_dict({
         "seed": seed,
         "dataset": {
@@ -179,7 +179,7 @@ def test_synthetic_bytes_equal_the_one_shot_formula(classes, per_class, dim, spr
             "dim": dim, "spread": spread, "scale": scale,
         },
     })
-    train, test = build_datasets(cfg)
+    train, test = build_datasets(cfg)  # the generator's two-part call
     rows = np.arange(classes * n).reshape(classes, n)
     assert same_bytes(train, ref.subset(rows[:, : per_class[0]].ravel()))
     assert same_bytes(test, ref.subset(rows[:, per_class[0] :].ravel()))

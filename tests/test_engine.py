@@ -21,19 +21,7 @@ from fedsim.engine import (
     train_epochs,
 )
 from fedsim.params import ParamMask, ParamVector
-from tests.conftest import make_federated_data, nan_aggregate, replay_clients_descending
-
-
-def vec(values, bounds=None):
-    data = np.asarray(values, dtype=np.float32)
-    return ParamVector(data, bounds or ((0, len(data)),))
-
-
-def small_net(seed=0, dim=8, classes=4):
-    return fs.init_network(
-        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
-        fs.InitScheme("he_uniform", seed),
-    )
+from tests.conftest import make_federated_data, nan_aggregate, replay_clients_descending, small_net, vec
 
 
 # --- sampling -----------------------------------------------------------------

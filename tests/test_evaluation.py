@@ -18,14 +18,8 @@ from fedsim.evaluation import (
 )
 from fedsim.experiment import ExperimentConfig, prepare, run_eval, run_train
 from fedsim.params import ParamVector
-from tests.conftest import make_federated_data
-
-
-def small_net(seed=0, dim=8, classes=4):
-    return fs.init_network(
-        [fs.dense(dim, 12), fs.relu(), fs.dense(12, classes)], (dim,),
-        fs.InitScheme("he_uniform", seed),
-    )
+from tests.conftest import make_federated_data, small_net
+from tests.test_golden import BASE
 
 
 def run_small(algorithm="fedavg", seed=0, data=None, rounds=6, **kw):
@@ -381,6 +375,21 @@ def test_run_eval_runs_one_body_pass_per_test_group(tmp_path, monkeypatch):
         "forward": [len(s.test_indices) for s in data.splits],
         "representations": [len(s.train_indices) for s in data.splits],
     }
+
+
+
+@pytest.mark.parametrize("algorithm,distinct", [("fedrep", 1), ("fedavg", 3)])
+def test_fedrep_fine_tune_ignores_eval_part(tmp_path, algorithm, distinct):
+    # FedRep fine-tunes the head for tau_f epochs, then the body for one, whatever
+    # eval.part says, and its report names that part; FedAvg's follows the part
+    raw = {**BASE, "out": str(tmp_path), "federation": {**BASE["federation"], "algorithm": algorithm}}
+    run_train(ExperimentConfig.from_dict(raw))
+    tuned = set()
+    for part in ("full", "head", "body"):
+        reports = run_eval(ExperimentConfig.from_dict({**raw, "eval": {**BASE["eval"], "part": part}}))
+        assert reports["personalized_tf2"].part == part
+        tuned.add((tmp_path / "eval" / "personalized_tf2.csv").read_bytes())
+    assert len(tuned) == distinct
 
 
 # --- templates ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fedsim.experiment import (
     run_train,
 )
 from fedsim.sweep import expand_cells, load_sweep
-from tests.test_cli import idx_config, tiny_config
+from tests.test_cli import idx_config, sweep_config, tiny_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -283,3 +283,21 @@ def test_shared_run_data_is_read_only_and_prepare_builds_it_afresh(tmp_path):
     other = cfg.with_overrides(seed=1)
     experiment._run_inputs(other)
     assert list(experiment._data_memo) == [other.config_hash()]
+
+
+@pytest.mark.parametrize("digest", [{}, {"data_digest": "0" * 64}], ids=["missing", "other"])
+def test_sweep_rerun_of_a_synthetic_cell_builds_its_data_once(tmp_path, monkeypatch, digest):
+    # the stored-result check's digest comes with the data the rerun then trains on
+    sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    cell_result = next(out.glob("cells/*/result.json"))
+    stored = cell_result.read_text()
+    record = {k: v for k, v in json.loads(stored).items() if k != "data_digest"}
+    cell_result.write_text(json.dumps({**record, **digest}))
+    builds = []
+    generate = experiment.synthetic_gaussian
+    monkeypatch.setattr(experiment, "synthetic_gaussian", lambda *a, **k: builds.append(a) or generate(*a, **k))
+    experiment._data_memo.clear()
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert len(builds) == 1
+    assert cell_result.read_text() == stored

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fedsim as fs
 from fedsim.optim import LRSchedule, OptState, sgd_step
 from fedsim.params import ParamMask, ParamVector
-
-
-def vec(values, bounds=None):
-    data = np.asarray(values, dtype=np.float32)
-    return ParamVector(data, bounds or ((0, len(data)),))
+from tests.conftest import vec
 
 
 def test_schedule_start_half_and_tail():

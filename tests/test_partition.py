@@ -12,7 +12,7 @@ from fedsim.partition import PartitionError, save_splits, splits_to_json
 
 def labels_only_dataset(per_class, classes=10):
     # tiny feature dim keeps |D|=50k cheap; partitioners only read labels
-    return fs.synthetic_gaussian(classes, per_class, classes, 0.0, seed=0)
+    return fs.synthetic_gaussian(classes, (per_class,), classes, 0.0, seed=0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +128,7 @@ def test_iid_partition_equal_sizes():
 
 def make_train_test(per_class_train=100, per_class_test=30, classes=5):
     train = labels_only_dataset(per_class_train, classes)
-    test = fs.synthetic_gaussian(classes, per_class_test, classes, 0.0, seed=9)
-    return train, test
+    return train, fs.synthetic_gaussian(classes, (per_class_test,), classes, 0.0, seed=9)[0]
 
 
 def test_matched_test_labels_subset_of_train_classes():
@@ -161,7 +160,7 @@ def test_global_test_mode_gives_everyone_everything():
 def test_matched_missing_class_in_pool_raises():
     train = labels_only_dataset(50, classes=4)
     # test pool only has classes 0 and 1
-    test_full = fs.synthetic_gaussian(4, 20, 4, 0.0, seed=2)
+    (test_full,) = fs.synthetic_gaussian(4, (20,), 4, 0.0, seed=2)
     keep = np.flatnonzero(test_full.labels < 2)
     test = test_full.subset(keep)
     splits = fs.partition(train, fs.PartitionSpec("shard", clients=4, shards_per_client=1, seed=0))
@@ -171,7 +170,7 @@ def test_matched_missing_class_in_pool_raises():
 
 def test_matched_with_replacement_warns(caplog):
     train = labels_only_dataset(100, classes=2)
-    test = fs.synthetic_gaussian(2, 5, 2, 0.0, seed=3)  # tiny pool: 5 per class
+    (test,) = fs.synthetic_gaussian(2, (5,), 2, 0.0, seed=3)  # tiny pool: 5 per class
     splits = fs.partition(train, fs.PartitionSpec("shard", clients=2, shards_per_client=1, seed=0))
     with caplog.at_level(logging.WARNING, logger="fedsim"):
         splits = fs.split_client_test(train, test, splits, "matched", seed=0)

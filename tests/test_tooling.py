@@ -1,8 +1,11 @@
 """The test run's own configuration."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from fedsim.experiment import _SCHEMA
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
@@ -33,3 +36,11 @@ def test_readme_library_use_runs():
     code = readme[start : readme.index("```", start)]
     # blank lines ahead of the block, so a traceback names README's own line
     exec(compile("\n" * readme.count("\n", 0, start) + code, "README.md", "exec"), {})
+
+
+def test_readme_config_format_names_every_schema_key():
+    # the documented config keeps to the one schema
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    block = readme[readme.index("```jsonc", readme.index("## Config format")) :].split("```")[1]
+    keys = [*_SCHEMA, *(key for entry in _SCHEMA.values() if isinstance(entry, dict) for key in entry)]
+    assert [key for key in keys if not re.search(rf"\b{key}\b", block)] == []
