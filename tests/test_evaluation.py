@@ -377,7 +377,6 @@ def test_run_eval_runs_one_body_pass_per_test_group(tmp_path, monkeypatch):
     }
 
 
-
 @pytest.mark.parametrize("algorithm,distinct", [("fedrep", 1), ("fedavg", 3)])
 def test_fedrep_fine_tune_ignores_eval_part(tmp_path, algorithm, distinct):
     # FedRep fine-tunes the head for tau_f epochs, then the body for one, whatever
