@@ -151,7 +151,7 @@ def personalized_models(
     local rule ``rule``: 'joint' (updating ``part``) or
     'sequential_head_then_body' (the head for every epoch, then the body
     for one more, as FedRep's local training does, whatever ``part``
-    says; a report still names the ``part`` it was given), with fresh
+    says, so its reports name the rule in place of ``part``), with fresh
     momentum.
 
     Under the joint rule a group fine-tunes once, to the largest τ_f, and
@@ -223,7 +223,7 @@ def personalized_accuracy(
         EvalReport.from_accuracies(
             initial.accuracies.copy() if tf == 0 and initial is not None
             else initial_accuracy(tf_models, template, data).accuracies,
-            tf, part,
+            tf, part if rule == "joint" else rule,
         )
         for tf, tf_models in zip(finetune_epochs, tuned)
     ]

@@ -257,6 +257,11 @@ class ExperimentConfig:
             return float(ev["lr"])
         return LRSchedule(self.raw["federation"]["base_lr"]).final_lr
 
+    def finetune_rule(self) -> str:
+        """FedRep's 'sequential_head_then_body', which ignores ``eval.part``, else 'joint'."""
+        rule = get_algorithm(self.raw["federation"]["algorithm"]).local_rule
+        return rule if rule == "sequential_head_then_body" else "joint"
+
 
 # --- builders ----------------------------------------------------------------
 
@@ -352,10 +357,10 @@ def data_digest(train: LabeledDataset, test: LabeledDataset) -> str:
     return digest.hexdigest()
 
 
-# The last config-generated data _run_inputs built, for run_train, run_eval
+# The last config-generated data _run_data built, for run_train, run_eval
 # or a sweep cell's stored-result check, under its config_hash() (which
-# covers every section prepare reads): at most one entry, (data, digest),
-# whose arrays are read-only.
+# covers every section the data and splits read): at most one entry,
+# (data, digest), whose arrays are read-only.
 _data_memo: dict[str, tuple[FederatedData, str]] = {}
 
 
@@ -367,27 +372,34 @@ def _rewrap(data: FederatedData) -> FederatedData:
     )
 
 
-def _run_inputs(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network, str]:
-    """``prepare``'s result and the data's digest, for one run. Data
-    generated from the config is built and hashed once per process for a
-    config hash and then shared read-only; a repeat call gets new wrappers
-    over it and a new network. Data read from IDX files is read and hashed
-    on every call, as the files can change under one path."""
+def _run_data(cfg: ExperimentConfig) -> tuple[FederatedData, str]:
+    """One run's data and splits, and the data's digest. Data generated
+    from the config is built and hashed once per process for a config hash
+    and then shared read-only; a repeat call gets new wrappers over it.
+    Data read from IDX files is read and hashed on every call, as the files
+    can change under one path."""
     key = cfg.config_hash()
     if key in _data_memo:
         shared, digest = _data_memo[key]
-        template = build_network(cfg, shared.train.sample_shape, shared.train.num_classes)
-        return cfg.fl_config(), _rewrap(shared), template, digest
-    fl_cfg, data, template = prepare(cfg)
-    digest = data_digest(data.train, data.test)
+        return _rewrap(shared), digest
+    train, test = build_datasets(cfg)
+    data = FederatedData(train, test, build_splits(cfg, train, test))
+    digest = data_digest(train, test)
     if cfg["dataset"]["kind"] == "synthetic":
-        arrays = [a for ds in (data.train, data.test) for a in (ds.samples, ds.labels)]
+        arrays = [a for ds in (train, test) for a in (ds.samples, ds.labels)]
         arrays += [a for s in data.splits for a in (s.train_indices, s.test_indices)]
         for array in arrays:
             array.flags.writeable = False
         _data_memo.clear()
         _data_memo[key] = _rewrap(data), digest
-    return fl_cfg, data, template, digest
+    return data, digest
+
+
+def _run_inputs(cfg: ExperimentConfig) -> tuple[FLConfig, FederatedData, Network, str]:
+    """``prepare``'s result and the data's digest: ``_run_data`` and a new network."""
+    data, digest = _run_data(cfg)
+    template = build_network(cfg, data.train.sample_shape, data.train.num_classes)
+    return cfg.fl_config(), data, template, digest
 
 
 # --- artifact IO --------------------------------------------------------------
@@ -613,14 +625,13 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     models = client_models(state, template, alg, fl_cfg.clients)
     ev = cfg["eval"]
     lr = cfg.eval_lr()
-    rule = "sequential_head_then_body" if alg.local_rule == "sequential_head_then_body" else "joint"
 
     reports: dict[str, EvalReport] = {}
     test = list(forward_test_sets(models, template, data))
     reports["initial"] = initial_accuracy(models, template, data, test)
     personalized = personalized_accuracy(
         models, template, data, ev["part"], ev["finetune_epochs"], lr, cfg.seed,
-        fl_cfg.batch_size, fl_cfg.momentum, rule, initial=reports["initial"],
+        fl_cfg.batch_size, fl_cfg.momentum, cfg.finetune_rule(), initial=reports["initial"],
     )
     for rep in personalized:
         reports[f"personalized_tf{rep.finetune_epochs}"] = rep

@@ -1,12 +1,15 @@
-"""Grid sweeps over algorithms and FL settings, resumable cell by cell."""
+"""Grid sweeps over algorithms and FL settings: one training per training
+config, results collected from the cells on disk, resumable cell by cell."""
 
 from __future__ import annotations
 
 import copy
 import csv
+import io
 import itertools
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     _check,
-    _run_inputs,
+    _run_data,
     make_out_dir,
     run_eval,
     run_train,
@@ -124,6 +127,7 @@ def _cell_summary(cfg: ExperimentConfig) -> dict:
     s_or_beta = {"shard": part_cfg["shards_per_client"], "dirichlet": part_cfg["beta"]}.get(
         part_cfg["mode"]
     )  # None for iid, an empty CSV field
+    rule = cfg.finetune_rule()
     return {
         "config_hash": cfg.config_hash(),
         "algorithm": fed["algorithm"],
@@ -134,7 +138,7 @@ def _cell_summary(cfg: ExperimentConfig) -> dict:
         "local_epochs": fed["local_epochs"],
         "rounds": fed["rounds"],
         "seed": cfg.seed,
-        "part": cfg["eval"]["part"],
+        "part": cfg["eval"]["part"] if rule == "joint" else rule,  # what the fine-tune trains
     }
 
 
@@ -160,71 +164,92 @@ def _holds_cell(record, cfg: ExperimentConfig) -> bool:
     )
 
 
-def run_cell(raw_config: dict) -> dict:
-    """Train + evaluate one cell; returns (and persists) its result record.
-    A stored record is reused only if it holds the whole cell and names the
-    data the cell reads now by its digest, taken from the run's own inputs,
-    so a rerun of generated data reuses the build; any other is rerun.
-    Top-level so process pools can pick it up."""
-    cfg = ExperimentConfig(raw_config)
+def _write_atomic(path: Path, text: str) -> None:
+    """``text`` into ``path`` through a file beside it, so a reader finds no part of one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(text.encode())
+    os.replace(tmp, path)
+
+
+def _stored(cfg: ExperimentConfig) -> bool:
+    """Whether the cell's stored result holds the whole cell and names the data it
+    reads now by its digest (built without a network); else it warns why."""
     result_path = cfg.out_dir / "result.json"
-    if result_path.exists():
-        try:
-            record = json.loads(result_path.read_text())
-        except ValueError:  # not UTF-8, or not JSON
-            record = None
-        if not _holds_cell(record, cfg):
-            why = "corrupt result"
-        elif "data_digest" not in record:
-            why = "result records no data digest"
-        elif record["data_digest"] != (digest := _run_inputs(cfg)[3]):
-            why = f"result is of other data (data digest {record['data_digest']} vs {digest})"
+    if not result_path.exists():
+        return False
+    try:
+        record = json.loads(result_path.read_text())
+    except ValueError:  # not UTF-8, or not JSON
+        record = None
+    if not _holds_cell(record, cfg):
+        why = "corrupt result"
+    elif "data_digest" not in record:
+        why = "result records no data digest"
+    elif record["data_digest"] != (digest := _run_data(cfg)[1]):
+        why = f"result is of other data (data digest {record['data_digest']} vs {digest})"
+    else:
+        return True
+    log.warning("cell %s: %s, rerunning", cfg.config_hash(with_eval=True), why)
+    return False
+
+
+def run_group(job: tuple[str, list[dict]]) -> None:
+    """One ``(training directory, cell configs)`` group of one ``config_hash()``:
+    unless every cell is stored, it trains once (``train --resume``, a no-op
+    when finished, or afresh if its checks fail), then each cell evaluates
+    the checkpoint and persists its record. Top-level for process pools."""
+    train_dir, raws = Path(job[0]), job[1]
+    todo = [cfg for cfg in map(ExperimentConfig, raws) if not _stored(cfg)]
+    if todo:
+        train_cfg = todo[0].with_overrides(out=str(train_dir))
+        if (train_dir / "checkpoint.json").exists():
+            try:
+                run_train(train_cfg, resume=True)
+            except ConfigError as e:
+                log.warning("training %s: %s, retraining", train_cfg.config_hash(), e)
+                run_train(train_cfg)
         else:
-            return record
-        log.warning("cell %s: %s, rerunning", cfg.config_hash(), why)
-    run_train(cfg)
-    reports = run_eval(cfg)  # checks the checkpoint's data digest against the data
-    record = _cell_summary(cfg)
-    record["data_digest"] = json.loads((cfg.out_dir / "checkpoint.json").read_text())["data_digest"]
-    record["initial_mean"] = reports["initial"].mean
-    record["initial_std"] = reports["initial"].std
-    record["personalized"] = {
-        str(tf): {
-            "mean": reports[f"personalized_tf{tf}"].mean,
-            "std": reports[f"personalized_tf{tf}"].std,
-        }
-        for tf in cfg["eval"]["finetune_epochs"]
-    }
-    result_path.write_text(json.dumps(record, indent=2, sort_keys=True))
-    return record
+            run_train(train_cfg)
+    for cfg in todo:
+        reports = run_eval(cfg, checkpoint_dir=train_dir)  # checks the data digest
+        record = _cell_summary(cfg)
+        record["data_digest"] = json.loads((train_dir / "checkpoint.json").read_text())["data_digest"]
+        record["initial_mean"] = reports["initial"].mean
+        record["initial_std"] = reports["initial"].std
+        tuned = {str(tf): reports[f"personalized_tf{tf}"] for tf in cfg["eval"]["finetune_epochs"]}
+        record["personalized"] = {tf: {"mean": r.mean, "std": r.std} for tf, r in tuned.items()}
+        _write_atomic(cfg.out_dir / "result.json", json.dumps(record, indent=2, sort_keys=True))
 
 
 def run_sweep(sweep: dict, jobs: int = 1) -> Path:
-    """Run every cell (in parallel when jobs > 1) and consolidate one CSV
-    row per (cell, finetune-epoch) pair."""
+    """Run every training group (in parallel when jobs > 1, a whole group
+    to one worker), then collect one CSV row per (cell, finetune-epoch)
+    pair from the cells' ``result.json`` files, in cell order."""
     cells = expand_cells(sweep)
     out_root = make_out_dir(Path(sweep["out"]))
-    raws = [cell.raw for cell in cells]
+    groups: dict[str, list[dict]] = {}
+    for cell in cells:
+        groups.setdefault(str(out_root / "train" / cell.config_hash()), []).append(cell.raw)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_cell, raws))
+            list(pool.map(run_group, groups.items()))
     else:
-        records = [run_cell(raw) for raw in raws]
+        for job in groups.items():
+            run_group(job)
 
-    rows = []
-    for record in records:
+    text = io.StringIO()
+    text.write(f"# schema={SCHEMA_VERSION}\n")
+    writer = csv.writer(text)
+    writer.writerow(RESULT_COLUMNS)
+    for cell in cells:
+        record = json.loads((cell.out_dir / "result.json").read_text())
         for tf, stats in sorted(record["personalized"].items(), key=lambda kv: int(kv[0])):
             row = {
                 **record, "tau_f": tf,
                 "personalized_mean": stats["mean"], "personalized_std": stats["std"],
             }
-            rows.append(
+            writer.writerow(
                 [f"{row[c]:.6f}" if c.endswith(("_mean", "_std")) else row[c] for c in RESULT_COLUMNS]
             )
-    results_path = out_root / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(rows)
-    return results_path
+    _write_atomic(out_root / "results.csv", text.getvalue())
+    return out_root / "results.csv"

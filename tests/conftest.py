@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fedsim as fs
+import fedsim.experiment  # noqa: F401 -- the autouse fixture reads its memo
 from fedsim.params import ParamVector
 
 

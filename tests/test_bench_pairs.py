@@ -158,3 +158,56 @@ def test_agree_pairs_counts_the_pairs_whose_raw_and_scaled_values_move_alike():
     assert train["scaled"]["wins"] == 0 and train["raw"]["wins"] == 6
     assert not train["agree"]  # the medians point apart
     assert train["agree_pairs"] == 4
+
+
+BOUNDS = {
+    "train_s": ("lower", 0.25), "eval_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
+    "local_steps_per_s": ("higher", 0.25), "peak_rss_mb": ("lower", 0.1),
+}
+
+
+def pairs(change_reference=1.0, change_rss=100.0, n=10):
+    """``n`` pairs whose sides run the code at one speed; the benchmark
+    divides each raw time by its side's reference-task time."""
+    def side(seed, reference, rss):
+        raw = 1.0 + seed / 100
+        info = {
+            "runs_failed": 0, "checkpoint_sha256": "same", "src_lines": 10, "local_steps": 100,
+            "train_s": [raw], "eval_s": [raw], "setup_s": {"quartiles": [raw] * 3},
+            "reference_s": [reference],
+        }
+        scaled = {"train_s": raw / reference, "eval_s": raw / reference, "setup_s": raw / reference,
+                  "local_steps_per_s": 100 * reference / raw, "peak_rss_mb": rss + seed % 3 / 100}
+        return {"info": info, "result": {"metrics": {k: {"value": v} for k, v in scaled.items()}}}
+
+    return [
+        {"seed": i, "first": "parent", "parent": side(i, 1.0, 100.0),
+         "change": side(i, change_reference, change_rss)}
+        for i in range(n)
+    ]
+
+
+def test_verdicts_and_gains_come_from_raw_values():
+    # the change's reference task runs 16% faster, so its scaled times read
+    # about 19% worse; the raw times, and so the verdicts, are those of equal sides
+    tool = load_tool()
+    equal = tool.summarize(pairs(), BOUNDS)
+    gap = tool.summarize(pairs(change_reference=0.84), BOUNDS)
+    assert gap["host_gap"]["outside"] and not equal["host_gap"]["outside"]
+    for name in BOUNDS:
+        assert gap["metrics"][name]["verdict"] == equal["metrics"][name]["verdict"] == "within"
+        assert gap["metrics"][name]["gain"] is equal["metrics"][name]["gain"] is False
+    train = gap["metrics"]["train_s"]
+    assert train["scaled"]["verdict"] == "unresolved"  # kept as a diagnostic
+    assert train["scaled"]["median_ratio"] > 1.18 and train["raw"]["median_ratio"] == 1.0
+
+
+def test_a_peak_rss_gain_must_exceed_the_heap_layout_floor():
+    # 0.4 MB less in every pair is far outside the parent's spread, yet
+    # inside the 0.5 MB that the heap layout moves alone
+    tool = load_tool()
+    assert tool.FLOORS["peak_rss_mb"] == 0.5
+    rss = tool.summarize(pairs(change_rss=99.6), BOUNDS)["metrics"]["peak_rss_mb"]
+    assert rss["raw"]["wins"] == 10 and tool.meets_claim(rss["raw"])
+    assert not rss["gain"]
+    assert tool.summarize(pairs(change_rss=99.4), BOUNDS)["metrics"]["peak_rss_mb"]["gain"]

@@ -903,7 +903,21 @@ def test_sweep_budget_mismatch_rejected(tmp_path):
     assert main(["sweep", "--config", str(sweep_path)]) == 2
 
 
-def test_sweep_resume_reuses_cells_and_matches(tmp_path):
+def count_calls(monkeypatch, *names) -> dict:
+    """The calls of each named ``fedsim.experiment`` function, counted."""
+    import fedsim.experiment
+
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(fedsim.experiment, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim.experiment, name, counted)
+    return calls
+
+
+def test_sweep_resume_reuses_cells_and_matches(tmp_path, monkeypatch):
     sweep_path, out = sweep_config(tmp_path)
     main(["sweep", "--config", str(sweep_path)])
     results = (out / "results.csv").read_bytes()
@@ -912,10 +926,13 @@ def test_sweep_resume_reuses_cells_and_matches(tmp_path):
     stamps = {
         p: p.stat().st_mtime_ns for p in out.glob("cells/*/result.json")
     }
+    calls = count_calls(monkeypatch, "build_network", "run_federation")
     assert main(["sweep", "--config", str(sweep_path)]) == 0
     assert (out / "results.csv").read_bytes() == results
     for p, stamp in stamps.items():
         assert p.stat().st_mtime_ns == stamp  # cell untouched
+    # the stored-result check reads the data's digest alone
+    assert calls == {"build_network": 0, "run_federation": 0}
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):
@@ -948,6 +965,81 @@ def test_sweep_eval_settings_key_the_cells(tmp_path):
     sweep_path.write_text(json.dumps(sweep))
     assert main(["sweep", "--config", str(sweep_path)]) == 0
     assert sorted(r["tau_f"] for r in read_results(out)) == ["2", "2"]
+
+
+def test_sweep_eval_axis_trains_once_per_training_hash(tmp_path, monkeypatch):
+    # the two parts' cells of one algorithm share one training directory
+    grid = {"federation.algorithm": ["fedavg", "fedbabu"]}
+    sweep_path, out = sweep_config(tmp_path, grid={**grid, "eval.part": ["full", "head"]})
+    calls = count_calls(monkeypatch, "run_federation")
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert calls == {"run_federation": 2}
+    assert len(list(out.glob("train/*/checkpoint.json"))) == 2
+    assert len(list(out.glob("cells/*/result.json"))) == 4
+    assert not list(out.glob("cells/*/checkpoint.json"))
+    # rows in cell order: the eval.part axis sorts before federation.algorithm
+    single = []
+    for part in ("full", "head"):
+        sweep = json.loads(sweep_path.read_text())
+        sweep.update(grid=grid, out=str(tmp_path / part))
+        sweep["base"]["eval"]["part"] = part
+        sweep_path.write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(sweep_path)]) == 0
+        single += read_results(tmp_path / part)
+    assert read_results(out) == single
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        (lambda d: (d / "checkpoint.pv").write_bytes((d / "checkpoint.pv").read_bytes()[:40]),
+         "cannot load"),
+        (lambda d: (d / "checkpoint.json").write_text(json.dumps(
+            {**json.loads((d / "checkpoint.json").read_text()), "data_digest": "0" * 64})),
+         "checkpoint was trained on other data"),
+    ],
+    ids=["torn", "other-data"],
+)
+def test_sweep_retrains_a_training_directory_that_fails_its_checks(tmp_path, caplog, damage, named):
+    sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    results = (out / "results.csv").read_bytes()
+    (train_dir,) = out.glob("train/*")
+    checkpoint = lambda: {p.name: p.read_bytes() for p in train_dir.iterdir() if p.suffix != ".csv"}
+    trained = checkpoint()  # rounds.csv logs wall times
+    damage(train_dir)
+    next(out.glob("cells/*/result.json")).unlink()
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert f"training {train_dir.name}: " in caplog.text and named in caplog.text
+    assert "retraining" in caplog.text
+    assert checkpoint() == trained
+    assert (out / "results.csv").read_bytes() == results
+
+
+def test_sweep_outputs_are_replaced_whole(tmp_path, monkeypatch):
+    # a write that fails before its rename leaves no part of the file
+    import os
+
+    sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    results = (out / "results.csv").read_bytes()
+    cell_result = next(out.glob("cells/*/result.json"))
+    cell_result.unlink()
+    (out / "results.csv").unlink()
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name in ("result.json", "results.csv"):
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        main(["sweep", "--config", str(sweep_path)])
+    assert not cell_result.exists() and not (out / "results.csv").exists()
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert (out / "results.csv").read_bytes() == results
 
 
 @pytest.mark.parametrize(
@@ -1141,6 +1233,15 @@ def test_output_directory_that_cannot_be_created_exits_2_before_any_work(
     assert main(argv) == 2
     assert f"cannot create output directory {bad}" in capsys.readouterr().err
     assert reached == []
+
+
+def test_sweep_fedrep_rows_name_the_rule_that_trained(tmp_path):
+    # FedRep's fine-tune ignores eval.part, so its rows name its own rule
+    grid = {"federation.algorithm": ["fedrep"], "eval.part": ["full", "head"]}
+    sweep_path, out = sweep_config(tmp_path, grid=grid)
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    first, second = read_results(out)
+    assert first == second and first["part"] == "sequential_head_then_body"
 
 
 def test_sweep_iid_cell_reports_no_beta(tmp_path):

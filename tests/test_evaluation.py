@@ -1,6 +1,8 @@
 """Evaluation protocol: reports, fine-tuning, templates, in/out splits,
 inter-client similarity, and the centralized baseline loop."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,13 +382,15 @@ def test_run_eval_runs_one_body_pass_per_test_group(tmp_path, monkeypatch):
 @pytest.mark.parametrize("algorithm,distinct", [("fedrep", 1), ("fedavg", 3)])
 def test_fedrep_fine_tune_ignores_eval_part(tmp_path, algorithm, distinct):
     # FedRep fine-tunes the head for tau_f epochs, then the body for one, whatever
-    # eval.part says, and its report names that part; FedAvg's follows the part
+    # eval.part says, and its reports name that rule; FedAvg's follow the part
     raw = {**BASE, "out": str(tmp_path), "federation": {**BASE["federation"], "algorithm": algorithm}}
     run_train(ExperimentConfig.from_dict(raw))
     tuned = set()
     for part in ("full", "head", "body"):
         reports = run_eval(ExperimentConfig.from_dict({**raw, "eval": {**BASE["eval"], "part": part}}))
-        assert reports["personalized_tf2"].part == part
+        named = "sequential_head_then_body" if algorithm == "fedrep" else part
+        assert reports["personalized_tf2"].part == named
+        assert json.loads((tmp_path / "eval" / "personalized_tf2.json").read_text())["part"] == named
         tuned.add((tmp_path / "eval" / "personalized_tf2.csv").read_bytes())
     assert len(tuned) == distinct
 
