@@ -2,6 +2,7 @@
 exit codes, and sweep consolidation."""
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -1018,8 +1019,6 @@ def test_sweep_retrains_a_training_directory_that_fails_its_checks(tmp_path, cap
 
 def test_sweep_outputs_are_replaced_whole(tmp_path, monkeypatch):
     # a write that fails before its rename leaves no part of the file
-    import os
-
     sweep_path, out = sweep_config(tmp_path, grid={"federation.algorithm": ["fedavg"]})
     assert main(["sweep", "--config", str(sweep_path)]) == 0
     results = (out / "results.csv").read_bytes()
@@ -1209,8 +1208,6 @@ def test_sweep_repeated_cell_exits_2_before_any_cell(tmp_path, capsys, grid, see
 def test_output_directory_that_cannot_be_created_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, command
 ):
-    import fedsim.experiment
-
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     bad = blocker / "out"
@@ -1222,17 +1219,11 @@ def test_output_directory_that_cannot_be_created_exits_2_before_any_work(
     if command == "eval":
         assert main(["train", "--config", str(cfg_path)]) == 0
         argv += ["--checkpoint", str(trained)]
-    reached = []
-    for name in ("build_datasets", "run_federation"):
-        def record(*args, _name=name, _fn=getattr(fedsim.experiment, name), **kwargs):
-            reached.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(fedsim.experiment, name, record)
+    reached = count_calls(monkeypatch, "build_datasets", "run_federation")
     capsys.readouterr()
     assert main(argv) == 2
     assert f"cannot create output directory {bad}" in capsys.readouterr().err
-    assert reached == []
+    assert reached == {"build_datasets": 0, "run_federation": 0}
 
 
 def test_sweep_fedrep_rows_name_the_rule_that_trained(tmp_path):
