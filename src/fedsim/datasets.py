@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import FLOAT
+from .streams import stream
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -76,7 +77,7 @@ def synthetic_gaussian(
     """
     if num_classes < 2:
         raise DatasetError("need at least 2 classes")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "data")
     raw = rng.normal(size=(dim, num_classes))
     if num_classes <= dim:
         q, r = np.linalg.qr(raw)

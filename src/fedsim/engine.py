@@ -1,8 +1,9 @@
 """The federated round loop: sample, broadcast, masked local update,
 masked weighted aggregation, optional server-side update.
 
-Every random draw comes from a stream keyed by (seed, tag, round, client),
-so results do not depend on the order in which clients run.
+Every random draw comes from a stream of ``streams.py``'s table, keyed by
+(seed, name, round, client), so results do not depend on the order in
+which clients run.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from .network import Network, backward, forward
 from .optim import LRSchedule, OptState, sgd_step
 from .params import FLOAT, ParamMask, ParamVector
 from .partition import ClientSplit
+from .streams import stream
 
 log = logging.getLogger("fedsim")
-
-# spawn-key tags for domain-separated RNG streams
-_SAMPLING, _CLIENT, _POOL, _SERVER, _EVAL = range(5)
 
 LG_LR = 0.001  # constant learning rate of the LG-FedAvg second phase
 
@@ -52,15 +51,6 @@ class FederationError(RuntimeError):
 
 class NumericError(FederationError):
     """Loss or parameters stopped being finite."""
-
-
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a (seed, tag, ...) coordinate."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
-def eval_stream(seed: int, client_id: int) -> np.random.Generator:
-    return stream(seed, _EVAL, client_id)
 
 
 @dataclass(frozen=True)
@@ -182,13 +172,15 @@ def client_groups(
     ids, cut into runs of as many clients as fit in GROUP_BYTES. The cap
     counts stacked rows, ``tracks`` per client (Ditto stacks two). A row's
     step is counted from the shapes at a full batch: every layer's output
-    plus each conv's im2col column matrix."""
+    plus each conv's im2col column matrix. ``batch_size`` is the effective
+    batch, at most the largest client's size (0, counted as 1, where no
+    client has data)."""
     shapes = infer_shapes(template.layers, template.sample_shape)
     per_sample = sum(math.prod(s) for s in shapes)
     for spec, out in zip(template.layers, shapes):
         if spec.kind == "conv2d":
             per_sample += math.prod(out[1:]) * spec.in_channels * spec.kernel**2
-    rows = GROUP_BYTES // (FLOAT().itemsize * batch_size * per_sample)
+    rows = GROUP_BYTES // (FLOAT().itemsize * max(batch_size, 1) * per_sample)
     cap = max(1, rows // tracks)
     ids = sorted(client_ids)
     return [tuple(ids[i : i + cap]) for i in range(0, len(ids), cap)]
@@ -394,7 +386,7 @@ def train_epochs(
     prefixes = {k: prefix(k) for k in {record[1] for record in plan}}
     sizes = n.tolist()
     perm = np.empty((m, max(sizes)), np.int64)  # each row's epoch permutation, as ds rows
-    within = np.arange(batch_size)
+    within = np.arange(min(batch_size, max(sizes)))  # the effective batch
     table = np.empty((m, len(plan)))  # the step losses, as the float64 of each float32
     for s, (draws, k, runs, rate, ends) in enumerate(plan):
         for i in draws:  # own[i][rngs[i].permutation(n)], bytes and generator state alike
@@ -619,7 +611,7 @@ def run_federation(
 
     pool_idx = None
     if cfg.server_share > 0:
-        pool_idx = draw_server_pool(data.splits, cfg.server_share, stream(cfg.seed, _POOL))
+        pool_idx = draw_server_pool(data.splits, cfg.server_share, stream(cfg.seed, "server_pool"))
 
     logs: list[RoundLog] = []
     for k in range(state.round + 1, len(plan) + 1):
@@ -627,7 +619,7 @@ def run_federation(
         t0 = time.perf_counter()
 
         if round_alg.federated:
-            sampled = sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, _SAMPLING, k))
+            sampled = sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, "sampling", k))
         else:
             sampled = list(range(cfg.clients))
 
@@ -649,10 +641,10 @@ def run_federation(
                     for n in set(map(len, indices))
                 }
                 rates = [by_size[len(idx)] for idx in indices]
-                rngs = [stream(cfg.seed, _CLIENT, k, cid) for cid in ids]
+                rngs = [stream(cfg.seed, "client", k, cid) for cid in ids]
                 if ditto:
                     starts = [state.global_params] * len(ids) + starts
-                    rngs += [stream(cfg.seed, _CLIENT, k, cid, 1) for cid in ids]
+                    rngs += [stream(cfg.seed, "client", k, cid, 1) for cid in ids]
                     indices, rates = indices * 2, rates * 2
                 thetas, losses = local_update(
                     data.train, ParamVector.stack(starts), template, round_alg,
@@ -665,11 +657,11 @@ def run_federation(
             rows = thetas.rows()
             return list(zip(ids, rows, rows[-len(ids) :], map(len, indices), losses))
 
-        # client_groups cuts ascending ids, so results come in ascending ids
-        results = [
-            r for ids in client_groups(sampled, template, cfg.batch_size, 1 + ditto)
-            for r in run_group(ids)
-        ]
+        # client_groups cuts ascending ids, so results come in ascending ids;
+        # a batch above every sampled client's size steps as the largest one
+        batch = min(cfg.batch_size, max(len(data.splits[cid].train_indices) for cid in sampled))
+        groups = client_groups(sampled, template, batch, 1 + ditto)
+        results = [r for ids in groups for r in run_group(ids)]
 
         # train_epochs has raised NumericError on any non-finite step loss
         losses = [loss for *_, loss in results if not math.isnan(loss)]
@@ -692,7 +684,7 @@ def run_federation(
                 train_epochs(
                     data.train, state.global_params.as_stack(), template,
                     cfg.server_update_part, 1, cfg.batch_size, cfg.momentum,
-                    [_round_end_lr(cfg, k)], [stream(cfg.seed, _SERVER, k)], [pool_idx],
+                    [_round_end_lr(cfg, k)], [stream(cfg.seed, "server", k)], [pool_idx],
                 )
             except FederationError as e:
                 raise type(e)(f"round {k}, server epoch: {e}", e.member) from e

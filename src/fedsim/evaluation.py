@@ -16,15 +16,14 @@ from .engine import (
     LRSchedule,
     assemble_client_params,
     client_groups,
-    eval_stream,
     iterations_per_epoch,
     local_update,
-    stream,
     train_epochs,
 )
 from .layers import runs_of
 from .network import Network, forward, representations, segment_cosines
 from .params import ParamVector
+from .streams import stream
 
 
 class EvalError(RuntimeError):
@@ -170,8 +169,9 @@ def personalized_models(
         passes = [[tf] for tf in positive]
     else:
         passes = [positive] if positive else []
+    largest = max(len(s.train_indices) for s in data.splits)
     for snaps in passes:
-        for ids in client_groups(range(len(models)), template, batch_size):
+        for ids in client_groups(range(len(models)), template, min(batch_size, largest)):
             start = ParamVector.stack([models[cid] for cid in ids])
             done = [0] * len(ids)  # epochs each row has ended
             # one stack per earlier τ_f; the last is the pass's result
@@ -185,7 +185,7 @@ def personalized_models(
             try:
                 tuned, _ = local_update(
                     data.train, start, template, spec, snaps[-1], batch_size, momentum,
-                    lr, [eval_stream(seed, cid) for cid in ids],
+                    lr, [stream(seed, "eval", cid) for cid in ids],
                     indices=[data.splits[cid].train_indices for cid in ids], on_epoch=keep,
                 )
             except FederationError as e:
@@ -355,7 +355,7 @@ def centralized_train(
     curve: list[float] = []
     train_epochs(
         train_ds, ParamVector.stack([net.params]), net, part, epochs, batch_size, momentum,
-        [rates], [stream(seed, 9)], [np.arange(len(train_ds))],
+        [rates], [stream(seed, "centralized")], [np.arange(len(train_ds))],
         on_epoch=lambda _row, row_params, _momentum: curve.append(
             accuracy(net.with_params(ParamVector(row_params, net.params.bounds)), test_ds)[0]
         ),

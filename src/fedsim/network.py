@@ -25,6 +25,7 @@ from .layers import (
     softmax_cross_entropy,
 )
 from .params import FLOAT, ParamMask, ParamVector
+from .streams import stream
 
 INIT_SCHEMES = (
     "he_uniform",
@@ -188,7 +189,7 @@ def init_network(layers, sample_shape: tuple[int, ...], scheme: InitScheme) -> N
     param_layers, bounds = _segment_bounds(layers)
     params = ParamVector(np.zeros(bounds[-1][1], dtype=FLOAT), bounds)
     net = Network(layers, params, sample_shape, param_layers)
-    rng = np.random.default_rng(scheme.seed)
+    rng = stream(scheme.seed, "init")
     for i in param_layers:
         layer_scheme = scheme.scheme
         if scheme.scheme == "similar" and i != net.head_index:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DatasetError, LabeledDataset
+from .streams import stream
 
 log = logging.getLogger("fedsim")
 
@@ -71,7 +72,7 @@ def _shard_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSpli
     if dropped:
         log.warning("shard partition drops %d trailing samples after label sort", dropped)
     order = np.argsort(ds.labels, kind="stable")[:used]
-    rng = np.random.default_rng(spec.seed)
+    rng = stream(spec.seed, "partition")
     shard_ids = rng.permutation(n_shards)
     splits = []
     for client in range(spec.clients):
@@ -97,7 +98,7 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
 def _dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
     """Per-class Dirichlet(beta) proportions over clients; exact conservation
     via largest-remainder rounding. Lower beta, larger heterogeneity."""
-    rng = np.random.default_rng(spec.seed)
+    rng = stream(spec.seed, "partition")
     per_client: list[list[np.ndarray]] = [[] for _ in range(spec.clients)]
     for c in range(ds.num_classes):
         class_idx = np.flatnonzero(ds.labels == c)
@@ -122,7 +123,7 @@ def _dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[Client
 
 def _iid_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[ClientSplit]:
     """Uniform random equal split (remainder dropped)."""
-    rng = np.random.default_rng(spec.seed)
+    rng = stream(spec.seed, "partition")
     per = len(ds) // spec.clients
     order = rng.permutation(len(ds))[: per * spec.clients]
     return [
@@ -164,7 +165,7 @@ def split_client_test(
     pool_by_class = [np.flatnonzero(ds_test.labels == c) for c in range(ds_test.num_classes)]
     out = []
     for s in splits:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s.client_id,)))
+        rng = stream(seed, "test_split", s.client_id)
         train_labels = ds_train.labels[s.train_indices]
         n_test = len(s.train_indices) // 5
         classes, counts = np.unique(train_labels, return_counts=True)

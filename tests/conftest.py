@@ -99,9 +99,9 @@ def replay_clients_descending(cfg, data, template):
         client_schedule,
         init_state,
         iterations_per_epoch,
-        stream,
         train_epochs,
     )
+    from fedsim.streams import stream
 
     alg = fs.get_algorithm(cfg.algorithm)
     assert alg.federated and not alg.two_phase_lg
@@ -109,7 +109,7 @@ def replay_clients_descending(cfg, data, template):
     ditto = alg.local_rule == "ditto"
     state = init_state(template)
     for k in range(1, cfg.rounds + 1):
-        sampled = fs.sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, 0, k))
+        sampled = fs.sample_clients(cfg.clients, cfg.fraction, stream(cfg.seed, "sampling", k))
         updates, personals = {}, {}
         for cid in sorted(sampled, reverse=True):
             ds = data.client_train(cid)
@@ -123,7 +123,7 @@ def replay_clients_descending(cfg, data, template):
             theta, _ = fs.local_update(
                 ds, start, template, fs.get_algorithm("fedavg") if ditto else alg,
                 cfg.local_epochs, cfg.batch_size, cfg.momentum,
-                rates, stream(cfg.seed, 1, k, cid),
+                rates, stream(cfg.seed, "client", k, cid),
                 mu=cfg.mu, perfedavg_alpha=cfg.perfedavg_alpha,
             )
             updates[cid] = (theta, len(ds))
@@ -131,7 +131,7 @@ def replay_clients_descending(cfg, data, template):
                 personal = state.client_params.get(cid, state.initial_params).copy()
                 train_epochs(
                     ds, personal.as_stack(), template, "full", cfg.local_epochs,
-                    cfg.batch_size, cfg.momentum, [rates], [stream(cfg.seed, 1, k, cid, 1)],
+                    cfg.batch_size, cfg.momentum, [rates], [stream(cfg.seed, "client", k, cid, 1)],
                     [np.arange(len(ds))], prox=(cfg.lam, start.as_stack()),
                 )
                 personals[cid] = personal

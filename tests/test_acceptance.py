@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import fedsim as fs
-from fedsim.engine import client_schedule, init_state, stream
+from fedsim.engine import client_schedule, init_state
 from fedsim.evaluation import client_models, personalized_models
 from fedsim.params import ParamMask, ParamVector
+from fedsim.streams import stream
 from tests.conftest import make_federated_data, replay_clients_descending
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -107,7 +108,7 @@ def test_criterion_2_fedbabu_head_freeze():
             rates = client_schedule(cfg, len(ds)).rates((k - 1) * count, count)
             out, _ = fs.local_update(
                 ds, pre_global, net, alg, cfg.local_epochs, cfg.batch_size,
-                cfg.momentum, rates, stream(3, 1, k, cid),
+                cfg.momentum, rates, stream(3, "client", k, cid),
             )
             assert out.segment(head).tobytes() == init_head
             checked_locals += 1

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import fedsim as fs
-from fedsim.engine import assemble_client_params, stream
+from fedsim.engine import assemble_client_params
 from fedsim.optim import OptState, sgd_step
 from fedsim.params import ParamVector
+from fedsim.streams import stream
 from tests.conftest import small_net
 
 
@@ -21,16 +22,16 @@ def test_fedrep_sequential_matches_manual_replay(small_fed_data):
     tau = 2
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedrep"), tau, 10, 0.9,
-        0.05, stream(3, 1, 1, 0),
+        0.05, stream(3, "client", 1, 0),
     )
     # evaluation's fine-tune under FedRep's rule, at a constant rate
     tuned, _ = fs.local_update(
         ds, net.params, net, fs.AlgorithmSpec("fine-tune", "full", "full", "sequential_head_then_body"),
-        tau, 10, 0.9, 0.05, stream(3, 1, 1, 0),
+        tau, 10, 0.9, 0.05, stream(3, "client", 1, 0),
     )
 
     # manual replay: same rng, head mask for tau epochs, then body for one
-    rng = stream(3, 1, 1, 0)
+    rng = stream(3, "client", 1, 0)
     params = net.params.copy()
     working = net.with_params(params)
     opt = OptState.for_params(params, 0.9)
@@ -87,10 +88,10 @@ def test_fedrep_body_epoch_reads_each_rows_last_head_epoch_rates(small_fed_data)
     starts = ParamVector.stack([net.params, net.params])
     out, _ = fs.local_update(
         ds, starts, net, fs.get_algorithm("fedrep"), tau, 10, 0.9, rates,
-        [stream(8, 1, 1, i) for i in range(2)], indices=indices,
+        [stream(8, "client", 1, i) for i in range(2)], indices=indices,
     )
     for i, idx in enumerate(indices):
-        want = fedrep_by_hand(ds, idx, net.params, net, tau, rates[i], stream(8, 1, 1, i))
+        want = fedrep_by_hand(ds, idx, net.params, net, tau, rates[i], stream(8, "client", 1, i))
         assert out.data[i].tobytes() == want.data.tobytes()
 
 
@@ -118,7 +119,7 @@ def ditto_personal(ds, theta_g, theta_v, lam, epochs, rate, rng, template, batch
     prox term of weight ``mu=lam``."""
     stack, _ = fs.local_update(
         ds, ParamVector.stack([theta_g, theta_v]), template, fs.get_algorithm("ditto"),
-        epochs, batch_size, momentum, rate, [stream(0, 1, 0, 0), rng], mu=lam,
+        epochs, batch_size, momentum, rate, [stream(0, "client", 0, 0), rng], mu=lam,
     )
     return stack.rows()[1]
 
@@ -130,12 +131,12 @@ def test_ditto_lambda_zero_is_plain_finetune(small_fed_data):
     theta_g = ParamVector(net.params.data + np.float32(0.5), net.params.bounds)
 
     personal = ditto_personal(
-        ds, theta_g, theta_v, 0.0, 2, 0.05, stream(5, 1, 1, 1),
+        ds, theta_g, theta_v, 0.0, 2, 0.05, stream(5, "client", 1, 1),
         batch_size=10, momentum=0.9, template=net,
     )
     plain, _ = fs.local_update(
         ds, theta_v, net, fs.get_algorithm("fedavg"), 2, 10, 0.9,
-        0.05, stream(5, 1, 1, 1),
+        0.05, stream(5, "client", 1, 1),
     )
     assert personal.data.tobytes() == plain.data.tobytes()
 
@@ -148,12 +149,12 @@ def test_ditto_single_step_closed_form(small_fed_data):
     theta_g = net.params.copy()
 
     # same shuffle the update will draw, so float summation order matches
-    order = stream(6, 1, 1, 0).permutation(len(ds))
+    order = stream(6, "client", 1, 0).permutation(len(ds))
     _, cache = fs.forward(net, ds.samples[order])
     _, grads = fs.backward(net, cache, ds.labels[order])
 
     out = ditto_personal(
-        ds, theta_g, theta_g.copy(), 1e6, 1, 0.1, stream(6, 1, 1, 0),
+        ds, theta_g, theta_g.copy(), 1e6, 1, 0.1, stream(6, "client", 1, 0),
         batch_size=len(ds), momentum=0.9, template=net,
     )
     predicted = theta_g.data - np.float32(0.1) * grads.data
@@ -168,11 +169,11 @@ def test_ditto_large_lambda_tracks_global(small_fed_data):
     ds = small_fed_data.client_train(2)
     theta_g = net.params.copy()
     free = ditto_personal(
-        ds, theta_g, theta_g.copy(), 0.0, 3, 0.05, stream(7, 1, 1, 2),
+        ds, theta_g, theta_g.copy(), 0.0, 3, 0.05, stream(7, "client", 1, 2),
         batch_size=10, momentum=0.9, template=net,
     )
     pinned = ditto_personal(
-        ds, theta_g, theta_g.copy(), 50.0, 3, 0.05, stream(7, 1, 1, 2),
+        ds, theta_g, theta_g.copy(), 50.0, 3, 0.05, stream(7, "client", 1, 2),
         batch_size=10, momentum=0.9, template=net,
     )
     assert fs.param_distance(pinned, theta_g) < fs.param_distance(free, theta_g)
@@ -185,9 +186,9 @@ def test_ditto_stack_of_odd_rows_raises(small_fed_data):
     ds = small_fed_data.client_train(0)
     ditto = fs.get_algorithm("ditto")
     for start, rngs in [
-        (net.params, stream(0, 1, 1, 0)),
-        (ParamVector.stack([net.params]), [stream(0, 1, 1, 0)]),
-        (ParamVector.stack([net.params] * 3), [stream(0, 1, 1, i) for i in range(3)]),
+        (net.params, stream(0, "client", 1, 0)),
+        (ParamVector.stack([net.params]), [stream(0, "client", 1, 0)]),
+        (ParamVector.stack([net.params] * 3), [stream(0, "client", 1, i) for i in range(3)]),
     ]:
         with pytest.raises(ValueError, match="two rows per client"):
             fs.local_update(ds, start, net, ditto, 1, 10, 0.9, 0.05, rngs, mu=0.5)
@@ -232,14 +233,14 @@ def test_perfedavg_single_meta_step_closed_form():
         return np.concatenate([g_logit * xi, g_logit])
 
     # batch order: permutation of [0, 1]; support = first half, query = rest
-    order = stream(11, 1, 1, 0).permutation(2)
+    order = stream(11, "client", 1, 0).permutation(2)
     sup, qry = order[0], order[1]
     inner = w0 - alpha * ce_grad(w0, float(x[sup, 0]), int(y[sup]))
     expected = w0 - beta * ce_grad(inner, float(x[qry, 0]), int(y[qry]))
 
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 2, 0.9,
-        beta, stream(11, 1, 1, 0), perfedavg_alpha=alpha,
+        beta, stream(11, "client", 1, 0), perfedavg_alpha=alpha,
     )
     np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-7)
 
@@ -249,10 +250,10 @@ def test_perfedavg_alpha_zero_is_sgd_on_query_halves(small_fed_data):
     ds = small_fed_data.client_train(3)
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 10, 0.9,
-        0.05, stream(13, 1, 1, 3), perfedavg_alpha=0.0,
+        0.05, stream(13, "client", 1, 3), perfedavg_alpha=0.0,
     )
     # manual: same permutation, step on the query half of each batch
-    rng = stream(13, 1, 1, 3)
+    rng = stream(13, "client", 1, 3)
     params = net.params.copy()
     working = net.with_params(params)
     opt = OptState.for_params(params, 0.9)
@@ -273,7 +274,7 @@ def test_perfedavg_batch_of_one_rejected():
     with pytest.raises(fs.FederationError):
         fs.local_update(
             ds, net.params, net, fs.get_algorithm("perfedavg"), 1, 50, 0.9,
-            0.1, stream(1, 1, 1, 0), perfedavg_alpha=0.01,
+            0.1, stream(1, "client", 1, 0), perfedavg_alpha=0.01,
         )
 
 
@@ -286,7 +287,7 @@ def test_perfedavg_under_a_partial_mask_raises_naming_the_part(small_fed_data, p
     with pytest.raises(ValueError, match=f"not '{part}'"):
         fs.local_update(
             small_fed_data.client_train(0), net.params, net, spec, 1, 10, 0.9,
-            0.05, stream(1, 1, 1, 0), perfedavg_alpha=0.01,
+            0.05, stream(1, "client", 1, 0), perfedavg_alpha=0.01,
         )
 
 
@@ -296,7 +297,7 @@ def test_perfedavg_deterministic(small_fed_data):
     a, b = (
         fs.local_update(
             ds, net.params, net, fs.get_algorithm("perfedavg"), 2, 10, 0.9,
-            0.05, stream(2, 1, 1, 0), perfedavg_alpha=0.01,
+            0.05, stream(2, "client", 1, 0), perfedavg_alpha=0.01,
         )[0]
         for _ in range(2)
     )

@@ -211,3 +211,15 @@ def test_a_peak_rss_gain_must_exceed_the_heap_layout_floor():
     assert rss["raw"]["wins"] == 10 and tool.meets_claim(rss["raw"])
     assert not rss["gain"]
     assert tool.summarize(pairs(change_rss=99.4), BOUNDS)["metrics"]["peak_rss_mb"]["gain"]
+
+
+def test_host_facts_name_the_c_library_and_the_allocator_environment(monkeypatch):
+    tool = load_tool()
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_", raising=False)
+    facts = tool.machine()
+    assert facts["malloc_env"]["MALLOC_ARENA_MAX"] == "2"
+    assert "MALLOC_TRIM_THRESHOLD_" not in facts["malloc_env"]
+    assert facts["libc"] is None or facts["libc"].startswith("glibc")
+    monkeypatch.delenv("MALLOC_ARENA_MAX")
+    assert "MALLOC_ARENA_MAX" not in tool.machine()["malloc_env"]

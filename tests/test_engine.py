@@ -1,6 +1,8 @@
 """Round-loop mechanics: sampling, aggregation algebra, masked local updates,
 determinism, budget invariance, and the server data-sharing path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -16,11 +18,11 @@ from fedsim.engine import (
     client_groups,
     client_schedule,
     iterations_per_epoch,
-    stream,
     total_rounds,
     train_epochs,
 )
 from fedsim.params import ParamMask, ParamVector
+from fedsim.streams import stream
 from tests.conftest import make_federated_data, nan_aggregate, replay_clients_descending, small_net, vec
 
 
@@ -28,18 +30,18 @@ from tests.conftest import make_federated_data, nan_aggregate, replay_clients_de
 
 
 def test_sample_counts():
-    rng = stream(0, 0, 1)
+    rng = stream(0, "sampling", 1)
     ids = fs.sample_clients(100, 0.1, rng)
     assert len(ids) == 10 and len(set(ids)) == 10
-    assert fs.sample_clients(100, 1.0, stream(0, 0, 2)) == list(range(100))
-    assert len(fs.sample_clients(10, 0.05, stream(0, 0, 3))) == 1
+    assert fs.sample_clients(100, 1.0, stream(0, "sampling", 2)) == list(range(100))
+    assert len(fs.sample_clients(10, 0.05, stream(0, "sampling", 3))) == 1
 
 
 def test_sample_rejects_bad_fraction():
     with pytest.raises(ValueError):
-        fs.sample_clients(10, 0.0, stream(0, 0, 1))
+        fs.sample_clients(10, 0.0, stream(0, "sampling", 1))
     with pytest.raises(ValueError):
-        fs.sample_clients(10, 1.5, stream(0, 0, 1))
+        fs.sample_clients(10, 1.5, stream(0, "sampling", 1))
 
 
 # --- aggregation ----------------------------------------------------------------
@@ -130,7 +132,7 @@ def test_local_update_zero_epochs_returns_start(small_fed_data):
     alg = fs.get_algorithm("fedavg")
     out, (loss,) = fs.local_update(
         small_fed_data.client_train(0), net.params, net, alg, 0, 10, 0.9,
-        0.1, stream(0, 1, 1, 0),
+        0.1, stream(0, "client", 1, 0),
     )
     assert out.data.tobytes() == net.params.data.tobytes()
     assert np.isnan(loss)
@@ -141,7 +143,7 @@ def test_fedbabu_local_update_freezes_head(small_fed_data):
     alg = fs.get_algorithm("fedbabu")
     out, _ = fs.local_update(
         small_fed_data.client_train(1), net.params, net, alg, 3, 10, 0.9,
-        0.1, stream(0, 1, 1, 1),
+        0.1, stream(0, "client", 1, 1),
     )
     head = net.head_segment
     assert out.segment(head).tobytes() == net.params.segment(head).tobytes()
@@ -154,12 +156,12 @@ def test_fedprox_mu_zero_equals_fedavg(small_fed_data):
     a, _ = fs.local_update(
         small_fed_data.client_train(2), net.params, net, fs.get_algorithm("fedprox"),
         kw["local_epochs"], kw["batch_size"], kw["momentum"],
-        0.1, stream(0, 1, 1, 2), mu=0.0,
+        0.1, stream(0, "client", 1, 2), mu=0.0,
     )
     b, _ = fs.local_update(
         small_fed_data.client_train(2), net.params, net, fs.get_algorithm("fedavg"),
         kw["local_epochs"], kw["batch_size"], kw["momentum"],
-        0.1, stream(0, 1, 1, 2),
+        0.1, stream(0, "client", 1, 2),
     )
     assert a.data.tobytes() == b.data.tobytes()
 
@@ -169,11 +171,11 @@ def test_fedprox_mu_positive_shrinks_drift(small_fed_data):
     ds = small_fed_data.client_train(0)
     out_plain, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedavg"), 3, 10, 0.9,
-        0.1, stream(0, 1, 1, 0),
+        0.1, stream(0, "client", 1, 0),
     )
     out_prox, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedprox"), 3, 10, 0.9,
-        0.1, stream(0, 1, 1, 0), mu=1.0,
+        0.1, stream(0, "client", 1, 0), mu=1.0,
     )
     drift_plain = fs.param_distance(out_plain, net.params)
     drift_prox = fs.param_distance(out_prox, net.params)
@@ -185,13 +187,13 @@ def test_fedprox_babu_freezes_head_and_regularizes(small_fed_data):
     ds = small_fed_data.client_train(1)
     out, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedprox-babu"), 3, 10, 0.9,
-        0.1, stream(0, 1, 1, 1), mu=1.0,
+        0.1, stream(0, "client", 1, 1), mu=1.0,
     )
     head = net.head_segment
     assert out.segment(head).tobytes() == net.params.segment(head).tobytes()
     out_babu, _ = fs.local_update(
         ds, net.params, net, fs.get_algorithm("fedbabu"), 3, 10, 0.9,
-        0.1, stream(0, 1, 1, 1),
+        0.1, stream(0, "client", 1, 1),
     )
     # the proximal term keeps the body closer to the broadcast model
     assert fs.param_distance(out, net.params) < fs.param_distance(out_babu, net.params)
@@ -202,7 +204,7 @@ def test_local_update_empty_client_raises():
     empty = fs.LabeledDataset(np.zeros((0, 8), dtype=np.float32), np.zeros(0, dtype=np.int64), 4)
     with pytest.raises(FederationError):
         fs.local_update(empty, net.params, net, fs.get_algorithm("fedavg"), 1, 10, 0.9,
-                        0.1, stream(0, 1, 1, 0))
+                        0.1, stream(0, "client", 1, 0))
 
 
 # --- schedule plumbing ----------------------------------------------------------
@@ -215,7 +217,7 @@ def test_local_update_rejects_a_mix_of_the_two_forms(small_fed_data, stacked):
     net = small_net(seed=2)
     ds = small_fed_data.client_train(0)
     start = ParamVector.stack([net.params]) if stacked else net.params
-    rng = stream(2, 0) if stacked else [stream(2, 0)]
+    rng = stream(2, "sampling") if stacked else [stream(2, "sampling")]
     with pytest.raises(
         ValueError, match=r"^1 index arrays, 0 generators and 1 rates do not fit 1 clients$"
     ):
@@ -252,7 +254,7 @@ def test_one_round_fedavg_is_mean_of_local_models():
         sched = client_schedule(cfg, len(data.client_train(cid)))
         out, _ = fs.local_update(
             data.client_train(cid), net.params, net, fs.get_algorithm("fedavg"),
-            1, 10, 0.9, sched.rates(0, sched.total_updates), stream(5, 1, 1, cid),
+            1, 10, 0.9, sched.rates(0, sched.total_updates), stream(5, "client", 1, cid),
         )
         outs.append((out, len(data.client_train(cid))))
     expected = fs.aggregate(outs, net.params, net.mask_for("full"))
@@ -475,7 +477,7 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
 
     free = m - pulled
     prox = (0.3, ParamVector(anchors.data[free:], anchors.bounds)) if pulled else None
-    streams = [stream(seed, 1, 1, i) for i in range(m)]
+    streams = [stream(seed, "client", 1, i) for i in range(m)]
     losses, seen = run(ds, stack, prox, streams, rates, indices)
     stacked = [(stack.data[i].tobytes(), seen[i], losses[i]) for i in range(m)]
     separate = []
@@ -484,7 +486,7 @@ def _train_stack_and_separately(net, sizes, batch_size, epochs, part, pulled, me
         client_ds = ds.subset(indices[i])
         (client_losses,), (client_seen,) = run(
             client_ds, params.as_stack(), (0.3, row.as_stack()) if i >= free else None,
-            [stream(seed, 1, 1, i)], [rates[i]], [np.arange(len(client_ds))],
+            [stream(seed, "client", 1, i)], [rates[i]], [np.arange(len(client_ds))],
         )
         separate.append((params.data.tobytes(), client_seen, client_losses))
     return stacked, separate
@@ -689,7 +691,7 @@ def test_non_finite_parameters_after_the_last_update_name_the_callers_row():
     own = [data.splits[0].train_indices[:n] for n in (5, 12, 8)]
     stack = ParamVector.stack([net.params] * 3)
     rates = [0.1, 0.1, 1e41]  # inf in float32
-    rngs = [stream(3, cid) for cid in range(3)]
+    rngs = [stream(3, "test_split", cid) for cid in range(3)]
     with pytest.raises(NumericError, match=r"^non-finite parameters after local update 0$") as exc:
         train_epochs(
             data.train, stack, net, "full", 1, 20, 0.9, rates, rngs, indices=own,
@@ -709,7 +711,32 @@ def test_numeric_error_leaves_an_in_order_group_untouched(sizes):
     stack = ParamVector.stack([net.params] * len(sizes))
     before = stack.data.tobytes()
     rates = [0.1] * (len(sizes) - 1) + [1e41]
-    rngs = [stream(3, cid) for cid in range(len(sizes))]
+    rngs = [stream(3, "test_split", cid) for cid in range(len(sizes))]
     with pytest.raises(NumericError, match=r"^non-finite loss at local update 1$"):
         train_epochs(data.train, stack, net, "full", 1, 5, 0.9, rates, rngs, indices=own)
     assert stack.data.tobytes() == before
+
+
+def test_a_batch_above_every_client_is_sized_by_the_largest_client():
+    # FedAvg's B = inf, written as a batch above the client's 20 samples:
+    # nothing the call allocates grows with the configured batch
+    data = make_federated_data()
+    net = small_net(seed=1)
+    own = [data.splits[0].train_indices[:20]]
+
+    def run(batch_size):
+        stack = ParamVector.stack([net.params])
+        tracemalloc.start()
+        try:
+            losses = train_epochs(
+                data.train, stack, net, "full", 2, batch_size, 0.9, [0.05],
+                [stream(1, "client", 1, 0)], own,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return np.array(losses).tobytes(), stack.data.tobytes(), peak
+
+    losses, params, peak = run(10**6)
+    assert peak < 2**20
+    assert (losses, params) == run(20)[:2]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fedsim as fs
 import fedsim.evaluation as evaluation
-from fedsim.engine import GROUP_BYTES, NumericError, client_groups, eval_stream, train_epochs
+from fedsim.engine import GROUP_BYTES, NumericError, client_groups, train_epochs
 from fedsim.evaluation import (
     EvalError,
     EvalReport,
@@ -20,6 +20,7 @@ from fedsim.evaluation import (
 )
 from fedsim.experiment import ExperimentConfig, prepare, run_eval, run_train
 from fedsim.params import ParamVector
+from fedsim.streams import stream
 from tests.conftest import make_federated_data, small_net
 from tests.test_golden import BASE
 
@@ -84,9 +85,7 @@ def test_finetune_zero_epochs_identity():
 
 def test_finetune_body_keeps_head_bits():
     net, data, state, models = run_small()
-    from fedsim.engine import eval_stream
-
-    tuned = tune_alone(models[0], net, "body", 3, 0.05, data.client_train(0), eval_stream(1, 0))
+    tuned = tune_alone(models[0], net, "body", 3, 0.05, data.client_train(0), stream(1, "eval", 0))
     head = net.head_segment
     assert tuned.segment(head).tobytes() == models[0].segment(head).tobytes()
     assert not np.array_equal(tuned.segment(0), models[0].segment(0))
@@ -96,9 +95,7 @@ def test_finetune_overfits_tiny_client():
     # run to convergence on one small client: train accuracy reaches 100%
     data = make_federated_data(per_class=15, clients=3, classes=3, dim=8, spread=0.25, shards_per_client=1, seed=4)
     net = small_net(seed=4, classes=3)
-    from fedsim.engine import eval_stream
-
-    tuned = tune_alone(net.params, net, "full", 60, 0.05, data.client_train(0), eval_stream(4, 0))
+    tuned = tune_alone(net.params, net, "full", 60, 0.05, data.client_train(0), stream(4, "eval", 0))
     train_acc = accuracy(net.with_params(tuned), data.client_train(0))[0]
     assert train_acc == 1.0
 
@@ -216,7 +213,7 @@ def test_one_pass_snapshots_equal_separate_finetunes(part, sizes):
     for tf, tuned in zip(tfs, snapshots):
         for cid in range(n):
             alone = tune_alone(
-                models[cid], net, part, tf, 0.05, data.client_train(cid), eval_stream(5, cid)
+                models[cid], net, part, tf, 0.05, data.client_train(cid), stream(5, "eval", cid)
             )
             assert tuned[cid].data.tobytes() == alone.data.tobytes(), (tf, cid)
 
@@ -242,7 +239,7 @@ def test_sequential_rule_finetunes_once_per_tf(monkeypatch):
     for tf, models_tf in zip(tfs, tuned):
         for cid in range(4):
             alone = tune_alone(
-                models[cid], net, "full", tf, 0.05, data.client_train(cid), eval_stream(6, cid),
+                models[cid], net, "full", tf, 0.05, data.client_train(cid), stream(6, "eval", cid),
                 rule=rule,
             )
             assert models_tf[cid].data.tobytes() == alone.data.tobytes(), (tf, cid)
@@ -338,7 +335,7 @@ def test_stacked_reports_equal_one_client_passes(kind, monkeypatch):
     template = fs.template_accuracy(models, net, data)
     in_class, out_class = fs.in_out_class_accuracy(models, net, data)
     tuned = [
-        tune_alone(models[cid], net, "full", 2, 0.05, data.client_train(cid), eval_stream(7, cid))
+        tune_alone(models[cid], net, "full", 2, 0.05, data.client_train(cid), stream(7, "eval", cid))
         for cid in range(6)
     ]
     want = one_client_reports(models, net, data, tuned)
@@ -638,13 +635,13 @@ def test_one_client_as_vector_or_one_row_stack_gives_one_result_type():
         assert acc.tobytes() == np.array([float(correct.mean())]).tobytes()
 
     step_losses = train_epochs(
-        train_ds, stack.copy(), net, "full", 2, 10, 0.9, [lr], [eval_stream(21, 0)],
+        train_ds, stack.copy(), net, "full", 2, 10, 0.9, [lr], [stream(21, "eval", 0)],
         [np.arange(len(train_ds))],
     )
     fedavg = fs.get_algorithm("fedavg")
     (tuned_v, loss_v), (tuned_s, loss_s) = (
-        fs.local_update(train_ds, vector, net, fedavg, 2, 10, 0.9, lr, eval_stream(21, 0)),
-        fs.local_update(train_ds, stack, net, fedavg, 2, 10, 0.9, [lr], [eval_stream(21, 0)]),
+        fs.local_update(train_ds, vector, net, fedavg, 2, 10, 0.9, lr, stream(21, "eval", 0)),
+        fs.local_update(train_ds, stack, net, fedavg, 2, 10, 0.9, [lr], [stream(21, "eval", 0)]),
     )
     assert tuned_v.data.tobytes() == tuned_s.data[0].tobytes()
     for loss in (loss_v, loss_s):

@@ -242,6 +242,39 @@ def test_train_then_eval_builds_synthetic_data_once(tmp_path, monkeypatch):
     assert {name[-4:] for name in shared} == {".csv", "json"}
 
 
+@pytest.mark.parametrize("algorithm", ["fedavg", "ditto"])
+def test_a_full_batch_run_groups_its_clients_with_the_same_bits(tmp_path, monkeypatch, algorithm):
+    # a batch above every client's size steps as the largest client, so the
+    # clients share lockstep groups, where sized by the configured batch
+    # each trained alone; no output bit depends on the grouping
+    import fedsim.engine
+    import fedsim.evaluation
+
+    grouped = fedsim.engine.client_groups
+    outputs, groups = {}, {}
+    for grouping in ("effective", "alone"):
+        counts = groups[grouping] = []
+
+        def counted(ids, template, batch_size, tracks=1, _alone=grouping == "alone"):
+            got = [(i,) for i in sorted(ids)] if _alone else grouped(ids, template, batch_size, tracks)
+            counts.append(len(got))
+            return got
+
+        for module in (fedsim.engine, fedsim.evaluation):
+            monkeypatch.setattr(module, "client_groups", counted)
+        over = {"federation.batch_size": 10**6, "federation.algorithm": algorithm}
+        cfg = ExperimentConfig.load(tiny_config(tmp_path, grouping, **over)[0])
+        run_train(cfg)
+        run_eval(cfg)
+        outputs[grouping] = {  # rounds.csv holds wall times
+            f.relative_to(cfg.out_dir): f.read_bytes()
+            for f in cfg.out_dir.rglob("*") if f.is_file() and f.name != "rounds.csv"
+        }
+    assert Path("checkpoint.pv") in outputs["alone"]
+    assert outputs["effective"] == outputs["alone"]
+    assert sum(groups["effective"]) < sum(groups["alone"])
+
+
 def test_idx_data_is_read_and_hashed_on_every_call(tmp_path, monkeypatch):
     cfg = ExperimentConfig.load(idx_config(tmp_path, "idx", **{"federation.rounds": 1})[0])
     calls = count_builds(monkeypatch)

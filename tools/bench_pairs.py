@@ -245,11 +245,20 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
 
 
 def machine() -> dict:
+    """Facts of this host, with the C library and the ``MALLOC_*`` variables
+    the benchmark's child processes inherit: glibc's heap thresholds move
+    Ditto's train time by about 20%."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):  # not glibc, or no such name here
+        libc = None
     return {
         "nproc": len(os.sched_getaffinity(0)),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "loadavg": os.getloadavg(),
+        "libc": libc,
+        "malloc_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
     }
 
 
