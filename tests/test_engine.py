@@ -740,3 +740,14 @@ def test_a_batch_above_every_client_is_sized_by_the_largest_client():
     losses, params, peak = run(10**6)
     assert peak < 2**20
     assert (losses, params) == run(20)[:2]
+
+
+def test_a_round_whose_sampled_clients_hold_no_data_names_the_client():
+    # the effective batch of such a round is 0; grouping still works and the
+    # local update reports the client
+    data = make_federated_data()
+    splits = [fs.ClientSplit(s.client_id, np.empty(0, np.int64), s.test_indices) for s in data.splits]
+    data = fs.FederatedData(data.train, data.test, splits)
+    cfg = fs.FLConfig(clients=4, fraction=0.25, local_epochs=1, rounds=1, batch_size=10)
+    with pytest.raises(FederationError, match=r"^round 1, client \d: client has no training data$"):
+        fs.run_federation(cfg, data, small_net())
