@@ -86,47 +86,10 @@ def test_pairs_alternate_and_compare_against_the_bounds(tmp_path, monkeypatch):
 
     train = w["metrics"]["train_s"]
     assert (train["better"], train["bound"]) == ("lower", 0.25)
-    assert train["scaled"]["parent"] == [2.0, 2.0 * 1.01]
-    assert train["scaled"]["ratios"] == [0.5, 0.5]
-    assert train["scaled"]["wins"] == 2 and train["scaled"]["verdict"] == "within"
     assert train["raw"]["parent"] == [2.0, 2.0] and train["raw"]["change"] == [1.0, 1.0]
 
-    rss = w["metrics"]["peak_rss_mb"]["scaled"]
+    rss = w["metrics"]["peak_rss_mb"]["raw"]
     assert rss["median_ratio"] == 1.5 and rss["wins"] == 0 and rss["verdict"] == "worse"
-
-
-def test_scaled_verdicts_are_unresolved_when_the_reference_task_slows_on_one_side(
-    tmp_path, monkeypatch
-):
-    # both sides run the code at one speed, but the change's reference task
-    # runs 20% slower, so its scaled times would read better by that gap
-    repo = tmp_path / "repo"
-    (repo / "benchmarks").mkdir(parents=True)
-    subprocess.run(["git", "init", "-q", str(repo)], check=True)
-    (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-    with_reference = STUB.replace('"local_steps": 100}}', '"local_steps": 100, "reference_s": {ref}}}')
-    revs = []
-    for ref in ([1.0, 1.01, 0.99], [1.2, 1.21, 1.19]):
-        (repo / "benchmarks" / "run.py").write_text(with_reference.format(speed=1.0, rss=100.0, ref=ref))
-        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
-        subprocess.run([*git, "add", "-A"], check=True, capture_output=True)
-        subprocess.run([*git, "commit", "-q", "-m", f"ref {ref}"], check=True, capture_output=True)
-        revs.append(subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip())
-    monkeypatch.setenv("STUB_LOG", str(tmp_path / "stub.log"))
-    monkeypatch.chdir(repo)
-
-    assert load_tool().main([*revs, "--workload", "w", "--pairs", "3", "--label", "t"]) == 0
-
-    w = json.loads((repo / "BENCH_t.json").read_text())["workloads"]["w"]
-    gap = w["host_gap"]
-    assert gap["reference_s"]["parent"] == [[1.0, 1.01, 0.99]] * 3
-    assert gap["reference_s"]["change"] == [[1.2, 1.21, 1.19]] * 3
-    assert gap["gap"] == 1.2 and gap["band"] == 0.03 and gap["outside"]
-    train = w["metrics"]["train_s"]
-    assert train["scaled"]["verdict"] == "unresolved" and train["raw"]["verdict"] == "within"
-    assert train["agree"] and not train["gain"]  # equal speeds: neither side wins
-    # peak RSS is not scaled by the host's speed, so the gap leaves it alone
-    assert w["metrics"]["peak_rss_mb"]["scaled"]["verdict"] == "within"
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread():
@@ -139,25 +102,6 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread()
     # a gain inside the parent's own spread is noise
     assert not tool.meets_claim(tool.compare(parent, [p * 0.995 for p in parent], "lower", 0.25))
     assert not tool.meets_claim(tool.compare(parent, [p * 1.1 for p in parent], "lower", 0.25))
-
-
-def test_agree_pairs_counts_the_pairs_whose_raw_and_scaled_values_move_alike():
-    # the scaled times read 5% worse in every pair, as a reference task
-    # biased against the change would make them; the raw ones read better
-    # in six pairs and worse in four
-    def side(scaled, raw):
-        info = {"runs_failed": 0, "checkpoint_sha256": "same", "src_lines": 10, "train_s": [raw]}
-        return {"info": info, "result": {"metrics": {"train_s": {"value": scaled}}}}
-
-    raw = [0.98] * 6 + [1.01] * 4
-    runs = [
-        {"seed": i, "first": "parent", "parent": side(1.0, 1.0), "change": side(1.05, r)}
-        for i, r in enumerate(raw)
-    ]
-    train = load_tool().summarize(runs, {"train_s": ("lower", 0.25)})["metrics"]["train_s"]
-    assert train["scaled"]["wins"] == 0 and train["raw"]["wins"] == 6
-    assert not train["agree"]  # the medians point apart
-    assert train["agree_pairs"] == 4
 
 
 BOUNDS = {
@@ -193,24 +137,26 @@ def test_verdicts_and_gains_come_from_raw_values():
     tool = load_tool()
     equal = tool.summarize(pairs(), BOUNDS)
     gap = tool.summarize(pairs(change_reference=0.84), BOUNDS)
-    assert gap["host_gap"]["outside"] and not equal["host_gap"]["outside"]
     for name in BOUNDS:
         assert gap["metrics"][name]["verdict"] == equal["metrics"][name]["verdict"] == "within"
         assert gap["metrics"][name]["gain"] is equal["metrics"][name]["gain"] is False
     train = gap["metrics"]["train_s"]
-    assert train["scaled"]["verdict"] == "unresolved"  # kept as a diagnostic
-    assert train["scaled"]["median_ratio"] > 1.18 and train["raw"]["median_ratio"] == 1.0
+    assert train["raw"]["median_ratio"] == 1.0
+    # each metric holds the one raw comparison, and nothing host-scaled
+    assert "host_gap" not in gap
+    for entry in gap["metrics"].values():
+        assert sorted(entry) == ["better", "bound", "gain", "raw", "verdict"]
 
 
 def test_a_peak_rss_gain_must_exceed_the_heap_layout_floor():
-    # 0.4 MB less in every pair is far outside the parent's spread, yet
-    # inside the 0.5 MB that the heap layout moves alone
+    # 1.4 MB less in every pair is far outside the parent's spread, yet
+    # inside the 1.5 MB that the heap layout may move alone
     tool = load_tool()
-    assert tool.FLOORS["peak_rss_mb"] == 0.5
-    rss = tool.summarize(pairs(change_rss=99.6), BOUNDS)["metrics"]["peak_rss_mb"]
+    assert tool.FLOORS["peak_rss_mb"] == 1.5
+    rss = tool.summarize(pairs(change_rss=98.6), BOUNDS)["metrics"]["peak_rss_mb"]
     assert rss["raw"]["wins"] == 10 and tool.meets_claim(rss["raw"])
     assert not rss["gain"]
-    assert tool.summarize(pairs(change_rss=99.4), BOUNDS)["metrics"]["peak_rss_mb"]["gain"]
+    assert tool.summarize(pairs(change_rss=98.4), BOUNDS)["metrics"]["peak_rss_mb"]["gain"]
 
 
 def test_host_facts_name_the_c_library_and_the_allocator_environment(monkeypatch):
