@@ -141,17 +141,14 @@ def personalized_models(
     seed: int,
     batch_size: int = 50,
     momentum: float = 0.9,
-    rule: str = "joint",
 ) -> list[list[ParamVector]]:
     """Each client's model fine-tuned on its own train data, in lockstep
     groups, for each τ_f of the list ``finetune_epochs``: one list of
     models per τ_f. τ_f = 0 gives the input models themselves. A
-    fine-tune is ``local_update`` at the constant rate ``lr`` under the
-    local rule ``rule``: 'joint' (updating ``part``) or
-    'sequential_head_then_body' (the head for every epoch, then the body
-    for one more, as FedRep's local training does, whatever ``part``
-    says, so its reports name the rule in place of ``part``), with fresh
-    momentum.
+    fine-tune is ``local_update`` at the constant rate ``lr``, with fresh
+    momentum, updating ``part`` ('body', 'head' or 'full') jointly, or,
+    where ``part`` is 'sequential_head_then_body', under FedRep's local
+    rule: the head for every epoch, then the body for one more.
 
     Under the joint rule a group fine-tunes once, to the largest τ_f, and
     a client's row is copied as it ends each requested epoch: a shorter
@@ -160,6 +157,7 @@ def personalized_models(
     FederationError names its client and the smallest requested τ_f whose
     epochs hold the failure.
     """
+    rule = part if part == "sequential_head_then_body" else "joint"
     spec = AlgorithmSpec("fine-tune", part, part, rule)
     positive = sorted(set(finetune_epochs) - {0})
     out = {tf: [None] * len(models) for tf in positive}
@@ -209,7 +207,6 @@ def personalized_accuracy(
     seed: int,
     batch_size: int = 50,
     momentum: float = 0.9,
-    rule: str = "joint",
     initial: EvalReport | None = None,
 ) -> list[EvalReport]:
     """Fine-tune each client independently (``personalized_models``), then
@@ -217,13 +214,13 @@ def personalized_accuracy(
     ``finetune_epochs``. ``initial``, the models' ``initial_accuracy``
     report where given, serves τ_f = 0."""
     tuned = personalized_models(
-        models, template, data, part, finetune_epochs, lr, seed, batch_size, momentum, rule
+        models, template, data, part, finetune_epochs, lr, seed, batch_size, momentum
     )
     return [
         EvalReport.from_accuracies(
             initial.accuracies.copy() if tf == 0 and initial is not None
             else initial_accuracy(tf_models, template, data).accuracies,
-            tf, part if rule == "joint" else rule,
+            tf, part,
         )
         for tf, tf_models in zip(finetune_epochs, tuned)
     ]

@@ -220,10 +220,12 @@ class ExperimentConfig:
 
     # hash covers everything that determines the trained model and splits;
     # eval settings are recorded in reports instead. ``with_eval`` adds them,
-    # for keys that must change whenever any result would.
+    # as the evaluation runs them, for keys that change whenever a result would.
     def config_hash(self, with_eval: bool = False) -> str:
         keys = ("seed", "dataset", "network", "partition", "federation")
-        payload = {k: self.raw[k] for k in keys + (("eval",) if with_eval else ())}
+        payload = {k: self.raw[k] for k in keys}
+        if with_eval:
+            payload["eval"] = {**self.raw["eval"], "part": self.finetune_part()}
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -257,10 +259,10 @@ class ExperimentConfig:
             return float(ev["lr"])
         return LRSchedule(self.raw["federation"]["base_lr"]).final_lr
 
-    def finetune_rule(self) -> str:
-        """FedRep's 'sequential_head_then_body', which ignores ``eval.part``, else 'joint'."""
+    def finetune_part(self) -> str:
+        """What the fine-tune trains: ``eval.part``, or FedRep's rule, which ignores it."""
         rule = get_algorithm(self.raw["federation"]["algorithm"]).local_rule
-        return rule if rule == "sequential_head_then_body" else "joint"
+        return rule if rule == "sequential_head_then_body" else self.raw["eval"]["part"]
 
 
 # --- builders ----------------------------------------------------------------
@@ -592,9 +594,8 @@ def run_train(
 
 def run_partition(cfg: ExperimentConfig) -> None:
     out = make_out_dir(cfg.out_dir)
-    train, test = build_datasets(cfg)
-    splits = build_splits(cfg, train, test)
-    save_splits(splits, out / "splits.json")
+    data, _ = _run_data(cfg)
+    save_splits(data.splits, out / "splits.json")
     meta = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
@@ -603,10 +604,10 @@ def run_partition(cfg: ExperimentConfig) -> None:
         "schema": SCHEMA_VERSION,
     }
     (out / "partition_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    classes = train.num_classes
+    classes = data.train.num_classes
     rows = []
-    for s in splits:
-        counts = np.bincount(train.labels[s.train_indices], minlength=classes)
+    for s in data.splits:
+        counts = np.bincount(data.train.labels[s.train_indices], minlength=classes)
         rows.append([s.client_id, *counts.tolist()])
     _write_csv(
         out / "label_histogram.csv",
@@ -630,8 +631,8 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: Path | None = None) -> dict[
     test = list(forward_test_sets(models, template, data))
     reports["initial"] = initial_accuracy(models, template, data, test)
     personalized = personalized_accuracy(
-        models, template, data, ev["part"], ev["finetune_epochs"], lr, cfg.seed,
-        fl_cfg.batch_size, fl_cfg.momentum, cfg.finetune_rule(), initial=reports["initial"],
+        models, template, data, cfg.finetune_part(), ev["finetune_epochs"], lr, cfg.seed,
+        fl_cfg.batch_size, fl_cfg.momentum, initial=reports["initial"],
     )
     for rep in personalized:
         reports[f"personalized_tf{rep.finetune_epochs}"] = rep

@@ -87,15 +87,16 @@ def load_sweep(path) -> dict:
 
 
 def expand_cells(sweep: dict) -> list[ExperimentConfig]:
-    """Cartesian product of the grid axes and the seed list. Two cells of
-    one cell directory (a repeated seed or grid value) are a ConfigError,
-    as they would train it twice and count it twice."""
+    """Cartesian product of the grid axes and the seed list. Cells that
+    differ only in what the evaluation ignores (FedRep's ``eval.part``) share
+    a cell directory; two equal cells (a repeated seed or grid value) are a
+    ConfigError, as they would count one cell twice."""
     grid = sweep["grid"]
     if "seed" in grid:
         raise ConfigError("a sweep sets seeds through its 'seeds' list, not a 'seed' grid axis")
     axes = sorted(grid)
     combos = list(itertools.product(*(grid[a] for a in axes)))
-    cells: dict[Path, ExperimentConfig] = {}
+    cells: dict[str, ExperimentConfig] = {}  # by the whole config
     out_root = Path(sweep["out"])
     for combo in combos:
         for seed in sweep["seeds"]:
@@ -105,15 +106,13 @@ def expand_cells(sweep: dict) -> list[ExperimentConfig]:
                 _set_dotted(raw, axis, value)
             raw["seed"] = seed
             cfg = ExperimentConfig.from_dict(raw)
-            # eval settings are part of the key: an eval-only change is a new cell
-            cell_dir = out_root / "cells" / cfg.config_hash(with_eval=True)
-            if cell_dir in cells:
+            canon = json.dumps(cfg.raw, sort_keys=True)
+            if canon in cells:
                 shown = "".join(f", {a}={json.dumps(v)}" for a, v in zip(axes, combo))
                 raise ConfigError(f"sweep repeats a cell: seed {seed}{shown}")
-            cells[cell_dir] = cfg.with_overrides(out=str(cell_dir))
-    budgets = {
-        c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells.values()
-    }
+            cell_dir = out_root / "cells" / cfg.config_hash(with_eval=True)
+            cells[canon] = cfg.with_overrides(out=str(cell_dir))
+    budgets = {c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells.values()}
     if len(budgets) > 1:
         raise ConfigError(
             f"sweep cells disagree on the rounds*local_epochs budget: {sorted(budgets)}"
@@ -127,7 +126,6 @@ def _cell_summary(cfg: ExperimentConfig) -> dict:
     s_or_beta = {"shard": part_cfg["shards_per_client"], "dirichlet": part_cfg["beta"]}.get(
         part_cfg["mode"]
     )  # None for iid, an empty CSV field
-    rule = cfg.finetune_rule()
     return {
         "config_hash": cfg.config_hash(),
         "algorithm": fed["algorithm"],
@@ -138,7 +136,7 @@ def _cell_summary(cfg: ExperimentConfig) -> dict:
         "local_epochs": fed["local_epochs"],
         "rounds": fed["rounds"],
         "seed": cfg.seed,
-        "part": cfg["eval"]["part"] if rule == "joint" else rule,  # what the fine-tune trains
+        "part": cfg.finetune_part(),
     }
 
 
@@ -222,13 +220,13 @@ def run_group(job: tuple[str, list[dict]]) -> None:
 
 
 def run_sweep(sweep: dict, jobs: int = 1) -> Path:
-    """Run every training group (in parallel when jobs > 1, a whole group
-    to one worker), then collect one CSV row per (cell, finetune-epoch)
-    pair from the cells' ``result.json`` files, in cell order."""
+    """Run every training group, each cell directory once (in parallel when
+    jobs > 1, a whole group to one worker), then collect one CSV row per
+    (cell, finetune-epoch) pair from the cells' ``result.json``, in cell order."""
     cells = expand_cells(sweep)
     out_root = make_out_dir(Path(sweep["out"]))
     groups: dict[str, list[dict]] = {}
-    for cell in cells:
+    for cell in {c.out_dir: c for c in cells}.values():
         groups.setdefault(str(out_root / "train" / cell.config_hash()), []).append(cell.raw)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

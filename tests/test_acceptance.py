@@ -387,13 +387,13 @@ def test_criterion_10_tauf0_identity():
         )
         state, _ = fs.run_federation(cfg, data, net)
         models = client_models(state, net, fs.get_algorithm(alg_name), 8)
-        rule = (
+        part = (
             "sequential_head_then_body"
             if fs.get_algorithm(alg_name).local_rule == "sequential_head_then_body"
-            else "joint"
+            else "full"
         )
         initial = fs.initial_accuracy(models, net, data)
-        (tf0,) = fs.personalized_accuracy(models, net, data, "full", [0], 0.001, 10, batch_size=50, rule=rule)
+        (tf0,) = fs.personalized_accuracy(models, net, data, part, [0], 0.001, 10, batch_size=50)
         assert tf0.accuracies.tobytes() == initial.accuracies.tobytes()
         checked.append(alg_name)
     report(10, f"tau_f=0 personalized report bit-equals initial report for {', '.join(checked)}")

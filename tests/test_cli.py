@@ -1235,6 +1235,44 @@ def test_sweep_fedrep_rows_name_the_rule_that_trained(tmp_path):
     assert first == second and first["part"] == "sequential_head_then_body"
 
 
+def test_sweep_fedrep_cells_of_every_eval_part_share_one_evaluation(tmp_path, monkeypatch):
+    # the cell key reads the part the fine-tune trains, so FedRep's three
+    # eval.part values are one cell while FedBABU's stay three
+    import fedsim.sweep
+
+    grid = {"federation.algorithm": ["fedrep", "fedbabu"], "eval.part": ["full", "head", "body"]}
+    sweep_path, out = sweep_config(tmp_path, grid=grid)
+    evals = []
+    run_eval = fedsim.sweep.run_eval
+    monkeypatch.setattr(
+        fedsim.sweep, "run_eval", lambda cfg, **kw: evals.append(cfg.out_dir) or run_eval(cfg, **kw)
+    )
+    assert main(["sweep", "--config", str(sweep_path)]) == 0
+    assert len(evals) == len(set(evals)) == 4
+    assert len(list(out.glob("cells/*"))) == len(list(out.glob("cells/*/result.json"))) == 4
+    # each part's rows as a sweep of that part alone writes them, in cell order
+    single = []
+    for part in ("full", "head", "body"):
+        sweep = json.loads(sweep_path.read_text())
+        sweep["grid"] = {"federation.algorithm": grid["federation.algorithm"]}
+        sweep["out"] = str(tmp_path / part)
+        sweep["base"]["eval"]["part"] = part
+        single_path = tmp_path / f"{part}.json"
+        single_path.write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(single_path)]) == 0
+        single += read_results(tmp_path / part)
+    rows = read_results(out)
+    assert rows == single and len(rows) == 6
+    assert [r["part"] for r in rows[::2]] == ["sequential_head_then_body"] * 3
+    assert [r["part"] for r in rows[1::2]] == ["full", "head", "body"]
+    serial = (out / "results.csv").read_bytes()
+    sweep = json.loads(sweep_path.read_text())
+    sweep["out"] = str(tmp_path / "jobs2")
+    sweep_path.write_text(json.dumps(sweep))
+    assert main(["sweep", "--config", str(sweep_path), "--jobs", "2"]) == 0
+    assert (tmp_path / "jobs2" / "results.csv").read_bytes() == serial
+
+
 def test_sweep_iid_cell_reports_no_beta(tmp_path):
     sweep_path, out = sweep_config(tmp_path, grid={"partition.mode": ["iid", "shard"]})
     assert main(["sweep", "--config", str(sweep_path)]) == 0

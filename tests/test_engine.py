@@ -605,8 +605,8 @@ def test_training_and_finetunes_read_client_samples_in_place(monkeypatch):
     )
     state, _ = fs.run_federation(cfg, data, net)
     models = [state.global_params] * 7
-    for rule in ("joint", "sequential_head_then_body"):
-        fs.evaluation.personalized_models(models, net, data, "full", [1, 2], 0.05, 7, 10, 0.9, rule)
+    for part in ("full", "sequential_head_then_body"):
+        fs.evaluation.personalized_models(models, net, data, part, [1, 2], 0.05, 7, 10, 0.9)
     assert copies == []
 
 

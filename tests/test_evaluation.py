@@ -71,14 +71,14 @@ def test_initial_accuracy_read_only_and_repeatable():
 def test_finetune_zero_epochs_identity():
     net, data, state, models = run_small()
     for alg_name in ("fedavg", "fedbabu", "fedprox", "fedper", "fedrep", "ditto"):
-        rule = (
+        part = (
             "sequential_head_then_body"
             if fs.get_algorithm(alg_name).local_rule == "sequential_head_then_body"
-            else "joint"
+            else "full"
         )
         initial = fs.initial_accuracy(models, net, data)
         (personalized,) = fs.personalized_accuracy(
-            models, net, data, "full", [0], 0.01, seed=3, batch_size=10, rule=rule
+            models, net, data, part, [0], 0.01, seed=3, batch_size=10
         )
         assert personalized.accuracies.tobytes() == initial.accuracies.tobytes()
 
@@ -234,7 +234,7 @@ def test_sequential_rule_finetunes_once_per_tf(monkeypatch):
     monkeypatch.setattr(evaluation, "local_update", counting)
     rule = "sequential_head_then_body"
     tfs = [2, 0, 1]
-    tuned = personalized_models(models, net, data, "full", tfs, 0.05, 6, batch_size=10, rule=rule)
+    tuned = personalized_models(models, net, data, rule, tfs, 0.05, 6, batch_size=10)
     assert calls == [1, 2]  # one group, one fine-tune per positive tau_f
     for tf, models_tf in zip(tfs, tuned):
         for cid in range(4):

@@ -1,6 +1,7 @@
 """Config loading, defaulting, hashing, and the dataset/network builders."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -205,6 +206,11 @@ def test_shipped_configs_pass_the_schema(tmp_path):
     assert len(cells) == math.prod(map(len, sweep["grid"].values())) * len(sweep["seeds"])
     assert len({c.out_dir for c in cells}) == len(cells)
     assert all(c.out_dir.parent == tmp_path / "sweep" / "cells" for c in cells)
+    # the cell key names stored cells: a change to it orphans them
+    names = ",".join(c.out_dir.name for c in cells)
+    assert hashlib.sha256(names.encode()).hexdigest() == (
+        "be2a766754ab1386dd33a73dc848fec818d7679903fda5430f1ea5a6a6a042b8"
+    )
     assert not any(tmp_path.iterdir())  # checked without building or writing anything
 
 
