@@ -112,7 +112,9 @@ def expand_cells(sweep: dict) -> list[ExperimentConfig]:
                 raise ConfigError(f"sweep repeats a cell: seed {seed}{shown}")
             cell_dir = out_root / "cells" / cfg.config_hash(with_eval=True)
             cells[canon] = cfg.with_overrides(out=str(cell_dir))
-    budgets = {c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells.values()}
+    budgets = {
+        c["federation"]["rounds"] * c["federation"]["local_epochs"] for c in cells.values()
+    }
     if len(budgets) > 1:
         raise ConfigError(
             f"sweep cells disagree on the rounds*local_epochs budget: {sorted(budgets)}"

@@ -23,6 +23,7 @@ from fedsim.experiment import (
     data_digest,
     prepare,
     run_eval,
+    run_partition,
     run_train,
 )
 from fedsim.sweep import expand_cells, load_sweep
@@ -237,6 +238,7 @@ def eval_bytes(out: Path) -> dict:
 def test_train_then_eval_builds_synthetic_data_once(tmp_path, monkeypatch):
     cfg = ExperimentConfig.load(tiny_config(tmp_path)[0])
     calls = count_builds(monkeypatch)
+    run_partition(cfg)  # the partition command reads the same build
     run_train(cfg)
     run_eval(cfg)
     assert calls == [cfg.config_hash()]
